@@ -20,7 +20,6 @@ from .design import (
 from .errors import ConduxError, ConfigError
 from .experiments import run_experiment
 from .integrate import (
-    AdaptiveStep,
     FixedStep,
     Trajectory,
     find_limit_cycle,

@@ -8,6 +8,8 @@ import json
 import sys
 import time
 
+from numpy.linalg import LinAlgError
+
 from .acceptance import CRITERIA, run_criteria
 from .config import load_config
 from .errors import ConduxError, ConfigError
@@ -18,6 +20,10 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Failures of the numerics rather than of the config: typed condux errors,
+# floating-point faults, and LAPACK refusals (singular or non-finite matrices).
+_NUMERICAL_ERRORS = (ConduxError, ArithmeticError, LinAlgError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -62,7 +68,7 @@ def _cmd_run(args) -> int:
         for line in str(exc).split("; "):
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConduxError, ArithmeticError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for cfg, _rep in zip(cfgs, reports):
@@ -83,7 +89,7 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     try:
         rows = run_criteria(names, jobs=args.jobs)
-    except (ConduxError, ArithmeticError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     wide = [len("criterion"), len("check"), len("expected"), len("observed"),

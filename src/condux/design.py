@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,6 @@ from .models import (
     InverseSystem,
     NormalFormModel,
     fitzhugh_nagumo,
-    kapitza,
 )
 from .signals import (
     SQRT_DELTA_MASS,
@@ -44,8 +43,8 @@ from .signals import (
 from .variational import (
     MonodromyResult,
     StabilityVerdict,
+    _spectrum,
     contraction_probe,
-    eigen_small,
     hurwitz,
     state_transition,
 )
@@ -336,10 +335,10 @@ def fhn_impulse_design(
     predicted = phi_free @ np.diag([jump, 1.0])
 
     def wrap(mat: np.ndarray) -> MonodromyResult:
-        lam, vecs, _ = eigen_small(mat)
+        lam = _spectrum(mat)
         return MonodromyResult(
             t0=w0, period=period, phi=mat, eigenvalues=lam,
-            spectral_radius=float(np.max(np.abs(lam))), eigenvectors=tuple(vecs),
+            spectral_radius=float(np.max(np.abs(lam))),
         )
 
     return ImpulseDesign(

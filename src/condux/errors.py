@@ -31,10 +31,6 @@ class GainFloorViolated(ConduxError):
     """|df/du| fell below the model's gain floor, so f_inv is ill-posed there."""
 
 
-class StepUnderflow(ConduxError):
-    """Adaptive integrator pushed the step size below the hard minimum."""
-
-
 class NoCrossings(ConduxError):
     """Poincare section was never crossed in the allotted time."""
 

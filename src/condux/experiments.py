@@ -24,8 +24,15 @@ from .design import (
     lorenz_region_check,
     orbit_scale,
 )
-from .errors import ConduxError, NoCrossings, PeriodUnstable, RangeViolation
-from .integrate import FixedStep, Trajectory, build_grid, find_limit_cycle, integrate
+from .errors import NoCrossings, PeriodUnstable, RangeViolation
+from .integrate import (
+    FixedStep,
+    Trajectory,
+    build_grid,
+    find_limit_cycle,
+    integrate,
+    write_csv,
+)
 from .lure import (
     CHUA_A,
     CHUA_B,
@@ -57,10 +64,10 @@ from .observer import (
     observer_contraction_check,
     run_observer,
 )
-from .signals import Constant, SquarePulseTrain, Zero
+from .signals import CallableSignal, Constant, SquarePulseTrain, Zero
 from .variational import (
+    _spectrum,
     contraction_probe,
-    eigen_small,
     floquet,
     refine_periodic_orbit,
     transition_matrix,
@@ -88,13 +95,6 @@ def _strided(*arrays: np.ndarray) -> list[np.ndarray]:
     n = arrays[0].size
     stride = max(1, math.ceil(n / _CSV_ROW_CAP))
     return [np.asarray(a)[::stride] for a in arrays]
-
-
-def _write_csv(path: Path, names: list[str], cols: list[np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def _json_ready(obj):
@@ -248,19 +248,12 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
 
     # certificate grid: base step with ramp windows capped at tau / divisor
     cap = p["tau"] / p["ramp_step_divisor"]
-
-    class _Grid:
-        breakpoints = staticmethod(sq.breakpoints)
-
-        @staticmethod
-        def refine_windows(a, b):
-            return [(lo, hi, min(c, cap)) for lo, hi, c in sq.refine_windows(a, b)]
-
-        @staticmethod
-        def max_angular_frequency():
-            return 0.0
-
-    grid = build_grid(0.0, P, p["base_step"], _Grid())
+    capped = CallableSignal(
+        fn=sq.value,
+        breakpoints_fn=sq.breakpoints,
+        windows_fn=lambda a, b: [(lo, hi, min(c, cap)) for lo, hi, c in sq.refine_windows(a, b)],
+    )
+    grid = build_grid(0.0, P, p["base_step"], capped)
     ys = sq.values(grid)
     yd = np.array([sq.derivative(float(t)) for t in grid])
     zs = np.array([float(ff.zbar.interp_state(float(t))[0]) for t in grid])
@@ -359,7 +352,7 @@ def chua_pipeline(p: dict) -> dict:
                                             p["monodromy_kink_step"]))
     grid = np.unique(np.clip(np.concatenate(pieces + [np.array([T])]), 0.0, T))
     phi = transition_matrix(A, grid)
-    lam, _, _ = eigen_small(phi)
+    lam = _spectrum(phi)
     rho_orbit = float(np.max(np.abs(lam)))
 
     # phasor initial state making M sin(omega t) an exact solution
@@ -554,8 +547,8 @@ def _run_kapitza(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         traj = r["traj"]
         ts, y, dy, slow, us = _strided(traj.ts, traj.states[:, 0], r["delta_y"],
                                        r["slow"], traj.us)
-        _write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
-                   ["t", "y", "delta_y", "y_slow", "u"], [ts, y, dy, slow, us])
+        write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
+                  ["t", "y", "delta_y", "y_slow", "u"], [ts, y, dy, slow, us])
     return report
 
 
@@ -582,13 +575,13 @@ def _run_fhn(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         y_ref = np.array([float(v) for v in map(lambda t: r["cycle"].interp_state(
             r["cycle"].t0 + (t - r["cycle"].t0) % r["period"])[0], real.ts)])
         ts, ys, yr, us = _strided(real.ts, real.states[:, 0], y_ref, real.us)
-        _write_csv(outdir / f"{cfg.out_prefix}_realized.csv",
-                   ["t", "y", "y_free_reference", "u"], [ts, ys, yr, us])
+        write_csv(outdir / f"{cfg.out_prefix}_realized.csv",
+                  ["t", "y", "y_free_reference", "u"], [ts, ys, yr, us])
         a, b = r["sync_runs"]
         ts, ya, yb = _strided(a.ts, a.states[:, 0], b.states[:, 0])
-        _write_csv(outdir / f"{cfg.out_prefix}_sync.csv",
-                   ["t", "y_phase_a", "y_phase_b", "abs_diff"],
-                   [ts, ya, yb, np.abs(ya - yb)])
+        write_csv(outdir / f"{cfg.out_prefix}_sync.csv",
+                  ["t", "y_phase_a", "y_phase_b", "abs_diff"],
+                  [ts, ya, yb, np.abs(ya - yb)])
     return report
 
 
@@ -614,13 +607,13 @@ def _run_hh(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         y_ref = r["reference"].values(a.ts)
         ts, yr, ya, yb, us = _strided(a.ts, y_ref, a.states[:, 0], b.states[:, 0],
                                       a.us)
-        _write_csv(outdir / f"{cfg.out_prefix}_sync.csv",
-                   ["t", "y_reference", "y_ic_a", "y_ic_b", "u"],
-                   [ts, yr, ya, yb, us])
+        write_csv(outdir / f"{cfg.out_prefix}_sync.csv",
+                  ["t", "y_reference", "y_ic_a", "y_ic_b", "u"],
+                  [ts, yr, ya, yb, us])
         ref = r["reference_traj"]
         ts, yr, zs, us = _strided(ref.ts, ref.states[:, 0], ref.states[:, 1], ref.us)
-        _write_csv(outdir / f"{cfg.out_prefix}_reference.csv",
-                   ["t", "y_reference", "z_bar", "u"], [ts, yr, zs, us])
+        write_csv(outdir / f"{cfg.out_prefix}_reference.csv",
+                  ["t", "y_reference", "z_bar", "u"], [ts, yr, zs, us])
     return report
 
 
@@ -645,8 +638,8 @@ def _run_chua(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         tr = r["traj"]
         y = tr.states @ np.asarray(CHUA_C)
         ts, yr, ys, us = _strided(tr.ts, r["y_ref"], y, tr.us)
-        _write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
-                   ["t", "y_reference", "y", "u"], [ts, yr, ys, us])
+        write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
+                  ["t", "y_reference", "y", "u"], [ts, yr, ys, us])
     return report
 
 
@@ -663,8 +656,8 @@ def _run_lorenz(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         ts, x1, x2, z = _strided(tr.ts, tr.states[:, 0], tr.states[:, 1],
                                  tr.states[:, 2])
         flags = _strided(r["in_region_flags"].astype(float))[0]
-        _write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
-                   ["t", "x1", "x2", "z", "in_region"], [ts, x1, x2, z, flags])
+        write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
+                  ["t", "x1", "x2", "z", "in_region"], [ts, x1, x2, z, flags])
     return report
 
 
@@ -695,7 +688,7 @@ def _run_observer(cfg: ExperimentConfig, outdir: Path | None) -> dict:
                 tr.states[:, 3]]
         cols += [tr.states[:, 4 + j] for j in range(m)]
         cols += [nominal.theta_error]
-        _write_csv(outdir / f"{cfg.out_prefix}_nominal.csv", names, _strided(*cols))
+        write_csv(outdir / f"{cfg.out_prefix}_nominal.csv", names, _strided(*cols))
     return report
 
 

@@ -1,6 +1,6 @@
-"""Fixed and adaptive explicit integration on signal-aware grids.
+"""Fixed-step RK4 integration on signal-aware grids.
 
-The default integrator is classical RK4 on a deterministic grid: the grid
+The integrator is classical RK4 on a deterministic grid: the grid
 lands exactly on every signal breakpoint, and inside each declared refine
 window the step is capped, so narrow impulses and short ramps are resolved
 without paying for a globally tiny step. Identical inputs give bit-identical
@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCrossings, NumericalBlowup, PeriodUnstable, StepUnderflow
+from .errors import NoCrossings, NumericalBlowup, PeriodUnstable
 from .models import VectorField
 from .signals import InputSignal, Zero
 
 __all__ = [
     "FixedStep",
-    "AdaptiveStep",
     "Trajectory",
+    "write_csv",
     "default_step",
     "build_grid",
     "integrate",
@@ -35,15 +35,6 @@ class FixedStep:
     """Classical RK4 with step h (further capped inside refine windows)."""
 
     h: float | None = None
-
-
-@dataclass(frozen=True)
-class AdaptiveStep:
-    """Embedded 4(5) pair with PI step control."""
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    h_min: float = 1e-14
 
 
 def default_step(model: VectorField, signal: InputSignal, t0: float, t1: float) -> float:
@@ -102,6 +93,15 @@ def build_grid(
     return np.array(nodes)
 
 
+def write_csv(path, names: list[str], cols: list[np.ndarray]) -> None:
+    """Write equal-length columns under a header row, every value as %.17g
+    so that reading the file back recovers each float64 exactly."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
 @dataclass
 class Trajectory:
     """Sampled solution with the input that produced it."""
@@ -133,21 +133,9 @@ class Trajectory:
         w = min(max(w, 0.0), 1.0)
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
-    def interp_output(self, t: float) -> float:
-        return float(self.interp_state(t)[0])
-
-    def segment(self, t0: float, t1: float) -> "Trajectory":
-        """Samples with t0 <= t <= t1 (endpoints must already be nodes)."""
-        mask = (self.ts >= t0 - 1e-15 * abs(t0)) & (self.ts <= t1 + 1e-15 * abs(t1))
-        return Trajectory(self.ts[mask], self.states[mask], self.us[mask], self.state_names)
-
     def to_csv(self, path: str) -> None:
         names = self.state_names or tuple(f"x{i+1}" for i in range(self.states.shape[1]))
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(names) + ",u\n")
-            for i in range(self.ts.size):
-                cells = [self.ts[i], *self.states[i], self.us[i]]
-                fh.write(",".join(f"{c:.17g}" for c in cells) + "\n")
+        write_csv(path, ["t", *names, "u"], [self.ts, *self.states.T, self.us])
 
     @classmethod
     def from_csv(cls, path: str) -> "Trajectory":
@@ -189,90 +177,22 @@ def _rk4_run(
     return Trajectory(grid, states, signal.values(grid), model.state_names)
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def _dp_run(
-    model: VectorField,
-    signal: InputSignal,
-    t0: float,
-    t1: float,
-    x0: np.ndarray,
-    policy: AdaptiveStep,
-    edges: np.ndarray,
-) -> Trajectory:
-    ts = [t0]
-    states = [x0.astype(float)]
-    y = x0.astype(float)
-    h = (t1 - t0) / 100.0
-    err_prev = 1.0
-    for a, b in zip(edges, edges[1:]):
-        t = a
-        h = min(h, b - a)
-        while t < b - 1e-14 * (t1 - t0):
-            h = min(h, b - t)
-            if h < policy.h_min:
-                raise StepUnderflow(f"step {h:.3e} underflow at t={t:.6g}")
-            ks = np.empty((7, y.size))
-            for s in range(7):
-                ys = y + h * (ks[:s].T @ _DP_A[s]) if s else y
-                ks[s] = model.rhs(t + _DP_C[s] * h, ys, signal.value(t + _DP_C[s] * h))
-            y5 = y + h * (_DP_B5 @ ks)
-            y4 = y + h * (_DP_B4 @ ks)
-            if not np.all(np.isfinite(y5)):
-                raise NumericalBlowup(t + h, f"state left R^n in model {model.name}")
-            scale = policy.abs_tol + policy.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            if err <= 1.0:
-                t += h
-                y = y5
-                ts.append(t)
-                states.append(y)
-                factor = 0.9 * (err + 1e-16) ** -0.14 * (err_prev + 1e-16) ** 0.08
-                err_prev = err
-            else:
-                factor = max(0.2, 0.9 * err**-0.2)
-            h *= min(5.0, max(0.2, factor))
-    grid = np.array(ts)
-    return Trajectory(grid, np.array(states), signal.values(grid), model.state_names)
-
-
 def integrate(
     model: VectorField,
     signal: InputSignal | None,
     t0: float,
     t1: float,
     x0: np.ndarray,
-    policy: FixedStep | AdaptiveStep | None = None,
+    policy: FixedStep | None = None,
 ) -> Trajectory:
     """Integrate the model from x0 over [t0, t1] under the given input."""
     signal = signal or Zero()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
-    if policy is None:
-        policy = FixedStep()
-    if isinstance(policy, FixedStep):
-        h = policy.h or default_step(model, signal, t0, t1)
-        grid = build_grid(t0, t1, h, signal)
-        return _rk4_run(model, signal, grid, x0)
-    edges = {t0, t1}
-    edges.update(b for b in signal.breakpoints(t0, t1) if t0 < b < t1)
-    return _dp_run(model, signal, t0, t1, x0, policy, np.array(sorted(edges)))
+    policy = policy or FixedStep()
+    h = policy.h or default_step(model, signal, t0, t1)
+    return _rk4_run(model, signal, build_grid(t0, t1, h, signal), x0)
 
 
 @dataclass(frozen=True)
@@ -291,7 +211,7 @@ def find_limit_cycle(
     section: tuple[int, float, int],
     transient: float = 50.0,
     max_time: float = 400.0,
-    policy: FixedStep | AdaptiveStep | None = None,
+    policy: FixedStep | None = None,
     agreement: float = 1e-6,
 ) -> CycleResult:
     """Locate an attracting cycle by Poincare returns to a coordinate section.

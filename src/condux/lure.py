@@ -80,10 +80,6 @@ def chua_system() -> PlainModel:
     )
 
 
-def chua_output(state: np.ndarray) -> float:
-    return float(CHUA_C @ np.asarray(state, dtype=float))
-
-
 @dataclass(frozen=True)
 class DescribingFunctionResult:
     """First-harmonic gains at a candidate oscillation.
@@ -129,6 +125,7 @@ def _harmonic_integrals(
                 2.0 * math.pi,
                 points=points,
                 epsabs=1e-12,
+                epsrel=1e-10,
                 limit=200,
             )
         out.append(val)

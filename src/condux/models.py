@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigError, GainFloorViolated, NumericalBlowup
-from .piecewise import PiecewisePoly, sat_poly
+from .errors import ConfigError, GainFloorViolated
+from .piecewise import sat_poly
 
 __all__ = [
     "VectorField",
@@ -73,7 +73,6 @@ class NormalFormModel:
     f_jac: Callable[[float, np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray, float]]
     g: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     g_jac: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    input_gain_sign: int = 1
     input_affine: bool = True
     gain_floor: float = 1e-8
     stiffness: float | None = None
@@ -86,11 +85,6 @@ class NormalFormModel:
         if self.r < self.n and self.g is None:
             raise ConfigError("models with internal states need g")
 
-    def split(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a full state into (chain part x, internal part z)."""
-        state = np.asarray(state, dtype=float)
-        return state[: self.r], state[self.r :]
-
     def rhs(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
         x, z = state[: self.r], state[self.r :]
         out = np.empty(self.n)
@@ -98,13 +92,6 @@ class NormalFormModel:
         out[self.r - 1] = self.f(t, x, z, u)
         if self.r < self.n:
             out[self.r :] = self.g(t, z, x)
-        return out
-
-    def eval_dynamics(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
-        """rhs plus a finiteness check on the result."""
-        out = self.rhs(t, np.asarray(state, dtype=float), u)
-        if not np.all(np.isfinite(out)):
-            raise NumericalBlowup(t, f"model {self.name} produced a non-finite derivative")
         return out
 
     def jac(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
@@ -120,10 +107,6 @@ class NormalFormModel:
             A[self.r :, : self.r] = dgx
             A[self.r :, self.r :] = dgz
         return A
-
-    def input_gain(self, t: float, state: np.ndarray, u: float) -> float:
-        x, z = self.split(state)
-        return self.f_jac(t, x, z, u)[2]
 
     def f_inv_solve(self, t: float, x: np.ndarray, z: np.ndarray, v: float) -> float:
         """Solve f(t, x, z, u) = v for u.
@@ -198,12 +181,6 @@ class PlainModel:
     def rhs(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
         return self.rhs_fn(t, state, u)
 
-    def eval_dynamics(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
-        out = self.rhs_fn(t, np.asarray(state, dtype=float), u)
-        if not np.all(np.isfinite(out)):
-            raise NumericalBlowup(t, f"model {self.name} produced a non-finite derivative")
-        return out
-
     def jac(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
         return self.jac_fn(t, state, u)
 
@@ -260,7 +237,6 @@ def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> Normal
         r=2,
         f=f,
         f_jac=f_jac,
-        input_gain_sign=1 if alpha > 0 else -1,
         state_names=("y", "ydot"),
         sample_box=((math.pi - 2.0, math.pi + 2.0), (-3.0, 3.0)),
     )
@@ -551,7 +527,6 @@ class ParameterizedPlant:
             f_jac=f_jac,
             g=g,
             g_jac=g_jac,
-            input_gain_sign=1 if self.df0_du > 0 else -1,
             stiffness=self.stiffness,
             state_names=self.state_names,
             sample_box=self.sample_box,

@@ -12,7 +12,6 @@ reproduces the plant trajectory exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .signals import InputSignal
 from .variational import (
     MonodromyResult,
     StabilityVerdict,
-    eigen_small,
+    _spectrum,
     transition_matrix,
 )
 
@@ -154,39 +153,9 @@ class ObserverRun:
     """Joint plant/observer trajectory with convergence bookkeeping."""
 
     traces: Trajectory
-    theta_star: np.ndarray
     theta_error: np.ndarray
-    output_error: np.ndarray
     tolerance: float
-    input_period: float
     converged_at: float | None
-
-    @property
-    def converged(self) -> bool:
-        return self.converged_at is not None
-
-    def to_csv(self, path: str) -> None:
-        """Columns: t, y, y_hat, z block, z_hat block, theta_hat block,
-        theta_error."""
-        n = (self.traces.states.shape[1] - self.theta_star.size) // 2
-        m = self.theta_star.size
-        s = self.traces.states
-        cols = [self.traces.ts, s[:, 0], s[:, n]]
-        head = ["t", "y", "y_hat"]
-        for i in range(1, n):
-            suffix = "" if n == 2 else f"_{i}"
-            cols += [s[:, i], s[:, n + i]]
-            head += [f"z{suffix}", f"z{suffix}_hat"]
-        for j in range(m):
-            cols.append(s[:, 2 * n + j])
-            head.append(f"theta_hat_{j + 1}")
-        cols.append(self.theta_error)
-        head.append("theta_error")
-        data = np.column_stack(cols)
-        with open(path, "w") as fh:
-            fh.write(",".join(head) + "\n")
-            for row in data:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def run_observer(
@@ -224,10 +193,8 @@ def run_observer(
     model = coupled_system(spec, theta_star)
     traj = integrate(model, u_signal, 0.0, horizon, ic, policy)
 
-    n, m = plant.n, plant.m
-    th = traj.states[:, 2 * n :]
+    th = traj.states[:, 2 * plant.n :]
     theta_error = np.linalg.norm(th - theta_star, axis=1)
-    output_error = np.abs(traj.states[:, n] - traj.states[:, 0])
 
     window = 3.0 * input_period
     ok = theta_error < tolerance
@@ -248,11 +215,8 @@ def run_observer(
 
     return ObserverRun(
         traces=traj,
-        theta_star=theta_star,
         theta_error=theta_error,
-        output_error=output_error,
         tolerance=tolerance,
-        input_period=float(input_period),
         converged_at=converged_at,
     )
 
@@ -316,11 +280,11 @@ def observer_contraction_check(
     inner = ref.ts[(ref.ts > t0) & (ref.ts < t0 + period)]
     grid = np.concatenate(([t0], inner, [t0 + period]))
     phi = transition_matrix(A, grid)
-    lam, vecs, _ = eigen_small(phi)
+    lam = _spectrum(phi)
     rho = float(np.max(np.abs(lam)))
     mono = MonodromyResult(
         t0=float(t0), period=float(period), phi=phi, eigenvalues=lam,
-        spectral_radius=rho, eigenvectors=tuple(vecs),
+        spectral_radius=rho,
     )
     verdict = StabilityVerdict(stable=rho < 1.0, margin=1.0 - rho, method="monodromy")
 

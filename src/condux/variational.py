@@ -23,8 +23,6 @@ __all__ = [
     "refine_periodic_orbit",
     "MonodromyResult",
     "floquet",
-    "char_poly",
-    "eigen_small",
     "StabilityVerdict",
     "hurwitz",
     "ProbeResult",
@@ -85,11 +83,11 @@ def refine_periodic_orbit(
     Requires I - Phi nonsingular, i.e. no Floquet multiplier at +1, which a
     forced attracting orbit satisfies.  The closure gap is measured on the
     integrator's own grid, so the result is consistent with later monodromy
-    evaluations at the same step policy.
+    evaluations at the same step policy. Raises PeriodMismatch when the loop
+    still does not close within tol after max_iters Newton steps.
     """
     x = np.asarray(x_guess, dtype=float).copy()
     n = x.size
-    traj = None
     for _ in range(max_iters):
         traj = integrate(model, signal, t0, t0 + period, x, policy)
         gap = traj.states[-1] - x
@@ -97,81 +95,19 @@ def refine_periodic_orbit(
             return traj
         phi = state_transition(model, traj, t0, t0 + period)
         x = x + np.linalg.solve(np.eye(n) - phi, gap)
-    return integrate(model, signal, t0, t0 + period, x, policy)
+    traj = integrate(model, signal, t0, t0 + period, x, policy)
+    gap = float(np.max(np.abs(traj.states[-1] - x)))
+    if gap < tol:
+        return traj
+    raise PeriodMismatch(f"orbit does not close after {max_iters} Newton steps (gap {gap:.3e})")
 
 
-def char_poly(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients (descending powers),
-    by the Faddeev-LeVerrier recursion."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    coeffs = [1.0]
-    M = np.zeros_like(A)
-    for k in range(1, n + 1):
-        M = A @ M + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(A @ M) / k)
-    return np.array(coeffs)
-
-
-def eigen_small(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray | None], bool]:
-    """Eigenvalues of a small matrix via its characteristic polynomial.
-
-    Returns (eigenvalues, right eigenvectors or None per eigenvalue, clean).
-    Vectors are produced only for real simple eigenvalues, normalized to unit
-    length with the first sizable component positive. clean is False when a
-    residual check fails (defective or ill-conditioned case).
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A, ord=2)))
-    if n == 1:
-        lam = np.array([complex(A[0, 0])])
-    elif n == 2:
-        tr, det = A[0, 0] + A[1, 1], A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        disc = complex(tr * tr - 4.0 * det) ** 0.5
-        # Pair the larger root with the stable formula, the smaller via det.
-        lam1 = 0.5 * (tr + disc) if abs(tr + disc) >= abs(tr - disc) else 0.5 * (tr - disc)
-        lam2 = det / lam1 if lam1 != 0 else 0.5 * (tr - disc)
-        lam = np.array([lam1, lam2])
-    else:
-        p = char_poly(A)
-        lam = np.roots(p).astype(complex)
-        dp = np.polyder(p)
-        for i in range(lam.size):
-            x = lam[i]
-            for _ in range(8):
-                fx = np.polyval(p, x)
-                dx = np.polyval(dp, x)
-                if dx == 0:
-                    break
-                step = fx / dx
-                x -= step
-                if abs(step) < 1e-16 * (1.0 + abs(x)):
-                    break
-            lam[i] = x
-    # Deterministic order: decreasing magnitude, then real part, then imag.
+def _spectrum(phi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real matrix as complex numbers, in a deterministic
+    order: decreasing magnitude, then real part, then imaginary part."""
+    lam = np.linalg.eigvals(phi).astype(complex)
     order = sorted(range(lam.size), key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))
-    lam = lam[order]
-
-    vectors: list[np.ndarray | None] = [None] * lam.size
-    clean = True
-    for i, lv in enumerate(lam):
-        if abs(lv.imag) > 1e-9 * scale:
-            continue
-        if any(j != i and abs(lam[j] - lv) < 1e-6 * scale for j in range(lam.size)):
-            continue  # not simple enough to pin a single direction
-        M = A - lv.real * np.eye(n)
-        _, _, vh = np.linalg.svd(M)
-        v = vh[-1].real
-        k = int(np.argmax(np.abs(v)))
-        if v[k] < 0:
-            v = -v
-        v = v / np.linalg.norm(v)
-        if np.linalg.norm(A @ v - lv.real * v) > 1e-8 * scale:
-            clean = False
-            continue
-        vectors[i] = v
-    return lam, vectors, clean
+    return lam[order]
 
 
 @dataclass(frozen=True)
@@ -183,7 +119,6 @@ class MonodromyResult:
     phi: np.ndarray
     eigenvalues: np.ndarray
     spectral_radius: float
-    eigenvectors: tuple[np.ndarray | None, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,19 +156,13 @@ def floquet(
             f"state moves by {gap:.3e} (scale {scale:.3g}) over the declared period"
         )
     phi = state_transition(model, traj, t0, t0 + period)
-    if model.n <= 4:
-        lam, vecs, _ = eigen_small(phi)
-    else:
-        lam = np.linalg.eigvals(phi)
-        lam = lam[sorted(range(lam.size), key=lambda i: (-abs(lam[i]), -lam[i].real))]
-        vecs = [None] * lam.size
+    lam = _spectrum(phi)
     return MonodromyResult(
         t0=float(t0),
         period=float(period),
         phi=phi,
         eigenvalues=lam,
         spectral_radius=float(np.max(np.abs(lam))),
-        eigenvectors=tuple(vecs),
     )
 
 

@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import condux.cli
 from condux.cli import main
 
 
@@ -36,6 +38,16 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(cfg, out):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(condux.cli, "run_experiment", singular)
+    cfg = _write(tmp_path / "probe.json", {"experiment": "probe"})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: LinAlgError" in capsys.readouterr().err
 
 
 def test_run_artifacts_are_deterministic(tmp_path, capsys):

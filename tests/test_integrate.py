@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from condux.errors import NoCrossings, PeriodUnstable
 from condux.integrate import (
@@ -75,6 +78,29 @@ def test_trajectory_interp_and_csv_roundtrip(tmp_path):
     assert np.array_equal(back.ts, traj.ts)
     assert np.array_equal(back.states, traj.states)
     assert np.array_equal(back.us, traj.us)
+
+
+@given(
+    cols=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(3, 5)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e-300]),
+        ),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_csv_roundtrip_is_exact(tmp_path_factory, cols):
+    traj = Trajectory(cols[:, 0], cols[:, 1:-1], cols[:, -1],
+                      tuple(f"x{i}" for i in range(cols.shape[1] - 2)))
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    traj.to_csv(path)
+    back = Trajectory.from_csv(path)
+    assert back.state_names == traj.state_names
+    # compare bit patterns, so -0.0 must come back as -0.0
+    for a, b in ((back.ts, traj.ts), (back.states, traj.states), (back.us, traj.us)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_forced_linear_system_keeps_fourth_order():

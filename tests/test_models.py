@@ -75,7 +75,6 @@ def test_f_inv_unreachable_target():
         f=lambda t, x, z, u: math.tanh(u),
         f_jac=lambda t, x, z, u: (np.array([0.0]), np.empty(0),
                                   max(1.0 / math.cosh(u) ** 2, 1e-6)),
-        input_gain_sign=1,
     )
     with pytest.raises(GainFloorViolated):
         saturating.f_inv_solve(0.0, np.array([0.0]), np.empty(0), 2.0)

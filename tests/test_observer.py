@@ -101,15 +101,6 @@ class TestRunObserver:
         assert run.converged_at is None
         assert float(run.theta_error.min()) > run.tolerance
 
-    def test_csv_header(self, spec, tmp_path):
-        run = run_observer(spec, THETA_STAR, PULSE, horizon=0.5,
-                           tolerance=0.0316, plant_ic=np.array([-0.7, 0.0]),
-                           theta0=np.array([0.3, 1.8]), policy=FixedStep(1e-3))
-        path = tmp_path / "run.csv"
-        run.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,y,y_hat,z,z_hat,theta_hat_1,theta_hat_2,theta_error"
-
 
 class TestContractionCheck:
     def test_frozen_spectrum(self, observer_run):

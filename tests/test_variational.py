@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
+from condux.errors import PeriodMismatch
 from condux.integrate import FixedStep, integrate
 from condux.models import fitzhugh_nagumo, leaky_integrator, planar_limit_cycle
 from condux.signals import Constant
 from condux.variational import (
     contraction_probe,
-    eigen_small,
     floquet,
     hurwitz,
     refine_periodic_orbit,
@@ -69,6 +69,12 @@ def test_refine_periodic_orbit_closes_gap():
     assert np.hypot(*loop.states[0]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_refine_periodic_orbit_raises_when_loop_does_not_close():
+    with pytest.raises(PeriodMismatch):
+        refine_periodic_orbit(planar_limit_cycle(), None, np.array([2.0, 0.5]), 0.0,
+                              2.0 * math.pi, FixedStep(0.001), max_iters=1)
+
+
 def test_probe_recovers_rate():
     res = contraction_probe(leaky_integrator(1.0), Constant(0.5),
                             np.array([0.0]), np.array([0.5]), 0.0, 20.0)
@@ -107,14 +113,3 @@ class TestHurwitz:
         flipped = np.polymul(poly, [1.0, -roots[0] / 2.0])
         assert not hurwitz(flipped.tolist()).stable
 
-
-def test_eigen_small_matches_reference():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            A = rng.normal(size=(n, n))
-            lam, _, _ = eigen_small(A)
-            ref = np.linalg.eigvals(A)
-            assert np.allclose(sorted(lam, key=lambda z: (z.real, z.imag)),
-                               sorted(ref, key=lambda z: (z.real, z.imag)),
-                               atol=1e-8)
