@@ -62,9 +62,8 @@ from .variational import (
     MonodromyResult,
     contraction_probe,
     floquet,
+    flow,
     refine_periodic_orbit,
-    state_transition,
-    transition_matrix,
 )
 
 __version__ = "0.1.0"

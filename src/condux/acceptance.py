@@ -44,7 +44,7 @@ from .models import (
     lorenz,
 )
 from .signals import Constant
-from .variational import contraction_probe, state_transition
+from .variational import contraction_probe, flow
 
 __all__ = ["CriterionRow", "CRITERIA", "run_criteria", "bessel_j0"]
 
@@ -260,13 +260,13 @@ def criterion_properties() -> list[CriterionRow]:
     rows = []
     rng = np.random.default_rng(7)
 
-    # flow-map composition and the trace identity on one nonlinear window;
-    # the variational step is second order in the grid, so 1e-4 is needed
-    # for the volume identity at 1e-6
+    # flow-map composition and the trace identity on one nonlinear window
     fhn = fitzhugh_nagumo()
-    traj = integrate(fhn, None, 0.0, 2.0, np.array([1.0, 0.0]), FixedStep(1e-4))
-    full = state_transition(fhn, traj, 0.0, 2.0)
-    half = state_transition(fhn, traj, 1.0, 2.0) @ state_transition(fhn, traj, 0.0, 1.0)
+    pol = FixedStep(1e-3)
+    traj, full = flow(fhn, None, 0.0, 2.0, np.array([1.0, 0.0]), pol)
+    first, phi_a = flow(fhn, None, 0.0, 1.0, traj.states[0], pol)
+    _, phi_b = flow(fhn, None, 1.0, 2.0, first.states[-1], pol)
+    half = phi_b @ phi_a
     comp = float(np.max(np.abs(full - half)) / np.max(np.abs(full)))
     rows.append(_row("properties", "flow_composition", "0", comp, "1e-7",
                      comp <= 1e-7))

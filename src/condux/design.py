@@ -43,10 +43,9 @@ from .signals import (
 from .variational import (
     MonodromyResult,
     StabilityVerdict,
-    _spectrum,
     contraction_probe,
+    flow,
     hurwitz,
-    state_transition,
 )
 
 __all__ = [
@@ -319,34 +318,25 @@ def fhn_impulse_design(
     k = int(pool[np.argmax(out_comp[pool])])
     t0 = float(phases[k])
     # The monodromy window is anchored just before the impulse support so the
-    # jump sits inside; shift a near-anchor choice one period forward to keep
-    # the window within the two-period free solution.
-    if t0 - 8.0 * width < cycle.t0:
+    # jump sits inside; shift a near-anchor choice one period forward so the
+    # window starts after the cycle's first sample.
+    if t0 - 8.0 * width <= cycle.t0:
         t0 += period
     w0 = t0 - 8.0 * width
 
     train = ImpulseTrain(t0=t0, period=period, magnitudes=(eps_n,), width=width)
-    two = integrate(
-        model, None, cycle.t0, cycle.t0 + 2.0 * period + 16.0 * width,
-        cycle.states[0], FixedStep(min(5e-4, eps / 100.0)),
-    )
-    phi_free = state_transition(model, two, w0, w0 + period)
+    pol = FixedStep(min(5e-4, eps / 100.0))
+    x_w0 = integrate(model, None, cycle.t0, w0, cycle.states[0], pol).states[-1]
+    _, phi_free = flow(model, None, w0, w0 + period, x_w0, pol)
     jump = math.exp(-3.0 * beta * eps_n**2 / eps)
     predicted = phi_free @ np.diag([jump, 1.0])
-
-    def wrap(mat: np.ndarray) -> MonodromyResult:
-        lam = _spectrum(mat)
-        return MonodromyResult(
-            t0=w0, period=period, phi=mat, eigenvalues=lam,
-            spectral_radius=float(np.max(np.abs(lam))),
-        )
 
     return ImpulseDesign(
         t0=t0,
         eps_n=eps_n,
         train=train,
-        predicted_monodromy=wrap(predicted),
-        free_window_monodromy=wrap(phi_free),
+        predicted_monodromy=MonodromyResult.from_phi(w0, period, predicted),
+        free_window_monodromy=MonodromyResult.from_phi(w0, period, phi_free),
         tangent=tangents[k],
         cross_exponent=float(cross[k]),
     )

@@ -52,6 +52,7 @@ from .lure import (
 from .models import (
     ConductanceParams,
     InverseSystem,
+    PlainModel,
     fitzhugh_nagumo,
     hh_conductance,
     kapitza,
@@ -66,11 +67,11 @@ from .observer import (
 )
 from .signals import CallableSignal, Constant, SquarePulseTrain, Zero
 from .variational import (
-    _spectrum,
+    MonodromyResult,
     contraction_probe,
+    flow,
     floquet,
     refine_periodic_orbit,
-    transition_matrix,
 )
 
 __all__ = [
@@ -195,9 +196,8 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
         zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), policy=fine,
     )
     ic = np.array([ref.x_fn(w0)[0], float(ff.zbar.interp_state(w0)[0])])
-    realized = integrate(model, ff.signal, w0, w0 + T, ic, fine)
+    realized, mono = floquet(model, ff.signal, ic, w0, T, fine)
     closure = float(np.max(np.abs(realized.states[-1] - realized.states[0])))
-    mono = floquet(model, realized)
     pred = design.predicted_monodromy
     mismatch = float(np.max(np.abs(mono.phi - pred.phi)) / np.max(np.abs(pred.phi)))
 
@@ -333,27 +333,29 @@ def chua_pipeline(p: dict) -> dict:
         verdict = lure_stability(CHUA_NUM, CHUA_DEN, df)
         sweep.append({"rho": rho, "stable": verdict.stable, "margin": verdict.margin})
 
-    # monodromy of the linearization along the designed output M sin(omega t)
-    def A(t: float) -> np.ndarray:
-        return CHUA_A - chua_nonlinearity_slope(M * math.sin(omega * t)) * np.outer(
-            CHUA_B, CHUA_C
-        )
-
+    # monodromy of the linearization x' = A(y) x along the designed output
+    # y = M sin(omega t), fed in as the input; the slope of the nonlinearity
+    # jumps where |y| = 1, and each of those instants gets a refine window
     T = 2.0 * math.pi / omega
-    pieces = [np.arange(0.0, T, p["monodromy_base_step"])]
+    bc = np.outer(CHUA_B, CHUA_C)
+
+    def A(t: float, x: np.ndarray, y: float) -> np.ndarray:
+        return CHUA_A - chua_nonlinearity_slope(y) * bc
+
+    linearized = PlainModel("chua-linearized", 3, lambda t, x, y: A(t, x, y) @ x, A)
+    kinks = []
     if M > 1.0:
-        base_phases = [math.asin(1.0 / M), math.pi - math.asin(1.0 / M),
-                       -math.asin(1.0 / M), math.pi + math.asin(1.0 / M)]
-        for k in range(-1, 3):
-            for b in base_phases:
-                c = (b + 2.0 * math.pi * k) / omega
-                if -0.1 <= c <= T + 0.1:
-                    pieces.append(np.arange(c - 2e-3, c + 2e-3,
-                                            p["monodromy_kink_step"]))
-    grid = np.unique(np.clip(np.concatenate(pieces + [np.array([T])]), 0.0, T))
-    phi = transition_matrix(A, grid)
-    lam = _spectrum(phi)
-    rho_orbit = float(np.max(np.abs(lam)))
+        a = math.asin(1.0 / M)
+        kinks = [(b + 2.0 * math.pi * k) / omega
+                 for k in range(-1, 3) for b in (a, math.pi - a, -a, math.pi + a)]
+    kink_step = p["monodromy_kink_step"]
+    output = CallableSignal(
+        fn=lambda t: M * math.sin(omega * t),
+        windows_fn=lambda t0, t1: [(c - 2e-3, c + 2e-3, kink_step) for c in kinks],
+    )
+    _, phi = flow(linearized, output, 0.0, T, np.zeros(3),
+                  FixedStep(p["monodromy_base_step"]))
+    orbit = MonodromyResult.from_phi(0.0, T, phi)
 
     # phasor initial state making M sin(omega t) an exact solution
     s = 1j * omega
@@ -399,8 +401,8 @@ def chua_pipeline(p: dict) -> dict:
         "quadrature_df": quad_df,
         "reconstruction": rec,
         "threshold_sweep": sweep,
-        "orbit_monodromy_eigenvalues": lam,
-        "orbit_spectral_radius": rho_orbit,
+        "orbit_monodromy_eigenvalues": orbit.eigenvalues,
+        "orbit_spectral_radius": orbit.spectral_radius,
         "x0": x0,
         "traj": tr,
         "y_ref": y_ref,
@@ -469,7 +471,7 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
     settle = integrate(model, u, 0.0, (k + 2.0) * P, np.array([-0.7, 0.0]), pol)
     ref = refine_periodic_orbit(model, u, settle.interp_state(k * P), k * P, P, pol)
     closure = float(np.max(np.abs(ref.states[-1] - ref.states[0])))
-    check = observer_contraction_check(spec, theta_star, ref,
+    check = observer_contraction_check(spec, theta_star, ref, u, pol,
                                        eps_coupling=p["eps_coupling"])
 
     tol = p["tolerance_fraction"] * float(np.linalg.norm(theta_star))

@@ -157,9 +157,12 @@ def _rk4_run(
 ) -> Trajectory:
     n = grid.size
     hs = np.diff(grid)
-    u_lo = signal.values(grid[:-1])
+    # Each step reads its input from its own piece: the right limit at its
+    # left node and the left limit at its right node, so a jump that the
+    # grid lands on never leaks into the step on the other side of it.
+    u_lo = signal.values(np.nextafter(grid[:-1], grid[1:]))
     u_mid = signal.values(grid[:-1] + 0.5 * hs)
-    u_hi = signal.values(grid[1:])
+    u_hi = signal.values(np.nextafter(grid[1:], grid[:-1]))
     states = np.empty((n, x0.size))
     states[0] = x0
     y = x0.astype(float)

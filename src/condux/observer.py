@@ -21,12 +21,7 @@ from .errors import AntiderivativeMismatch, ConfigError, PeriodMismatch
 from .integrate import FixedStep, Trajectory, integrate
 from .models import ParameterizedPlant, PlainModel
 from .signals import InputSignal
-from .variational import (
-    MonodromyResult,
-    StabilityVerdict,
-    _spectrum,
-    transition_matrix,
-)
+from .variational import MonodromyResult, StabilityVerdict, flow
 
 __all__ = [
     "AdaptiveObserverSpec",
@@ -238,6 +233,8 @@ def observer_contraction_check(
     spec: AdaptiveObserverSpec,
     theta_star: np.ndarray,
     ref: Trajectory,
+    u_signal: InputSignal,
+    policy: FixedStep | None = None,
     eps_coupling: float = 0.01,
     period: float | None = None,
     anchor_tol: float = 1e-3,
@@ -247,9 +244,14 @@ def observer_contraction_check(
     The linearization of the observer error around a periodic plant solution
     couples the parameter block to the output through the plant regressor
     (downward) and the update regressor (upward); its monodromy having
-    spectral radius below one certifies local parameter convergence. The
-    cross-weighted quadratic form W(d) = |d|^2/2 - eps * dtheta . h(y**) dy
-    is evaluated over one period as a second, coordinate-level diagnostic.
+    spectral radius below one certifies local parameter convergence. It is
+    read off the coupled system's transition matrix from the embedded state
+    (x, x, theta_star) at the reference's first sample: there the coupled
+    Jacobian is block lower-triangular, and its lower-right (n + m) block is
+    exactly the error linearization, so the lower-right block of Phi is the
+    error monodromy. The cross-weighted quadratic form
+    W(d) = |d|^2/2 - eps * dtheta . h(y**) dy is evaluated over one period as
+    a second, coordinate-level diagnostic.
     """
     plant = spec.plant
     n, m = plant.n, plant.m
@@ -257,38 +259,22 @@ def observer_contraction_check(
     t0 = ref.t0
     if period is None:
         period = ref.t1 - ref.t0
-    scale = max(1.0, float(np.max(np.abs(ref.states))))
-    gap = float(np.max(np.abs(ref.interp_state(t0 + period) - ref.states[0])))
+    x0 = ref.states[0]
+    traj, phi_all = flow(coupled_system(spec, theta_star), u_signal, t0, t0 + period,
+                         np.concatenate([x0, x0, theta_star]), policy)
+    plant_states = traj.states[:, :n]
+    scale = max(1.0, float(np.max(np.abs(plant_states))))
+    gap = float(np.max(np.abs(plant_states[-1] - x0)))
     if gap > anchor_tol * scale:
         raise PeriodMismatch(
             f"reference does not close up over one period (gap {gap:.3e})"
         )
-
-    def A(t: float) -> np.ndarray:
-        s = ref.interp_state(t)
-        u = float(np.interp(t, ref.ts, ref.us))
-        y, z = s[0], s[1:n]
-        J = np.zeros((n + m, n + m))
-        J[0, 0] = plant.df0_dy(t, y, z, u) + float(plant.dregressor_dy(y) @ theta_star)
-        J[0, 1:n] = plant.df0_dz(t, y, z, u)
-        J[1:n, 0] = np.asarray(plant.dg_dy(t, z, y)).ravel()
-        J[1:n, 1:n] = np.asarray(plant.dg_dz(t, z, y)).reshape(n - 1, n - 1)
-        J[0, n:] = plant.regressor(y)
-        J[n:, 0] = -spec.h_update(y)
-        return J
-
-    inner = ref.ts[(ref.ts > t0) & (ref.ts < t0 + period)]
-    grid = np.concatenate(([t0], inner, [t0 + period]))
-    phi = transition_matrix(A, grid)
-    lam = _spectrum(phi)
-    rho = float(np.max(np.abs(lam)))
-    mono = MonodromyResult(
-        t0=float(t0), period=float(period), phi=phi, eigenvalues=lam,
-        spectral_radius=rho,
-    )
+    phi = phi_all[n:, n:]
+    mono = MonodromyResult.from_phi(t0, period, phi)
+    rho = mono.spectral_radius
     verdict = StabilityVerdict(stable=rho < 1.0, margin=1.0 - rho, method="monodromy")
 
-    h0 = plant.regressor(float(ref.states[0, 0]))
+    h0 = plant.regressor(float(x0[0]))
     Q = np.eye(n + m)
     Q[0, n:] = -eps_coupling * h0
     Q[n:, 0] = -eps_coupling * h0

@@ -9,6 +9,7 @@ of a product like sat(...)*(y-1) is needed in closed form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,13 @@ class PiecewisePoly:
         if any(b <= a for a, b in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
-    def _segment(self, y: float) -> int:
-        return int(np.searchsorted(self.breaks, y, side="left"))
-
     def __call__(self, y: float) -> float:
-        return float(np.polyval(self.coeffs[self._segment(y)], y))
+        # Horner in the same operation order as np.polyval, so the scalar and
+        # the vectorized paths agree bit for bit.
+        acc = 0.0
+        for c in self.coeffs[bisect_left(self.breaks, y)]:
+            acc = acc * y + c
+        return float(acc)
 
     def values(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)

@@ -1,8 +1,11 @@
 """Variational tools: transition matrices, Floquet spectra, stability tests.
 
-The state transition matrix is integrated with the same RK4 scheme as the
-states themselves, stepping exactly on the stored trajectory grid so that
-fast features (impulse windows, ramps) resolved there stay resolved here.
+The transition matrix is stepped jointly with the state: the variational
+equations Phi' = J(t, x, u) Phi ride along as extra components of one vector
+field through the same RK4 loop, on the same grid and with the same
+tabulated inputs, so Phi converges at the state's order and fast features
+resolved for the state (impulse windows, ramps, pulse edges) are resolved
+for Phi too.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ import numpy as np
 
 from .errors import PeriodMismatch, ZeroLeadingCoefficient
 from .integrate import FixedStep, Trajectory, integrate
-from .models import VectorField
+from .models import PlainModel, VectorField
 from .signals import InputSignal
 
 __all__ = [
-    "transition_matrix",
-    "state_transition",
+    "flow",
     "refine_periodic_orbit",
     "MonodromyResult",
     "floquet",
@@ -30,40 +32,43 @@ __all__ = [
 ]
 
 
-def transition_matrix(A, grid: np.ndarray) -> np.ndarray:
-    """Phi(grid[-1], grid[0]) for the matrix ODE Phid = A(t) Phi, stepped with
-    RK4 on the given grid. A is a callable t -> square matrix."""
-    grid = np.asarray(grid, dtype=float)
-    phi = np.eye(A(float(grid[0])).shape[0])
-    for ta, tb in zip(grid, grid[1:]):
-        h = tb - ta
-        a1, am, a2 = A(ta), A(ta + 0.5 * h), A(tb)
-        k1 = a1 @ phi
-        k2 = am @ (phi + 0.5 * h * k1)
-        k3 = am @ (phi + 0.5 * h * k2)
-        k4 = a2 @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
+def _with_variations(model: VectorField) -> PlainModel:
+    """The field (x, vec Phi) -> (f(t, x, u), vec(J(t, x, u) Phi))."""
+    n = model.n
+
+    def rhs(t: float, s: np.ndarray, u: float) -> np.ndarray:
+        x = s[:n]
+        out = np.empty(s.size)
+        out[:n] = model.rhs(t, x, u)
+        out[n:] = (model.jac(t, x, u) @ s[n:].reshape(n, n)).ravel()
+        return out
+
+    # jac_fn is None: the joint field is only ever stepped, never linearized.
+    return PlainModel(name=model.name, n=n * (n + 1), rhs_fn=rhs, jac_fn=None,
+                      stiffness=model.stiffness)
 
 
-def state_transition(
-    model: VectorField, traj: Trajectory, t0: float, t1: float
-) -> np.ndarray:
-    """Phi(t1, t0) for the linearization along a stored trajectory.
+def flow(
+    model: VectorField,
+    signal: InputSignal | None,
+    t0: float,
+    t1: float,
+    x0: np.ndarray,
+    policy: FixedStep | None = None,
+) -> tuple[Trajectory, np.ndarray]:
+    """Trajectory from x0 over [t0, t1] and its transition matrix Phi(t1, t0).
 
-    States between samples are linearly interpolated; the matrix ODE is
-    stepped with RK4 on the trajectory's own grid restricted to [t0, t1].
+    The state columns are bit-identical to integrate(model, ...) with the
+    same arguments: the grid, the inputs and the state stages do not see Phi.
     """
-    if not (traj.t0 - 1e-12 <= t0 < t1 <= traj.t1 + 1e-12):
-        raise ValueError("requested window leaves the trajectory span")
-    inner = traj.ts[(traj.ts > t0) & (traj.ts < t1)]
-    grid = np.concatenate(([t0], inner, [t1]))
-
-    def A(t: float) -> np.ndarray:
-        u = float(np.interp(t, traj.ts, traj.us))
-        return model.jac(t, traj.interp_state(t), u)
-
-    return transition_matrix(A, grid)
+    n = model.n
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},)")
+    joint = integrate(_with_variations(model), signal, t0, t1,
+                      np.concatenate((x0, np.eye(n).ravel())), policy)
+    traj = Trajectory(joint.ts, joint.states[:, :n].copy(), joint.us, model.state_names)
+    return traj, joint.states[-1, n:].reshape(n, n)
 
 
 def refine_periodic_orbit(
@@ -89,25 +94,16 @@ def refine_periodic_orbit(
     x = np.asarray(x_guess, dtype=float).copy()
     n = x.size
     for _ in range(max_iters):
-        traj = integrate(model, signal, t0, t0 + period, x, policy)
+        traj, phi = flow(model, signal, t0, t0 + period, x, policy)
         gap = traj.states[-1] - x
         if float(np.max(np.abs(gap))) < tol:
             return traj
-        phi = state_transition(model, traj, t0, t0 + period)
         x = x + np.linalg.solve(np.eye(n) - phi, gap)
     traj = integrate(model, signal, t0, t0 + period, x, policy)
     gap = float(np.max(np.abs(traj.states[-1] - x)))
     if gap < tol:
         return traj
     raise PeriodMismatch(f"orbit does not close after {max_iters} Newton steps (gap {gap:.3e})")
-
-
-def _spectrum(phi: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real matrix as complex numbers, in a deterministic
-    order: decreasing magnitude, then real part, then imaginary part."""
-    lam = np.linalg.eigvals(phi).astype(complex)
-    order = sorted(range(lam.size), key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))
-    return lam[order]
 
 
 @dataclass(frozen=True)
@@ -119,6 +115,17 @@ class MonodromyResult:
     phi: np.ndarray
     eigenvalues: np.ndarray
     spectral_radius: float
+
+    @classmethod
+    def from_phi(cls, t0: float, period: float, phi: np.ndarray) -> "MonodromyResult":
+        """Wrap a transition matrix with its eigenvalues as complex numbers, in
+        a deterministic order: decreasing magnitude, then real part, then
+        imaginary part."""
+        lam = np.linalg.eigvals(phi).astype(complex)
+        lam = lam[sorted(range(lam.size),
+                         key=lambda i: (-abs(lam[i]), -lam[i].real, -lam[i].imag))]
+        return cls(t0=float(t0), period=float(period), phi=phi, eigenvalues=lam,
+                   spectral_radius=float(np.max(np.abs(lam))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,38 +139,28 @@ class MonodromyResult:
 
 def floquet(
     model: VectorField,
-    traj: Trajectory,
-    t0: float | None = None,
-    period: float | None = None,
+    signal: InputSignal | None,
+    x0: np.ndarray,
+    t0: float,
+    period: float,
+    policy: FixedStep | None = None,
     anchor_tol: float = 1e-3,
-) -> MonodromyResult:
-    """Monodromy matrix over one period of a stored periodic trajectory.
+) -> tuple[Trajectory, MonodromyResult]:
+    """One period of the solution from x0 at t0 and its monodromy matrix.
 
-    The state at t0 + period must return to the anchor within anchor_tol
-    (relative to the state scale), otherwise the window does not actually
-    cover one period of a periodic solution and PeriodMismatch is raised.
+    The state at t0 + period must return to x0 within anchor_tol (relative
+    to the state scale), otherwise the window does not actually cover one
+    period of a periodic solution and PeriodMismatch is raised.
     """
-    if t0 is None:
-        t0 = traj.t0
-    if period is None:
-        period = traj.t1 - t0
-    a0 = traj.interp_state(t0)
-    a1 = traj.interp_state(t0 + period)
+    traj, phi = flow(model, signal, t0, t0 + period, x0, policy)
+    a0 = traj.states[0]
     scale = max(1.0, float(np.max(np.abs(a0))))
-    gap = float(np.max(np.abs(a1 - a0)))
+    gap = float(np.max(np.abs(traj.states[-1] - a0)))
     if gap > anchor_tol * scale:
         raise PeriodMismatch(
             f"state moves by {gap:.3e} (scale {scale:.3g}) over the declared period"
         )
-    phi = state_transition(model, traj, t0, t0 + period)
-    lam = _spectrum(phi)
-    return MonodromyResult(
-        t0=float(t0),
-        period=float(period),
-        phi=phi,
-        eigenvalues=lam,
-        spectral_radius=float(np.max(np.abs(lam))),
-    )
+    return traj, MonodromyResult.from_phi(t0, period, phi)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,14 @@ from condux.experiments import (
 )
 
 
+def pytest_collection_modifyitems(items):
+    # Anything that needs a pipeline run is slow; `pytest -m "not slow"` is
+    # the quick unit loop.
+    for item in items:
+        if any(name.endswith("_run") for name in getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
 def _timed(fn, params):
     t0 = time.monotonic()
     results = fn(params)

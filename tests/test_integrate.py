@@ -21,7 +21,7 @@ from condux.models import (
     lorenz,
     planar_limit_cycle,
 )
-from condux.signals import Constant, ImpulseTrain, Sinusoid, Zero
+from condux.signals import Constant, ImpulseTrain, Sinusoid, SquarePulseTrain, Zero
 
 
 def _rotation() -> PlainModel:
@@ -41,6 +41,17 @@ def test_fourth_order_convergence():
         errs.append(float(np.linalg.norm(end - exact)))
     for e1, e2 in zip(errs, errs[1:]):
         assert abs(math.log2(e1 / e2) - 4.0) < 0.2
+
+
+def test_pulse_area_is_exact():
+    # x' = u under a pulse train: the grid lands on every edge, and each step
+    # must read u from its own side of an edge, so RK4 sums the exact area
+    # (three pulses of height 2 and length 0.3 on [0, 2.5])
+    area = PlainModel("area", 1, lambda t, s, u: np.array([u]),
+                      lambda t, s, u: np.zeros((1, 1)))
+    pulses = SquarePulseTrain(magnitude=2.0, duration=0.3, period=1.0)
+    end = integrate(area, pulses, 0.0, 2.5, np.array([0.0]), FixedStep(0.1)).states[-1, 0]
+    assert end == pytest.approx(1.8, abs=1e-12)
 
 
 def test_default_step_rules():

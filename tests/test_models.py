@@ -20,6 +20,7 @@ from condux.models import (
     neuron_family,
     planar_limit_cycle,
 )
+from condux.observer import build_observer, coupled_system
 
 BUILTINS = [
     kapitza(),
@@ -29,6 +30,9 @@ BUILTINS = [
     chua_system(),
     planar_limit_cycle(),
     leaky_integrator(2.0),
+    neuron_family().model(np.array([0.5, 1.5])),
+    # the coupled Jacobian carries the observer contraction certificate
+    coupled_system(build_observer(neuron_family()), np.array([0.5, 1.5])),
 ]
 
 
@@ -115,6 +119,19 @@ def test_neuron_plant_values():
     out = model.rhs(0.0, np.array([-0.7, 0.0]), 0.0)
     assert out[0] == pytest.approx(142.5, abs=1e-12)
     assert out[1] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["NEURON_M_INF", "NEURON_M_INF_PRIME", "NEURON_TAU",
+                                  "NEURON_TAU_PRIME", "NEURON_Z_INF",
+                                  "NEURON_Z_INF_PRIME", "NEURON_M_INT"])
+def test_piecewise_scalar_call_matches_vectorized(name):
+    # the scalar Horner path must agree bit for bit with np.polyval in values,
+    # on every piece and at the breakpoints themselves (left piece applies)
+    import condux.models as m
+
+    poly = getattr(m, name)
+    ys = np.concatenate([np.linspace(-1.5, 1.5, 20001), poly.breaks])
+    assert np.array_equal(np.array([poly(float(y)) for y in ys]), poly.values(ys))
 
 
 def test_neuron_update_antiderivative_consistency():

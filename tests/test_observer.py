@@ -108,7 +108,8 @@ class TestContractionCheck:
         lams = np.abs(check.monodromy.eigenvalues)
         assert float(np.max(lams)) == pytest.approx(0.95927, abs=5e-3)
         assert check.verdict.stable
-        assert check.q_min_eigenvalue == pytest.approx(0.885718, abs=1e-5)
+        # depends only on the orbit anchor y at t0 = 112, a pulse edge
+        assert check.q_min_eigenvalue == pytest.approx(0.872891, abs=1e-5)
         # the identity-metric one-period difference is an indefinite
         # diagnostic here (non-normal transient), recorded but not a verdict
         assert check.lyapunov_decreases is False
@@ -123,7 +124,7 @@ class TestContractionCheck:
         frozen = build_observer(plant, h=lambda y: np.zeros(2),
                                 H=lambda y: np.zeros(2))
         ref = observer_run[0]["reference"]
-        check = observer_contraction_check(frozen, THETA_STAR, ref)
+        check = observer_contraction_check(frozen, THETA_STAR, ref, PULSE)
         phi = check.monodromy.phi
         n = plant.n
         assert np.array_equal(phi[n:, :n], np.zeros((2, n)))

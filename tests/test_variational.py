@@ -9,31 +9,40 @@ from scipy.linalg import expm
 
 from condux.errors import PeriodMismatch
 from condux.integrate import FixedStep, integrate
-from condux.models import fitzhugh_nagumo, leaky_integrator, planar_limit_cycle
+from condux.models import PlainModel, fitzhugh_nagumo, leaky_integrator, planar_limit_cycle
 from condux.signals import Constant
 from condux.variational import (
     contraction_probe,
     floquet,
+    flow,
     hurwitz,
     refine_periodic_orbit,
-    state_transition,
-    transition_matrix,
 )
 
 
 def test_transition_matrix_constant_field():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    grid = np.linspace(0.0, 1.3, 1301)
-    phi = transition_matrix(lambda t: A, grid)
+    rot = PlainModel("rotation", 2, lambda t, s, u: A @ s, lambda t, s, u: A)
+    _, phi = flow(rot, None, 0.0, 1.3, np.array([1.0, 0.0]), FixedStep(1e-3))
     assert np.max(np.abs(phi - expm(1.3 * A))) < 1e-8
+
+
+def test_flow_states_match_integrate():
+    model = fitzhugh_nagumo()
+    x0 = np.array([1.0, 0.0])
+    traj, _ = flow(model, None, 0.0, 2.0, x0, FixedStep(1e-2))
+    plain = integrate(model, None, 0.0, 2.0, x0, FixedStep(1e-2))
+    assert np.array_equal(traj.ts, plain.ts)
+    assert np.array_equal(traj.states, plain.states)
 
 
 def test_flow_composition_and_volume_identity():
     model = fitzhugh_nagumo()
-    traj = integrate(model, None, 0.0, 2.0, np.array([1.0, 0.0]), FixedStep(1e-4))
-    full = state_transition(model, traj, 0.0, 2.0)
-    half = (state_transition(model, traj, 1.0, 2.0)
-            @ state_transition(model, traj, 0.0, 1.0))
+    pol = FixedStep(1e-4)
+    traj, full = flow(model, None, 0.0, 2.0, np.array([1.0, 0.0]), pol)
+    first, phi_a = flow(model, None, 0.0, 1.0, traj.states[0], pol)
+    _, phi_b = flow(model, None, 1.0, 2.0, first.states[-1], pol)
+    half = phi_b @ phi_a
     assert np.max(np.abs(full - half)) / np.max(np.abs(full)) < 1e-7
     tr = np.array([np.trace(model.jac(t, s, 0.0))
                    for t, s in zip(traj.ts, traj.states)])
@@ -41,22 +50,37 @@ def test_flow_composition_and_volume_identity():
     assert abs(float(np.linalg.det(full)) - liou) / liou < 1e-6
 
 
+def test_transition_matrix_is_fourth_order():
+    # differences between steps h, h/2 and h/4 shrink 2^4 = 16x per halving
+    # for a fourth-order Phi
+    model = fitzhugh_nagumo()
+    phis = [flow(model, None, 0.0, 2.0, np.array([1.0, 0.0]), FixedStep(h))[1]
+            for h in (0.02, 0.01, 0.005)]
+    d1 = np.max(np.abs(phis[0] - phis[1]))
+    d2 = np.max(np.abs(phis[1] - phis[2]))
+    assert d1 / d2 >= 12.0
+
+
 def test_planar_cycle_multipliers():
     # unit circle at unit speed: multipliers are 1 (phase) and e^(-2 pi)
     model = planar_limit_cycle()
-    traj = integrate(model, None, 0.0, 2.0 * math.pi, np.array([1.0, 0.0]),
-                     FixedStep(0.001))
-    mono = floquet(model, traj)
+    _, mono = floquet(model, None, np.array([1.0, 0.0]), 0.0, 2.0 * math.pi,
+                      FixedStep(0.001))
     lams = sorted(np.abs(mono.eigenvalues), reverse=True)
     assert lams[0] == pytest.approx(1.0, abs=1e-4)
     assert lams[1] == pytest.approx(math.exp(-2.0 * math.pi), abs=1e-4)
 
 
+def test_floquet_rejects_a_window_that_is_not_a_period():
+    with pytest.raises(PeriodMismatch):
+        floquet(planar_limit_cycle(), None, np.array([1.0, 0.0]), 0.0, math.pi,
+                FixedStep(0.01))
+
+
 def test_monodromy_json_shape():
-    model = planar_limit_cycle()
-    traj = integrate(model, None, 0.0, 2.0 * math.pi, np.array([1.0, 0.0]),
-                     FixedStep(0.01))
-    d = floquet(model, traj).to_json_dict()
+    _, mono = floquet(planar_limit_cycle(), None, np.array([1.0, 0.0]), 0.0,
+                      2.0 * math.pi, FixedStep(0.01))
+    d = mono.to_json_dict()
     assert len(d["phi"]) == 4
     assert all(len(pair) == 2 for pair in d["eigenvalues"])
 
