@@ -119,11 +119,11 @@ def kapitza_design(
             rejected.append((M, cbar))
             continue
 
-        def u_star(t: float, M=M) -> float:
-            y = math.pi + M * math.sin(omega * t)
-            yd = M * omega * math.cos(omega * t)
-            ydd = -M * omega * omega * math.sin(omega * t)
-            return (ydd + beta * math.sin(y) + gamma * yd) / alpha
+        def u_star(t, M=M):
+            y = math.pi + M * np.sin(omega * t)
+            yd = M * omega * np.cos(omega * t)
+            ydd = -M * omega * omega * np.sin(omega * t)
+            return (ydd + beta * np.sin(y) + gamma * yd) / alpha
 
         sig = CallableSignal(fn=u_star, angular_frequency=omega, label="kapitza-ff")
         return KapitzaDesign(M=M, gain=cbar, verdict=verdict, feedforward=sig,
@@ -137,14 +137,18 @@ def kapitza_design(
 class OutputReference:
     """Reference output chain x**(t) (r components) and its next derivative.
 
+    x_fn and v_fn take a time or an array of times: x_fn returns shape
+    (r,) + shape(t), so x_fn(t)[0] is the output either way, and v_fn
+    returns shape(t).
+
     breakpoints/windows/angular frequency mirror the InputSignal grid hooks
     so a feedforward built from this reference integrates on a grid that
     resolves the reference's own fast features.
     """
 
     r: int
-    x_fn: Callable[[float], np.ndarray]
-    v_fn: Callable[[float], float]
+    x_fn: Callable[[np.ndarray], np.ndarray]
+    v_fn: Callable[[np.ndarray], np.ndarray]
     breakpoints_fn: Callable[[float, float], list[float]] | None = None
     windows_fn: Callable[[float, float], list[tuple[float, float, float]]] | None = None
     angular_frequency: float = 0.0
@@ -153,9 +157,9 @@ class OutputReference:
     def from_signal(cls, sig: InputSignal, r: int) -> "OutputReference":
         """Treat a scalar signal as the output reference: x = (y, ..., y^(r-1))."""
 
-        def x_fn(t: float) -> np.ndarray:
+        def x_fn(t) -> np.ndarray:
             return np.array(
-                [sig.value(t) if k == 0 else sig.derivative(t, k) for k in range(r)]
+                [sig.values(t) if k == 0 else sig.derivative(t, k) for k in range(r)]
             )
 
         return cls(
@@ -167,15 +171,17 @@ class OutputReference:
             angular_frequency=sig.max_angular_frequency(),
         )
 
-    def output(self, t: float) -> float:
-        return float(self.x_fn(t)[0])
+    def output(self, t):
+        return self.x_fn(t)[0]
 
 
 class FeedforwardSignal(InputSignal):
     """Input realizing a reference output, evaluated by pointwise inversion.
 
     u(t) = f_inv(t, x**(t), zbar(t), v**(t)); the internal trajectory zbar is
-    linearly interpolated from its stored warm-started solution.
+    linearly interpolated from its stored warm-started solution. values
+    tabulates x**, zbar and v** over all its times at once and inverts
+    point by point.
     """
 
     def __init__(self, model: NormalFormModel, ref: OutputReference,
@@ -188,6 +194,24 @@ class FeedforwardSignal(InputSignal):
         x = self.ref.x_fn(t)
         z = self.zbar.interp_state(t) if self.zbar is not None else np.empty(0)
         return self.model.f_inv_solve(t, x, z, self.ref.v_fn(t))
+
+    def _tabulate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x** (r x N), zbar (N x n-r) and v** (N) at the times ts (N)."""
+        x = self.ref.x_fn(ts)
+        if self.zbar is not None:
+            z = self.zbar.interp_state(ts)
+        else:
+            z = np.empty((ts.size, 0))
+        return x, z, self.ref.v_fn(ts)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        x, z, v = self._tabulate(flat)
+        f_inv = self.model.f_inv_solve
+        return np.array(
+            [f_inv(t, x[:, k], z[k], v[k]) for k, t in enumerate(flat.tolist())]
+        ).reshape(ts.shape)
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         return self.ref.breakpoints_fn(t0, t1) if self.ref.breakpoints_fn else []
@@ -252,12 +276,10 @@ def feedforward_from_reference(
     # Sample-wise residual audit of the inversion on the stored grid.
     res = 0.0
     ts = zbar.ts if zbar is not None else np.linspace(t0, t1, 201)
-    for t in ts[:: max(1, ts.size // 400)]:
-        x = ref.x_fn(float(t))
-        z = zbar.interp_state(float(t)) if zbar is not None else np.empty(0)
-        v = ref.v_fn(float(t))
-        u = model.f_inv_solve(float(t), x, z, v)
-        res = max(res, abs(model.f(float(t), np.atleast_1d(x), z, u) - v))
+    ts = ts[:: max(1, ts.size // 400)]
+    x, z, v = sig._tabulate(ts)
+    for k, (t, u) in enumerate(zip(ts.tolist(), sig.values(ts))):
+        res = max(res, abs(model.f(t, x[:, k], z[k], u) - v[k]))
     if res > 1e-8:
         raise ArithmeticError(f"feedforward residual {res:.3e} exceeds 1e-8")
     return FeedforwardResult(signal=sig, zbar=zbar, residual_max=res, inverse_rate=rate)
@@ -303,16 +325,16 @@ def fhn_impulse_design(
     eps_n = math.sqrt(eps_fraction * eps / (3.0 * beta))
 
     phases = cycle.t0 + period * np.arange(phase_points) / phase_points
+    on_cycle = cycle.interp_state(phases)
     tangents = np.array(
-        [model.rhs(float(t), cycle.interp_state(float(t)), 0.0) for t in phases]
+        [model.rhs(t, s, 0.0) for t, s in zip(phases.tolist(), on_cycle)]
     )
     out_comp = np.abs(tangents[:, 0])
     if float(out_comp.max()) < 1e-8:
         raise TangentDegenerate("cycle tangent has no output component anywhere")
     # Size of the y*-proportional term dropped by the squared-impulse jump model.
-    cross = (3.0 * beta / eps) * np.abs(
-        np.array([cycle.interp_state(float(t))[0] for t in phases])
-    ) * eps_n * SQRT_DELTA_MASS * math.sqrt(width)
+    cross = ((3.0 * beta / eps) * np.abs(on_cycle[:, 0])
+             * eps_n * SQRT_DELTA_MASS * math.sqrt(width))
     ok = cross <= cross_budget
     pool = np.nonzero(ok)[0] if ok.any() else np.arange(phase_points)
     k = int(pool[np.argmax(out_comp[pool])])

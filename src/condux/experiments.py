@@ -172,19 +172,24 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     ta = one.t0
     train = design.train
 
-    def wrap(t: float) -> float:
+    def wrap(t):
         return ta + (t - ta) % T
 
-    def ystar(t: float) -> float:
-        return float(one.interp_state(wrap(t))[0])
+    def ystar(t):
+        return one.interp_state(wrap(t))[..., 0]
 
-    def ystar_dot(t: float) -> float:
-        s = one.interp_state(wrap(t))
-        return float(model.rhs(wrap(t), s, 0.0)[0])
+    def ystar_dot(t):
+        # fhn's cubic stays a scalar evaluation: numpy's array power is not
+        # bit-identical to the scalar one
+        w = wrap(t)
+        s = one.interp_state(w)
+        if np.ndim(t) == 0:
+            return model.rhs(w, s, 0.0)[0]
+        return np.array([model.rhs(wk, sk, 0.0)[0] for wk, sk in zip(w.tolist(), s)])
 
     ref = OutputReference(
         r=1,
-        x_fn=lambda t: np.array([ystar(t) + train.value(t)]),
+        x_fn=lambda t: np.array([ystar(t) + train.values(t)]),
         v_fn=lambda t: ystar_dot(t) + train.derivative(t),
         breakpoints_fn=train.breakpoints,
         windows_fn=train.refine_windows,
@@ -249,14 +254,14 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     # certificate grid: base step with ramp windows capped at tau / divisor
     cap = p["tau"] / p["ramp_step_divisor"]
     capped = CallableSignal(
-        fn=sq.value,
+        fn=sq.values,
         breakpoints_fn=sq.breakpoints,
         windows_fn=lambda a, b: [(lo, hi, min(c, cap)) for lo, hi, c in sq.refine_windows(a, b)],
     )
     grid = build_grid(0.0, P, p["base_step"], capped)
     ys = sq.values(grid)
-    yd = np.array([sq.derivative(float(t)) for t in grid])
-    zs = np.array([float(ff.zbar.interp_state(float(t))[0]) for t in grid])
+    yd = sq.derivative(grid)
+    zs = ff.zbar.interp_state(grid)[:, 0]
     us = ff.signal.values(grid)
     reftraj = Trajectory(ts=grid, states=np.column_stack([ys, zs]), us=us,
                          state_names=("y", "z"))
@@ -350,7 +355,7 @@ def chua_pipeline(p: dict) -> dict:
                  for k in range(-1, 3) for b in (a, math.pi - a, -a, math.pi + a)]
     kink_step = p["monodromy_kink_step"]
     output = CallableSignal(
-        fn=lambda t: M * math.sin(omega * t),
+        fn=lambda t: M * np.sin(omega * t),
         windows_fn=lambda t0, t1: [(c - 2e-3, c + 2e-3, kink_step) for c in kinks],
     )
     _, phi = flow(linearized, output, 0.0, T, np.zeros(3),
@@ -574,8 +579,8 @@ def _run_fhn(cfg: ExperimentConfig, outdir: Path | None) -> dict:
     }
     if outdir is not None:
         real = r["realized"]
-        y_ref = np.array([float(v) for v in map(lambda t: r["cycle"].interp_state(
-            r["cycle"].t0 + (t - r["cycle"].t0) % r["period"])[0], real.ts)])
+        cyc = r["cycle"]
+        y_ref = cyc.interp_state(cyc.t0 + (real.ts - cyc.t0) % r["period"])[:, 0]
         ts, ys, yr, us = _strided(real.ts, real.states[:, 0], y_ref, real.us)
         write_csv(outdir / f"{cfg.out_prefix}_realized.csv",
                   ["t", "y", "y_free_reference", "u"], [ts, ys, yr, us])

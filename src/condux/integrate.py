@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# Steps between two finiteness checks of the stored states.
+_FINITE_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class FixedStep:
     """Classical RK4 with step h (further capped inside refine windows)."""
@@ -125,12 +129,12 @@ class Trajectory:
     def output(self) -> np.ndarray:
         return self.states[:, 0]
 
-    def interp_state(self, t: float) -> np.ndarray:
-        """Linear interpolation between stored samples."""
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), self.ts.size - 2)
-        w = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
-        w = min(max(w, 0.0), 1.0)
+    def interp_state(self, t) -> np.ndarray:
+        """Linear interpolation between stored samples: one state for a
+        time, one state per row for an array of times."""
+        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, self.ts.size - 2)
+        w = np.clip((t - self.ts[i]) / (self.ts[i + 1] - self.ts[i]), 0.0, 1.0)
+        w = np.expand_dims(w, -1)
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
     def to_csv(self, path: str) -> None:
@@ -167,17 +171,34 @@ def _rk4_run(
     states[0] = x0
     y = x0.astype(float)
     rhs = model.rhs
-    for i in range(n - 1):
-        t, h = grid[i], hs[i]
-        k1 = rhs(t, y, u_lo[i])
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, u_mid[i])
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, u_mid[i])
-        k4 = rhs(t + h, y + h * k3, u_hi[i])
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NumericalBlowup(float(grid[i + 1]), f"state left R^n in model {model.name}")
-        states[i + 1] = y
+    # Finiteness is checked once per block of steps; a failed block is
+    # rescanned so that the error names the first non-finite node. A field
+    # that raises on a non-finite state reports the same blowup.
+    for lo in range(0, n - 1, _FINITE_BLOCK):
+        hi = min(lo + _FINITE_BLOCK, n - 1)
+        try:
+            for i in range(lo, hi):
+                t, h = grid[i], hs[i]
+                k1 = rhs(t, y, u_lo[i])
+                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, u_mid[i])
+                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, u_mid[i])
+                k4 = rhs(t + h, y + h * k3, u_hi[i])
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                states[i + 1] = y
+        except Exception:
+            _check_finite(model, grid, states, lo, i)
+            raise
+        _check_finite(model, grid, states, lo, hi)
     return Trajectory(grid, states, signal.values(grid), model.state_names)
+
+
+def _check_finite(model: VectorField, grid: np.ndarray, states: np.ndarray,
+                  lo: int, hi: int) -> None:
+    """Raise NumericalBlowup at the first non-finite state among nodes lo+1..hi."""
+    ok = np.isfinite(states[lo + 1:hi + 1]).all(axis=1)
+    if not ok.all():
+        bad = lo + 1 + int(np.argmin(ok))
+        raise NumericalBlowup(float(grid[bad]), f"state left R^n in model {model.name}")
 
 
 def integrate(

@@ -4,6 +4,10 @@ Every signal knows its discontinuity instants (``breakpoints``) and the
 intervals where it varies fast (``refine_windows``), so the integrator can
 align steps with jumps and cap the step size inside narrow features instead
 of guessing a global step.
+
+``values`` and ``derivative`` take a time or an array of times of any shape
+and answer with the same shape, so a whole grid is tabulated in one numpy
+call; ``value(t)`` is ``float(values(t))``.
 """
 
 from __future__ import annotations
@@ -32,17 +36,22 @@ __all__ = [
 SQRT_DELTA_MASS = math.sqrt(2.0) * math.pi ** 0.25
 
 
+def _zeros_like(t):
+    """0.0 for a single time, an array of zeros for an array of times."""
+    return np.zeros(np.shape(t))[()]
+
+
 class InputSignal:
-    """Scalar signal u(t). Subclasses override the hooks they need."""
+    """Scalar signal u(t). Subclasses implement values and override the
+    hooks they need."""
 
     def value(self, t: float) -> float:
-        raise NotImplementedError
+        return float(self.values(t))
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; the default just loops."""
-        return np.array([self.value(float(t)) for t in np.asarray(ts).ravel()])
+        raise NotImplementedError
 
-    def derivative(self, t: float, order: int = 1) -> float:
+    def derivative(self, t, order: int = 1):
         raise NotImplementedError(f"{type(self).__name__} has no derivative rule")
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
@@ -62,14 +71,11 @@ class InputSignal:
 class Zero(InputSignal):
     """u(t) = 0."""
 
-    def value(self, t: float) -> float:
-        return 0.0
-
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(ts, dtype=float))
 
-    def derivative(self, t: float, order: int = 1) -> float:
-        return 0.0
+    def derivative(self, t, order: int = 1):
+        return _zeros_like(t)
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,11 @@ class Constant(InputSignal):
 
     level: float
 
-    def value(self, t: float) -> float:
-        return self.level
-
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(ts, dtype=float), self.level)
 
-    def derivative(self, t: float, order: int = 1) -> float:
-        return 0.0
+    def derivative(self, t, order: int = 1):
+        return _zeros_like(t)
 
 
 @dataclass(frozen=True)
@@ -97,19 +100,16 @@ class Sinusoid(InputSignal):
     phase: float = 0.0
     offset: float = 0.0
 
-    def value(self, t: float) -> float:
-        return self.offset + self.amplitude * math.sin(self.omega * t + self.phase)
-
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return self.offset + self.amplitude * np.sin(self.omega * ts + self.phase)
 
-    def derivative(self, t: float, order: int = 1) -> float:
+    def derivative(self, t, order: int = 1):
         # d/dt shifts the phase by pi/2 and multiplies by omega.
         return (
             self.amplitude
             * self.omega**order
-            * math.sin(self.omega * t + self.phase + order * math.pi / 2.0)
+            * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase + order * math.pi / 2.0)
         )
 
     def max_angular_frequency(self) -> float:
@@ -154,42 +154,33 @@ class ImpulseTrain(InputSignal):
         n_hi = max(n_lo - 1, math.ceil((hi - self.t0 + r) / self.period))
         return range(n_lo, n_hi + 1)
 
-    def value(self, t: float) -> float:
-        return float(self.values(np.array([t]))[0])
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros_like(ts)
-        if ts.size == 0:
-            return out
-        for n in self._centers(float(ts.min()), float(ts.max())):
+    def _sum_bumps(self, t, weight: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        """Sum over the train of weight(eps_n * bump(x), x), x = t - center_n."""
+        ts = np.asarray(t, dtype=float)
+        flat = ts.ravel()
+        out = np.zeros_like(flat)
+        if flat.size == 0:
+            return out.reshape(ts.shape)
+        for n in self._centers(float(flat.min()), float(flat.max())):
             c = self.t0 + n * self.period
-            x = ts - c
+            x = flat - c
             mask = np.abs(x) <= self.support_radius * self.width
             if mask.any():
                 eps = self.magnitudes[n % len(self.magnitudes)]
-                out[mask] += eps * self._bump(x[mask])
-        return out
+                out[mask] += weight(eps * self._bump(x[mask]), x[mask])
+        return out.reshape(ts.shape)
 
-    def derivative(self, t: float, order: int = 1) -> float:
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return self._sum_bumps(ts, lambda v, x: v)
+
+    def derivative(self, t, order: int = 1):
         if order not in (1, 2):
             raise NotImplementedError("impulse derivatives only up to order 2")
-        a = self.width
         # For the Gaussian kind the exponent is -(x/a)^2, twice as steep.
-        s = 2.0 * a**2 if self.kind == "sqrt-delta" else a**2
-        total = 0.0
-        for n in self._centers(t, t):
-            c = self.t0 + n * self.period
-            x = t - c
-            if abs(x) > self.support_radius * a:
-                continue
-            eps = self.magnitudes[n % len(self.magnitudes)]
-            v = eps * float(self._bump(np.array([x]))[0])
-            if order == 1:
-                total += v * (-2.0 * x / s)
-            else:
-                total += v * ((2.0 * x / s) ** 2 - 2.0 / s)
-        return total
+        s = 2.0 * self.width**2 if self.kind == "sqrt-delta" else self.width**2
+        if order == 1:
+            return self._sum_bumps(t, lambda v, x: v * (-2.0 * x / s))[()]
+        return self._sum_bumps(t, lambda v, x: v * ((2.0 * x / s) ** 2 - 2.0 / s))[()]
 
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
         r = self.support_radius * self.width
@@ -216,20 +207,14 @@ class SquarePulseTrain(InputSignal):
         if not 0 < self.duration <= self.period:
             raise ValueError("need 0 < duration <= period")
 
-    def value(self, t: float) -> float:
-        phase = (t - self.start) % self.period
-        if t < self.start:
-            return self.baseline
-        return self.magnitude if phase < self.duration else self.baseline
-
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         phase = (ts - self.start) % self.period
         on = (phase < self.duration) & (ts >= self.start)
         return np.where(on, self.magnitude, self.baseline)
 
-    def derivative(self, t: float, order: int = 1) -> float:
-        return 0.0  # piecewise constant; jumps are handled by breakpoints
+    def derivative(self, t, order: int = 1):
+        return _zeros_like(t)  # piecewise constant; jumps are handled by breakpoints
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         out = []
@@ -266,8 +251,9 @@ class SquarePulseTrain(InputSignal):
 class PiecewiseLinear(InputSignal):
     """Linear interpolation through knots, optionally repeated periodically.
 
-    At a knot time the value and slope come from the segment to the right;
-    for a periodic signal the pattern wraps with period knots[-1] - knots[0].
+    At a knot time the slope comes from the segment to the right, the one
+    that breakpoints() starts; for a periodic signal the pattern wraps with
+    period knots[-1] - knots[0].
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -276,41 +262,59 @@ class PiecewiseLinear(InputSignal):
     def __post_init__(self) -> None:
         if len(self.knots) < 2:
             raise ValueError("need at least two knots")
-        ts = [k[0] for k in self.knots]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        ts = np.array([k[0] for k in self.knots])
+        vs = np.array([k[1] for k in self.knots])
+        if np.any(np.diff(ts) <= 0):
             raise ValueError("knot times must be strictly increasing")
+        object.__setattr__(self, "_ts", ts)
+        object.__setattr__(self, "_vs", vs)
+        object.__setattr__(self, "_slopes", np.diff(vs) / np.diff(ts))
 
     @property
     def period(self) -> float:
         return self.knots[-1][0] - self.knots[0][0]
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        ts = [k[0] for k in self.knots]
+    def _wrap(self, t) -> np.ndarray:
+        """Each time folded into the knot span: wrapped if periodic, else clamped."""
+        ts = self._ts
         if self.periodic:
-            tau = ts[0] + (t - ts[0]) % self.period
-        else:
-            tau = min(max(t, ts[0]), ts[-1])
-        i = int(np.searchsorted(ts, tau, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        return i, tau
+            return ts[0] + (np.asarray(t, dtype=float) - ts[0]) % self.period
+        return np.clip(t, ts[0], ts[-1])
 
-    def _slope(self, i: int) -> float:
-        (ta, va), (tb, vb) = self.knots[i], self.knots[i + 1]
-        return (vb - va) / (tb - ta)
+    def _locate(self, tau) -> np.ndarray:
+        """Index of the segment each folded time lies on, the right one at a knot."""
+        return np.clip(np.searchsorted(self._ts, tau, side="right") - 1, 0, self._ts.size - 2)
 
-    def value(self, t: float) -> float:
-        i, tau = self._locate(t)
-        ta, va = self.knots[i]
-        return va + self._slope(i) * (tau - ta)
+    def _cycle_segment(self, t) -> np.ndarray:
+        """Segment index of each time of a periodic signal, the right one at a knot.
+
+        Times are compared with the knots of their cycle n as breakpoints()
+        unfolds them, tk + n * period: the wrapped time can land one ulp short
+        of a knot time the grid stands on.
+        """
+        ts, P = self._ts, self.period
+        t = np.asarray(t, dtype=float)
+        n = np.floor((t - ts[0]) / P)
+        n = n - (t < ts[0] + n * P) + (t >= ts[0] + (n + 1.0) * P)
+        shift = n * P
+        i = np.zeros(t.shape, dtype=np.intp)
+        for tk in ts[1:-1]:
+            i = i + (t >= tk + shift)
+        return i
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.value(float(t)) for t in np.asarray(ts).ravel()])
+        # The signal is continuous, so the segment the folded time falls on
+        # gives the value at a knot too, up to the rounding of the knot time.
+        tau = self._wrap(ts)
+        i = self._locate(tau)
+        return self._vs[i] + self._slopes[i] * (tau - self._ts[i])
 
-    def derivative(self, t: float, order: int = 1) -> float:
+    def derivative(self, t, order: int = 1):
         if order > 1:
-            return 0.0
-        i, _ = self._locate(t)
-        return self._slope(i)
+            return _zeros_like(t)
+        if self.periodic:
+            return self._slopes[self._cycle_segment(t)]
+        return self._slopes[self._locate(self._wrap(t))]
 
     def _unfolded_knot_times(self, t0: float, t1: float) -> list[float]:
         base = [k[0] for k in self.knots]
@@ -348,9 +352,6 @@ class Sum(InputSignal):
 
     components: tuple[InputSignal, ...]
 
-    def value(self, t: float) -> float:
-        return sum(c.value(t) for c in self.components)
-
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         out = np.zeros_like(ts)
@@ -379,22 +380,26 @@ class Sum(InputSignal):
 
 @dataclass(frozen=True)
 class CallableSignal(InputSignal):
-    """Escape hatch wrapping an arbitrary function. Not serializable."""
+    """Escape hatch wrapping an arbitrary function. Not serializable.
 
-    fn: Callable[[float], float]
-    dfn: Callable[[float, int], float] | None = None
+    fn (and dfn) must accept an array of times as well as a single time,
+    elementwise, as numpy expressions do.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    dfn: Callable[[np.ndarray, int], np.ndarray] | None = None
     breakpoints_fn: Callable[[float, float], Sequence[float]] | None = None
     windows_fn: Callable[[float, float], Sequence[tuple[float, float, float]]] | None = None
     angular_frequency: float = 0.0
     label: str = "callable"
 
-    def value(self, t: float) -> float:
-        return float(self.fn(t))
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(np.asarray(ts, dtype=float)), dtype=float)
 
-    def derivative(self, t: float, order: int = 1) -> float:
+    def derivative(self, t, order: int = 1):
         if self.dfn is None:
             raise NotImplementedError(f"{self.label} has no derivative rule")
-        return float(self.dfn(t, order))
+        return self.dfn(t, order)
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         if self.breakpoints_fn is None:

@@ -119,6 +119,17 @@ class TestImpulseDesign:
         assert ff.residual_max < 1e-10
         assert ff.inverse_rate == pytest.approx(-1.0, abs=1e-6)
 
+    def test_tabulated_feedforward_matches_pointwise(self, fhn_run):
+        # the grid tabulation of u must give the bits of the scalar inversion,
+        # in particular across the impulse support, where v* is largest
+        r = fhn_run[0]
+        sig, train = r["feedforward"].signal, r["design"].train
+        ts = _with_neighbours(np.concatenate([
+            r["feedforward"].zbar.ts[::97],
+            np.linspace(train.t0 - 1e-3, train.t0 + 1e-3, 101),
+        ]))
+        _assert_bitwise(sig.values(ts), [sig.value(float(t)) for t in ts])
+
 
 class TestConductanceCertificate:
     def test_exact_bounds(self, hh_run):
@@ -172,13 +183,25 @@ class TestConductanceCertificate:
 
             grid = build_grid(0.0, sq.period, 5e-4, Grid())
             ys = sq.values(grid)
-            yd = np.array([sq.derivative(float(t)) for t in grid])
-            zs = np.array([float(ff.zbar.interp_state(float(t))[0]) for t in grid])
+            yd = sq.derivative(grid)
+            zs = ff.zbar.interp_state(grid)[:, 0]
             traj = Trajectory(ts=grid, states=np.column_stack([ys, zs]),
                               us=np.zeros_like(grid), state_names=("y", "z"))
             rep = hh_certificate(params, traj, ydot=yd)
             margins.append(params.eps * rep.T_hat - rep.a_bar * rep.tau_unstable)
         assert margins[0] < margins[1] < margins[2]
+
+    def test_tabulated_feedforward_matches_pointwise(self):
+        sq = hh_square_reference(2.5, 5e-4)
+        ff = feedforward_from_reference(
+            params_model(ConductanceParams()), OutputReference.from_signal(sq, r=1),
+            0.0, 2.0 * sq.period, zbar_ic=np.array([sq.value(0.0)]))
+        ts = _with_neighbours(np.concatenate([
+            ff.zbar.ts[::37], sq.breakpoints(0.0, 2.0 * sq.period)]))
+        sig = ff.signal
+        _assert_bitwise(sig.values(ts), [sig.value(float(t)) for t in ts])
+        _assert_bitwise(sig.ref.x_fn(ts)[0], [sig.ref.x_fn(float(t))[0] for t in ts])
+        _assert_bitwise(sig.ref.v_fn(ts), [sig.ref.v_fn(float(t)) for t in ts])
 
     def test_delta_sweep_leaves_certified_range(self, hh_run):
         sweep = hh_run[0]["delta_sweep"]
@@ -271,3 +294,14 @@ def test_fhn_cycle_unstable_period_at_tight_agreement():
         find_limit_cycle(fitzhugh_nagumo(eps=0.05), None, np.array([1.0, 0.0]),
                          section=(0, 0.0, 1), max_time=200.0,
                          policy=FixedStep(0.002), agreement=1e-6)
+
+
+def _with_neighbours(ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    return np.concatenate([ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)])
+
+
+def _assert_bitwise(a, b) -> None:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))

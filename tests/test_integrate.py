@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from condux.errors import NoCrossings, PeriodUnstable
+from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
 from condux.integrate import (
     FixedStep,
     Trajectory,
@@ -112,6 +112,39 @@ def test_csv_roundtrip_is_exact(tmp_path_factory, cols):
     # compare bit patterns, so -0.0 must come back as -0.0
     for a, b in ((back.ts, traj.ts), (back.states, traj.states), (back.us, traj.us)):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(ts=st.lists(st.floats(-0.5, 1.5), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_interp_state_array_matches_scalar(ts):
+    traj = integrate(_rotation(), None, 0.0, 1.0, np.array([1.0, 0.0]), FixedStep(0.05))
+    nodes = traj.ts[::3]
+    ts = np.concatenate([ts, nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+    tab = traj.interp_state(ts)
+    one = np.array([traj.interp_state(float(t)) for t in ts])
+    assert tab.shape == (ts.size, 2)
+    assert np.array_equal(tab.view(np.int64), one.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [0, 62, 63, 64, 137])
+@pytest.mark.parametrize("on_state", [False, True])
+def test_blowup_names_the_first_nonfinite_node(k, on_state):
+    # the field turns infinite between the last two stages of step k, so node
+    # k + 1 is the first non-finite state wherever it falls in a block of
+    # steps; with on_state the next step's math.sin raises on that state,
+    # which must still be reported as the blowup
+    pol = FixedStep(0.01)
+    grid = build_grid(0.0, 3.0, pol.h, Zero())
+    t_bad = grid[k] + 0.75 * (grid[k + 1] - grid[k])
+
+    def rhs(t, s, u):
+        return np.array([(math.sin(s[0]) if on_state else 1.0)
+                         + (math.inf if t > t_bad else 0.0)])
+
+    field = PlainModel("escape", 1, rhs, lambda t, s, u: np.zeros((1, 1)))
+    with pytest.raises(NumericalBlowup) as err:
+        integrate(field, None, 0.0, 3.0, np.array([0.5]), pol)
+    assert err.value.t == grid[k + 1]
 
 
 def test_forced_linear_system_keeps_fourth_order():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from condux.design import hh_square_reference
 from condux.signals import (
     SQRT_DELTA_MASS,
     CallableSignal,
@@ -120,3 +123,70 @@ def test_callable_signal_passthrough():
     sig = CallableSignal(fn=lambda t: t * t, dfn=lambda t, order: 2.0 * t)
     assert sig.value(1.5) == 2.25
     assert sig.derivative(1.5) == 3.0
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _with_neighbours(ts: list[float]) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    return np.concatenate([ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)])
+
+
+# one instance of every signal class, periodic and one-shot where it matters
+SIGNALS = [
+    Zero(),
+    Constant(1.5),
+    Sinusoid(amplitude=2.0, omega=3.0, phase=0.3, offset=-1.0),
+    ImpulseTrain(t0=0.5, period=1.3, magnitudes=(0.3, -0.2), width=1e-2),
+    ImpulseTrain(t0=0.2, period=2.1, magnitudes=(1.0,), width=3e-3, kind="delta"),
+    SquarePulseTrain(magnitude=-3.0, duration=0.2, period=0.7, start=0.1, baseline=0.5),
+    PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (3.0, -1.0), (4.0, 0.0)), periodic=True),
+    PiecewiseLinear(((0.5, 1.0), (0.75, -1.0), (2.0, 3.0))),
+    hh_square_reference(2.5, 5e-4),
+    Sum((Sinusoid(amplitude=1.0, omega=2.0),
+         SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.0))),
+    CallableSignal(fn=lambda t: t * np.sin(3.0 * t), dfn=lambda t, order: np.cos(t)),
+]
+
+
+@pytest.mark.parametrize("sig", SIGNALS, ids=lambda s: type(s).__name__)
+@given(ts=st.lists(st.floats(-1.0, 30.0), max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_values_match_value_bit_for_bit(sig, ts):
+    # tabulating a grid must give the bits of the scalar call at every time,
+    # jumps, knots and their one-ulp neighbours included
+    ts = _with_neighbours(ts + sig.breakpoints(-1.0, 30.0))
+    tab = sig.values(ts)
+    assert tab.shape == ts.shape
+    assert np.array_equal(_bits(tab), _bits([sig.value(float(t)) for t in ts]))
+    try:
+        sig.derivative(0.0)
+    except NotImplementedError:
+        return
+    tab = sig.derivative(ts)
+    assert np.array_equal(_bits(tab), _bits([sig.derivative(float(t)) for t in ts]))
+
+
+@given(
+    T_hat=st.floats(0.5, 10.0),
+    tau=st.floats(1e-5, 1e-2),
+    levels=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_knot_times_take_the_right_segment(T_hat, tau, levels):
+    # at every breakpoint the slope is the right-hand segment's and one ulp
+    # earlier still the left-hand segment's; the signal is continuous, so the
+    # value there is the knot value up to the rounding of the knot time
+    sig = hh_square_reference(T_hat, tau, tuple(levels))
+    knots = sig.knots
+    slopes = [(vb - va) / (tb - ta) for (ta, va), (tb, vb) in zip(knots, knots[1:])]
+    bps = np.array(sig.breakpoints(0.0, 40.0 * sig.period))
+    seg = np.arange(bps.size) % len(slopes)
+    assert bps.size == 160 + 1
+    assert np.array_equal(sig.derivative(bps), [slopes[k] for k in seg])
+    left = np.nextafter(bps[1:], -np.inf)
+    assert np.array_equal(sig.derivative(left), [slopes[k - 1] for k in seg[1:]])
+    err = np.abs(sig.values(bps) - [knots[k][1] for k in seg])
+    assert np.all(err <= max(map(abs, slopes)) * np.spacing(bps) + 8 * np.spacing(2.0))
