@@ -176,12 +176,12 @@ class OutputReference:
 
 
 class FeedforwardSignal(InputSignal):
-    """Input realizing a reference output, evaluated by pointwise inversion.
+    """Input realizing a reference output, evaluated by inversion.
 
     u(t) = f_inv(t, x**(t), zbar(t), v**(t)); the internal trajectory zbar is
     linearly interpolated from its stored warm-started solution. values
-    tabulates x**, zbar and v** over all its times at once and inverts
-    point by point.
+    tabulates x**, zbar and v** over all its times at once and inverts them
+    in one f_inv call.
     """
 
     def __init__(self, model: NormalFormModel, ref: OutputReference,
@@ -190,28 +190,19 @@ class FeedforwardSignal(InputSignal):
         self.ref = ref
         self.zbar = zbar
 
-    def value(self, t: float) -> float:
-        x = self.ref.x_fn(t)
-        z = self.zbar.interp_state(t) if self.zbar is not None else np.empty(0)
-        return self.model.f_inv_solve(t, x, z, self.ref.v_fn(t))
-
     def _tabulate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x** (r x N), zbar (N x n-r) and v** (N) at the times ts (N)."""
+        """x** (r x N), zbar (n-r x N) and v** (N) at the times ts (N)."""
         x = self.ref.x_fn(ts)
         if self.zbar is not None:
-            z = self.zbar.interp_state(ts)
+            z = self.zbar.interp_state(ts).T
         else:
-            z = np.empty((ts.size, 0))
+            z = np.empty((0, ts.size))
         return x, z, self.ref.v_fn(ts)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
-        x, z, v = self._tabulate(flat)
-        f_inv = self.model.f_inv_solve
-        return np.array(
-            [f_inv(t, x[:, k], z[k], v[k]) for k, t in enumerate(flat.tolist())]
-        ).reshape(ts.shape)
+        return self.model.f_inv(flat, *self._tabulate(flat)).reshape(ts.shape)
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         return self.ref.breakpoints_fn(t0, t1) if self.ref.breakpoints_fn else []
@@ -274,12 +265,10 @@ def feedforward_from_reference(
         zbar = integrate(inverse, drive, t0, t1, warm.states[-1], policy)
     sig = FeedforwardSignal(model, ref, zbar)
     # Sample-wise residual audit of the inversion on the stored grid.
-    res = 0.0
     ts = zbar.ts if zbar is not None else np.linspace(t0, t1, 201)
     ts = ts[:: max(1, ts.size // 400)]
     x, z, v = sig._tabulate(ts)
-    for k, (t, u) in enumerate(zip(ts.tolist(), sig.values(ts))):
-        res = max(res, abs(model.f(t, x[:, k], z[k], u) - v[k]))
+    res = float(np.max(np.abs(model.f(ts, x, z, sig.values(ts)) - v)))
     if res > 1e-8:
         raise ArithmeticError(f"feedforward residual {res:.3e} exceeds 1e-8")
     return FeedforwardResult(signal=sig, zbar=zbar, residual_max=res, inverse_rate=rate)
@@ -427,13 +416,14 @@ def hh_certificate(
     """
     lo, hi = params.E_s + theta, params.E_f - theta_prime
     ys, zs, ts = ref.states[:, 0], ref.states[:, 1], ref.ts
-    slack = 1e-12
-    for i in range(ts.size):
-        for label, v in (("y", ys[i]), ("z", zs[i])):
-            if not (lo - slack <= v <= hi + slack):
-                raise RangeViolation(
-                    f"{label}={v:.6g} at t={ts[i]:.6g} outside [{lo:.6g}, {hi:.6g}]"
-                )
+    inside = lambda v: (lo - 1e-12 <= v) & (v <= hi + 1e-12)
+    out = np.nonzero(~(inside(ys) & inside(zs)))[0]
+    if out.size:
+        i = out[0]
+        label, v = ("y", ys[i]) if not inside(ys[i]) else ("z", zs[i])
+        raise RangeViolation(
+            f"{label}={v:.6g} at t={ts[i]:.6g} outside [{lo:.6g}, {hi:.6g}]"
+        )
 
     M_s = M_y / (2.0 * theta) + params.eps * params.kappa_s * (params.E_f - params.E_s)
     G_tot = (
@@ -452,8 +442,8 @@ def hh_certificate(
         if yd.shape != ys.shape:
             raise ValueError("ydot must match the reference sample count")
     zd = ys - zs
-    g_tot = np.array([params.total_conductance(y, z) for y, z in zip(ys, zs)])
-    g_s = np.array([params.slow_coupling(y, z) for y, z in zip(ys, zs)])
+    g_tot = params.total_conductance(ys, zs)
+    g_s = params.slow_coupling(ys, zs)
     t_s = np.tanh(params.kappa_s * (zs - params.V_s))
     # d/dt log g_s along the reference.
     dlog_gs = yd / (ys - params.E_s) - 2.0 * params.kappa_s * zd * t_s

@@ -179,13 +179,9 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
         return one.interp_state(wrap(t))[..., 0]
 
     def ystar_dot(t):
-        # fhn's cubic stays a scalar evaluation: numpy's array power is not
-        # bit-identical to the scalar one
         w = wrap(t)
-        s = one.interp_state(w)
-        if np.ndim(t) == 0:
-            return model.rhs(w, s, 0.0)[0]
-        return np.array([model.rhs(wk, sk, 0.0)[0] for wk, sk in zip(w.tolist(), s)])
+        s = one.interp_state(w).T
+        return model.f(w, s[:1], s[1:], 0.0)
 
     ref = OutputReference(
         r=1,
@@ -288,8 +284,7 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
                                    agreement=1e-4)
             loop = integrate(model, None, cyc.t_anchor, cyc.t_anchor + cyc.period,
                              cyc.anchor)
-            ydf = np.array([model.rhs(t, s, 0.0)[0]
-                            for t, s in zip(loop.ts, loop.states)])
+            ydf = model.f(loop.ts, loop.states.T[:1], loop.states.T[1:], 0.0)
             free = {
                 "period": cyc.period,
                 "y_range": [float(loop.states[:, 0].min()), float(loop.states[:, 0].max())],

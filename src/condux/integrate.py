@@ -137,24 +137,6 @@ class Trajectory:
         w = np.expand_dims(w, -1)
         return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
-    def to_csv(self, path: str) -> None:
-        names = self.state_names or tuple(f"x{i+1}" for i in range(self.states.shape[1]))
-        write_csv(path, ["t", *names, "u"], [self.ts, *self.states.T, self.us])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "Trajectory":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            data = np.array(
-                [[float(c) for c in line.strip().split(",")] for line in fh if line.strip()]
-            )
-        return cls(
-            ts=data[:, 0],
-            states=data[:, 1:-1],
-            us=data[:, -1],
-            state_names=tuple(header[1:-1]),
-        )
-
 
 def _rk4_run(
     model: VectorField, signal: InputSignal, grid: np.ndarray, x0: np.ndarray

@@ -216,14 +216,10 @@ class LureFeedforward(InputSignal):
         self.p = p
         self.h = h
 
-    def value(self, t: float) -> float:
-        y = self.M * math.sin(self.omega * t)
-        return self.D * math.sin(self.omega * t + self.theta) + self.h(y) - self.p * y
-
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         y = self.M * np.sin(self.omega * ts)
-        hv = np.array([self.h(float(v)) for v in y])
+        hv = np.vectorize(self.h, otypes=[float])(y)
         return self.D * np.sin(self.omega * ts + self.theta) + hv - self.p * y
 
     def max_angular_frequency(self) -> float:

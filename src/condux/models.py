@@ -4,7 +4,10 @@ A NormalFormModel has a chain of integrators on the first r states, a scalar
 map f on the last chain state, and internal dynamics g on the remaining
 states. The input enters only through f, with a uniformly sign-definite gain,
 so a feedforward input realizing a desired top derivative can always be
-recovered by a 1-D root solve (f_inv_solve).
+recovered from f(t, x, z, u) = v (NormalFormModel.f_inv). The inversion is
+closed form first, over whole grids at once; a point where the closed form
+misses its residual bound, which happens only for fields that are not
+affine in u, falls back to a 1-D bracket and root solve.
 """
 
 from __future__ import annotations
@@ -63,7 +66,9 @@ class NormalFormModel:
 
     f(t, x, z, u) returns the top chain derivative; g(t, z, x) returns the
     internal drift. f_jac returns (df/dx, df/dz, df/du) and g_jac returns
-    (dg/dx, dg/dz), all evaluated at a point.
+    (dg/dx, dg/dz), all evaluated at a point. The fhn and hh f and f_jac
+    also take columns (x of shape (r, N), z of shape (n-r, N)), which is how
+    f_inv inverts a whole grid in one call.
     """
 
     name: str
@@ -73,7 +78,6 @@ class NormalFormModel:
     f_jac: Callable[[float, np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray, float]]
     g: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     g_jac: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    input_affine: bool = True
     gain_floor: float = 1e-8
     stiffness: float | None = None
     state_names: tuple[str, ...] = ()
@@ -108,29 +112,53 @@ class NormalFormModel:
             A[self.r :, self.r :] = dgz
         return A
 
-    def f_inv_solve(self, t: float, x: np.ndarray, z: np.ndarray, v: float) -> float:
-        """Solve f(t, x, z, u) = v for u.
+    def f_inv(self, t, x, z, v):
+        """Solve f(t, x, z, u) = v for u, at one point or at every column.
 
-        Affine models are solved directly; otherwise the sign-definite input
-        gain makes f monotone in u, so a geometric bracket expansion followed
-        by a root solve always lands. The answer is verified to a residual of
-        1e-10 * max(1, |v|).
+        x has shape (r,) or (r, N), z (n-r,) or (n-r, N), and t and v are a
+        time and a target or arrays of shape (N,); any shapes f and f_jac
+        broadcast over will do. Every built-in model is input-affine, so u
+        is (v - f(t, x, z, 0)) / df/du in closed form. A point where that
+        misses the residual bound 1e-10 * max(1, |v|) is solved again by
+        _f_inv_bracket, which needs only that f is monotone in u.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        v = np.asarray(v, dtype=float)
+        _, _, g0 = self.f_jac(t, x, z, 0.0)
+        f0 = self.f(t, x, z, 0.0)
+        shape = np.broadcast_shapes(np.shape(t), v.shape, np.shape(f0), np.shape(g0))
+        ts = np.broadcast_to(t, shape)
+        low = np.broadcast_to(np.abs(g0) < self.gain_floor, shape)
+        if low.any():
+            i = tuple(np.argwhere(low)[0])
+            g = np.broadcast_to(g0, shape)[i]
+            raise GainFloorViolated(
+                f"input gain {g:.3e} below floor {self.gain_floor:.3e} "
+                f"for {self.name} at t={ts[i]}"
+            )
+        u = np.array(np.broadcast_to((v - f0) / g0, shape))
+        miss = ~(np.abs(self.f(t, x, z, u) - v) <= 1e-10 * np.maximum(1.0, np.abs(v)))
+        if miss.any():
+            vs = np.broadcast_to(v, shape)
+            for row in np.argwhere(np.broadcast_to(miss, shape)):
+                i = tuple(row)
+                u[i] = self._f_inv_bracket(
+                    float(ts[i]), _column(x, shape, i), _column(z, shape, i), float(vs[i])
+                )
+        return u[()]
+
+    def _f_inv_bracket(self, t: float, x: np.ndarray, z: np.ndarray, v: float) -> float:
+        """Solve f(t, x, z, u) = v at one point for f monotone in u.
+
+        The sign-definite input gain makes f monotone in u, so a geometric
+        bracket expansion followed by a root solve always lands. The answer
+        is verified to a residual of 1e-10 * max(1, |v|).
+        """
         tol = 1e-10 * max(1.0, abs(v))
         _, _, g0 = self.f_jac(t, x, z, 0.0)
-        if abs(g0) < self.gain_floor:
-            raise GainFloorViolated(
-                f"input gain {g0:.3e} below floor {self.gain_floor:.3e} for {self.name}"
-            )
-        f0 = self.f(t, x, z, 0.0)
-        if self.input_affine:
-            u = (v - f0) / g0
-            if abs(self.f(t, x, z, u) - v) <= tol:
-                return u
         # Monotonicity in u: expand away from 0 until the residual flips sign.
-        p0 = f0 - v
+        p0 = self.f(t, x, z, 0.0) - v
         if p0 == 0.0:
             return 0.0
         phi = lambda u: self.f(t, x, z, u) - v
@@ -164,6 +192,13 @@ class NormalFormModel:
         if abs(res) > tol:
             raise ArithmeticError(f"f_inv residual {res:.3e} exceeds {tol:.3e}")
         return u
+
+
+def _column(a: np.ndarray, shape: tuple[int, ...], i: tuple[int, ...]) -> np.ndarray:
+    """The state vector of point i of an (r,) or (r,) + shape stack."""
+    if a.ndim == 1:
+        return a
+    return np.broadcast_to(a, a.shape[:1] + shape)[(slice(None),) + i]
 
 
 @dataclass(frozen=True)
@@ -255,12 +290,12 @@ def fitzhugh_nagumo(
 
     def f(t, x, z, u):
         y = x[0]
-        return (alpha * y - beta * y**3 - gamma * z[0] + u) / eps
+        return (alpha * y - beta * y * y * y - gamma * z[0] + u) / eps
 
     def f_jac(t, x, z, u):
         y = x[0]
         return (
-            np.array([(alpha - 3.0 * beta * y**2) / eps]),
+            np.array([(alpha - 3.0 * beta * y * y) / eps]),
             np.array([-gamma / eps]),
             1.0 / eps,
         )
@@ -314,8 +349,8 @@ class ConductanceParams:
 
     def membrane_current(self, y: float, z: float, u: float) -> float:
         """eps * ydot: leak plus two sigmoidal conductances plus the input."""
-        t_f = math.tanh(self.kappa_f * (y - self.V_f))
-        t_s = math.tanh(self.kappa_s * (z - self.V_s))
+        t_f = np.tanh(self.kappa_f * (y - self.V_f))
+        t_s = np.tanh(self.kappa_s * (z - self.V_s))
         return (
             -self.g * (y - self.E)
             - self.gbar_f * (1.0 + t_f) * (y - self.E_f)
@@ -325,19 +360,19 @@ class ConductanceParams:
 
     def total_conductance(self, y: float, z: float) -> float:
         """-d(membrane_current)/dy, the instantaneous total conductance."""
-        t_f = math.tanh(self.kappa_f * (y - self.V_f))
-        t_s = math.tanh(self.kappa_s * (z - self.V_s))
+        t_f = np.tanh(self.kappa_f * (y - self.V_f))
+        t_s = np.tanh(self.kappa_s * (z - self.V_s))
         return (
             self.g
             + self.gbar_f * (1.0 + t_f)
             + self.gbar_s * (1.0 + t_s)
-            + self.gbar_f * self.kappa_f * (1.0 - t_f**2) * (y - self.E_f)
+            + self.gbar_f * self.kappa_f * (1.0 - t_f * t_f) * (y - self.E_f)
         )
 
     def slow_coupling(self, y: float, z: float) -> float:
         """-d(membrane_current)/dz, the gain from the slow gate into the output."""
-        t_s = math.tanh(self.kappa_s * (z - self.V_s))
-        return self.gbar_s * self.kappa_s * (1.0 - t_s**2) * (y - self.E_s)
+        t_s = np.tanh(self.kappa_s * (z - self.V_s))
+        return self.gbar_s * self.kappa_s * (1.0 - t_s * t_s) * (y - self.E_s)
 
 
 def hh_conductance(params: ConductanceParams | None = None) -> NormalFormModel:

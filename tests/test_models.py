@@ -62,7 +62,7 @@ class TestKapitza:
     def test_f_inv_affine(self):
         m = kapitza(alpha=2.0, beta=1.0, gamma=0.5)
         x = np.array([0.9, -0.3])
-        u = m.f_inv_solve(0.0, x, np.empty(0), 2.0)
+        u = m.f_inv(0.0, x, np.empty(0), 2.0)
         assert m.f(0.0, x, np.empty(0), u) == pytest.approx(2.0, abs=1e-12)
 
     def test_alpha_zero_rejected(self):
@@ -70,18 +70,52 @@ class TestKapitza:
             kapitza(alpha=0.0)
 
 
+# bounded f = tanh(u): not affine in u, so the closed form misses and every
+# target but v = 0 goes to the bracket
+SATURATING = NormalFormModel(
+    name="saturating",
+    n=1,
+    r=1,
+    f=lambda t, x, z, u: np.tanh(u),
+    f_jac=lambda t, x, z, u: (np.array([0.0]), np.empty(0),
+                              np.maximum(1.0 / np.cosh(u) ** 2, 1e-6)),
+)
+
+
 def test_f_inv_unreachable_target():
-    # bounded f: no u reaches v = 2, the bracket expansion must report it
-    saturating = NormalFormModel(
-        name="saturating",
-        n=1,
-        r=1,
-        f=lambda t, x, z, u: math.tanh(u),
-        f_jac=lambda t, x, z, u: (np.array([0.0]), np.empty(0),
-                                  max(1.0 / math.cosh(u) ** 2, 1e-6)),
-    )
+    # no u reaches v = 2, the bracket expansion must report it, alone or
+    # among reachable targets
     with pytest.raises(GainFloorViolated):
-        saturating.f_inv_solve(0.0, np.array([0.0]), np.empty(0), 2.0)
+        SATURATING.f_inv(0.0, np.array([0.0]), np.empty(0), 2.0)
+    with pytest.raises(GainFloorViolated):
+        SATURATING.f_inv(np.zeros(3), np.zeros((1, 3)), np.empty((0, 3)),
+                         np.array([0.5, 2.0, -0.5]))
+
+
+def test_f_inv_names_the_first_time_below_the_gain_floor():
+    # f = y u has no input gain where y = 0
+    bilinear = NormalFormModel(
+        name="bilinear", n=1, r=1,
+        f=lambda t, x, z, u: x[0] * u,
+        f_jac=lambda t, x, z, u: (u, np.empty(0), x[0]),
+    )
+    with pytest.raises(GainFloorViolated, match=r"at t=2\.0$"):
+        bilinear.f_inv(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.0, 0.0]]),
+                       np.empty((0, 3)), np.ones(3))
+
+
+def test_f_inv_falls_back_to_the_bracket_per_point(monkeypatch):
+    calls = []
+    bracket = NormalFormModel._f_inv_bracket
+    monkeypatch.setattr(NormalFormModel, "_f_inv_bracket",
+                        lambda self, *a: calls.append(a) or bracket(self, *a))
+    v = np.linspace(-0.95, 0.95, 41)
+    u = SATURATING.f_inv(np.zeros(v.size), np.zeros((1, v.size)),
+                         np.empty((0, v.size)), v)
+    assert len(calls) == v.size - 1  # v = 0 is solved by the closed form
+    assert np.all(np.abs(np.tanh(u) - v) <= 1e-10)
+    one = [SATURATING.f_inv(0.0, np.array([0.0]), np.empty(0), vk) for vk in v]
+    assert np.array_equal(u.view(np.int64), np.array(one).view(np.int64))
 
 
 class TestConductance:
@@ -97,12 +131,40 @@ class TestConductance:
     def test_f_inv_residual(self, y, z, v):
         x = np.array([y])
         zz = np.array([z])
-        u = self.m.f_inv_solve(0.0, x, zz, v)
+        u = self.m.f_inv(0.0, x, zz, v)
         assert abs(self.m.f(0.0, x, zz, u) - v) <= 1e-10 * max(1.0, abs(v))
 
     def test_parameter_ordering_enforced(self):
         with pytest.raises(Exception):
             hh_conductance(ConductanceParams(E_s=3.0))
+
+
+@pytest.mark.parametrize("model", [hh_conductance(ConductanceParams()), fitzhugh_nagumo()],
+                         ids=lambda m: m.name)
+@given(pts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-1.5, 1.5),
+                              st.floats(-40.0, 40.0), st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_f_inv_over_arrays_matches_pointwise(model, pts):
+    # one call over every column meets the residual bound at every point and
+    # gives the bits of the per-point call; so do the gain rows of f_jac.
+    # Hypothesis favours simple floats, on which even y**3 agrees, so every
+    # example also carries 256 uniform points.
+    rng = np.random.default_rng(len(pts))
+    more = rng.uniform((-2.0, -1.5, -40.0, -10.0), (2.0, 1.5, 40.0, 10.0), (256, 4))
+    y, z, v, t = np.concatenate([np.array(pts), more]).T
+    u = model.f_inv(t, y[None], z[None], v)
+    assert u.shape == v.shape
+    assert np.all(np.abs(model.f(t, y[None], z[None], u) - v)
+                  <= 1e-10 * np.maximum(1.0, np.abs(v)))
+    one = [model.f_inv(tk, np.array([yk]), np.array([zk]), vk)
+           for yk, zk, vk, tk in zip(y, z, v, t)]
+    assert np.array_equal(u.view(np.int64), np.array(one).view(np.int64))
+    for k in range(2):
+        tab = np.broadcast_to(model.f_jac(t, y[None], z[None], u)[k], (1, y.size))
+        one = [model.f_jac(tk, np.array([yk]), np.array([zk]), uk)[k][0]
+               for yk, zk, uk, tk in zip(y, z, u, t)]
+        assert np.array_equal(tab[0].view(np.int64), np.array(one).view(np.int64))
 
 
 def test_inverse_system_shape():

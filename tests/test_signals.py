@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condux.design import hh_square_reference
+from condux.lure import (
+    CHUA_DEN,
+    CHUA_NUM,
+    chua_closed_form,
+    chua_nonlinearity,
+    lure_input_reconstruct,
+)
 from condux.signals import (
     SQRT_DELTA_MASS,
     CallableSignal,
@@ -148,6 +155,8 @@ SIGNALS = [
     Sum((Sinusoid(amplitude=1.0, omega=2.0),
          SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.0))),
     CallableSignal(fn=lambda t: t * np.sin(3.0 * t), dfn=lambda t, order: np.cos(t)),
+    lure_input_reconstruct(CHUA_NUM, CHUA_DEN, chua_closed_form(200, 1), 200, 1,
+                           chua_nonlinearity),
 ]
 
 
