@@ -20,7 +20,6 @@ from .design import (
 from .errors import ConduxError, ConfigError
 from .experiments import run_experiment
 from .integrate import (
-    FixedStep,
     Trajectory,
     find_limit_cycle,
     integrate,
@@ -45,7 +44,6 @@ from .models import (
     neuron_family,
 )
 from .observer import (
-    build_observer,
     observer_contraction_check,
     run_observer,
 )

@@ -23,7 +23,7 @@ from .experiments import (
     lorenz_pipeline,
     observer_pipeline,
 )
-from .integrate import FixedStep, integrate
+from .integrate import integrate
 from .lure import (
     CHUA_DEN,
     CHUA_NUM,
@@ -120,8 +120,7 @@ def criterion_fhn(results: dict | None = None,
     p = _params("fhn")
     r = fhn_pipeline(p) if results is None else results
     rows = []
-    free = np.array([complex(a, b) for a, b in
-                     r["design"].free_window_monodromy.to_json_dict()["eigenvalues"]])
+    free = r["design"].free_window_monodromy.eigenvalues
     lead = free[np.argmax(np.abs(free))]
     rows.append(_row("fhn", "free_multiplier_unity", "1", abs(lead), "1e-3",
                      abs(abs(lead) - 1.0) <= 1e-3))
@@ -132,8 +131,7 @@ def criterion_fhn(results: dict | None = None,
     rows.append(_row("fhn", "realized_vs_predicted_monodromy", "0", mism, "2e-2",
                      mism <= 0.02,
                      f"impulse magnitude {r['design'].eps_n:.6g} at width {p['width']:g}"))
-    rho = float(np.max(np.abs(
-        [complex(a, b) for a, b in r["realized_monodromy"].to_json_dict()["eigenvalues"]])))
+    rho = r["realized_monodromy"].spectral_radius
     rows.append(_row("fhn", "realized_spectral_radius", "< 1", rho, "exact",
                      rho < 1.0))
     final = r["sync_diff_per_period"][-1]
@@ -192,8 +190,7 @@ def criterion_chua(threshold: float = -0.05, results: dict | None = None,
                      -0.05 < cf.p < 0.0))
 
     def verdict_at(rho: float):
-        df = DescribingFunctionResult(p=rho, q=0.0, M=p["M"], omega=p["omega"],
-                                      method="constant-gain")
+        df = DescribingFunctionResult(p=rho, q=0.0, M=p["M"], omega=p["omega"])
         return lure_stability(CHUA_NUM, CHUA_DEN, df)
 
     above = verdict_at(threshold + 1e-3)
@@ -244,8 +241,7 @@ def criterion_observer(results: dict | None = None,
     rows.append(_row("observer", "embedding_invariance", "0", emb, "1e-6",
                      emb <= 1e-6,
                      f"{p['embedding_periods']} input periods"))
-    rho = float(np.max(np.abs(
-        [complex(a, b) for a, b in r["check"].monodromy.to_json_dict()["eigenvalues"]])))
+    rho = r["check"].monodromy.spectral_radius
     rows.append(_row("observer", "extended_contraction", "< 1", rho, "exact",
                      rho < 1.0, f"margin = {r['check'].verdict.margin:.4g}"))
     if wall is None:
@@ -262,10 +258,9 @@ def criterion_properties() -> list[CriterionRow]:
 
     # flow-map composition and the trace identity on one nonlinear window
     fhn = fitzhugh_nagumo()
-    pol = FixedStep(1e-3)
-    traj, full = flow(fhn, None, 0.0, 2.0, np.array([1.0, 0.0]), pol)
-    first, phi_a = flow(fhn, None, 0.0, 1.0, traj.states[0], pol)
-    _, phi_b = flow(fhn, None, 1.0, 2.0, first.states[-1], pol)
+    traj, full = flow(fhn, None, 0.0, 2.0, np.array([1.0, 0.0]), 1e-3)
+    first, phi_a = flow(fhn, None, 0.0, 1.0, traj.states[0], 1e-3)
+    _, phi_b = flow(fhn, None, 1.0, 2.0, first.states[-1], 1e-3)
     half = phi_b @ phi_a
     comp = float(np.max(np.abs(full - half)) / np.max(np.abs(full)))
     rows.append(_row("properties", "flow_composition", "0", comp, "1e-7",
@@ -286,7 +281,7 @@ def criterion_properties() -> list[CriterionRow]:
     exact = np.array([math.cos(1.0), -math.sin(1.0)])
     errs = []
     for h in (0.01, 0.005):
-        end = integrate(rot, None, 0.0, 1.0, np.array([1.0, 0.0]), FixedStep(h)).states[-1]
+        end = integrate(rot, None, 0.0, 1.0, np.array([1.0, 0.0]), h).states[-1]
         errs.append(float(np.linalg.norm(end - exact)))
     order = math.log2(errs[0] / errs[1])
     rows.append(_row("properties", "integrator_order", "4", order, "0.2",

@@ -135,17 +135,27 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
 _TOP_KEYS = ("experiment", "params", "integration", "seed", "out_prefix")
 
 
+def _non_finite(v: int | float) -> bool:
+    """NaN, an infinity or an integer beyond the float range, all of which
+    Python's json accepts as number literals."""
+    try:
+        return not math.isfinite(v)
+    except OverflowError:
+        return True
+
+
 def _check_leaf(path: str, kind: str, value: Any, errors: list[str]) -> None:
     if kind in _KINDS:
         if not _KINDS[kind](value):
             errors.append(f"{path}: expected {kind}, got {type(value).__name__}")
+        elif kind == "number" and _non_finite(value):
+            errors.append(f"{path}: must be finite")
     elif kind == "numbers":
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list of numbers")
             return
         for i, v in enumerate(value):
-            if not _KINDS["number"](v):
-                errors.append(f"{path}[{i}]: expected number, got {type(v).__name__}")
+            _check_leaf(f"{path}[{i}]", "number", v, errors)
     elif kind == "points":
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list of number lists")
@@ -155,10 +165,7 @@ def _check_leaf(path: str, kind: str, value: Any, errors: list[str]) -> None:
                 errors.append(f"{path}[{i}]: expected a list of numbers")
                 continue
             for j, v in enumerate(row):
-                if not _KINDS["number"](v):
-                    errors.append(
-                        f"{path}[{i}][{j}]: expected number, got {type(v).__name__}"
-                    )
+                _check_leaf(f"{path}[{i}][{j}]", "number", v, errors)
     else:  # pragma: no cover - table typo guard
         raise AssertionError(f"unknown schema kind {kind}")
 
@@ -202,6 +209,8 @@ def validate_raw(raw: Any) -> list[str]:
         if step is not None:
             if not _KINDS["number"](step):
                 errors.append("integration.step: expected number or null")
+            elif _non_finite(step):
+                errors.append("integration.step: must be finite")
             elif step <= 0:
                 errors.append("integration.step: must be positive")
 

@@ -26,7 +26,7 @@ from .errors import (
     RangeViolation,
     TangentDegenerate,
 )
-from .integrate import FixedStep, Trajectory, integrate
+from .integrate import Trajectory, integrate
 from .models import (
     ConductanceParams,
     InverseSystem,
@@ -125,7 +125,7 @@ def kapitza_design(
             ydd = -M * omega * omega * np.sin(omega * t)
             return (ydd + beta * np.sin(y) + gamma * yd) / alpha
 
-        sig = CallableSignal(fn=u_star, angular_frequency=omega, label="kapitza-ff")
+        sig = CallableSignal(fn=u_star, angular_frequency=omega)
         return KapitzaDesign(M=M, gain=cbar, verdict=verdict, feedforward=sig,
                              rejected=tuple(rejected))
     raise NoStabilizingAmplitude(
@@ -228,14 +228,13 @@ def feedforward_from_reference(
     t0: float,
     t1: float,
     zbar_ic: np.ndarray | None = None,
-    warmup: float | None = None,
-    policy: FixedStep | None = None,
+    step: float | None = None,
 ) -> FeedforwardResult:
     """Feedforward input that makes the reference output an exact solution.
 
     The internal state is obtained by simulating the inverse system driven by
     the reference output, after a warm-up long enough for its fading memory
-    to forget the initial condition (default 20 contraction time constants,
+    to forget the initial condition (20 contraction time constants,
     estimated by a contraction probe). Models with no internal states skip
     straight to pointwise inversion.
     """
@@ -248,21 +247,18 @@ def feedforward_from_reference(
             breakpoints_fn=ref.breakpoints_fn,
             windows_fn=ref.windows_fn,
             angular_frequency=ref.angular_frequency,
-            label="reference-output",
         )
         ic = np.zeros(inverse.n) if zbar_ic is None else np.asarray(zbar_ic, dtype=float)
         probe = contraction_probe(
-            inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, 0.2 * (t1 - t0)), policy
+            inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, 0.2 * (t1 - t0)), step
         )
         if not probe.stable or probe.rate >= 0:
             raise InverseNotContracting(
                 f"inverse system probe rate {probe.rate:+.3g} for {model.name}"
             )
         rate = probe.rate
-        if warmup is None:
-            warmup = 20.0 / abs(rate)
-        warm = integrate(inverse, drive, t0 - warmup, t0, ic, policy)
-        zbar = integrate(inverse, drive, t0, t1, warm.states[-1], policy)
+        warm = integrate(inverse, drive, t0 - 20.0 / abs(rate), t0, ic, step)
+        zbar = integrate(inverse, drive, t0, t1, warm.states[-1], step)
     sig = FeedforwardSignal(model, ref, zbar)
     # Sample-wise residual audit of the inversion on the stored grid.
     ts = zbar.ts if zbar is not None else np.linspace(t0, t1, 201)
@@ -336,9 +332,9 @@ def fhn_impulse_design(
     w0 = t0 - 8.0 * width
 
     train = ImpulseTrain(t0=t0, period=period, magnitudes=(eps_n,), width=width)
-    pol = FixedStep(min(5e-4, eps / 100.0))
-    x_w0 = integrate(model, None, cycle.t0, w0, cycle.states[0], pol).states[-1]
-    _, phi_free = flow(model, None, w0, w0 + period, x_w0, pol)
+    h = min(5e-4, eps / 100.0)
+    x_w0 = integrate(model, None, cycle.t0, w0, cycle.states[0], h).states[-1]
+    _, phi_free = flow(model, None, w0, w0 + period, x_w0, h)
     jump = math.exp(-3.0 * beta * eps_n**2 / eps)
     predicted = phi_free @ np.diag([jump, 1.0])
 
@@ -370,10 +366,6 @@ class CertificateReport:
     epsilon: float
     period: float
     verdict: bool
-    g_tot_samples: np.ndarray
-    g_s_samples: np.ndarray
-    s_samples: np.ndarray
-    ts: np.ndarray
     m_y_violation_measure: float
     s_max_growth: float
 
@@ -395,10 +387,10 @@ class CertificateReport:
 def hh_certificate(
     params: ConductanceParams,
     ref: Trajectory,
+    ydot: np.ndarray,
     theta: float = 0.55,
     theta_prime: float = 0.65,
     M_y: float = 0.33,
-    ydot: np.ndarray | None = None,
 ) -> CertificateReport:
     """Evaluate the growth/stability time-measure certificate along a reference.
 
@@ -409,10 +401,8 @@ def hh_certificate(
     reported as a time measure rather than rejected, and the measured
     growth-set maximum of the contraction rate is reported against a_bar.
 
-    ydot supplies exact output-rate samples when the reference is a designed
-    signal whose derivative is known; otherwise a centered difference of the
-    stored samples is used, which smears the rate across ramp edges by one
-    grid cell.
+    ydot holds the output rate at the reference samples: a designed
+    reference's exact derivative, or the vector field along a free orbit.
     """
     lo, hi = params.E_s + theta, params.E_f - theta_prime
     ys, zs, ts = ref.states[:, 0], ref.states[:, 1], ref.ts
@@ -434,16 +424,11 @@ def hh_certificate(
     )
     a_bar = M_s + G_tot
 
-    if ydot is None:
-        # Centered output rate from the samples (one-sided at the ends).
-        yd = np.gradient(ys, ts)
-    else:
-        yd = np.asarray(ydot, dtype=float)
-        if yd.shape != ys.shape:
-            raise ValueError("ydot must match the reference sample count")
+    yd = np.asarray(ydot, dtype=float)
+    if yd.shape != ys.shape:
+        raise ValueError("ydot must match the reference sample count")
     zd = ys - zs
     g_tot = params.total_conductance(ys, zs)
-    g_s = params.slow_coupling(ys, zs)
     t_s = np.tanh(params.kappa_s * (zs - params.V_s))
     # d/dt log g_s along the reference.
     dlog_gs = yd / (ys - params.E_s) - 2.0 * params.kappa_s * zd * t_s
@@ -465,10 +450,6 @@ def hh_certificate(
         epsilon=params.eps,
         period=float(ts[-1] - ts[0]),
         verdict=bool(params.eps * T_hat > a_bar * tau_unstable),
-        g_tot_samples=g_tot,
-        g_s_samples=g_s,
-        s_samples=s,
-        ts=ts,
         m_y_violation_measure=my_viol,
         s_max_growth=s_max_growth,
     )

@@ -26,7 +26,6 @@ from .design import (
 )
 from .errors import NoCrossings, PeriodUnstable, RangeViolation
 from .integrate import (
-    FixedStep,
     Trajectory,
     build_grid,
     find_limit_cycle,
@@ -60,11 +59,7 @@ from .models import (
     lorenz,
     neuron_family,
 )
-from .observer import (
-    build_observer,
-    observer_contraction_check,
-    run_observer,
-)
+from .observer import observer_contraction_check, run_observer
 from .signals import CallableSignal, Constant, SquarePulseTrain, Zero
 from .variational import (
     MonodromyResult,
@@ -88,14 +83,17 @@ __all__ = [
 _CSV_ROW_CAP = 20000
 
 
-def _policy(step: float | None) -> FixedStep | None:
-    return FixedStep(step) if step is not None else None
-
-
 def _strided(*arrays: np.ndarray) -> list[np.ndarray]:
     n = arrays[0].size
     stride = max(1, math.ceil(n / _CSV_ROW_CAP))
     return [np.asarray(a)[::stride] for a in arrays]
+
+
+def _per_period_max(ts: np.ndarray, d: np.ndarray, t0: float, T: float,
+                    n: int) -> list[float]:
+    """Largest d over each closed period [t0 + (k - 1) T, t0 + k T], k = 1..n."""
+    return [float(d[(ts >= t0 + (k - 1) * T) & (ts <= t0 + k * T)].max())
+            for k in range(1, n + 1)]
 
 
 def _json_ready(obj):
@@ -128,7 +126,7 @@ def kapitza_pipeline(p: dict, step: float | None = None) -> dict:
     avg_eigs = np.sort(np.roots([1.0, gamma, -beta * design.gain]))
     model = kapitza(alpha, beta, gamma)
     ic = np.array([math.pi + p["y0_offset"], M * omega])
-    traj = integrate(model, design.feedforward, 0.0, p["horizon"], ic, _policy(step))
+    traj = integrate(model, design.feedforward, 0.0, p["horizon"], ic, step)
     delta_y = M * np.sin(omega * traj.ts)
     slow = traj.states[:, 0] - delta_y
     dev = np.abs(slow - math.pi)
@@ -159,10 +157,10 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     model = fitzhugh_nagumo(p["alpha"], p["beta"], p["gamma"], p["eps"])
     cyc = find_limit_cycle(
         model, None, np.array([1.0, 0.0]), section=(0, 0.0, 1),
-        max_time=200.0, policy=FixedStep(p["cycle_step"]),
+        max_time=200.0, step=p["cycle_step"],
     )
     T = cyc.period
-    fine = _policy(step) or FixedStep(p["fine_step"])
+    fine = step or p["fine_step"]
     one = integrate(model, None, cyc.t_anchor, cyc.t_anchor + T, cyc.anchor, fine)
     design = fhn_impulse_design(
         one, p["eps_fraction"], alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"],
@@ -194,7 +192,7 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     n_sync = p["sync_periods"]
     ff = feedforward_from_reference(
         model, ref, w0, w0 + (n_sync + 1.0) * T,
-        zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), policy=fine,
+        zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), step=fine,
     )
     ic = np.array([ref.x_fn(w0)[0], float(ff.zbar.interp_state(w0)[0])])
     realized, mono = floquet(model, ff.signal, ic, w0, T, fine)
@@ -202,17 +200,14 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     pred = design.predicted_monodromy
     mismatch = float(np.max(np.abs(mono.phi - pred.phi)) / np.max(np.abs(pred.phi)))
 
-    sync_pol = FixedStep(p["sync_step"])
     runs = []
     for off in p["phase_offsets"]:
         t_off = wrap(w0 + off * T)
         ic_off = np.array([ystar(t_off), float(one.interp_state(t_off)[1])])
-        runs.append(integrate(model, ff.signal, w0, w0 + n_sync * T, ic_off, sync_pol))
+        runs.append(integrate(model, ff.signal, w0, w0 + n_sync * T, ic_off,
+                              p["sync_step"]))
     diff = np.abs(runs[0].states[:, 0] - runs[1].states[:, 0])
-    per_period = []
-    for k in range(1, n_sync + 1):
-        msk = (runs[0].ts >= w0 + (k - 1) * T) & (runs[0].ts <= w0 + k * T)
-        per_period.append(float(diff[msk].max()))
+    per_period = _per_period_max(runs[0].ts, diff, w0, T, n_sync)
     return {
         "model": model,
         "period": T,
@@ -244,7 +239,7 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     ref = OutputReference.from_signal(sq, r=1)
     ff = feedforward_from_reference(
         model, ref, 0.0, (p["sync_periods"] + 1.0) * P,
-        zbar_ic=np.array([sq.value(0.0)]), policy=_policy(step),
+        zbar_ic=np.array([sq.value(0.0)]), step=step,
     )
 
     # certificate grid: base step with ramp windows capped at tau / divisor
@@ -264,17 +259,13 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     report = hh_certificate(params, reftraj, theta=p["theta"],
                             theta_prime=p["theta_prime"], M_y=p["M_y"], ydot=yd)
 
-    sync_pol = _policy(step)
     runs = [
         integrate(model, ff.signal, 0.0, p["sync_periods"] * P,
-                  np.array(ic, dtype=float), sync_pol)
+                  np.array(ic, dtype=float), step)
         for ic in p["sync_ics"]
     ]
     diff = np.abs(runs[0].states[:, 0] - runs[1].states[:, 0])
-    per_period = []
-    for k in range(1, p["sync_periods"] + 1):
-        msk = (runs[0].ts >= (k - 1) * P) & (runs[0].ts <= k * P)
-        per_period.append(float(diff[msk].max()))
+    per_period = _per_period_max(runs[0].ts, diff, 0.0, P, p["sync_periods"])
 
     sweep = []
     if p["run_delta_sweep"]:
@@ -328,8 +319,7 @@ def chua_pipeline(p: dict) -> dict:
 
     sweep = []
     for rho in p["rho_grid"]:
-        df = DescribingFunctionResult(p=rho, q=0.0, M=M, omega=omega,
-                                      method="constant-gain")
+        df = DescribingFunctionResult(p=rho, q=0.0, M=M, omega=omega)
         verdict = lure_stability(CHUA_NUM, CHUA_DEN, df)
         sweep.append({"rho": rho, "stable": verdict.stable, "margin": verdict.margin})
 
@@ -353,8 +343,7 @@ def chua_pipeline(p: dict) -> dict:
         fn=lambda t: M * np.sin(omega * t),
         windows_fn=lambda t0, t1: [(c - 2e-3, c + 2e-3, kink_step) for c in kinks],
     )
-    _, phi = flow(linearized, output, 0.0, T, np.zeros(3),
-                  FixedStep(p["monodromy_base_step"]))
+    _, phi = flow(linearized, output, 0.0, T, np.zeros(3), p["monodromy_base_step"])
     orbit = MonodromyResult.from_phi(0.0, T, phi)
 
     # phasor initial state making M sin(omega t) an exact solution
@@ -366,22 +355,15 @@ def chua_pipeline(p: dict) -> dict:
     model = chua_system()
     h = T / p["steps_per_period"]
     n_per = p["periods"]
-    tr = integrate(model, rec, 0.0, n_per * T, x0, FixedStep(h))
+    tr = integrate(model, rec, 0.0, n_per * T, x0, h)
     y = tr.states @ np.asarray(CHUA_C)
     y_ref = M * np.sin(omega * tr.ts)
-    track = np.abs(y - y_ref)
-    per_period = []
-    for k in range(1, n_per + 1):
-        msk = (tr.ts >= (k - 1) * T) & (tr.ts <= k * T)
-        per_period.append(float(track[msk].max()))
+    per_period = _per_period_max(tr.ts, np.abs(y - y_ref), 0.0, T, n_per)
 
     tr2 = integrate(model, rec, 0.0, n_per * T,
-                    x0 + np.array([p["perturbation"], 0.0, 0.0]), FixedStep(h))
+                    x0 + np.array([p["perturbation"], 0.0, 0.0]), h)
     d = np.abs(tr2.states @ np.asarray(CHUA_C) - y_ref)
-    peaks = []
-    for k in range(1, n_per + 1):
-        msk = (tr2.ts >= (k - 1) * T) & (tr2.ts <= k * T)
-        peaks.append(float(d[msk].max()))
+    peaks = _per_period_max(tr2.ts, d, 0.0, T, n_per)
     growth = [peaks[i + 1] / peaks[i] for i in range(len(peaks) - 1)]
 
     from_rest = None
@@ -437,7 +419,7 @@ def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
 
     chaotic = lorenz(sigma, p["rho"], beta)
     traj = integrate(chaotic, Zero(), 0.0, p["horizon"],
-                     np.array(p["x0"], dtype=float), _policy(step))
+                     np.array(p["x0"], dtype=float), step)
     flags = np.array([lorenz_region_check(s, sigma, beta) for s in traj.states])
     try:
         find_limit_cycle(chaotic, None, np.array(p["x0"], dtype=float),
@@ -459,25 +441,23 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
     """Entrained reference, extended monodromy check, embedding run, and the
     nominal parameter-convergence run."""
     plant = neuron_family()
-    spec = build_observer(plant)
     theta_star = np.array(p["theta_star"], dtype=float)
     u = SquarePulseTrain(magnitude=p["magnitude"], duration=p["duration"],
                          period=p["period"])
     P = p["period"]
-    pol = _policy(step)
 
     model = plant.model(theta_star)
     k = p["settle_periods"]
-    settle = integrate(model, u, 0.0, (k + 2.0) * P, np.array([-0.7, 0.0]), pol)
-    ref = refine_periodic_orbit(model, u, settle.interp_state(k * P), k * P, P, pol)
+    settle = integrate(model, u, 0.0, (k + 2.0) * P, np.array([-0.7, 0.0]), step)
+    ref = refine_periodic_orbit(model, u, settle.interp_state(k * P), k * P, P, step)
     closure = float(np.max(np.abs(ref.states[-1] - ref.states[0])))
-    check = observer_contraction_check(spec, theta_star, ref, u, pol,
+    check = observer_contraction_check(plant, theta_star, ref, u, step,
                                        eps_coupling=p["eps_coupling"])
 
     tol = p["tolerance_fraction"] * float(np.linalg.norm(theta_star))
-    emb = run_observer(spec, theta_star, u, horizon=p["embedding_periods"] * P,
+    emb = run_observer(plant, theta_star, u, horizon=p["embedding_periods"] * P,
                        tolerance=tol, plant_ic=np.array([-0.7, 0.0]),
-                       theta0=theta_star.copy(), policy=pol)
+                       theta0=theta_star.copy(), step=step)
     st = emb.traces.states
     n = plant.n
     emb_dev = max(
@@ -485,21 +465,20 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
         float(np.max(np.abs(st[:, 2 * n:] - theta_star))),
     )
 
-    nominal = run_observer(spec, theta_star, u, horizon=p["horizon"], tolerance=tol,
+    nominal = run_observer(plant, theta_star, u, horizon=p["horizon"], tolerance=tol,
                            plant_ic=np.array([-0.7, 0.0]),
-                           theta0=np.array(p["theta0"], dtype=float), policy=pol)
+                           theta0=np.array(p["theta0"], dtype=float), step=step)
     corners = []
     if p["run_corners"]:
         box = plant.theta_box
         for c in ((box[0][0], box[1][0]), (box[0][0], box[1][1]),
                   (box[0][1], box[1][0]), (box[0][1], box[1][1])):
-            r = run_observer(spec, theta_star, u, horizon=p["horizon"],
+            r = run_observer(plant, theta_star, u, horizon=p["horizon"],
                              tolerance=tol, plant_ic=np.array([-0.7, 0.0]),
-                             theta0=np.array(c), policy=pol)
+                             theta0=np.array(c), step=step)
             corners.append({"theta0": list(c), "converged_at": r.converged_at,
                             "final_error": float(r.theta_error[-1])})
     return {
-        "spec": spec,
         "theta_star": theta_star,
         "tolerance": tol,
         "reference": ref,
@@ -523,7 +502,7 @@ def probe_pipeline(p: dict, step: float | None = None) -> dict:
         model = InverseSystem(hh_conductance(ConductanceParams()))
     ic = np.zeros(model.n)
     res = contraction_probe(model, Constant(0.5), ic, ic + p["offset"],
-                            p["t0"], p["t1"], _policy(step))
+                            p["t0"], p["t1"], step)
     return {"model": model.name, "probe": res}
 
 

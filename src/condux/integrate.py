@@ -19,7 +19,6 @@ from .models import VectorField
 from .signals import InputSignal, Zero
 
 __all__ = [
-    "FixedStep",
     "Trajectory",
     "write_csv",
     "default_step",
@@ -32,13 +31,6 @@ __all__ = [
 
 # Steps between two finiteness checks of the stored states.
 _FINITE_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class FixedStep:
-    """Classical RK4 with step h (further capped inside refine windows)."""
-
-    h: float | None = None
 
 
 def default_step(model: VectorField, signal: InputSignal, t0: float, t1: float) -> float:
@@ -115,9 +107,6 @@ class Trajectory:
     us: np.ndarray
     state_names: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return self.ts.size
-
     @property
     def t0(self) -> float:
         return float(self.ts[0])
@@ -125,9 +114,6 @@ class Trajectory:
     @property
     def t1(self) -> float:
         return float(self.ts[-1])
-
-    def output(self) -> np.ndarray:
-        return self.states[:, 0]
 
     def interp_state(self, t) -> np.ndarray:
         """Linear interpolation between stored samples: one state for a
@@ -189,15 +175,15 @@ def integrate(
     t0: float,
     t1: float,
     x0: np.ndarray,
-    policy: FixedStep | None = None,
+    step: float | None = None,
 ) -> Trajectory:
-    """Integrate the model from x0 over [t0, t1] under the given input."""
+    """Integrate the model from x0 over [t0, t1] under the given input with
+    RK4 step `step` (default_step when None), capped inside refine windows."""
     signal = signal or Zero()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
-    policy = policy or FixedStep()
-    h = policy.h or default_step(model, signal, t0, t1)
+    h = step or default_step(model, signal, t0, t1)
     return _rk4_run(model, signal, build_grid(t0, t1, h, signal), x0)
 
 
@@ -217,7 +203,7 @@ def find_limit_cycle(
     section: tuple[int, float, int],
     transient: float = 50.0,
     max_time: float = 400.0,
-    policy: FixedStep | None = None,
+    step: float | None = None,
     agreement: float = 1e-6,
 ) -> CycleResult:
     """Locate an attracting cycle by Poincare returns to a coordinate section.
@@ -228,7 +214,7 @@ def find_limit_cycle(
     declared unstable or drifting (PeriodUnstable).
     """
     idx, level, direction = section
-    traj = integrate(model, signal, 0.0, max_time, np.asarray(x_guess, dtype=float), policy)
+    traj = integrate(model, signal, 0.0, max_time, np.asarray(x_guess, dtype=float), step)
     s = traj.states[:, idx] - level
     if direction >= 0:
         hit = (s[:-1] < 0.0) & (s[1:] >= 0.0)

@@ -94,7 +94,6 @@ class DescribingFunctionResult:
     q: float
     M: float
     omega: float
-    method: str
     convention: str = "literal"
 
 
@@ -161,9 +160,7 @@ def describing_function(
         raise QuadratureNonConvergence(
             f"first-harmonic gain error estimate {err / scale:.2e}"
         )
-    return DescribingFunctionResult(
-        p=p, q=q, M=M, omega=omega, method="quadrature", convention=convention
-    )
+    return DescribingFunctionResult(p=p, q=q, M=M, omega=omega, convention=convention)
 
 
 def chua_closed_form(M: float, omega: float) -> DescribingFunctionResult:
@@ -178,9 +175,7 @@ def chua_closed_form(M: float, omega: float) -> DescribingFunctionResult:
         p = -(7.8 / (math.pi * omega)) * (
             math.asin(1.0 / M) + math.sqrt(1.0 / M**2 - 1.0 / M**4)
         )
-    return DescribingFunctionResult(
-        p=p, q=0.0, M=M, omega=omega, method="chua-closed-form", convention="literal"
-    )
+    return DescribingFunctionResult(p=p, q=0.0, M=M, omega=omega)
 
 
 def lure_stability(

@@ -20,7 +20,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigError, GainFloorViolated
+from .errors import AntiderivativeMismatch, ConfigError, GainFloorViolated
 from .piecewise import sat_poly
 
 __all__ = [
@@ -508,6 +508,12 @@ class ParameterizedPlant:
     eps_m * yd = eps_m * f0(t, y, z, u) + eps_m * h(y) . theta with h the
     plant regressor; zd = g(t, z, y). model(theta) instantiates the plant as
     an ordinary NormalFormModel for a fixed parameter vector.
+
+    The observer updates its estimate through update_antiderivative, which
+    must be an antiderivative of update_regressor: construction raises
+    AntiderivativeMismatch when its centered difference (step 1e-7) misses
+    update_regressor by more than 1e-6 at any of 401 points spanning
+    sample_box[0].
     """
 
     name: str
@@ -528,6 +534,18 @@ class ParameterizedPlant:
     stiffness: float | None = None
     state_names: tuple[str, ...] = ()
     sample_box: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        h, H = self.update_regressor, self.update_antiderivative
+        lo, hi = self.sample_box[0]
+        worst = 0.0
+        for y in np.linspace(lo, hi, 401):
+            fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
+            worst = max(worst, float(np.max(np.abs(fd - h(y)))))
+        if worst > 1e-6:
+            raise AntiderivativeMismatch(
+                f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
+            )
 
     def model(self, theta: np.ndarray) -> NormalFormModel:
         theta = np.asarray(theta, dtype=float)

@@ -35,6 +35,9 @@ __all__ = [
 # int (a*sqrt(pi))**(-1/2) * exp(-x**2/(2 a**2)) dx = sqrt(2) * pi**(1/4) * sqrt(a).
 SQRT_DELTA_MASS = math.sqrt(2.0) * math.pi ** 0.25
 
+# An impulse bump is treated as zero beyond this many widths from its center.
+_SUPPORT_WIDTHS = 8.0
+
 
 def _zeros_like(t):
     """0.0 for a single time, an array of zeros for an array of times."""
@@ -120,36 +123,30 @@ class Sinusoid(InputSignal):
 class ImpulseTrain(InputSignal):
     """Train of narrow bumps at t0 + n*period, n = 0, 1, 2, ...
 
-    kind "sqrt-delta" uses the square root of a normalized Gaussian, which has
-    unit L2 mass for every width; kind "delta" uses the normalized Gaussian
-    itself. magnitudes cycles if the train is longer than the list.
+    Each bump is the square root of a normalized Gaussian, which has unit L2
+    mass for every width. magnitudes cycles if the train is longer than the
+    list.
     """
 
     t0: float
     period: float
     magnitudes: tuple[float, ...]
     width: float = 1e-4
-    kind: str = "sqrt-delta"
-    support_radius: float = 8.0  # bump is treated as zero beyond this many widths
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError("period must be positive")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if self.kind not in ("sqrt-delta", "delta"):
-            raise ValueError(f"unknown impulse kind {self.kind!r}")
         if not self.magnitudes:
             raise ValueError("magnitudes must be non-empty")
 
     def _bump(self, x: np.ndarray) -> np.ndarray:
         a = self.width
-        if self.kind == "sqrt-delta":
-            return (a * math.sqrt(math.pi)) ** -0.5 * np.exp(-(x**2) / (2.0 * a**2))
-        return np.exp(-((x / a) ** 2)) / (a * math.sqrt(math.pi))
+        return (a * math.sqrt(math.pi)) ** -0.5 * np.exp(-(x**2) / (2.0 * a**2))
 
     def _centers(self, lo: float, hi: float) -> range:
-        r = self.support_radius * self.width
+        r = _SUPPORT_WIDTHS * self.width
         n_lo = max(0, math.floor((lo - self.t0 - r) / self.period))
         n_hi = max(n_lo - 1, math.ceil((hi - self.t0 + r) / self.period))
         return range(n_lo, n_hi + 1)
@@ -164,7 +161,7 @@ class ImpulseTrain(InputSignal):
         for n in self._centers(float(flat.min()), float(flat.max())):
             c = self.t0 + n * self.period
             x = flat - c
-            mask = np.abs(x) <= self.support_radius * self.width
+            mask = np.abs(x) <= _SUPPORT_WIDTHS * self.width
             if mask.any():
                 eps = self.magnitudes[n % len(self.magnitudes)]
                 out[mask] += weight(eps * self._bump(x[mask]), x[mask])
@@ -176,14 +173,13 @@ class ImpulseTrain(InputSignal):
     def derivative(self, t, order: int = 1):
         if order not in (1, 2):
             raise NotImplementedError("impulse derivatives only up to order 2")
-        # For the Gaussian kind the exponent is -(x/a)^2, twice as steep.
-        s = 2.0 * self.width**2 if self.kind == "sqrt-delta" else self.width**2
+        s = 2.0 * self.width**2
         if order == 1:
             return self._sum_bumps(t, lambda v, x: v * (-2.0 * x / s))[()]
         return self._sum_bumps(t, lambda v, x: v * ((2.0 * x / s) ** 2 - 2.0 / s))[()]
 
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
-        r = self.support_radius * self.width
+        r = _SUPPORT_WIDTHS * self.width
         cap = self.width / 10.0
         out = []
         for n in self._centers(t0, t1):
@@ -380,26 +376,20 @@ class Sum(InputSignal):
 
 @dataclass(frozen=True)
 class CallableSignal(InputSignal):
-    """Escape hatch wrapping an arbitrary function. Not serializable.
+    """Escape hatch wrapping an arbitrary function. Not serializable, and
+    without a derivative rule.
 
-    fn (and dfn) must accept an array of times as well as a single time,
-    elementwise, as numpy expressions do.
+    fn must accept an array of times as well as a single time, elementwise,
+    as numpy expressions do.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray, int], np.ndarray] | None = None
     breakpoints_fn: Callable[[float, float], Sequence[float]] | None = None
     windows_fn: Callable[[float, float], Sequence[tuple[float, float, float]]] | None = None
     angular_frequency: float = 0.0
-    label: str = "callable"
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(ts, dtype=float)), dtype=float)
-
-    def derivative(self, t, order: int = 1):
-        if self.dfn is None:
-            raise NotImplementedError(f"{self.label} has no derivative rule")
-        return self.dfn(t, order)
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         if self.breakpoints_fn is None:

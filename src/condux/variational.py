@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeriodMismatch, ZeroLeadingCoefficient
-from .integrate import FixedStep, Trajectory, integrate
+from .integrate import Trajectory, integrate
 from .models import PlainModel, VectorField
 from .signals import InputSignal
 
 __all__ = [
+    "ANCHOR_TOL",
     "flow",
     "refine_periodic_orbit",
     "MonodromyResult",
@@ -30,6 +31,11 @@ __all__ = [
     "ProbeResult",
     "contraction_probe",
 ]
+
+
+# Largest return gap, relative to the state scale, that a declared period
+# may leave between the first and last state of a window.
+ANCHOR_TOL = 1e-3
 
 
 def _with_variations(model: VectorField) -> PlainModel:
@@ -54,7 +60,7 @@ def flow(
     t0: float,
     t1: float,
     x0: np.ndarray,
-    policy: FixedStep | None = None,
+    step: float | None = None,
 ) -> tuple[Trajectory, np.ndarray]:
     """Trajectory from x0 over [t0, t1] and its transition matrix Phi(t1, t0).
 
@@ -66,7 +72,7 @@ def flow(
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
     joint = integrate(_with_variations(model), signal, t0, t1,
-                      np.concatenate((x0, np.eye(n).ravel())), policy)
+                      np.concatenate((x0, np.eye(n).ravel())), step)
     traj = Trajectory(joint.ts, joint.states[:, :n].copy(), joint.us, model.state_names)
     return traj, joint.states[-1, n:].reshape(n, n)
 
@@ -77,7 +83,7 @@ def refine_periodic_orbit(
     x_guess: np.ndarray,
     t0: float,
     period: float,
-    policy=None,
+    step: float | None = None,
     max_iters: int = 6,
     tol: float = 1e-10,
 ) -> Trajectory:
@@ -88,18 +94,18 @@ def refine_periodic_orbit(
     Requires I - Phi nonsingular, i.e. no Floquet multiplier at +1, which a
     forced attracting orbit satisfies.  The closure gap is measured on the
     integrator's own grid, so the result is consistent with later monodromy
-    evaluations at the same step policy. Raises PeriodMismatch when the loop
+    evaluations at the same step. Raises PeriodMismatch when the loop
     still does not close within tol after max_iters Newton steps.
     """
     x = np.asarray(x_guess, dtype=float).copy()
     n = x.size
     for _ in range(max_iters):
-        traj, phi = flow(model, signal, t0, t0 + period, x, policy)
+        traj, phi = flow(model, signal, t0, t0 + period, x, step)
         gap = traj.states[-1] - x
         if float(np.max(np.abs(gap))) < tol:
             return traj
         x = x + np.linalg.solve(np.eye(n) - phi, gap)
-    traj = integrate(model, signal, t0, t0 + period, x, policy)
+    traj = integrate(model, signal, t0, t0 + period, x, step)
     gap = float(np.max(np.abs(traj.states[-1] - x)))
     if gap < tol:
         return traj
@@ -143,20 +149,19 @@ def floquet(
     x0: np.ndarray,
     t0: float,
     period: float,
-    policy: FixedStep | None = None,
-    anchor_tol: float = 1e-3,
+    step: float | None = None,
 ) -> tuple[Trajectory, MonodromyResult]:
     """One period of the solution from x0 at t0 and its monodromy matrix.
 
-    The state at t0 + period must return to x0 within anchor_tol (relative
+    The state at t0 + period must return to x0 within ANCHOR_TOL (relative
     to the state scale), otherwise the window does not actually cover one
     period of a periodic solution and PeriodMismatch is raised.
     """
-    traj, phi = flow(model, signal, t0, t0 + period, x0, policy)
+    traj, phi = flow(model, signal, t0, t0 + period, x0, step)
     a0 = traj.states[0]
     scale = max(1.0, float(np.max(np.abs(a0))))
     gap = float(np.max(np.abs(traj.states[-1] - a0)))
-    if gap > anchor_tol * scale:
+    if gap > ANCHOR_TOL * scale:
         raise PeriodMismatch(
             f"state moves by {gap:.3e} (scale {scale:.3g}) over the declared period"
         )
@@ -169,7 +174,6 @@ class StabilityVerdict:
 
     stable: bool
     margin: float
-    method: str
 
 
 def hurwitz(coeffs) -> StabilityVerdict:
@@ -184,7 +188,7 @@ def hurwitz(coeffs) -> StabilityVerdict:
         raise ZeroLeadingCoefficient("leading coefficient must be nonzero")
     deg = len(c) - 1
     if deg == 0:
-        return StabilityVerdict(stable=True, margin=1.0, method="routh")
+        return StabilityVerdict(stable=True, margin=1.0)
     width = deg // 2 + 1
     r0 = np.zeros(width)
     r1 = np.zeros(width)
@@ -194,17 +198,17 @@ def hurwitz(coeffs) -> StabilityVerdict:
     for _ in range(deg - 1):
         prev, cur = table[-2], table[-1]
         if cur[0] == 0.0:
-            return StabilityVerdict(stable=False, margin=0.0, method="routh")
+            return StabilityVerdict(stable=False, margin=0.0)
         nxt = np.zeros(width)
         nxt[:-1] = (cur[0] * prev[1:] - prev[0] * cur[1:]) / cur[0]
         table.append(nxt)
     first = np.array([row[0] for row in table])
     if np.any(first == 0.0):
-        return StabilityVerdict(stable=False, margin=0.0, method="routh")
+        return StabilityVerdict(stable=False, margin=0.0)
     sgn = math.copysign(1.0, c[0])
     fc = first * sgn
     margin = float(np.min(fc) / np.max(np.abs(fc)))
-    return StabilityVerdict(stable=bool(np.all(fc > 0.0)), margin=margin, method="routh")
+    return StabilityVerdict(stable=bool(np.all(fc > 0.0)), margin=margin)
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,6 @@ class ProbeResult:
 
     rate: float
     stable: bool
-    initial_separation: float
     final_separation: float
 
 
@@ -224,7 +227,7 @@ def contraction_probe(
     ic_b: np.ndarray,
     t0: float,
     t1: float,
-    policy: FixedStep | None = None,
+    step: float | None = None,
 ) -> ProbeResult:
     """Empirical contraction test: run two initial conditions under the same
     input on the same grid and fit log separation over the tail half.
@@ -232,12 +235,12 @@ def contraction_probe(
     Separation that underflows to zero is treated as converged; the rate is
     then fit on the pre-underflow samples.
     """
-    ta = integrate(model, signal, t0, t1, np.asarray(ic_a, dtype=float), policy)
-    tb = integrate(model, signal, t0, t1, np.asarray(ic_b, dtype=float), policy)
+    ta = integrate(model, signal, t0, t1, np.asarray(ic_a, dtype=float), step)
+    tb = integrate(model, signal, t0, t1, np.asarray(ic_b, dtype=float), step)
     d = np.linalg.norm(ta.states - tb.states, axis=1)
     init = float(d[0])
     if init == 0.0:
-        return ProbeResult(rate=0.0, stable=False, initial_separation=0.0, final_separation=0.0)
+        return ProbeResult(rate=0.0, stable=False, final_separation=0.0)
     alive = np.nonzero(d > 1e-280)[0]
     end = alive[-1] + 1 if alive.size else 1
     underflowed = end < d.size
@@ -250,6 +253,4 @@ def contraction_probe(
         stable = slope < 0.0
     else:
         stable = slope < 0.0 and final < init * 1e-3
-    return ProbeResult(
-        rate=slope, stable=stable, initial_separation=init, final_separation=final
-    )
+    return ProbeResult(rate=slope, stable=stable, final_separation=final)

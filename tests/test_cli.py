@@ -34,6 +34,19 @@ def test_every_offending_path_is_listed(tmp_path, capsys):
         assert path in err
 
 
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "nan.json", {
+        "experiment": "kapitza",
+        "params": {"horizon": 1.0, "amplitude_grid": [float("nan")]},
+        "integration": {"step": float("inf")},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: params.amplitude_grid[0]: must be finite" in err
+    assert "config error: integration.step: must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 2

@@ -72,6 +72,25 @@ def test_all_violations_reported_at_once():
                      "integration.step", "integration.solver", "seed", "note"}
 
 
+def test_non_finite_numbers_are_rejected_at_every_path():
+    # Python's json reads NaN, Infinity and -Infinity as floats
+    raw = json.loads('{"experiment": "hh", "params": {"eps": NaN, '
+                     '"levels": [1.0, Infinity, 0.3, -0.5], '
+                     '"sync_ics": [[1.0, -Infinity], [0.5, -0.5]]}, '
+                     '"integration": {"step": NaN}}')
+    msgs = validate_raw(raw)
+    assert {m.split(":")[0] for m in msgs} == {
+        "params.eps", "params.levels[1]", "params.sync_ics[0][1]", "integration.step"}
+    assert all("must be finite" in m for m in msgs)
+    # an infinite step would otherwise pass the positivity check, and an
+    # integer literal beyond the float range overflows once it is used
+    msgs = validate_raw({"experiment": "kapitza", "integration": {"step": math.inf}})
+    assert msgs == ["integration.step: must be finite"]
+    msgs = validate_raw(json.loads('{"experiment": "kapitza", "params": {"omega": 1'
+                                   + "0" * 400 + "}}"))
+    assert msgs == ["params.omega: must be finite"]
+
+
 def test_bool_is_not_a_number():
     msgs = validate_raw({"experiment": "kapitza", "params": {"alpha": True}})
     assert msgs == ["params.alpha: expected number, got bool"]

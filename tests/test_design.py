@@ -21,7 +21,7 @@ from condux.errors import (
     PeriodUnstable,
     RangeViolation,
 )
-from condux.integrate import FixedStep, Trajectory, find_limit_cycle, integrate
+from condux.integrate import Trajectory, find_limit_cycle, integrate
 from condux.models import ConductanceParams, NormalFormModel, fitzhugh_nagumo, lorenz
 
 
@@ -153,7 +153,7 @@ class TestConductanceCertificate:
         ref = Trajectory(ts=ts, states=np.column_stack([ys, np.zeros(11)]),
                          us=np.zeros(11), state_names=("y", "z"))
         with pytest.raises(RangeViolation, match="1.36"):
-            hh_certificate(params, ref)
+            hh_certificate(params, ref, np.zeros(11))
 
     def test_margin_grows_with_plateau_length(self):
         # longer plateaus add stability time without touching the ramp cost
@@ -187,7 +187,7 @@ class TestConductanceCertificate:
             zs = ff.zbar.interp_state(grid)[:, 0]
             traj = Trajectory(ts=grid, states=np.column_stack([ys, zs]),
                               us=np.zeros_like(grid), state_names=("y", "z"))
-            rep = hh_certificate(params, traj, ydot=yd)
+            rep = hh_certificate(params, traj, yd)
             margins.append(params.eps * rep.T_hat - rep.a_bar * rep.tau_unstable)
         assert margins[0] < margins[1] < margins[2]
 
@@ -293,10 +293,10 @@ def test_fhn_slow_multiplier_shrinks_with_timescale():
         model = fitzhugh_nagumo(eps=eps)
         cyc = find_limit_cycle(model, None, np.array([1.0, 0.0]),
                                section=(0, 0.0, 1), max_time=200.0,
-                               policy=FixedStep(0.002), agreement=1e-5)
+                               step=0.002, agreement=1e-5)
         assert cyc.period == pytest.approx(expected_period, abs=1e-4)
         loop = integrate(model, None, cyc.t_anchor, cyc.t_anchor + cyc.period,
-                         cyc.anchor, FixedStep(5e-4))
+                         cyc.anchor, 5e-4)
         tr = np.array([np.trace(model.jac(t, s, 0.0))
                        for t, s in zip(loop.ts, loop.states)])
         exponent = float(simpson(tr, x=loop.ts))
@@ -309,7 +309,7 @@ def test_fhn_cycle_unstable_period_at_tight_agreement():
     with pytest.raises(PeriodUnstable):
         find_limit_cycle(fitzhugh_nagumo(eps=0.05), None, np.array([1.0, 0.0]),
                          section=(0, 0.0, 1), max_time=200.0,
-                         policy=FixedStep(0.002), agreement=1e-6)
+                         step=0.002, agreement=1e-6)
 
 
 def _with_neighbours(ts) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
 from condux.integrate import (
-    FixedStep,
     build_grid,
     default_step,
     find_limit_cycle,
@@ -21,7 +20,15 @@ from condux.models import (
     lorenz,
     planar_limit_cycle,
 )
-from condux.signals import Constant, ImpulseTrain, Sinusoid, SquarePulseTrain, Zero
+from condux.signals import (
+    Constant,
+    ImpulseTrain,
+    PiecewiseLinear,
+    Sinusoid,
+    SquarePulseTrain,
+    Sum,
+    Zero,
+)
 
 
 def _rotation() -> PlainModel:
@@ -37,7 +44,7 @@ def test_fourth_order_convergence():
     errs = []
     for h in (0.02, 0.01, 0.005):
         end = integrate(_rotation(), None, 0.0, 1.0, np.array([1.0, 0.0]),
-                        FixedStep(h)).states[-1]
+                        h).states[-1]
         errs.append(float(np.linalg.norm(end - exact)))
     for e1, e2 in zip(errs, errs[1:]):
         assert abs(math.log2(e1 / e2) - 4.0) < 0.2
@@ -50,7 +57,7 @@ def test_pulse_area_is_exact():
     area = PlainModel("area", 1, lambda t, s, u: np.array([u]),
                       lambda t, s, u: np.zeros((1, 1)))
     pulses = SquarePulseTrain(magnitude=2.0, duration=0.3, period=1.0)
-    end = integrate(area, pulses, 0.0, 2.5, np.array([0.0]), FixedStep(0.1)).states[-1, 0]
+    end = integrate(area, pulses, 0.0, 2.5, np.array([0.0]), 0.1).states[-1, 0]
     assert end == pytest.approx(1.8, abs=1e-12)
 
 
@@ -77,9 +84,51 @@ def test_grid_hits_breakpoints_exactly():
         assert np.max(np.diff(grid[mask])) <= 1e-5 + 1e-15
 
 
+@st.composite
+def _three_signals(draw):
+    """A piecewise-linear ramp, a pulse train and an impulse train summed, with
+    every feature at least a few milliseconds long so grids stay small."""
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    times = np.cumsum([draw(st.floats(-1.0, 1.0))] + gaps)
+    levels = draw(st.lists(st.floats(-2.0, 2.0), min_size=times.size,
+                           max_size=times.size))
+    ramp = PiecewiseLinear(tuple(zip(times.tolist(), levels)), periodic=draw(st.booleans()))
+    period = draw(st.floats(0.2, 2.0))
+    pulses = SquarePulseTrain(magnitude=1.0, period=period,
+                              duration=period * draw(st.floats(0.05, 1.0)),
+                              start=draw(st.floats(-1.0, 1.0)))
+    kicks = ImpulseTrain(t0=draw(st.floats(-1.0, 2.0)), period=draw(st.floats(0.3, 2.0)),
+                         magnitudes=(1.0,), width=draw(st.floats(1e-4, 1e-2)))
+    return Sum((ramp, pulses, kicks))
+
+
+@given(sig=_three_signals(), t0=st.floats(-1.0, 1.0), span=st.floats(0.5, 4.0),
+       h=st.floats(0.01, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_grid_lands_on_every_edge_and_respects_window_caps(sig, t0, span, h):
+    t1 = t0 + span
+    grid = build_grid(t0, t1, h, sig)
+    assert grid[0] == t0 and grid[-1] == t1
+    assert np.all(np.diff(grid) > 0)
+    windows = sig.refine_windows(t0, t1)
+    edges = {b for b in sig.breakpoints(t0, t1) if t0 < b < t1}
+    edges |= {e for lo, hi, _ in windows for e in (lo, hi) if t0 < e < t1}
+    nodes = set(grid.tolist())
+    merge = 1e-12 * (t1 - t0)
+    for e in edges:
+        # an edge is left out only when it merges with a distinct edge that
+        # lies within 1e-12 of the span
+        assert e in nodes or any(0 < abs(e - f) <= merge for f in edges | {t0, t1})
+    steps = np.diff(grid)
+    for lo, hi, cap in windows:
+        inside = (grid[:-1] >= lo) & (grid[1:] <= hi)
+        if inside.any():
+            assert steps[inside].max() <= cap * (1.0 + 1e-9)
+
+
 def test_trajectory_interp_and_csv_roundtrip(tmp_path):
     traj = integrate(_rotation(), Constant(0.3), 0.0, 1.0, np.array([1.0, 0.0]),
-                     FixedStep(0.01))
+                     0.01)
     mid = traj.interp_state(0.505)
     assert mid == pytest.approx(traj.states[50] * 0.5 + traj.states[51] * 0.5,
                                 rel=1e-3)
@@ -123,7 +172,7 @@ def test_csv_roundtrip_is_exact(tmp_path_factory, cols):
 @given(ts=st.lists(st.floats(-0.5, 1.5), max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_interp_state_array_matches_scalar(ts):
-    traj = integrate(_rotation(), None, 0.0, 1.0, np.array([1.0, 0.0]), FixedStep(0.05))
+    traj = integrate(_rotation(), None, 0.0, 1.0, np.array([1.0, 0.0]), 0.05)
     nodes = traj.ts[::3]
     ts = np.concatenate([ts, nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
     tab = traj.interp_state(ts)
@@ -139,8 +188,8 @@ def test_blowup_names_the_first_nonfinite_node(k, on_state):
     # k + 1 is the first non-finite state wherever it falls in a block of
     # steps; with on_state the next step's math.sin raises on that state,
     # which must still be reported as the blowup
-    pol = FixedStep(0.01)
-    grid = build_grid(0.0, 3.0, pol.h, Zero())
+    h = 0.01
+    grid = build_grid(0.0, 3.0, h, Zero())
     t_bad = grid[k] + 0.75 * (grid[k + 1] - grid[k])
 
     def rhs(t, s, u):
@@ -149,7 +198,7 @@ def test_blowup_names_the_first_nonfinite_node(k, on_state):
 
     field = PlainModel("escape", 1, rhs, lambda t, s, u: np.zeros((1, 1)))
     with pytest.raises(NumericalBlowup) as err:
-        integrate(field, None, 0.0, 3.0, np.array([0.5]), pol)
+        integrate(field, None, 0.0, 3.0, np.array([0.5]), h)
     assert err.value.t == grid[k + 1]
 
 
@@ -169,7 +218,7 @@ def test_forced_linear_system_keeps_fourth_order():
     errs = []
     for h in (0.02, 0.01):
         end = integrate(lag, drive, 0.0, 2.0, np.array([0.0]),
-                        FixedStep(h)).states[-1, 0]
+                        h).states[-1, 0]
         errs.append(abs(end - exact(2.0)))
     assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.2
 
@@ -178,7 +227,7 @@ class TestFindLimitCycle:
     def test_planar_period(self):
         cyc = find_limit_cycle(planar_limit_cycle(), None, np.array([1.3, 0.0]),
                                section=(1, 0.0, 1), transient=20.0,
-                               policy=FixedStep(0.001))
+                               step=0.001)
         assert cyc.period == pytest.approx(2.0 * math.pi, rel=1e-6)
         assert np.hypot(*cyc.anchor) == pytest.approx(1.0, abs=1e-6)
 

@@ -73,8 +73,7 @@ class TestLureStability:
     def test_first_order_threshold(self):
         # loop den (s+1) + p: stable exactly for p > -1
         for p, stable in ((0.5, True), (-0.5, True), (-1.5, False)):
-            df = DescribingFunctionResult(p=p, q=0.0, M=1.0, omega=1.0,
-                                          method="constant-gain")
+            df = DescribingFunctionResult(p=p, q=0.0, M=1.0, omega=1.0)
             v = lure_stability((1.0,), (1.0, 1.0), df)
             assert v.stable is stable
             assert (v.margin > 0) is stable
@@ -93,8 +92,7 @@ class TestLureStability:
 class TestInputReconstruction:
     def test_first_order_loop(self):
         # P = 1/(s+1), no nonlinearity: D e^{j theta} = M (1 + j omega)
-        df = DescribingFunctionResult(p=0.0, q=0.0, M=1.0, omega=1.0,
-                                      method="constant-gain")
+        df = DescribingFunctionResult(p=0.0, q=0.0, M=1.0, omega=1.0)
         rec = lure_input_reconstruct((1.0,), (1.0, 1.0), df, 1.0, 1.0,
                                      lambda y: 0.0)
         assert rec.D == pytest.approx(math.sqrt(2.0), rel=1e-12)

@@ -20,7 +20,8 @@ from condux.models import (
     neuron_family,
     planar_limit_cycle,
 )
-from condux.observer import build_observer, coupled_system
+from condux.observer import coupled_system
+from condux.piecewise import sat_poly
 
 BUILTINS = [
     kapitza(),
@@ -32,7 +33,7 @@ BUILTINS = [
     leaky_integrator(2.0),
     neuron_family().model(np.array([0.5, 1.5])),
     # the coupled Jacobian carries the observer contraction certificate
-    coupled_system(build_observer(neuron_family()), np.array([0.5, 1.5])),
+    coupled_system(neuron_family(), np.array([0.5, 1.5])),
 ]
 
 
@@ -194,6 +195,30 @@ def test_piecewise_scalar_call_matches_vectorized(name):
     poly = getattr(m, name)
     ys = np.concatenate([np.linspace(-1.5, 1.5, 20001), poly.breaks])
     assert np.array_equal(np.array([poly(float(y)) for y in ys]), poly.values(ys))
+
+
+@given(
+    coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+    lead=st.floats(0.1, 5.0) | st.floats(-5.0, -0.1),
+    lo=st.floats(-2.0, 2.0),
+    gap=st.floats(0.1, 3.0),
+    ys=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=50),
+)
+@settings(max_examples=100, deadline=None)
+def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
+    # away from its breakpoints (and from the levels, where a near-double
+    # root may shift a break by the root solver's sqrt(eps)), the flattened
+    # piecewise form is the clamp of the polynomial, bit for bit, in both the
+    # scalar and the vectorized call
+    p = (lead, *coeffs)
+    hi = lo + gap
+    sat = sat_poly(lo, hi, p)
+    ys = np.array([y for y in ys
+                   if all(abs(y - b) > 1e-6 for b in sat.breaks)
+                   and min(abs(np.polyval(p, y) - lo), abs(np.polyval(p, y) - hi)) > 1e-9])
+    clamped = np.clip(np.polyval(p, ys), lo, hi)
+    assert np.array_equal(np.array([sat(float(y)) for y in ys]), clamped)
+    assert np.array_equal(sat.values(ys), clamped)
 
 
 def test_neuron_update_antiderivative_consistency():

@@ -1,11 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from condux.errors import AntiderivativeMismatch, ConfigError
-from condux.integrate import FixedStep
 from condux.models import neuron_family
 from condux.observer import (
-    build_observer,
     coupled_system,
     observer_contraction_check,
     run_observer,
@@ -17,46 +17,41 @@ PULSE = SquarePulseTrain(magnitude=-3.0, duration=0.002, period=2.8)
 
 
 @pytest.fixture(scope="module")
-def spec():
-    return build_observer(neuron_family())
+def plant():
+    return neuron_family()
 
 
 class TestBuildObserver:
-    def test_default_theta0_is_box_midpoint(self, spec):
-        assert np.allclose(spec.theta0, [0.5, 1.5])
-
-    def test_antiderivative_mismatch_rejected(self):
-        plant = neuron_family()
+    def test_antiderivative_mismatch_rejected(self, plant):
         bad_H = lambda y: np.array([y, y])  # not an antiderivative of h
         with pytest.raises(AntiderivativeMismatch):
-            build_observer(plant, h=plant.update_regressor, H=bad_H)
+            dataclasses.replace(plant, update_antiderivative=bad_H)
 
-    def test_update_direction_matches_regressor_sign(self, spec):
+    def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
-        plant = neuron_family()
         for y in (-0.8, -0.4, 0.5):
-            assert np.allclose(np.asarray(spec.h_update(y)),
+            assert np.allclose(np.asarray(plant.update_regressor(y)),
                                plant.regressor(y) * 0.02)
 
 
 class TestEmbedding:
-    def test_matched_run_is_exact(self, spec):
+    def test_matched_run_is_exact(self, plant):
         # converged_at needs an in-tolerance run spanning 3 input periods,
         # so the horizon must leave room for one.
-        run = run_observer(spec, THETA_STAR, PULSE, horizon=4 * PULSE.period,
+        run = run_observer(plant, THETA_STAR, PULSE, horizon=4 * PULSE.period,
                            tolerance=0.0316, plant_ic=np.array([-0.7, 0.0]),
-                           theta0=THETA_STAR.copy(), policy=FixedStep(1e-3))
+                           theta0=THETA_STAR.copy(), step=1e-3)
         st = run.traces.states
         assert np.array_equal(st[:, 0], st[:, 2])  # y == y_hat bitwise
         assert np.array_equal(st[:, 1], st[:, 3])
         assert np.all(st[:, 4:] == THETA_STAR)
         assert run.converged_at == 0.0
 
-    def test_coupled_embedding_dimension(self, spec):
-        model = coupled_system(spec, THETA_STAR)
+    def test_coupled_embedding_dimension(self, plant):
+        model = coupled_system(plant, THETA_STAR)
         assert model.n == 6
 
-    def test_antiderivative_shift_is_invisible(self):
+    def test_antiderivative_shift_is_invisible(self, plant):
         # The estimate moves only through H(y) - H(y_hat), so adding a
         # constant to H cancels. With matched initial data the difference is
         # exactly zero at every integrator stage and the cancellation is
@@ -64,21 +59,19 @@ class TestEmbedding:
         # callable rounds H(y) + 7.5 before the difference is taken, which
         # perturbs the update at the last-bit level, so we bound the drift
         # instead (measured 3.7e-14 over three input periods).
-        plant = neuron_family()
-        base = build_observer(plant)
-        shifted = build_observer(
-            plant, h=plant.update_regressor,
-            H=lambda y: np.asarray(plant.update_antiderivative(y)) + 7.5)
+        H = plant.update_antiderivative
+        shifted = dataclasses.replace(
+            plant, update_antiderivative=lambda y: np.asarray(H(y)) + 7.5)
         kw = dict(horizon=PULSE.period, tolerance=0.0316,
-                  plant_ic=np.array([-0.7, 0.0]), policy=FixedStep(1e-3))
-        m1 = run_observer(base, THETA_STAR, PULSE,
+                  plant_ic=np.array([-0.7, 0.0]), step=1e-3)
+        m1 = run_observer(plant, THETA_STAR, PULSE,
                           theta0=THETA_STAR.copy(), **kw)
         m2 = run_observer(shifted, THETA_STAR, PULSE,
                           theta0=THETA_STAR.copy(), **kw)
         assert np.array_equal(m1.traces.states, m2.traces.states)
 
         kw["horizon"] = 3 * PULSE.period
-        a = run_observer(base, THETA_STAR, PULSE,
+        a = run_observer(plant, THETA_STAR, PULSE,
                          theta0=np.array([0.3, 1.8]), **kw)
         b = run_observer(shifted, THETA_STAR, PULSE,
                          theta0=np.array([0.3, 1.8]), **kw)
@@ -88,16 +81,19 @@ class TestEmbedding:
 
 
 class TestRunObserver:
-    def test_requires_period(self, spec):
+    def test_requires_period(self, plant):
         with pytest.raises(ConfigError):
-            run_observer(spec, THETA_STAR, Zero(), horizon=10.0,
-                         tolerance=0.03)
+            run_observer(plant, THETA_STAR, Zero(), horizon=10.0,
+                         tolerance=0.03, plant_ic=np.array([-0.7, 0.0]),
+                         theta0=np.array([0.3, 1.8]))
 
-    def test_unexcited_run_stalls(self, spec):
-        run = run_observer(spec, THETA_STAR, Zero(), horizon=30.0,
-                           tolerance=0.0316, input_period=2.8,
+    def test_unexcited_run_stalls(self, plant):
+        # a zero-magnitude pulse train is the zero input with a period
+        silent = SquarePulseTrain(magnitude=0.0, duration=0.002, period=2.8)
+        run = run_observer(plant, THETA_STAR, silent, horizon=30.0,
+                           tolerance=0.0316,
                            plant_ic=np.array([-0.7, 0.0]),
-                           theta0=np.array([0.3, 1.8]), policy=FixedStep(1e-3))
+                           theta0=np.array([0.3, 1.8]), step=1e-3)
         assert run.converged_at is None
         assert float(run.theta_error.min()) > run.tolerance
 
@@ -118,11 +114,10 @@ class TestContractionCheck:
     def test_reference_closes(self, observer_run):
         assert observer_run[0]["reference_closure_gap"] < 1e-10
 
-    def test_zero_update_leaves_parameter_block_identity(self, spec,
+    def test_zero_update_leaves_parameter_block_identity(self, plant,
                                                          observer_run):
-        plant = neuron_family()
-        frozen = build_observer(plant, h=lambda y: np.zeros(2),
-                                H=lambda y: np.zeros(2))
+        frozen = dataclasses.replace(plant, update_regressor=lambda y: np.zeros(2),
+                                     update_antiderivative=lambda y: np.zeros(2))
         ref = observer_run[0]["reference"]
         check = observer_contraction_check(frozen, THETA_STAR, ref, PULSE)
         phi = check.monodromy.phi

@@ -47,11 +47,6 @@ class TestImpulseTrain:
             l2 = np.trapezoid(train.values(ts) ** 2, ts)
             assert l2 == pytest.approx(1.0, rel=1e-6)
 
-    def test_delta_kind_unit_time_mass(self):
-        train = ImpulseTrain(t0=0.0, period=5.0, magnitudes=(2.0,), width=1e-3,
-                             kind="delta")
-        assert _quad(train, -8e-3, 8e-3) == pytest.approx(2.0, rel=1e-6)
-
     def test_magnitude_cycling(self):
         train = ImpulseTrain(t0=0.0, period=1.0, magnitudes=(1.0, -2.0), width=1e-4)
         peak0 = train.value(0.0)
@@ -82,7 +77,7 @@ class TestImpulseTrain:
         with pytest.raises(ValueError):
             ImpulseTrain(t0=0.0, period=1.0, magnitudes=())
         with pytest.raises(ValueError):
-            ImpulseTrain(t0=0.0, period=1.0, magnitudes=(1.0,), kind="box")
+            ImpulseTrain(t0=0.0, period=1.0, magnitudes=(1.0,), width=0.0)
 
 
 class TestSquarePulseTrain:
@@ -127,9 +122,10 @@ def test_sinusoid_and_sum():
 
 
 def test_callable_signal_passthrough():
-    sig = CallableSignal(fn=lambda t: t * t, dfn=lambda t, order: 2.0 * t)
+    sig = CallableSignal(fn=lambda t: t * t)
     assert sig.value(1.5) == 2.25
-    assert sig.derivative(1.5) == 3.0
+    with pytest.raises(NotImplementedError):
+        sig.derivative(1.5)
 
 
 def _bits(a) -> np.ndarray:
@@ -147,14 +143,14 @@ SIGNALS = [
     Constant(1.5),
     Sinusoid(amplitude=2.0, omega=3.0, phase=0.3, offset=-1.0),
     ImpulseTrain(t0=0.5, period=1.3, magnitudes=(0.3, -0.2), width=1e-2),
-    ImpulseTrain(t0=0.2, period=2.1, magnitudes=(1.0,), width=3e-3, kind="delta"),
+    ImpulseTrain(t0=0.2, period=2.1, magnitudes=(1.0,), width=3e-3),
     SquarePulseTrain(magnitude=-3.0, duration=0.2, period=0.7, start=0.1, baseline=0.5),
     PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (3.0, -1.0), (4.0, 0.0)), periodic=True),
     PiecewiseLinear(((0.5, 1.0), (0.75, -1.0), (2.0, 3.0))),
     hh_square_reference(2.5, 5e-4),
     Sum((Sinusoid(amplitude=1.0, omega=2.0),
          SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.0))),
-    CallableSignal(fn=lambda t: t * np.sin(3.0 * t), dfn=lambda t, order: np.cos(t)),
+    CallableSignal(fn=lambda t: t * np.sin(3.0 * t)),
     lure_input_reconstruct(CHUA_NUM, CHUA_DEN, chua_closed_form(200, 1), 200, 1,
                            chua_nonlinearity),
 ]
