@@ -267,7 +267,8 @@ def criterion_properties() -> list[CriterionRow]:
                      comp <= 1e-7))
     from scipy.integrate import simpson
 
-    tr = np.array([np.trace(fhn.jac(t, s, 0.0)) for t, s in zip(traj.ts, traj.states)])
+    tr = np.array([np.trace(np.asarray(fhn.jac(t, s, 0.0)))
+                   for t, s in zip(traj.ts, traj.states)])
     liou = math.exp(float(simpson(tr, x=traj.ts)))
     det = float(np.linalg.det(full))
     rel = abs(det - liou) / abs(liou)
@@ -276,8 +277,8 @@ def criterion_properties() -> list[CriterionRow]:
 
     # integrator order on a rotation with a known solution
     rot = PlainModel("rotation", 2,
-                     lambda t, s, u: np.array([s[1], -s[0]]),
-                     lambda t, s, u: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+                     lambda t, s, u: (s[1], -s[0]),
+                     lambda t, s, u: ((0.0, 1.0), (-1.0, 0.0)))
     exact = np.array([math.cos(1.0), -math.sin(1.0)])
     errs = []
     for h in (0.01, 0.005):
@@ -308,7 +309,7 @@ def criterion_properties() -> list[CriterionRow]:
         for _ in range(20):
             s = rng.uniform(lows, highs)
             u = float(rng.uniform(-1.0, 1.0))
-            J = model.jac(0.3, s, u)
+            J = np.asarray(model.jac(0.3, s, u))
             Jfd = finite_difference_jacobian(model, 0.3, s, u)
             scale = max(1.0, float(np.max(np.abs(J))))
             worst_jac = max(worst_jac, float(np.max(np.abs(J - Jfd))) / scale)

@@ -134,6 +134,12 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
 
 _TOP_KEYS = ("experiment", "params", "integration", "seed", "out_prefix")
 
+# Step sizes and step divisors: zero or a negative value would build no grid
+# (or a grid of one step per edge interval) instead of failing.
+_POSITIVE = frozenset({"cycle_step", "fine_step", "sync_step", "base_step",
+                       "ramp_step_divisor", "monodromy_base_step",
+                       "monodromy_kink_step"})
+
 
 def _non_finite(v: int | float) -> bool:
     """NaN, an infinity or an integer beyond the float range, all of which
@@ -196,7 +202,10 @@ def validate_raw(raw: Any) -> list[str]:
             if key not in table:
                 errors.append(f"params.{key}: unknown field for experiment '{exp}'")
                 continue
+            before = len(errors)
             _check_leaf(f"params.{key}", table[key][0], value, errors)
+            if key in _POSITIVE and len(errors) == before and value <= 0:
+                errors.append(f"params.{key}: must be positive")
 
     integ = raw.get("integration", {})
     if not isinstance(integ, dict):

@@ -33,16 +33,14 @@ from .integrate import (
     write_csv,
 )
 from .lure import (
-    CHUA_A,
-    CHUA_B,
     CHUA_C,
     CHUA_DEN,
     CHUA_KINKS,
     CHUA_NUM,
     DescribingFunctionResult,
     chua_closed_form,
+    chua_linearization,
     chua_nonlinearity,
-    chua_nonlinearity_slope,
     chua_system,
     describing_function,
     lure_input_reconstruct,
@@ -52,6 +50,7 @@ from .models import (
     ConductanceParams,
     InverseSystem,
     PlainModel,
+    _dot,
     fitzhugh_nagumo,
     hh_conductance,
     kapitza,
@@ -160,7 +159,7 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
         max_time=200.0, step=p["cycle_step"],
     )
     T = cyc.period
-    fine = step or p["fine_step"]
+    fine = step if step is not None else p["fine_step"]
     one = integrate(model, None, cyc.t_anchor, cyc.t_anchor + T, cyc.anchor, fine)
     design = fhn_impulse_design(
         one, p["eps_fraction"], alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"],
@@ -327,12 +326,12 @@ def chua_pipeline(p: dict) -> dict:
     # y = M sin(omega t), fed in as the input; the slope of the nonlinearity
     # jumps where |y| = 1, and each of those instants gets a refine window
     T = 2.0 * math.pi / omega
-    bc = np.outer(CHUA_B, CHUA_C)
 
-    def A(t: float, x: np.ndarray, y: float) -> np.ndarray:
-        return CHUA_A - chua_nonlinearity_slope(y) * bc
+    def A(t: float, x, y: float) -> tuple[tuple[float, ...], ...]:
+        return chua_linearization(y)
 
-    linearized = PlainModel("chua-linearized", 3, lambda t, x, y: A(t, x, y) @ x, A)
+    linearized = PlainModel("chua-linearized", 3,
+                            lambda t, x, y: tuple(_dot(row, x) for row in A(t, x, y)), A)
     kinks = []
     if M > 1.0:
         a = math.asin(1.0 / M)
@@ -412,7 +411,7 @@ def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
         if not lorenz_region_check(x, sigma, beta):
             continue
         in_region += 1
-        S = region_model.jac(0.0, x, 0.0)
+        S = np.asarray(region_model.jac(0.0, x, 0.0))
         lam_max = float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
         if lam_max >= 0.0:
             violations.append({"state": x.tolist(), "lam_max": lam_max})

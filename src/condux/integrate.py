@@ -5,6 +5,15 @@ lands exactly on every signal breakpoint, and inside each declared refine
 window the step is capped, so narrow impulses and short ramps are resolved
 without paying for a globally tiny step. Identical inputs give bit-identical
 trajectories.
+
+The loop steps Python floats. The inputs of a whole grid are tabulated in
+numpy calls first; then each block of 64 steps converts its slice of the
+grid, the steps and the three input columns to float lists, runs the stages
+on lists of floats through the field's float-form rhs (see VectorField),
+and writes its rows into the preallocated state array, where they are
+checked for finiteness. Python + * / on floats round exactly like numpy's
+elementwise ops, so the float loop gives the bits of the same stages over
+arrays, and converting per block keeps memory at one array of states.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ def build_grid(
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
+    if not (math.isfinite(h_default) and h_default > 0.0):
+        raise ValueError(f"step must be finite and positive, got {h_default}")
     windows = [
         (max(lo, t0), min(hi, t1), cap)
         for lo, hi, cap in signal.refine_windows(t0, t1)
@@ -137,25 +148,32 @@ def _rk4_run(
     u_hi = signal.values(np.nextafter(grid[1:], grid[:-1]))
     states = np.empty((n, x0.size))
     states[0] = x0
-    y = x0.astype(float)
+    y = x0.tolist()
     rhs = model.rhs
     # Finiteness is checked once per block of steps; a failed block is
     # rescanned so that the error names the first non-finite node. A field
     # that raises on a non-finite state reports the same blowup.
     for lo in range(0, n - 1, _FINITE_BLOCK):
         hi = min(lo + _FINITE_BLOCK, n - 1)
+        rows = []
         try:
-            for i in range(lo, hi):
-                t, h = grid[i], hs[i]
-                k1 = rhs(t, y, u_lo[i])
-                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, u_mid[i])
-                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, u_mid[i])
-                k4 = rhs(t + h, y + h * k3, u_hi[i])
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                states[i + 1] = y
+            for t, h, ua, um, ub in zip(grid[lo:hi].tolist(), hs[lo:hi].tolist(),
+                                        u_lo[lo:hi].tolist(), u_mid[lo:hi].tolist(),
+                                        u_hi[lo:hi].tolist()):
+                hh = 0.5 * h
+                k1 = rhs(t, y, ua)
+                k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)], um)
+                k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)], um)
+                k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)], ub)
+                h6 = h / 6.0
+                y = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
+                     for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+                rows.append(y)
         except Exception:
-            _check_finite(model, grid, states, lo, i)
+            states[lo + 1:lo + 1 + len(rows)] = rows
+            _check_finite(model, grid, states, lo, lo + len(rows))
             raise
+        states[lo + 1:hi + 1] = rows
         _check_finite(model, grid, states, lo, hi)
     return Trajectory(grid, states, signal.values(grid), model.state_names)
 
@@ -183,7 +201,7 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
-    h = step or default_step(model, signal, t0, t1)
+    h = step if step is not None else default_step(model, signal, t0, t1)
     return _rk4_run(model, signal, build_grid(t0, t1, h, signal), x0)
 
 

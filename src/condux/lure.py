@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureNonConvergence, ZeroResponse
-from .models import PlainModel
+from .models import PlainModel, _dot
 from .signals import InputSignal
 from .variational import StabilityVerdict, hurwitz
 
@@ -29,6 +29,7 @@ __all__ = [
     "CHUA_KINKS",
     "chua_nonlinearity",
     "chua_nonlinearity_slope",
+    "chua_linearization",
     "chua_system",
     "DescribingFunctionResult",
     "describing_function",
@@ -60,15 +61,30 @@ def chua_nonlinearity_slope(y: float) -> float:
     return -4.0 if -1.0 < y <= 1.0 else -0.1
 
 
+_A_ROWS = tuple(map(tuple, CHUA_A.tolist()))
+_B = tuple(CHUA_B.tolist())
+_C = tuple(CHUA_C.tolist())
+# Rows of A - slope B C for the two slopes of the nonlinearity.
+_JAC_ROWS = {
+    slope: tuple(map(tuple, (CHUA_A - slope * np.outer(CHUA_B, CHUA_C)).tolist()))
+    for slope in (-4.0, -0.1)
+}
+
+
+def chua_linearization(y: float) -> tuple[tuple[float, ...], ...]:
+    """Rows of A - h'(y) B C, the loop's Jacobian at output y."""
+    return _JAC_ROWS[chua_nonlinearity_slope(y)]
+
+
 def chua_system() -> PlainModel:
     """State-space realization xdot = A x + B (u - h(C x)), y = C x."""
 
-    def rhs(t: float, s: np.ndarray, u: float) -> np.ndarray:
-        return CHUA_A @ s + CHUA_B * (u - chua_nonlinearity(float(CHUA_C @ s)))
+    def rhs(t: float, s, u: float) -> tuple[float, ...]:
+        w = u - chua_nonlinearity(_dot(_C, s))
+        return tuple(_dot(row, s) + b * w for row, b in zip(_A_ROWS, _B))
 
-    def jac(t: float, s: np.ndarray, u: float) -> np.ndarray:
-        slope = chua_nonlinearity_slope(float(CHUA_C @ s))
-        return CHUA_A - slope * np.outer(CHUA_B, CHUA_C)
+    def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
+        return chua_linearization(_dot(_C, s))
 
     return PlainModel(
         name="chua",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -45,9 +45,21 @@ __all__ = [
 ]
 
 
+Vector = tuple[float, ...]
+Rows = tuple[Vector, ...]
+
+
 @runtime_checkable
 class VectorField(Protocol):
-    """Anything the integrator can step: dimension, rhs, and a Jacobian."""
+    """Anything the integrator can step: dimension, rhs, and a Jacobian.
+
+    Fields are written in float form. rhs takes the state as any length-n
+    sequence of floats (a tuple, a list or a 1-D array) and returns the
+    derivative as a tuple of n floats; jac takes the same arguments and
+    returns the n rows of the Jacobian, each a tuple. The integrator steps
+    Python floats, so a field never builds small arrays per call; callers
+    that need an array wrap the result in np.asarray.
+    """
 
     name: str
     n: int
@@ -55,9 +67,18 @@ class VectorField(Protocol):
     stiffness: float | None
     sample_box: tuple[tuple[float, float], ...]
 
-    def rhs(self, t: float, state: np.ndarray, u: float) -> np.ndarray: ...
+    def rhs(self, t: float, state: Sequence[float], u: float) -> Vector: ...
 
-    def jac(self, t: float, state: np.ndarray, u: float) -> np.ndarray: ...
+    def jac(self, t: float, state: Sequence[float], u: float) -> Rows: ...
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """a[0]*b[0] + a[1]*b[1] + ..., added left to right: one arithmetic for
+    every inner product of a field, where a BLAS dot may fuse or reorder."""
+    acc = a[0] * b[0]
+    for k in range(1, len(a)):
+        acc = acc + a[k] * b[k]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -65,19 +86,21 @@ class NormalFormModel:
     """Chain-of-integrators normal form with scalar input through f.
 
     f(t, x, z, u) returns the top chain derivative; g(t, z, x) returns the
-    internal drift. f_jac returns (df/dx, df/dz, df/du) and g_jac returns
-    (dg/dx, dg/dz), all evaluated at a point. The fhn and hh f and f_jac
-    also take columns (x of shape (r, N), z of shape (n-r, N)), which is how
-    f_inv inverts a whole grid in one call.
+    internal drift as a tuple. f_jac returns (df/dx, df/dz, df/du) with the
+    first two as float sequences, and g_jac returns the rows of (dg/dx,
+    dg/dz), all evaluated at a point given as float sequences x and z. The
+    fhn and hh f and f_jac also take columns (x of shape (r, N), z of shape
+    (n-r, N)), which is how f_inv inverts a whole grid in one call.
     """
 
     name: str
     n: int
     r: int
-    f: Callable[[float, np.ndarray, np.ndarray, float], float]
-    f_jac: Callable[[float, np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray, float]]
-    g: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
-    g_jac: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    f: Callable[[float, Sequence[float], Sequence[float], float], float]
+    f_jac: Callable[[float, Sequence[float], Sequence[float], float],
+                    tuple[Sequence[float], Sequence[float], float]]
+    g: Callable[[float, Sequence[float], Sequence[float]], Vector] | None = None
+    g_jac: Callable[[float, Sequence[float], Sequence[float]], tuple[Rows, Rows]] | None = None
     gain_floor: float = 1e-8
     stiffness: float | None = None
     state_names: tuple[str, ...] = ()
@@ -89,28 +112,23 @@ class NormalFormModel:
         if self.r < self.n and self.g is None:
             raise ConfigError("models with internal states need g")
 
-    def rhs(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x, z = state[: self.r], state[self.r :]
-        out = np.empty(self.n)
-        out[: self.r - 1] = x[1:]
-        out[self.r - 1] = self.f(t, x, z, u)
-        if self.r < self.n:
-            out[self.r :] = self.g(t, z, x)
-        return out
+    def rhs(self, t: float, state: Sequence[float], u: float) -> Vector:
+        r = self.r
+        if r == self.n:
+            return (*state[1:], self.f(t, state, (), u))
+        x, z = state[:r], state[r:]
+        return (*state[1:r], self.f(t, x, z, u), *self.g(t, z, x))
 
-    def jac(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x, z = state[: self.r], state[self.r :]
-        A = np.zeros((self.n, self.n))
-        for i in range(self.r - 1):
-            A[i, i + 1] = 1.0
+    def jac(self, t: float, state: Sequence[float], u: float) -> Rows:
+        n, r = self.n, self.r
+        x, z = state[:r], state[r:]
+        rows = [tuple(1.0 if j == i + 1 else 0.0 for j in range(n)) for i in range(r - 1)]
         dfx, dfz, _ = self.f_jac(t, x, z, u)
-        A[self.r - 1, : self.r] = dfx
-        A[self.r - 1, self.r :] = dfz
-        if self.r < self.n:
+        rows.append((*dfx, *dfz))
+        if r < n:
             dgx, dgz = self.g_jac(t, z, x)
-            A[self.r :, : self.r] = dgx
-            A[self.r :, self.r :] = dgz
-        return A
+            rows.extend((*a, *b) for a, b in zip(dgx, dgz))
+        return tuple(rows)
 
     def f_inv(self, t, x, z, v):
         """Solve f(t, x, z, u) = v for u, at one point or at every column.
@@ -203,20 +221,25 @@ def _column(a: np.ndarray, shape: tuple[int, ...], i: tuple[int, ...]) -> np.nda
 
 @dataclass(frozen=True)
 class PlainModel:
-    """A vector field given directly, for systems not kept in normal form."""
+    """A vector field given directly, for systems not kept in normal form.
+
+    rhs_fn and jac_fn follow the float form of VectorField: the state comes
+    as a float sequence, the derivative goes back as a tuple and the
+    Jacobian as a tuple of rows.
+    """
 
     name: str
     n: int
-    rhs_fn: Callable[[float, np.ndarray, float], np.ndarray]
-    jac_fn: Callable[[float, np.ndarray, float], np.ndarray]
+    rhs_fn: Callable[[float, Sequence[float], float], Vector]
+    jac_fn: Callable[[float, Sequence[float], float], Rows] | None
     state_names: tuple[str, ...] = ()
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
-    def rhs(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
+    def rhs(self, t: float, state: Sequence[float], u: float) -> Vector:
         return self.rhs_fn(t, state, u)
 
-    def jac(self, t: float, state: np.ndarray, u: float) -> np.ndarray:
+    def jac(self, t: float, state: Sequence[float], u: float) -> Rows:
         return self.jac_fn(t, state, u)
 
 
@@ -232,12 +255,13 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
     if model.n == model.r:
         raise ConfigError("model has no internal states")
 
-    def rhs(t: float, z: np.ndarray, u: float) -> np.ndarray:
-        return model.g(t, z, np.array([u]))
+    g, g_jac = model.g, model.g_jac
 
-    def jac(t: float, z: np.ndarray, u: float) -> np.ndarray:
-        _, dgz = model.g_jac(t, z, np.array([u]))
-        return np.asarray(dgz, dtype=float).reshape(model.n - 1, model.n - 1)
+    def rhs(t: float, z: Sequence[float], u: float) -> Vector:
+        return g(t, z, (u,))
+
+    def jac(t: float, z: Sequence[float], u: float) -> Rows:
+        return g_jac(t, z, (u,))[1]
 
     return PlainModel(
         name=f"{model.name}-inverse",
@@ -264,7 +288,7 @@ def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> Normal
         return -beta * math.sin(x[0]) - gamma * x[1] + alpha * u
 
     def f_jac(t, x, z, u):
-        return np.array([-beta * math.cos(x[0]), -gamma]), np.empty(0), alpha
+        return (-beta * math.cos(x[0]), -gamma), (), alpha
 
     return NormalFormModel(
         name="kapitza",
@@ -294,17 +318,13 @@ def fitzhugh_nagumo(
 
     def f_jac(t, x, z, u):
         y = x[0]
-        return (
-            np.array([(alpha - 3.0 * beta * y * y) / eps]),
-            np.array([-gamma / eps]),
-            1.0 / eps,
-        )
+        return ((alpha - 3.0 * beta * y * y) / eps,), (-gamma / eps,), 1.0 / eps
 
     def g(t, z, x):
-        return np.array([x[0] - z[0]])
+        return (x[0] - z[0],)
 
     def g_jac(t, z, x):
-        return np.array([[1.0]]), np.array([[-1.0]])
+        return ((1.0,),), ((-1.0,),)
 
     return NormalFormModel(
         name="fhn",
@@ -384,16 +404,16 @@ def hh_conductance(params: ConductanceParams | None = None) -> NormalFormModel:
 
     def f_jac(t, x, z, u):
         return (
-            np.array([-p.total_conductance(x[0], z[0]) / p.eps]),
-            np.array([-p.slow_coupling(x[0], z[0]) / p.eps]),
+            (-p.total_conductance(x[0], z[0]) / p.eps,),
+            (-p.slow_coupling(x[0], z[0]) / p.eps,),
             1.0 / p.eps,
         )
 
     def g(t, z, x):
-        return np.array([x[0] - z[0]])
+        return (x[0] - z[0],)
 
     def g_jac(t, z, x):
-        return np.array([[1.0]]), np.array([[-1.0]])
+        return ((1.0,),), ((-1.0,),)
 
     return NormalFormModel(
         name="hh",
@@ -414,15 +434,11 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> P
 
     def rhs(t, s, u):
         x1, x2, z = s
-        return np.array(
-            [sigma * (x2 - x1), x1 * (rho - z) - x2 + u, x1 * x2 - beta * z]
-        )
+        return (sigma * (x2 - x1), x1 * (rho - z) - x2 + u, x1 * x2 - beta * z)
 
     def jac(t, s, u):
         x1, x2, z = s
-        return np.array(
-            [[-sigma, sigma, 0.0], [rho - z, -1.0, -x1], [x2, x1, -beta]]
-        )
+        return ((-sigma, sigma, 0.0), (rho - z, -1.0, -x1), (x2, x1, -beta))
 
     return PlainModel(
         name="lorenz",
@@ -440,16 +456,14 @@ def planar_limit_cycle() -> PlainModel:
     def rhs(t, s, u):
         x, y = s
         r = math.hypot(x, y)
-        return np.array([x * (1.0 - r) - y + u, y * (1.0 - r) + x])
+        return (x * (1.0 - r) - y + u, y * (1.0 - r) + x)
 
     def jac(t, s, u):
         x, y = s
         r = math.hypot(x, y)
-        return np.array(
-            [
-                [1.0 - r - x * x / r, -1.0 - x * y / r],
-                [1.0 - x * y / r, 1.0 - r - y * y / r],
-            ]
+        return (
+            (1.0 - r - x * x / r, -1.0 - x * y / r),
+            (1.0 - x * y / r, 1.0 - r - y * y / r),
         )
 
     return PlainModel(
@@ -468,10 +482,10 @@ def leaky_integrator(tau: float = 1.0) -> PlainModel:
         raise ValueError("tau must be positive")
 
     def rhs(t, s, u):
-        return np.array([(u - s[0]) / tau])
+        return ((u - s[0]) / tau,)
 
     def jac(t, s, u):
-        return np.array([[-1.0 / tau]])
+        return ((-1.0 / tau,),)
 
     return PlainModel(
         name="leaky-integrator",
@@ -507,7 +521,12 @@ class ParameterizedPlant:
 
     eps_m * yd = eps_m * f0(t, y, z, u) + eps_m * h(y) . theta with h the
     plant regressor; zd = g(t, z, y). model(theta) instantiates the plant as
-    an ordinary NormalFormModel for a fixed parameter vector.
+    an ordinary NormalFormModel for a fixed parameter vector, with h(y) .
+    theta added left to right (_dot), as the observer adds it.
+
+    Every callable is in float form: y is a float, z a float sequence; the
+    regressors, antiderivative, g, df0_dz and dg_dy return float sequences
+    and dg_dz returns rows.
 
     The observer updates its estimate through update_antiderivative, which
     must be an antiderivative of update_regressor: construction raises
@@ -519,17 +538,17 @@ class ParameterizedPlant:
     name: str
     n: int
     m: int
-    f0: Callable[[float, float, np.ndarray, float], float]
-    g: Callable[[float, np.ndarray, float], np.ndarray]
-    regressor: Callable[[float], np.ndarray]
-    df0_dy: Callable[[float, float, np.ndarray, float], float]
-    df0_dz: Callable[[float, float, np.ndarray, float], np.ndarray]
+    f0: Callable[[float, float, Sequence[float], float], float]
+    g: Callable[[float, Sequence[float], float], Vector]
+    regressor: Callable[[float], Sequence[float]]
+    df0_dy: Callable[[float, float, Sequence[float], float], float]
+    df0_dz: Callable[[float, float, Sequence[float], float], Sequence[float]]
     df0_du: float
-    dregressor_dy: Callable[[float], np.ndarray]
-    dg_dy: Callable[[float, np.ndarray, float], np.ndarray]
-    dg_dz: Callable[[float, np.ndarray, float], np.ndarray]
-    update_regressor: Callable[[float], np.ndarray]
-    update_antiderivative: Callable[[float], np.ndarray]
+    dregressor_dy: Callable[[float], Sequence[float]]
+    dg_dy: Callable[[float, Sequence[float], float], Sequence[float]]
+    dg_dz: Callable[[float, Sequence[float], float], Rows]
+    update_regressor: Callable[[float], Sequence[float]]
+    update_antiderivative: Callable[[float], Sequence[float]]
     theta_box: tuple[tuple[float, float], ...]
     stiffness: float | None = None
     state_names: tuple[str, ...] = ()
@@ -540,8 +559,8 @@ class ParameterizedPlant:
         lo, hi = self.sample_box[0]
         worst = 0.0
         for y in np.linspace(lo, hi, 401):
-            fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
-            worst = max(worst, float(np.max(np.abs(fd - h(y)))))
+            fd = (np.asarray(H(y + 1e-7)) - np.asarray(H(y - 1e-7))) / 2e-7
+            worst = max(worst, float(np.max(np.abs(fd - np.asarray(h(y))))))
         if worst > 1e-6:
             raise AntiderivativeMismatch(
                 f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
@@ -551,26 +570,23 @@ class ParameterizedPlant:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.m,):
             raise ConfigError(f"theta must have shape ({self.m},)")
+        th = tuple(theta.tolist())
 
         def f(t, x, z, u):
             y = x[0]
-            return self.f0(t, y, z, u) + float(self.regressor(y) @ theta)
+            return self.f0(t, y, z, u) + _dot(self.regressor(y), th)
 
         def f_jac(t, x, z, u):
             y = x[0]
-            dfy = self.df0_dy(t, y, z, u) + float(self.dregressor_dy(y) @ theta)
-            return np.array([dfy]), self.df0_dz(t, y, z, u), self.df0_du
+            dfy = self.df0_dy(t, y, z, u) + _dot(self.dregressor_dy(y), th)
+            return (dfy,), self.df0_dz(t, y, z, u), self.df0_du
 
         def g(t, z, x):
             return self.g(t, z, x[0])
 
         def g_jac(t, z, x):
-            return (
-                np.asarray(self.dg_dy(t, z, x[0]), dtype=float).reshape(self.n - 1, 1),
-                np.asarray(self.dg_dz(t, z, x[0]), dtype=float).reshape(
-                    self.n - 1, self.n - 1
-                ),
-            )
+            y = x[0]
+            return tuple((d,) for d in self.dg_dy(t, z, y)), self.dg_dz(t, z, y)
 
         return NormalFormModel(
             name=f"{self.name}-theta",
@@ -598,31 +614,27 @@ def neuron_family() -> ParameterizedPlant:
         return inv_eps * (-2.0 * z[0] * (y + 0.7) + 0.15 + u)
 
     def regressor(y):
-        return -inv_eps * np.array([y + 0.4, NEURON_M_INF(y) * (y - 1.0)])
+        return (-inv_eps * (y + 0.4), -inv_eps * (NEURON_M_INF(y) * (y - 1.0)))
 
     def dregressor_dy(y):
-        return -inv_eps * np.array(
-            [1.0, NEURON_M_INF_PRIME(y) * (y - 1.0) + NEURON_M_INF(y)]
-        )
+        return (-inv_eps, -inv_eps * (NEURON_M_INF_PRIME(y) * (y - 1.0) + NEURON_M_INF(y)))
 
     def g(t, z, y):
-        return np.array([(NEURON_Z_INF(y) - z[0]) / NEURON_TAU(y)])
+        return ((NEURON_Z_INF(y) - z[0]) / NEURON_TAU(y),)
 
     def dg_dy(t, z, y):
         tau = NEURON_TAU(y)
         dtau = NEURON_TAU_PRIME(y)
-        return np.array(
-            [(NEURON_Z_INF_PRIME(y) * tau - (NEURON_Z_INF(y) - z[0]) * dtau) / tau**2]
-        )
+        return ((NEURON_Z_INF_PRIME(y) * tau - (NEURON_Z_INF(y) - z[0]) * dtau) / tau**2,)
 
     def dg_dz(t, z, y):
-        return np.array([[-1.0 / NEURON_TAU(y)]])
+        return ((-1.0 / NEURON_TAU(y),),)
 
     def update_regressor(y):
-        return -np.array([y + 0.4, NEURON_M_INF(y) * (y - 1.0)])
+        return (-(y + 0.4), -(NEURON_M_INF(y) * (y - 1.0)))
 
     def update_antiderivative(y):
-        return -np.array([0.5 * y**2 + 0.4 * y, NEURON_M_INT(y)])
+        return (-(0.5 * y**2 + 0.4 * y), -NEURON_M_INT(y))
 
     return ParameterizedPlant(
         name="neuron",
@@ -632,7 +644,7 @@ def neuron_family() -> ParameterizedPlant:
         g=g,
         regressor=regressor,
         df0_dy=lambda t, y, z, u: inv_eps * (-2.0 * z[0]),
-        df0_dz=lambda t, y, z, u: np.array([inv_eps * (-2.0 * (y + 0.7))]),
+        df0_dz=lambda t, y, z, u: (inv_eps * (-2.0 * (y + 0.7)),),
         df0_du=inv_eps,
         dregressor_dy=dregressor_dy,
         dg_dy=dg_dy,
@@ -658,5 +670,5 @@ def finite_difference_jacobian(
         sp, sm = state.copy(), state.copy()
         sp[j] += h
         sm[j] -= h
-        J[:, j] = (model.rhs(t, sp, u) - model.rhs(t, sm, u)) / (2.0 * h)
+        J[:, j] = (np.asarray(model.rhs(t, sp, u)) - np.asarray(model.rhs(t, sm, u))) / (2.0 * h)
     return J

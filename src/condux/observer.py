@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, PeriodMismatch
 from .integrate import Trajectory, integrate
-from .models import ParameterizedPlant, PlainModel
+from .models import ParameterizedPlant, PlainModel, _dot
 from .signals import InputSignal
 from .variational import ANCHOR_TOL, MonodromyResult, StabilityVerdict, flow
 
@@ -35,46 +35,48 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     """Plant and observer stacked as one vector field.
 
     State layout: (y, z, yh, zh, thetah). Both blocks evaluate the same
-    plant functions, so matched initial data with thetah = theta_star gives
-    a bitwise-identical observer block (the update difference is exactly
-    zero and stays zero).
+    plant functions in the same arithmetic as plant.model (h(y) . theta
+    added left to right), so matched initial data with thetah = theta_star
+    gives a bitwise-identical observer block (the update difference is
+    exactly zero and stays zero).
     """
     n, m = plant.n, plant.m
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (m,):
         raise ConfigError(f"theta_star must have shape ({m},)")
+    th_star = tuple(theta_star.tolist())
+    f0, g, h, H = plant.f0, plant.g, plant.regressor, plant.update_antiderivative
 
-    def rhs(t: float, s: np.ndarray, u: float) -> np.ndarray:
+    def rhs(t: float, s, u: float) -> tuple[float, ...]:
         y, z = s[0], s[1:n]
         yh, zh = s[n], s[n + 1 : 2 * n]
-        th = s[2 * n :]
-        out = np.empty(2 * n + m)
-        out[0] = plant.f0(t, y, z, u) + float(plant.regressor(y) @ theta_star)
-        out[1:n] = plant.g(t, z, y)
-        out[n] = plant.f0(t, yh, zh, u) + float(plant.regressor(yh) @ th)
-        out[n + 1 : 2 * n] = plant.g(t, zh, yh)
-        out[2 * n :] = plant.update_antiderivative(y) - plant.update_antiderivative(yh)
-        return out
+        return (
+            f0(t, y, z, u) + _dot(h(y), th_star),
+            *g(t, z, y),
+            f0(t, yh, zh, u) + _dot(h(yh), s[2 * n :]),
+            *g(t, zh, yh),
+            *[a - b for a, b in zip(H(y), H(yh))],
+        )
 
-    def block(t: float, y: float, z: np.ndarray, u: float, theta: np.ndarray) -> np.ndarray:
-        A = np.zeros((n, n))
-        A[0, 0] = plant.df0_dy(t, y, z, u) + float(plant.dregressor_dy(y) @ theta)
-        A[0, 1:] = plant.df0_dz(t, y, z, u)
-        A[1:, 0] = np.asarray(plant.dg_dy(t, z, y)).ravel()
-        A[1:, 1:] = np.asarray(plant.dg_dz(t, z, y)).reshape(n - 1, n - 1)
-        return A
+    def block(t: float, y: float, z, u: float, theta) -> list[tuple[float, ...]]:
+        top = (plant.df0_dy(t, y, z, u) + _dot(plant.dregressor_dy(y), theta),
+               *plant.df0_dz(t, y, z, u))
+        return [top, *((a, *row) for a, row in zip(plant.dg_dy(t, z, y), plant.dg_dz(t, z, y)))]
 
-    def jac(t: float, s: np.ndarray, u: float) -> np.ndarray:
+    def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
         y, z = s[0], s[1:n]
         yh, zh = s[n], s[n + 1 : 2 * n]
-        th = s[2 * n :]
-        J = np.zeros((2 * n + m, 2 * n + m))
-        J[:n, :n] = block(t, y, z, u, theta_star)
-        J[n : 2 * n, n : 2 * n] = block(t, yh, zh, u, th)
-        J[n, 2 * n :] = plant.regressor(yh)
-        J[2 * n :, 0] = plant.update_regressor(y)
-        J[2 * n :, n] = -plant.update_regressor(yh)
-        return J
+        zn, zm = (0.0,) * n, (0.0,) * m
+        plant_rows = block(t, y, z, u, th_star)
+        obs_rows = block(t, yh, zh, u, s[2 * n :])
+        hy, hyh = plant.update_regressor(y), plant.update_regressor(yh)
+        zr = (0.0,) * (n - 1)
+        return (
+            *((*row, *zn, *zm) for row in plant_rows),
+            (*zn, *obs_rows[0], *h(yh)),
+            *((*zn, *row, *zm) for row in obs_rows[1:]),
+            *((hy[k], *zr, -hyh[k], *zr, *zm) for k in range(m)),
+        )
 
     names = list(plant.state_names) or [f"s{i}" for i in range(n)]
     full = (
@@ -210,7 +212,7 @@ def observer_contraction_check(
     rho = mono.spectral_radius
     verdict = StabilityVerdict(stable=rho < 1.0, margin=1.0 - rho)
 
-    h0 = plant.regressor(float(x0[0]))
+    h0 = np.asarray(plant.regressor(float(x0[0])))
     Q = np.eye(n + m)
     Q[0, n:] = -eps_coupling * h0
     Q[n:, 0] = -eps_coupling * h0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PeriodMismatch, ZeroLeadingCoefficient
 from .integrate import Trajectory, integrate
-from .models import PlainModel, VectorField
+from .models import PlainModel, VectorField, _dot
 from .signals import InputSignal
 
 __all__ = [
@@ -39,15 +39,18 @@ ANCHOR_TOL = 1e-3
 
 
 def _with_variations(model: VectorField) -> PlainModel:
-    """The field (x, vec Phi) -> (f(t, x, u), vec(J(t, x, u) Phi))."""
-    n = model.n
+    """The field (x, vec Phi) -> (f(t, x, u), vec(J(t, x, u) Phi)).
 
-    def rhs(t: float, s: np.ndarray, u: float) -> np.ndarray:
+    Each entry of J Phi is the row of J times the column of Phi added left
+    to right (_dot), in floats like the state.
+    """
+    n = model.n
+    f, jac = model.rhs, model.jac
+
+    def rhs(t: float, s, u: float) -> tuple[float, ...]:
         x = s[:n]
-        out = np.empty(s.size)
-        out[:n] = model.rhs(t, x, u)
-        out[n:] = (model.jac(t, x, u) @ s[n:].reshape(n, n)).ravel()
-        return out
+        cols = [s[n + j::n] for j in range(n)]
+        return (*f(t, x, u), *[_dot(row, col) for row in jac(t, x, u) for col in cols])
 
     # jac_fn is None: the joint field is only ever stepped, never linearized.
     return PlainModel(name=model.name, n=n * (n + 1), rhs_fn=rhs, jac_fn=None,

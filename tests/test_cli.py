@@ -47,6 +47,21 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_positive_steps_exit_2(tmp_path, capsys):
+    # this config used to exit 0 with a certificate computed on a grid of
+    # one step per edge interval
+    cfg = _write(tmp_path / "neg.json", {
+        "experiment": "hh",
+        "params": {"base_step": -1.0, "T_hat": 2.5, "tau": 5e-4, "ramp_step_divisor": 0.0,
+                   "sync_periods": 1, "run_delta_sweep": False},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: params.base_step: must be positive" in err
+    assert "config error: params.ramp_step_divisor: must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 2

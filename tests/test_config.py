@@ -91,6 +91,27 @@ def test_non_finite_numbers_are_rejected_at_every_path():
     assert msgs == ["params.omega: must be finite"]
 
 
+def test_non_positive_steps_are_rejected_at_every_path():
+    # a zero or negative step or step divisor used to build a degenerate
+    # grid instead of failing
+    msgs = validate_raw({"experiment": "fhn", "params": {
+        "cycle_step": 0.0, "fine_step": -1e-3, "sync_step": 0}})
+    assert msgs == [f"params.{k}: must be positive"
+                    for k in ("cycle_step", "fine_step", "sync_step")]
+    msgs = validate_raw({"experiment": "hh", "params": {
+        "base_step": -1.0, "ramp_step_divisor": 0.0}})
+    assert msgs == ["params.base_step: must be positive",
+                    "params.ramp_step_divisor: must be positive"]
+    msgs = validate_raw({"experiment": "chua", "params": {
+        "monodromy_base_step": -1e-3, "monodromy_kink_step": 0.0}})
+    assert msgs == ["params.monodromy_base_step: must be positive",
+                    "params.monodromy_kink_step: must be positive"]
+    # a non-finite step is reported once, as non-finite
+    assert validate_raw({"experiment": "hh", "params": {"base_step": -math.inf}}) == [
+        "params.base_step: must be finite"]
+    assert validate_raw({"experiment": "hh", "params": {"base_step": 1e-3}}) == []
+
+
 def test_bool_is_not_a_number():
     msgs = validate_raw({"experiment": "kapitza", "params": {"alpha": True}})
     assert msgs == ["params.alpha: expected number, got bool"]

@@ -276,7 +276,7 @@ class TestLorenzRegion:
         if not lorenz_region_check(state, sigma, beta):
             return
         model = lorenz(sigma, beta, beta)  # forcing level matching the region
-        J = model.jac(0.0, state, 0.0)
+        J = np.asarray(model.jac(0.0, state, 0.0))
         lam = np.max(np.linalg.eigvalsh(0.5 * (J + J.T)))
         assert lam < 0.0
 

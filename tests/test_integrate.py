@@ -184,22 +184,68 @@ def test_interp_state_array_matches_scalar(ts):
 @pytest.mark.parametrize("k", [0, 62, 63, 64, 137])
 @pytest.mark.parametrize("on_state", [False, True])
 def test_blowup_names_the_first_nonfinite_node(k, on_state):
-    # the field turns infinite between the last two stages of step k, so node
-    # k + 1 is the first non-finite state wherever it falls in a block of
-    # steps; with on_state the next step's math.sin raises on that state,
-    # which must still be reported as the blowup
+    # the last component turns infinite between the last two stages of step
+    # k, so node k + 1 is the first non-finite state wherever it falls in a
+    # block of steps; with on_state the next step's math.sin raises on that
+    # state, which must still be reported as the blowup. In the 2-state
+    # field the first component stays finite throughout.
     h = 0.01
     grid = build_grid(0.0, 3.0, h, Zero())
     t_bad = grid[k] + 0.75 * (grid[k + 1] - grid[k])
 
-    def rhs(t, s, u):
-        return np.array([(math.sin(s[0]) if on_state else 1.0)
-                         + (math.inf if t > t_bad else 0.0)])
+    for n in (1, 2):
+        def rhs(t, s, u, n=n):
+            last = (math.sin(s[-1]) if on_state else 1.0) + (math.inf if t > t_bad else 0.0)
+            return (*[0.5] * (n - 1), last)
 
-    field = PlainModel("escape", 1, rhs, lambda t, s, u: np.zeros((1, 1)))
-    with pytest.raises(NumericalBlowup) as err:
-        integrate(field, None, 0.0, 3.0, np.array([0.5]), h)
-    assert err.value.t == grid[k + 1]
+        field = PlainModel("escape", n, rhs, lambda t, s, u, n=n: ((0.0,) * n,) * n)
+        with pytest.raises(NumericalBlowup) as err:
+            integrate(field, None, 0.0, 3.0, np.full(n, 0.5), h)
+        assert err.value.t == grid[k + 1]
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+def test_non_positive_or_infinite_step_is_rejected(step):
+    # a zero step used to fall back to the default step, and a negative or
+    # infinite one built one RK4 step per edge interval (two nodes on [0, 2])
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        integrate(leaky_integrator(), Constant(1.0), 0.0, 2.0, np.array([0.0]), step)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        build_grid(0.0, 2.0, step, Zero())
+    end = integrate(leaky_integrator(), Constant(1.0), 0.0, 2.0, np.array([0.0])).states[-1, 0]
+    assert end == pytest.approx(1.0 - math.exp(-2.0), abs=1e-9)
+
+
+def _array_rk4(model, signal, grid, x0):
+    """The RK4 loop over numpy arrays that the float loop replaced, stage for
+    stage: same tabulated inputs, same operation order."""
+    hs = np.diff(grid)
+    u_lo = signal.values(np.nextafter(grid[:-1], grid[1:]))
+    u_mid = signal.values(grid[:-1] + 0.5 * hs)
+    u_hi = signal.values(np.nextafter(grid[1:], grid[:-1]))
+    f = lambda t, y, u: np.asarray(model.rhs(t, y, u))
+    y = np.asarray(x0, dtype=float)
+    out = [y]
+    for i in range(grid.size - 1):
+        t, h = grid[i], hs[i]
+        k1 = f(t, y, u_lo[i])
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1, u_mid[i])
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2, u_mid[i])
+        k4 = f(t + h, y + h * k3, u_hi[i])
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["kapitza_case", "hh_case", "lorenz_case"])
+def test_float_loop_matches_the_array_step_bitwise(case, request):
+    # pins the stage order: reordering or regrouping any stage sum changes
+    # the last bits somewhere along these runs
+    model, signal, x0, t0, t1, h = request.getfixturevalue(case)
+    traj = integrate(model, signal, t0, t1, x0, h)
+    ref = _array_rk4(model, signal, build_grid(t0, t1, h, signal), x0)
+    assert traj.states.shape == ref.shape
+    assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
 
 
 def test_forced_linear_system_keeps_fourth_order():

@@ -31,7 +31,7 @@ class TestBuildObserver:
         # the update regressor is the plant regressor without the 1/eps scale
         for y in (-0.8, -0.4, 0.5):
             assert np.allclose(np.asarray(plant.update_regressor(y)),
-                               plant.regressor(y) * 0.02)
+                               np.asarray(plant.regressor(y)) * 0.02)
 
 
 class TestEmbedding:

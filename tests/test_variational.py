@@ -27,13 +27,19 @@ def test_transition_matrix_constant_field():
     assert np.max(np.abs(phi - expm(1.3 * A))) < 1e-8
 
 
-def test_flow_states_match_integrate():
-    model = fitzhugh_nagumo()
-    x0 = np.array([1.0, 0.0])
-    traj, _ = flow(model, None, 0.0, 2.0, x0, 1e-2)
-    plain = integrate(model, None, 0.0, 2.0, x0, 1e-2)
+@pytest.fixture(scope="module")
+def fhn_case():
+    return fitzhugh_nagumo(), None, np.array([1.0, 0.0]), 0.0, 2.0, 1e-2
+
+
+@pytest.mark.parametrize("case", ["fhn_case", "kapitza_case", "hh_case", "neuron_case",
+                                  "observer_case", "chua_case", "lorenz_case"])
+def test_flow_states_match_integrate(case, request):
+    model, signal, x0, t0, t1, h = request.getfixturevalue(case)
+    traj, _ = flow(model, signal, t0, t1, x0, h)
+    plain = integrate(model, signal, t0, t1, x0, h)
     assert np.array_equal(traj.ts, plain.ts)
-    assert np.array_equal(traj.states, plain.states)
+    assert np.array_equal(traj.states.view(np.int64), plain.states.view(np.int64))
 
 
 def test_flow_composition_and_volume_identity():
