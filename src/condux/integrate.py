@@ -170,7 +170,8 @@ def _rk4_run(
                      for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
                 rows.append(y)
         except Exception:
-            states[lo + 1:lo + 1 + len(rows)] = rows
+            if rows:
+                states[lo + 1:lo + 1 + len(rows)] = rows
             _check_finite(model, grid, states, lo, lo + len(rows))
             raise
         states[lo + 1:hi + 1] = rows

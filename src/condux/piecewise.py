@@ -9,6 +9,7 @@ of a product like sat(...)*(y-1) is needed in closed form.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -94,14 +95,15 @@ def _real_roots(coeffs: np.ndarray) -> list[float]:
     out = []
     for r in roots:
         if abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
-            x = float(r.real)
-            # Two Newton polish steps clean up np.roots jitter.
+            x = raw = float(r.real)
+            # Two Newton polish steps clean up np.roots jitter. Off a root
+            # where p' is nearly zero a step can overflow; the raw root stays.
             d = np.polyder(c)
             for _ in range(2):
                 fx, dx = np.polyval(c, x), np.polyval(d, x)
                 if dx != 0:
                     x -= fx / dx
-            out.append(x)
+            out.append(x if math.isfinite(x) else raw)
     out.sort()
     # Merge near-coincident (tangential) roots.
     merged: list[float] = []

@@ -204,6 +204,23 @@ def test_blowup_names_the_first_nonfinite_node(k, on_state):
         assert err.value.t == grid[k + 1]
 
 
+def test_field_error_on_finite_states_propagates():
+    # a field that raises while every stored state is finite is not a
+    # blowup: its own error comes through, also from the first stage of the
+    # first step of a block (call 4 * 64 + 1)
+    calls = []
+
+    def rhs(t, s, u):
+        calls.append(t)
+        if len(calls) > 4 * 64:
+            raise ZeroDivisionError("field failed")
+        return (1.0,)
+
+    field = PlainModel("fails", 1, rhs, None)
+    with pytest.raises(ZeroDivisionError, match="field failed"):
+        integrate(field, None, 0.0, 1.0, np.array([0.0]), 0.01)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
 def test_non_positive_or_infinite_step_is_rejected(step):
     # a zero step used to fall back to the default step, and a negative or

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condux.errors import GainFloorViolated
@@ -205,6 +205,11 @@ def test_piecewise_scalar_call_matches_vectorized(name):
     ys=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=50),
 )
 @settings(max_examples=100, deadline=None)
+# a double root at 0 where p' is subnormal: its Newton polish overflowed to
+# NaN, which dropped the crossing at 0.072 and left p unclamped beyond it
+@example(coeffs=[0.2529699259029785, -2.2250738585072014e-308, -8.628728305945069e-159],
+         lead=-3.5100717785978217, lo=-5.774788038689606e-114, gap=2.8105433535881876,
+         ys=[-4.075401926728632, 5.0])
 def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
     # away from its breakpoints (and from the levels, where a near-double
     # root may shift a break by the root solver's sqrt(eps)), the flattened
