@@ -311,7 +311,7 @@ def fhn_impulse_design(
 
     phases = cycle.t0 + period * np.arange(phase_points) / phase_points
     on_cycle = cycle.interp_state(phases)
-    tangents = np.asarray(
+    tangents = np.array(
         [model.rhs(t, s, 0.0) for t, s in zip(phases.tolist(), on_cycle)]
     )
     out_comp = np.abs(tangents[:, 0])
