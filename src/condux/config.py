@@ -135,10 +135,25 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
 _TOP_KEYS = ("experiment", "params", "integration", "seed", "out_prefix")
 
 # Step sizes and step divisors: zero or a negative value would build no grid
-# (or a grid of one step per edge interval) instead of failing.
+# (or a grid of one step per edge interval) instead of failing. The other
+# fields are spans, counts, widths and amplitudes (of a list, every entry)
+# that a constructor downstream rejects unless positive.
 _POSITIVE = frozenset({"cycle_step", "fine_step", "sync_step", "base_step",
                        "ramp_step_divisor", "monodromy_base_step",
-                       "monodromy_kink_step"})
+                       "monodromy_kink_step",
+                       "amplitude_grid", "omega", "horizon", "width", "phase_points",
+                       "sync_periods", "T_hat", "tau", "M", "periods",
+                       "steps_per_period", "samples", "duration", "period",
+                       "embedding_periods", "sigma", "beta"})
+
+# Relations between fields that a constructor downstream enforces:
+# experiment -> (fields, predicate, message), checked on finite numbers.
+_RANGES = {
+    "fhn": (("eps_fraction",), lambda e: 0 < e < 1,
+            "params.eps_fraction: must lie in (0, 1)"),
+    "observer": (("duration", "period"), lambda d, p: d <= p,
+                 "params.duration: must not exceed params.period"),
+}
 
 
 def _non_finite(v: int | float) -> bool:
@@ -150,18 +165,21 @@ def _non_finite(v: int | float) -> bool:
         return True
 
 
-def _check_leaf(path: str, kind: str, value: Any, errors: list[str]) -> None:
+def _check_leaf(path: str, kind: str, value: Any, errors: list[str],
+                positive: bool = False) -> None:
     if kind in _KINDS:
         if not _KINDS[kind](value):
             errors.append(f"{path}: expected {kind}, got {type(value).__name__}")
         elif kind == "number" and _non_finite(value):
             errors.append(f"{path}: must be finite")
+        elif positive and value <= 0:
+            errors.append(f"{path}: must be positive")
     elif kind == "numbers":
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list of numbers")
             return
         for i, v in enumerate(value):
-            _check_leaf(f"{path}[{i}]", "number", v, errors)
+            _check_leaf(f"{path}[{i}]", "number", v, errors, positive)
     elif kind == "points":
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list of number lists")
@@ -202,10 +220,12 @@ def validate_raw(raw: Any) -> list[str]:
             if key not in table:
                 errors.append(f"params.{key}: unknown field for experiment '{exp}'")
                 continue
-            before = len(errors)
-            _check_leaf(f"params.{key}", table[key][0], value, errors)
-            if key in _POSITIVE and len(errors) == before and value <= 0:
-                errors.append(f"params.{key}: must be positive")
+            _check_leaf(f"params.{key}", table[key][0], value, errors, key in _POSITIVE)
+        if exp in _RANGES:
+            fields, holds, message = _RANGES[exp]
+            vals = [params.get(f, table[f][1]) for f in fields]
+            if all(_KINDS["number"](v) and not _non_finite(v) for v in vals) and not holds(*vals):
+                errors.append(message)
 
     integ = raw.get("integration", {})
     if not isinstance(integ, dict):

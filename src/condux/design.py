@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -135,44 +134,22 @@ def kapitza_design(
 
 @dataclass(frozen=True)
 class OutputReference:
-    """Reference output chain x**(t) (r components) and its next derivative.
+    """Reference output y**(t) of a relative-degree-one model, as one signal.
 
-    x_fn and v_fn take a time or an array of times: x_fn returns shape
-    (r,) + shape(t), so x_fn(t)[0] is the output either way, and v_fn
+    The signal's values are y**, its derivative is v** = dy**/dt, and its
+    breakpoints, refine windows and frequency are the grid hooks of every
+    run that the reference or its feedforward drives. x_fn and v_fn take a
+    time or an array of times: x_fn returns shape (1,) + shape(t) and v_fn
     returns shape(t).
-
-    breakpoints/windows/angular frequency mirror the InputSignal grid hooks
-    so a feedforward built from this reference integrates on a grid that
-    resolves the reference's own fast features.
     """
 
-    r: int
-    x_fn: Callable[[np.ndarray], np.ndarray]
-    v_fn: Callable[[np.ndarray], np.ndarray]
-    breakpoints_fn: Callable[[float, float], list[float]] | None = None
-    windows_fn: Callable[[float, float], list[tuple[float, float, float]]] | None = None
-    angular_frequency: float = 0.0
+    signal: InputSignal
 
-    @classmethod
-    def from_signal(cls, sig: InputSignal, r: int) -> "OutputReference":
-        """Treat a scalar signal as the output reference: x = (y, ..., y^(r-1))."""
+    def x_fn(self, t) -> np.ndarray:
+        return np.array([self.signal.values(t)])
 
-        def x_fn(t) -> np.ndarray:
-            return np.array(
-                [sig.values(t) if k == 0 else sig.derivative(t, k) for k in range(r)]
-            )
-
-        return cls(
-            r=r,
-            x_fn=x_fn,
-            v_fn=lambda t: sig.derivative(t, r),
-            breakpoints_fn=sig.breakpoints,
-            windows_fn=sig.refine_windows,
-            angular_frequency=sig.max_angular_frequency(),
-        )
-
-    def output(self, t):
-        return self.x_fn(t)[0]
+    def v_fn(self, t):
+        return self.signal.derivative(t)
 
 
 class FeedforwardSignal(InputSignal):
@@ -181,23 +158,17 @@ class FeedforwardSignal(InputSignal):
     u(t) = f_inv(t, x**(t), zbar(t), v**(t)); the internal trajectory zbar is
     linearly interpolated from its stored warm-started solution. values
     tabulates x**, zbar and v** over all its times at once and inverts them
-    in one f_inv call.
+    in one f_inv call. The grid hooks are the reference signal's.
     """
 
-    def __init__(self, model: NormalFormModel, ref: OutputReference,
-                 zbar: Trajectory | None):
+    def __init__(self, model: NormalFormModel, ref: OutputReference, zbar: Trajectory):
         self.model = model
         self.ref = ref
         self.zbar = zbar
 
     def _tabulate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x** (r x N), zbar (n-r x N) and v** (N) at the times ts (N)."""
-        x = self.ref.x_fn(ts)
-        if self.zbar is not None:
-            z = self.zbar.interp_state(ts).T
-        else:
-            z = np.empty((0, ts.size))
-        return x, z, self.ref.v_fn(ts)
+        """x** (1 x N), zbar (n-1 x N) and v** (N) at the times ts (N)."""
+        return self.ref.x_fn(ts), self.zbar.interp_state(ts).T, self.ref.v_fn(ts)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -205,21 +176,21 @@ class FeedforwardSignal(InputSignal):
         return self.model.f_inv(flat, *self._tabulate(flat)).reshape(ts.shape)
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
-        return self.ref.breakpoints_fn(t0, t1) if self.ref.breakpoints_fn else []
+        return self.ref.signal.breakpoints(t0, t1)
 
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
-        return self.ref.windows_fn(t0, t1) if self.ref.windows_fn else []
+        return self.ref.signal.refine_windows(t0, t1)
 
     def max_angular_frequency(self) -> float:
-        return self.ref.angular_frequency
+        return self.ref.signal.max_angular_frequency()
 
 
 @dataclass(frozen=True)
 class FeedforwardResult:
     signal: FeedforwardSignal
-    zbar: Trajectory | None
+    zbar: Trajectory
     residual_max: float
-    inverse_rate: float  # contraction rate of the inverse system (0 if none)
+    inverse_rate: float  # contraction rate of the inverse system
 
 
 def feedforward_from_reference(
@@ -232,37 +203,27 @@ def feedforward_from_reference(
 ) -> FeedforwardResult:
     """Feedforward input that makes the reference output an exact solution.
 
-    The internal state is obtained by simulating the inverse system driven by
-    the reference output, after a warm-up long enough for its fading memory
-    to forget the initial condition (20 contraction time constants,
-    estimated by a contraction probe). Models with no internal states skip
-    straight to pointwise inversion.
+    The model must have relative degree one and internal states
+    (InverseSystem raises ConfigError otherwise). The internal state is
+    obtained by simulating the inverse system driven by the reference
+    output, after a warm-up long enough for its fading memory to forget the
+    initial condition (20 contraction time constants, estimated by a
+    contraction probe).
     """
-    zbar = None
-    rate = 0.0
-    if model.n > model.r:
-        inverse = InverseSystem(model)
-        drive = CallableSignal(
-            fn=ref.output,
-            breakpoints_fn=ref.breakpoints_fn,
-            windows_fn=ref.windows_fn,
-            angular_frequency=ref.angular_frequency,
-        )
-        ic = np.zeros(inverse.n) if zbar_ic is None else np.asarray(zbar_ic, dtype=float)
-        probe = contraction_probe(
-            inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, 0.2 * (t1 - t0)), step
-        )
-        if not probe.stable or probe.rate >= 0:
-            raise InverseNotContracting(
-                f"inverse system probe rate {probe.rate:+.3g} for {model.name}"
-            )
-        rate = probe.rate
-        warm = integrate(inverse, drive, t0 - 20.0 / abs(rate), t0, ic, step)
-        zbar = integrate(inverse, drive, t0, t1, warm.states[-1], step)
+    inverse = InverseSystem(model)
+    drive = ref.signal
+    ic = np.zeros(inverse.n) if zbar_ic is None else np.asarray(zbar_ic, dtype=float)
+    probe = contraction_probe(
+        inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, 0.2 * (t1 - t0)), step
+    )
+    rate = probe.rate
+    if not probe.stable or rate >= 0:
+        raise InverseNotContracting(f"inverse system probe rate {rate:+.3g} for {model.name}")
+    warm = integrate(inverse, drive, t0 - 20.0 / abs(rate), t0, ic, step)
+    zbar = integrate(inverse, drive, t0, t1, warm.states[-1], step)
     sig = FeedforwardSignal(model, ref, zbar)
     # Sample-wise residual audit of the inversion on the stored grid.
-    ts = zbar.ts if zbar is not None else np.linspace(t0, t1, 201)
-    ts = ts[:: max(1, ts.size // 400)]
+    ts = zbar.ts[:: max(1, zbar.ts.size // 400)]
     x, z, v = sig._tabulate(ts)
     res = float(np.max(np.abs(model.f(ts, x, z, sig.values(ts)) - v)))
     if res > 1e-8:
@@ -482,7 +443,6 @@ def orbit_scale(cycle: Trajectory, delta: float) -> Trajectory:
         ts=cycle.ts.copy(),
         states=(1.0 + delta) * cycle.states,
         us=cycle.us.copy(),
-        state_names=cycle.state_names,
     )
 
 

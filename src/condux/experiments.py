@@ -59,7 +59,7 @@ from .models import (
     neuron_family,
 )
 from .observer import observer_contraction_check, run_observer
-from .signals import CallableSignal, Constant, SquarePulseTrain, Zero
+from .signals import CallableSignal, Constant, SquarePulseTrain, Sum, Zero
 from .variational import (
     MonodromyResult,
     contraction_probe,
@@ -180,20 +180,14 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
         s = one.interp_state(w).T
         return model.f(w, s[:1], s[1:], 0.0)
 
-    ref = OutputReference(
-        r=1,
-        x_fn=lambda t: np.array([ystar(t) + train.values(t)]),
-        v_fn=lambda t: ystar_dot(t) + train.derivative(t),
-        breakpoints_fn=train.breakpoints,
-        windows_fn=train.refine_windows,
-    )
+    ref = OutputReference(Sum((CallableSignal(fn=ystar, derivative_fn=ystar_dot), train)))
     w0 = design.t0 - 8.0 * train.width
     n_sync = p["sync_periods"]
     ff = feedforward_from_reference(
         model, ref, w0, w0 + (n_sync + 1.0) * T,
         zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), step=fine,
     )
-    ic = np.array([ref.x_fn(w0)[0], float(ff.zbar.interp_state(w0)[0])])
+    ic = np.array([ref.signal.value(w0), float(ff.zbar.interp_state(w0)[0])])
     realized, mono = floquet(model, ff.signal, ic, w0, T, fine)
     closure = float(np.max(np.abs(realized.states[-1] - realized.states[0])))
     pred = design.predicted_monodromy
@@ -235,13 +229,14 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     model = hh_conductance(params)
     sq = hh_square_reference(p["T_hat"], p["tau"], tuple(p["levels"]))
     P = sq.period
-    ref = OutputReference.from_signal(sq, r=1)
     ff = feedforward_from_reference(
-        model, ref, 0.0, (p["sync_periods"] + 1.0) * P,
+        model, OutputReference(sq), 0.0, (p["sync_periods"] + 1.0) * P,
         zbar_ic=np.array([sq.value(0.0)]), step=step,
     )
 
-    # certificate grid: base step with ramp windows capped at tau / divisor
+    # certificate grid: every segment window of the reference, plateaus
+    # included, capped at tau / divisor, so the default divisor puts about
+    # 400,000 nodes on one period
     cap = p["tau"] / p["ramp_step_divisor"]
     capped = CallableSignal(
         fn=sq.values,
@@ -253,8 +248,7 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     yd = sq.derivative(grid)
     zs = ff.zbar.interp_state(grid)[:, 0]
     us = ff.signal.values(grid)
-    reftraj = Trajectory(ts=grid, states=np.column_stack([ys, zs]), us=us,
-                         state_names=("y", "z"))
+    reftraj = Trajectory(ts=grid, states=np.column_stack([ys, zs]), us=us)
     report = hh_certificate(params, reftraj, theta=p["theta"],
                             theta_prime=p["theta_prime"], M_y=p["M_y"], ydot=yd)
 

@@ -116,7 +116,6 @@ class Trajectory:
     ts: np.ndarray
     states: np.ndarray
     us: np.ndarray
-    state_names: tuple[str, ...]
 
     @property
     def t0(self) -> float:
@@ -176,7 +175,7 @@ def _rk4_run(
             raise
         states[lo + 1:hi + 1] = rows
         _check_finite(model, grid, states, lo, hi)
-    return Trajectory(grid, states, signal.values(grid), model.state_names)
+    return Trajectory(grid, states, signal.values(grid))
 
 
 def _check_finite(model: VectorField, grid: np.ndarray, states: np.ndarray,

@@ -91,26 +91,18 @@ def chua_system() -> PlainModel:
         n=3,
         rhs_fn=rhs,
         jac_fn=jac,
-        state_names=("x1", "x2", "x3"),
         sample_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
     )
 
 
 @dataclass(frozen=True)
 class DescribingFunctionResult:
-    """First-harmonic gains at a candidate oscillation.
-
-    The default convention scales the in-phase and quadrature gains by
-    1/omega and 1/omega**2 respectively (the p + q*s replacement applies an
-    extra derivative to the quadrature channel); convention="classical"
-    leaves both frequency-free.
-    """
+    """First-harmonic gains at a candidate oscillation."""
 
     p: float
     q: float
     M: float
     omega: float
-    convention: str = "literal"
 
 
 def _harmonic_integrals(
@@ -157,7 +149,13 @@ def describing_function(
 ) -> DescribingFunctionResult:
     """First-harmonic gains of h at amplitude M and frequency omega by
     quadrature. Kink ordinates of h, if supplied, become quadrature panel
-    boundaries at their phase preimages."""
+    boundaries at their phase preimages.
+
+    The default convention scales the in-phase and quadrature gains by
+    1/omega and 1/omega**2 respectively (the p + q*s replacement applies an
+    extra derivative to the quadrature channel); convention="classical"
+    leaves both frequency-free.
+    """
     if M <= 0 or omega <= 0:
         raise ValueError("M and omega must be positive")
     i_s, i_c, err = _harmonic_integrals(h, M, kinks)
@@ -176,7 +174,7 @@ def describing_function(
         raise QuadratureNonConvergence(
             f"first-harmonic gain error estimate {err / scale:.2e}"
         )
-    return DescribingFunctionResult(p=p, q=q, M=M, omega=omega, convention=convention)
+    return DescribingFunctionResult(p=p, q=q, M=M, omega=omega)
 
 
 def chua_closed_form(M: float, omega: float) -> DescribingFunctionResult:

@@ -63,7 +63,6 @@ class VectorField(Protocol):
 
     name: str
     n: int
-    state_names: tuple[str, ...]
     stiffness: float | None
     sample_box: tuple[tuple[float, float], ...]
 
@@ -103,7 +102,6 @@ class NormalFormModel:
     g_jac: Callable[[float, Sequence[float], Sequence[float]], tuple[Rows, Rows]] | None = None
     gain_floor: float = 1e-8
     stiffness: float | None = None
-    state_names: tuple[str, ...] = ()
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -232,7 +230,6 @@ class PlainModel:
     n: int
     rhs_fn: Callable[[float, Sequence[float], float], Vector]
     jac_fn: Callable[[float, Sequence[float], float], Rows] | None
-    state_names: tuple[str, ...] = ()
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
@@ -268,9 +265,7 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
         n=model.n - 1,
         rhs_fn=rhs,
         jac_fn=jac,
-        state_names=model.state_names[1:],
         stiffness=model.stiffness,
-        sample_box=model.sample_box[1:],
     )
 
 
@@ -296,7 +291,6 @@ def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> Normal
         r=2,
         f=f,
         f_jac=f_jac,
-        state_names=("y", "ydot"),
         sample_box=((math.pi - 2.0, math.pi + 2.0), (-3.0, 3.0)),
     )
 
@@ -335,7 +329,6 @@ def fitzhugh_nagumo(
         g=g,
         g_jac=g_jac,
         stiffness=eps,
-        state_names=("y", "z"),
         sample_box=((-2.5, 2.5), (-1.5, 1.5)),
     )
 
@@ -424,7 +417,6 @@ def hh_conductance(params: ConductanceParams | None = None) -> NormalFormModel:
         g=g,
         g_jac=g_jac,
         stiffness=p.eps,
-        state_names=("y", "z"),
         sample_box=((-1.6, 1.6), (-1.2, 1.2)),
     )
 
@@ -445,7 +437,6 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> P
         n=3,
         rhs_fn=rhs,
         jac_fn=jac,
-        state_names=("x1", "x2", "z"),
         sample_box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
     )
 
@@ -471,7 +462,6 @@ def planar_limit_cycle() -> PlainModel:
         n=2,
         rhs_fn=rhs,
         jac_fn=jac,
-        state_names=("x", "y"),
         sample_box=((0.2, 1.5), (0.2, 1.5)),
     )
 
@@ -492,7 +482,6 @@ def leaky_integrator(tau: float = 1.0) -> PlainModel:
         n=1,
         rhs_fn=rhs,
         jac_fn=jac,
-        state_names=("z",),
         sample_box=((-2.0, 2.0),),
     )
 
@@ -551,7 +540,6 @@ class ParameterizedPlant:
     update_antiderivative: Callable[[float], Sequence[float]]
     theta_box: tuple[tuple[float, float], ...]
     stiffness: float | None = None
-    state_names: tuple[str, ...] = ()
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -597,7 +585,6 @@ class ParameterizedPlant:
             g=g,
             g_jac=g_jac,
             stiffness=self.stiffness,
-            state_names=self.state_names,
             sample_box=self.sample_box,
         )
 
@@ -653,7 +640,6 @@ def neuron_family() -> ParameterizedPlant:
         update_antiderivative=update_antiderivative,
         theta_box=((0.3, 0.7), (1.1, 1.9)),
         stiffness=_NEURON_EPS,
-        state_names=("y", "z"),
         sample_box=((-1.1, 1.1), (-0.1, 1.1)),
     )
 

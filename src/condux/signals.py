@@ -54,7 +54,7 @@ class InputSignal:
     def values(self, ts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def derivative(self, t, order: int = 1):
+    def derivative(self, t):
         raise NotImplementedError(f"{type(self).__name__} has no derivative rule")
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
@@ -77,7 +77,7 @@ class Zero(InputSignal):
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(ts, dtype=float))
 
-    def derivative(self, t, order: int = 1):
+    def derivative(self, t):
         return _zeros_like(t)
 
 
@@ -90,7 +90,7 @@ class Constant(InputSignal):
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(ts, dtype=float), self.level)
 
-    def derivative(self, t, order: int = 1):
+    def derivative(self, t):
         return _zeros_like(t)
 
 
@@ -107,12 +107,12 @@ class Sinusoid(InputSignal):
         ts = np.asarray(ts, dtype=float)
         return self.offset + self.amplitude * np.sin(self.omega * ts + self.phase)
 
-    def derivative(self, t, order: int = 1):
+    def derivative(self, t):
         # d/dt shifts the phase by pi/2 and multiplies by omega.
         return (
             self.amplitude
-            * self.omega**order
-            * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase + order * math.pi / 2.0)
+            * self.omega
+            * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase + math.pi / 2.0)
         )
 
     def max_angular_frequency(self) -> float:
@@ -170,13 +170,9 @@ class ImpulseTrain(InputSignal):
     def values(self, ts: np.ndarray) -> np.ndarray:
         return self._sum_bumps(ts, lambda v, x: v)
 
-    def derivative(self, t, order: int = 1):
-        if order not in (1, 2):
-            raise NotImplementedError("impulse derivatives only up to order 2")
+    def derivative(self, t):
         s = 2.0 * self.width**2
-        if order == 1:
-            return self._sum_bumps(t, lambda v, x: v * (-2.0 * x / s))[()]
-        return self._sum_bumps(t, lambda v, x: v * ((2.0 * x / s) ** 2 - 2.0 / s))[()]
+        return self._sum_bumps(t, lambda v, x: v * (-2.0 * x / s))[()]
 
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
         r = _SUPPORT_WIDTHS * self.width
@@ -209,7 +205,7 @@ class SquarePulseTrain(InputSignal):
         on = (phase < self.duration) & (ts >= self.start)
         return np.where(on, self.magnitude, self.baseline)
 
-    def derivative(self, t, order: int = 1):
+    def derivative(self, t):
         return _zeros_like(t)  # piecewise constant; jumps are handled by breakpoints
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
@@ -305,9 +301,7 @@ class PiecewiseLinear(InputSignal):
         i = self._locate(tau)
         return self._vs[i] + self._slopes[i] * (tau - self._ts[i])
 
-    def derivative(self, t, order: int = 1):
-        if order > 1:
-            return _zeros_like(t)
+    def derivative(self, t):
         if self.periodic:
             return self._slopes[self._cycle_segment(t)]
         return self._slopes[self._locate(self._wrap(t))]
@@ -355,8 +349,8 @@ class Sum(InputSignal):
             out += c.values(ts)
         return out
 
-    def derivative(self, t: float, order: int = 1) -> float:
-        return sum(c.derivative(t, order) for c in self.components)
+    def derivative(self, t):
+        return sum(c.derivative(t) for c in self.components)
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         out: list[float] = []
@@ -376,20 +370,26 @@ class Sum(InputSignal):
 
 @dataclass(frozen=True)
 class CallableSignal(InputSignal):
-    """Escape hatch wrapping an arbitrary function. Not serializable, and
-    without a derivative rule.
+    """Escape hatch wrapping an arbitrary function. Not serializable; it has
+    a derivative rule only if derivative_fn is given.
 
-    fn must accept an array of times as well as a single time, elementwise,
-    as numpy expressions do.
+    fn and derivative_fn must accept an array of times as well as a single
+    time, elementwise, as numpy expressions do.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     breakpoints_fn: Callable[[float, float], Sequence[float]] | None = None
     windows_fn: Callable[[float, float], Sequence[tuple[float, float, float]]] | None = None
     angular_frequency: float = 0.0
+    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(ts, dtype=float)), dtype=float)
+
+    def derivative(self, t):
+        if self.derivative_fn is None:
+            return super().derivative(t)
+        return np.asarray(self.derivative_fn(np.asarray(t, dtype=float)), dtype=float)[()]
 
     def breakpoints(self, t0: float, t1: float) -> list[float]:
         if self.breakpoints_fn is None:

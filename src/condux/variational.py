@@ -76,7 +76,7 @@ def flow(
         raise ValueError(f"x0 must have shape ({n},)")
     joint = integrate(_with_variations(model), signal, t0, t1,
                       np.concatenate((x0, np.eye(n).ravel())), step)
-    traj = Trajectory(joint.ts, joint.states[:, :n].copy(), joint.us, model.state_names)
+    traj = Trajectory(joint.ts, joint.states[:, :n].copy(), joint.us)
     return traj, joint.states[-1, n:].reshape(n, n)
 
 

@@ -92,7 +92,7 @@ def hh_case():
     reference, over one period with both fast ramps."""
     model = hh_conductance(ConductanceParams())
     sq = hh_square_reference(2.5, 5e-4)
-    ff = feedforward_from_reference(model, OutputReference.from_signal(sq, r=1),
+    ff = feedforward_from_reference(model, OutputReference(sq),
                                     0.0, 2.0 * sq.period,
                                     zbar_ic=np.array([sq.value(0.0)]), step=2e-3)
     return model, ff.signal, np.array([1.0, 0.0]), 0.0, sq.period, 2e-3

@@ -9,6 +9,8 @@ import pytest
 import condux.cli
 from condux.cli import main
 
+from test_config import OUT_OF_RANGE
+
 
 def _write(path: Path, obj) -> str:
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -59,6 +61,16 @@ def test_non_positive_steps_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: params.base_step: must be positive" in err
     assert "config error: params.ramp_step_divisor: must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exp,params,expected", OUT_OF_RANGE,
+                         ids=[f"{e}-{next(iter(p))}" for e, p, _ in OUT_OF_RANGE])
+def test_out_of_range_values_exit_2(tmp_path, capsys, exp, params, expected):
+    cfg = _write(tmp_path / "bad.json", {"experiment": exp, "params": params})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {m}" for m in expected]
     assert not (tmp_path / "out").exists()
 
 

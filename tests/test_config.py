@@ -112,6 +112,46 @@ def test_non_positive_steps_are_rejected_at_every_path():
     assert validate_raw({"experiment": "hh", "params": {"base_step": 1e-3}}) == []
 
 
+# Values that a constructor downstream rejects, with the message validation
+# gives instead. Each used to end `condux run` with a traceback (exit 1), or
+# with a ZeroDivisionError reported as a numerical failure.
+OUT_OF_RANGE = [
+    ("hh", {"T_hat": -1.0, "run_delta_sweep": False}, ["params.T_hat: must be positive"]),
+    ("hh", {"tau": 0.0}, ["params.tau: must be positive"]),
+    ("probe", {"tau": 0.0}, ["params.tau: must be positive"]),
+    ("observer", {"duration": 0.0}, ["params.duration: must be positive"]),
+    ("observer", {"period": -2.8}, ["params.period: must be positive",
+                                    "params.duration: must not exceed params.period"]),
+    ("observer", {"duration": 3.0}, ["params.duration: must not exceed params.period"]),
+    ("fhn", {"eps_fraction": 1.5}, ["params.eps_fraction: must lie in (0, 1)"]),
+    ("fhn", {"eps_fraction": 0.0}, ["params.eps_fraction: must lie in (0, 1)"]),
+    ("fhn", {"width": 0.0}, ["params.width: must be positive"]),
+    ("chua", {"M": -1.0}, ["params.M: must be positive"]),
+    ("chua", {"steps_per_period": 0}, ["params.steps_per_period: must be positive"]),
+    ("lorenz", {"samples": -3}, ["params.samples: must be positive"]),
+    ("lorenz", {"sigma": -1.0, "beta": 0.0}, ["params.sigma: must be positive",
+                                              "params.beta: must be positive"]),
+    ("kapitza", {"amplitude_grid": [0.3, -1.0]}, ["params.amplitude_grid[1]: must be positive"]),
+    ("kapitza", {"horizon": 0.0}, ["params.horizon: must be positive"]),
+]
+
+
+@pytest.mark.parametrize("exp,params,expected", OUT_OF_RANGE,
+                         ids=[f"{e}-{next(iter(p))}" for e, p, _ in OUT_OF_RANGE])
+def test_out_of_range_values_are_rejected(exp, params, expected):
+    assert validate_raw({"experiment": exp, "params": params}) == expected
+
+
+def test_range_rules_hold_at_the_defaults():
+    for exp in ("fhn", "observer"):
+        assert validate_raw({"experiment": exp}) == []
+    assert validate_raw({"experiment": "observer",
+                         "params": {"duration": 2.8, "period": 2.8}}) == []
+    # a field that is not a number is reported once, by its type
+    assert validate_raw({"experiment": "fhn", "params": {"eps_fraction": "half"}}) == [
+        "params.eps_fraction: expected number, got str"]
+
+
 def test_bool_is_not_a_number():
     msgs = validate_raw({"experiment": "kapitza", "params": {"alpha": True}})
     assert msgs == ["params.alpha: expected number, got bool"]

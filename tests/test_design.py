@@ -17,12 +17,20 @@ from condux.design import (
     orbit_scale,
 )
 from condux.errors import (
+    ConfigError,
     NoStabilizingAmplitude,
     PeriodUnstable,
     RangeViolation,
 )
-from condux.integrate import Trajectory, find_limit_cycle, integrate
-from condux.models import ConductanceParams, NormalFormModel, fitzhugh_nagumo, lorenz
+from condux.integrate import Trajectory, build_grid, find_limit_cycle, integrate
+from condux.models import (
+    ConductanceParams,
+    NormalFormModel,
+    fitzhugh_nagumo,
+    kapitza,
+    lorenz,
+)
+from condux.signals import CallableSignal, Sinusoid
 
 
 class TestAveragedGain:
@@ -151,42 +159,33 @@ class TestConductanceCertificate:
         ts = np.linspace(0.0, 1.0, 11)
         ys = np.full(11, 1.36)  # just above E_f - theta_prime = 1.35
         ref = Trajectory(ts=ts, states=np.column_stack([ys, np.zeros(11)]),
-                         us=np.zeros(11), state_names=("y", "z"))
+                         us=np.zeros(11))
         with pytest.raises(RangeViolation, match="1.36"):
             hh_certificate(params, ref, np.zeros(11))
 
     def test_margin_grows_with_plateau_length(self):
         # longer plateaus add stability time without touching the ramp cost
-        from condux.integrate import build_grid
-
         params = ConductanceParams()
         margins = []
         for T_hat in (4.0, 5.0, 6.0):
             sq = hh_square_reference(T_hat=T_hat)
-            ref = OutputReference.from_signal(sq, r=1)
+            ref = OutputReference(sq)
             ff = feedforward_from_reference(
                 params_model(params), ref, 0.0, 2.0 * sq.period,
                 zbar_ic=np.array([sq.value(0.0)]))
             cap = 0.001 / 80.0
-
-            class Grid:
-                breakpoints = staticmethod(sq.breakpoints)
-
-                @staticmethod
-                def refine_windows(a, b):
-                    return [(lo, hi, min(c, cap))
-                            for lo, hi, c in sq.refine_windows(a, b)]
-
-                @staticmethod
-                def max_angular_frequency():
-                    return 0.0
-
-            grid = build_grid(0.0, sq.period, 5e-4, Grid())
+            capped = CallableSignal(
+                fn=sq.values,
+                breakpoints_fn=sq.breakpoints,
+                windows_fn=lambda a, b: [(lo, hi, min(c, cap))
+                                         for lo, hi, c in sq.refine_windows(a, b)],
+            )
+            grid = build_grid(0.0, sq.period, 5e-4, capped)
             ys = sq.values(grid)
             yd = sq.derivative(grid)
             zs = ff.zbar.interp_state(grid)[:, 0]
             traj = Trajectory(ts=grid, states=np.column_stack([ys, zs]),
-                              us=np.zeros_like(grid), state_names=("y", "z"))
+                              us=np.zeros_like(grid))
             rep = hh_certificate(params, traj, yd)
             margins.append(params.eps * rep.T_hat - rep.a_bar * rep.tau_unstable)
         assert margins[0] < margins[1] < margins[2]
@@ -194,7 +193,7 @@ class TestConductanceCertificate:
     def test_tabulated_feedforward_matches_pointwise(self):
         sq = hh_square_reference(2.5, 5e-4)
         ff = feedforward_from_reference(
-            params_model(ConductanceParams()), OutputReference.from_signal(sq, r=1),
+            params_model(ConductanceParams()), OutputReference(sq),
             0.0, 2.0 * sq.period, zbar_ic=np.array([sq.value(0.0)]))
         ts = _with_neighbours(np.concatenate([
             ff.zbar.ts[::37], sq.breakpoints(0.0, 2.0 * sq.period)]))
@@ -212,7 +211,7 @@ class TestConductanceCertificate:
                             lambda self, *a: calls.append(a) or bracket(self, *a))
         sq = hh_square_reference(2.5, 5e-4)
         ff = feedforward_from_reference(
-            params_model(ConductanceParams()), OutputReference.from_signal(sq, r=1),
+            params_model(ConductanceParams()), OutputReference(sq),
             0.0, 2.0 * sq.period, zbar_ic=np.array([sq.value(0.0)]))
         ts = ff.zbar.ts
         u = ff.signal.values(np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])]))
@@ -238,11 +237,34 @@ def params_model(params):
     return hh_conductance(params)
 
 
+class TestOutputReference:
+    def test_fhn_feedforward_grid_is_the_reference_grid(self, fhn_run):
+        # the feedforward's grid hooks are its reference signal's: the impulse
+        # windows of the train, with nothing added by the free-cycle term
+        r = fhn_run[0]
+        sig, train = r["feedforward"].signal, r["design"].train
+        t0, t1 = r["window_start"], r["window_start"] + 2.0 * r["period"]
+        grid = build_grid(t0, t1, 5e-4, sig)
+        assert np.array_equal(grid, build_grid(t0, t1, 5e-4, sig.ref.signal))
+        inside = (grid >= train.t0 - 8.0 * train.width) & (grid <= train.t0 + 8.0 * train.width)
+        assert np.max(np.diff(grid[inside])) <= train.width / 10.0 * (1.0 + 1e-9)
+
+    def test_hh_feedforward_grid_is_the_reference_grid(self, hh_case):
+        _, sig, _, t0, t1, h = hh_case
+        grid = build_grid(t0, 2.0 * t1, h, sig)
+        assert np.array_equal(grid, build_grid(t0, 2.0 * t1, h, sig.ref.signal))
+        assert set(sig.ref.signal.breakpoints(t0, 2.0 * t1)) <= set(grid.tolist())
+
+    def test_model_without_internal_states_is_rejected(self):
+        sig = Sinusoid(amplitude=0.5, omega=2.0, offset=math.pi)
+        with pytest.raises(ConfigError):
+            feedforward_from_reference(kapitza(), OutputReference(sig), 0.0, 1.0)
+
+
 def test_orbit_scale():
     ts = np.linspace(0.0, 1.0, 5)
     states = np.column_stack([np.sin(ts), np.cos(ts)])
-    traj = Trajectory(ts=ts, states=states, us=np.zeros(5),
-                      state_names=("y", "z"))
+    traj = Trajectory(ts=ts, states=states, us=np.zeros(5))
     scaled = orbit_scale(traj, 0.1)
     assert np.allclose(scaled.states, 1.1 * states)
     assert np.array_equal(scaled.ts, ts)

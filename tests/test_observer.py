@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from condux.errors import AntiderivativeMismatch, ConfigError
+from condux.errors import AntiderivativeMismatch, ConfigError, PeriodMismatch
+from condux.integrate import Trajectory
 from condux.models import neuron_family
 from condux.observer import (
     coupled_system,
@@ -124,6 +125,16 @@ class TestContractionCheck:
         n = plant.n
         assert np.array_equal(phi[n:, :n], np.zeros((2, n)))
         assert np.array_equal(phi[n:, n:], np.eye(2))
+
+    def test_open_reference_is_rejected(self, plant, observer_run):
+        # a window that does not close up is no period: the anchor check of
+        # floquet rejects it, relative to the scale of the anchor
+        ref = observer_run[0]["reference"]
+        half = ref.ts.size // 2
+        shifted = Trajectory(ts=ref.ts[half:] - ref.ts[half] + ref.ts[0],
+                             states=ref.states[half:], us=ref.us[half:])
+        with pytest.raises(PeriodMismatch):
+            observer_contraction_check(plant, THETA_STAR, shifted, PULSE)
 
     def test_nominal_convergence_profile(self, observer_run):
         nominal = observer_run[0]["nominal"]

@@ -126,6 +126,7 @@ def test_callable_signal_passthrough():
     assert sig.value(1.5) == 2.25
     with pytest.raises(NotImplementedError):
         sig.derivative(1.5)
+    assert CallableSignal(fn=sig.fn, derivative_fn=lambda t: 2.0 * t).derivative(1.5) == 3.0
 
 
 def _bits(a) -> np.ndarray:
@@ -151,6 +152,10 @@ SIGNALS = [
     Sum((Sinusoid(amplitude=1.0, omega=2.0),
          SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.0))),
     CallableSignal(fn=lambda t: t * np.sin(3.0 * t)),
+    # an explicit id keeps the one above as [CallableSignal]
+    pytest.param(CallableSignal(fn=lambda t: t * np.sin(3.0 * t),
+                                derivative_fn=lambda t: np.sin(3.0 * t) + 3.0 * t * np.cos(3.0 * t)),
+                 id="CallableSignalWithDerivative"),
     lure_input_reconstruct(CHUA_NUM, CHUA_DEN, chua_closed_form(200, 1), 200, 1,
                            chua_nonlinearity),
 ]
