@@ -144,15 +144,23 @@ _POSITIVE = frozenset({"cycle_step", "fine_step", "sync_step", "base_step",
                        "amplitude_grid", "omega", "horizon", "width", "phase_points",
                        "sync_periods", "T_hat", "tau", "M", "periods",
                        "steps_per_period", "samples", "duration", "period",
-                       "embedding_periods", "sigma", "beta"})
+                       "embedding_periods", "sigma", "beta", "from_rest_horizon"})
 
-# Relations between fields that a constructor downstream enforces:
-# experiment -> (fields, predicate, message), checked on finite numbers.
+# Lists that a pipeline unpacks or indexes: field -> entries per level (a
+# "points" field has two levels), None for at least one.
+_SHAPES = {"theta_star": (2,), "theta0": (2,), "phase_offsets": (2,), "x0": (3,),
+           "levels": (4,), "sync_ics": (2, 2), "amplitude_grid": (None,)}
+
+# Relations between fields that the pipelines rely on: experiment -> rules
+# (fields, predicate, message), each checked on finite numbers.
 _RANGES = {
-    "fhn": (("eps_fraction",), lambda e: 0 < e < 1,
-            "params.eps_fraction: must lie in (0, 1)"),
-    "observer": (("duration", "period"), lambda d, p: d <= p,
-                 "params.duration: must not exceed params.period"),
+    "fhn": [(("eps_fraction",), lambda e: 0 < e < 1,
+             "params.eps_fraction: must lie in (0, 1)")],
+    "observer": [(("duration", "period"), lambda d, p: d <= p,
+                  "params.duration: must not exceed params.period"),
+                 (("settle_periods",), lambda k: k >= 0,
+                  "params.settle_periods: must not be negative")],
+    "probe": [(("t0", "t1"), lambda a, b: a < b, "params.t1: must exceed params.t0")],
 }
 
 
@@ -194,6 +202,17 @@ def _check_leaf(path: str, kind: str, value: Any, errors: list[str],
         raise AssertionError(f"unknown schema kind {kind}")
 
 
+def _check_shape(path: str, shape: tuple, value: list, errors: list[str]) -> None:
+    want = shape[0]
+    if want is None and not value:
+        errors.append(f"{path}: must not be empty")
+    elif want is not None and len(value) != want:
+        errors.append(f"{path}: expected {want} entries, got {len(value)}")
+    for i, row in enumerate(value):
+        if len(shape) > 1 and isinstance(row, list):
+            _check_shape(f"{path}[{i}]", shape[1:], row, errors)
+
+
 def validate_raw(raw: Any) -> list[str]:
     """All schema violations in the raw config object, one message per path."""
     if not isinstance(raw, dict):
@@ -221,8 +240,9 @@ def validate_raw(raw: Any) -> list[str]:
                 errors.append(f"params.{key}: unknown field for experiment '{exp}'")
                 continue
             _check_leaf(f"params.{key}", table[key][0], value, errors, key in _POSITIVE)
-        if exp in _RANGES:
-            fields, holds, message = _RANGES[exp]
+            if key in _SHAPES and isinstance(value, list):
+                _check_shape(f"params.{key}", _SHAPES[key], value, errors)
+        for fields, holds, message in _RANGES.get(exp, ()):
             vals = [params.get(f, table[f][1]) for f in fields]
             if all(_KINDS["number"](v) and not _non_finite(v) for v in vals) and not holds(*vals):
                 errors.append(message)

@@ -198,13 +198,13 @@ def feedforward_from_reference(
     ref: OutputReference,
     t0: float,
     t1: float,
-    zbar_ic: np.ndarray | None = None,
+    zbar_ic: np.ndarray,
     step: float | None = None,
 ) -> FeedforwardResult:
     """Feedforward input that makes the reference output an exact solution.
 
-    The model must have relative degree one and internal states
-    (InverseSystem raises ConfigError otherwise). The internal state is
+    Every NormalFormModel has relative degree one and internal states (its
+    constructor raises ConfigError otherwise). The internal state is
     obtained by simulating the inverse system driven by the reference
     output, after a warm-up long enough for its fading memory to forget the
     initial condition (20 contraction time constants, estimated by a
@@ -212,7 +212,7 @@ def feedforward_from_reference(
     """
     inverse = InverseSystem(model)
     drive = ref.signal
-    ic = np.zeros(inverse.n) if zbar_ic is None else np.asarray(zbar_ic, dtype=float)
+    ic = np.asarray(zbar_ic, dtype=float)
     probe = contraction_probe(
         inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, 0.2 * (t1 - t0)), step
     )
@@ -292,7 +292,7 @@ def fhn_impulse_design(
         t0 += period
     w0 = t0 - 8.0 * width
 
-    train = ImpulseTrain(t0=t0, period=period, magnitudes=(eps_n,), width=width)
+    train = ImpulseTrain(t0=t0, period=period, magnitude=eps_n, width=width)
     h = min(5e-4, eps / 100.0)
     x_w0 = integrate(model, None, cycle.t0, w0, cycle.states[0], h).states[-1]
     _, phi_free = flow(model, None, w0, w0 + period, x_w0, h)
@@ -434,7 +434,7 @@ def hh_square_reference(
         ((T + T_hat) / 2.0, l4),
         (T, l1),
     )
-    return PiecewiseLinear(knots=knots, periodic=True)
+    return PiecewiseLinear(knots=knots)
 
 
 def orbit_scale(cycle: Trajectory, delta: float) -> Trajectory:

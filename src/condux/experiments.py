@@ -155,8 +155,7 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     and phase synchronization under the designed input."""
     model = fitzhugh_nagumo(p["alpha"], p["beta"], p["gamma"], p["eps"])
     cyc = find_limit_cycle(
-        model, None, np.array([1.0, 0.0]), section=(0, 0.0, 1),
-        max_time=200.0, step=p["cycle_step"],
+        model, None, np.array([1.0, 0.0]), max_time=200.0, step=p["cycle_step"],
     )
     T = cyc.period
     fine = step if step is not None else p["fine_step"]
@@ -234,16 +233,10 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
         zbar_ic=np.array([sq.value(0.0)]), step=step,
     )
 
-    # certificate grid: every segment window of the reference, plateaus
-    # included, capped at tau / divisor, so the default divisor puts about
+    # certificate grid: every segment of the reference, plateaus included,
+    # stepped at tau / divisor at most, so the default divisor puts about
     # 400,000 nodes on one period
-    cap = p["tau"] / p["ramp_step_divisor"]
-    capped = CallableSignal(
-        fn=sq.values,
-        breakpoints_fn=sq.breakpoints,
-        windows_fn=lambda a, b: [(lo, hi, min(c, cap)) for lo, hi, c in sq.refine_windows(a, b)],
-    )
-    grid = build_grid(0.0, P, p["base_step"], capped)
+    grid = build_grid(0.0, P, min(p["base_step"], p["tau"] / p["ramp_step_divisor"]), sq)
     ys = sq.values(grid)
     yd = sq.derivative(grid)
     zs = ff.zbar.interp_state(grid)[:, 0]
@@ -264,8 +257,7 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     if p["run_delta_sweep"]:
         try:
             cyc = find_limit_cycle(model, None, np.array([1.0, 0.0]),
-                                   section=(0, 0.0, 1), max_time=60.0,
-                                   agreement=1e-4)
+                                   max_time=60.0, agreement=1e-4)
             loop = integrate(model, None, cyc.t_anchor, cyc.t_anchor + cyc.period,
                              cyc.anchor)
             ydf = model.f(loop.ts, loop.states.T[:1], loop.states.T[1:], 0.0)
@@ -415,8 +407,7 @@ def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
                      np.array(p["x0"], dtype=float), step)
     flags = np.array([lorenz_region_check(s, sigma, beta) for s in traj.states])
     try:
-        find_limit_cycle(chaotic, None, np.array(p["x0"], dtype=float),
-                         section=(0, 0.0, 1), max_time=60.0)
+        find_limit_cycle(chaotic, None, np.array(p["x0"], dtype=float), max_time=60.0)
         cycle_outcome = {"error": None}
     except (PeriodUnstable, NoCrossings) as exc:
         cycle_outcome = {"error": type(exc).__name__, "detail": str(exc)}

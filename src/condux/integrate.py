@@ -218,26 +218,21 @@ def find_limit_cycle(
     model: VectorField,
     signal: InputSignal | None,
     x_guess: np.ndarray,
-    section: tuple[int, float, int],
-    transient: float = 50.0,
     max_time: float = 400.0,
     step: float | None = None,
     agreement: float = 1e-6,
 ) -> CycleResult:
-    """Locate an attracting cycle by Poincare returns to a coordinate section.
+    """Locate an attracting cycle by Poincare returns to the section where
+    x[0] crosses 0 upward.
 
-    section = (state index, level, direction); the transient discard is 50
-    time units or 20 crossings, whichever comes first. Successive return
-    intervals must agree to the given relative tolerance, else the orbit is
-    declared unstable or drifting (PeriodUnstable).
+    The transient discard is 50 time units or 20 crossings, whichever comes
+    first. Successive return intervals must agree to the given relative
+    tolerance, else the orbit is declared unstable or drifting
+    (PeriodUnstable).
     """
-    idx, level, direction = section
     traj = integrate(model, signal, 0.0, max_time, np.asarray(x_guess, dtype=float), step)
-    s = traj.states[:, idx] - level
-    if direction >= 0:
-        hit = (s[:-1] < 0.0) & (s[1:] >= 0.0)
-    else:
-        hit = (s[:-1] > 0.0) & (s[1:] <= 0.0)
+    s = traj.states[:, 0]
+    hit = (s[:-1] < 0.0) & (s[1:] >= 0.0)
     i_hits = np.nonzero(hit)[0]
     if i_hits.size == 0:
         raise NoCrossings(f"no section crossings for {model.name} within {max_time} time units")
@@ -248,7 +243,7 @@ def find_limit_cycle(
         t_cross.append(float(traj.ts[i] + w * (traj.ts[i + 1] - traj.ts[i])))
         x_cross.append((1.0 - w) * traj.states[i] + w * traj.states[i + 1])
     t_cross = np.array(t_cross)
-    cut = transient
+    cut = 50.0
     if t_cross.size > 20:
         cut = min(cut, t_cross[19])
     keep = np.nonzero(t_cross > cut)[0]

@@ -1,10 +1,10 @@
 """System models in output normal form, plus the built-in example systems.
 
-A NormalFormModel has a chain of integrators on the first r states, a scalar
-map f on the last chain state, and internal dynamics g on the remaining
-states. The input enters only through f, with a uniformly sign-definite gain,
-so a feedforward input realizing a desired top derivative can always be
-recovered from f(t, x, z, u) = v (NormalFormModel.f_inv). The inversion is
+A NormalFormModel is a relative-degree-one model: its output y obeys
+y' = f(t, y, z, u) and its internal states z obey z' = g(t, z, y). The input
+enters only through f, with a uniformly sign-definite gain, so a feedforward
+input realizing a desired output rate can always be recovered from
+f(t, y, z, u) = v (NormalFormModel.f_inv). The inversion is
 closed form first, over whole grids at once; a point where the closed form
 misses its residual bound, which happens only for fields that are not
 affine in u, falls back to a 1-D bracket and root solve.
@@ -48,6 +48,9 @@ __all__ = [
 Vector = tuple[float, ...]
 Rows = tuple[Vector, ...]
 
+# Smallest |df/du| at which f_inv still inverts the output equation.
+GAIN_FLOOR = 1e-8
+
 
 @runtime_checkable
 class VectorField(Protocol):
@@ -82,56 +85,44 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class NormalFormModel:
-    """Chain-of-integrators normal form with scalar input through f.
+    """Output y' = f(t, x, z, u) with x = (y,) and internal states
+    z' = g(t, z, x), n - 1 >= 1 of them; the input enters through f only.
 
-    f(t, x, z, u) returns the top chain derivative; g(t, z, x) returns the
-    internal drift as a tuple. f_jac returns (df/dx, df/dz, df/du) with the
-    first two as float sequences, and g_jac returns the rows of (dg/dx,
-    dg/dz), all evaluated at a point given as float sequences x and z. The
-    fhn and hh f and f_jac also take columns (x of shape (r, N), z of shape
-    (n-r, N)), which is how f_inv inverts a whole grid in one call.
+    g returns the internal drift as a tuple. f_jac returns (df/dx, df/dz,
+    df/du) with the first two as float sequences, and g_jac returns the rows
+    of (dg/dx, dg/dz), all evaluated at float sequences x and z. The fhn and
+    hh f and f_jac also take columns (x of shape (1, N), z of shape (n-1, N)),
+    which is how f_inv inverts a whole grid in one call.
     """
 
     name: str
     n: int
-    r: int
     f: Callable[[float, Sequence[float], Sequence[float], float], float]
     f_jac: Callable[[float, Sequence[float], Sequence[float], float],
                     tuple[Sequence[float], Sequence[float], float]]
-    g: Callable[[float, Sequence[float], Sequence[float]], Vector] | None = None
-    g_jac: Callable[[float, Sequence[float], Sequence[float]], tuple[Rows, Rows]] | None = None
-    gain_floor: float = 1e-8
+    g: Callable[[float, Sequence[float], Sequence[float]], Vector]
+    g_jac: Callable[[float, Sequence[float], Sequence[float]], tuple[Rows, Rows]]
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.n:
-            raise ConfigError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.r < self.n and self.g is None:
-            raise ConfigError("models with internal states need g")
+        if self.n < 2:
+            raise ConfigError(f"{self.name} needs internal states, got n={self.n}")
 
     def rhs(self, t: float, state: Sequence[float], u: float) -> Vector:
-        r = self.r
-        if r == self.n:
-            return (*state[1:], self.f(t, state, (), u))
-        x, z = state[:r], state[r:]
-        return (*state[1:r], self.f(t, x, z, u), *self.g(t, z, x))
+        x, z = state[:1], state[1:]
+        return (self.f(t, x, z, u), *self.g(t, z, x))
 
     def jac(self, t: float, state: Sequence[float], u: float) -> Rows:
-        n, r = self.n, self.r
-        x, z = state[:r], state[r:]
-        rows = [tuple(1.0 if j == i + 1 else 0.0 for j in range(n)) for i in range(r - 1)]
+        x, z = state[:1], state[1:]
         dfx, dfz, _ = self.f_jac(t, x, z, u)
-        rows.append((*dfx, *dfz))
-        if r < n:
-            dgx, dgz = self.g_jac(t, z, x)
-            rows.extend((*a, *b) for a, b in zip(dgx, dgz))
-        return tuple(rows)
+        dgx, dgz = self.g_jac(t, z, x)
+        return ((*dfx, *dfz), *((*a, *b) for a, b in zip(dgx, dgz)))
 
     def f_inv(self, t, x, z, v):
         """Solve f(t, x, z, u) = v for u, at one point or at every column.
 
-        x has shape (r,) or (r, N), z (n-r,) or (n-r, N), and t and v are a
+        x has shape (1,) or (1, N), z (n-1,) or (n-1, N), and t and v are a
         time and a target or arrays of shape (N,); any shapes f and f_jac
         broadcast over will do. Every built-in model is input-affine, so u
         is (v - f(t, x, z, 0)) / df/du in closed form. A point where that
@@ -145,12 +136,12 @@ class NormalFormModel:
         f0 = self.f(t, x, z, 0.0)
         shape = np.broadcast_shapes(np.shape(t), v.shape, np.shape(f0), np.shape(g0))
         ts = np.broadcast_to(t, shape)
-        low = np.broadcast_to(np.abs(g0) < self.gain_floor, shape)
+        low = np.broadcast_to(np.abs(g0) < GAIN_FLOOR, shape)
         if low.any():
             i = tuple(np.argwhere(low)[0])
             g = np.broadcast_to(g0, shape)[i]
             raise GainFloorViolated(
-                f"input gain {g:.3e} below floor {self.gain_floor:.3e} "
+                f"input gain {g:.3e} below floor {GAIN_FLOOR:.3e} "
                 f"for {self.name} at t={ts[i]}"
             )
         u = np.array(np.broadcast_to((v - f0) / g0, shape))
@@ -179,7 +170,7 @@ class NormalFormModel:
             return 0.0
         phi = lambda u: self.f(t, x, z, u) - v
         direction = 1.0 if math.copysign(1.0, g0) * p0 < 0 else -1.0
-        step = max(1.0, abs(p0) / max(abs(g0), self.gain_floor))
+        step = max(1.0, abs(p0) / max(abs(g0), GAIN_FLOOR))
         u_edge = 0.0
         bracket = None
         for k in range(80):
@@ -201,7 +192,7 @@ class NormalFormModel:
             if abs(res) <= tol:
                 return u
             _, _, gu = self.f_jac(t, x, z, u)
-            if abs(gu) < self.gain_floor:
+            if abs(gu) < GAIN_FLOOR:
                 break
             u -= res / gu
         res = phi(u)
@@ -211,7 +202,7 @@ class NormalFormModel:
 
 
 def _column(a: np.ndarray, shape: tuple[int, ...], i: tuple[int, ...]) -> np.ndarray:
-    """The state vector of point i of an (r,) or (r,) + shape stack."""
+    """The state vector of point i of an (m,) or (m,) + shape stack."""
     if a.ndim == 1:
         return a
     return np.broadcast_to(a, a.shape[:1] + shape)[(slice(None),) + i]
@@ -241,17 +232,12 @@ class PlainModel:
 
 
 def InverseSystem(model: NormalFormModel) -> PlainModel:
-    """Internal dynamics of a relative-degree-one model, driven by the output.
+    """Internal dynamics of a model, driven by the output.
 
     The input channel of the returned field is the output y of the original
     model, so feeding a reference output simulates the stationary internal
     response used when reconstructing feedforward inputs.
     """
-    if model.r != 1:
-        raise ConfigError("inverse-system wrapper requires r == 1")
-    if model.n == model.r:
-        raise ConfigError("model has no internal states")
-
     g, g_jac = model.g, model.g_jac
 
     def rhs(t: float, z: Sequence[float], u: float) -> Vector:
@@ -274,23 +260,23 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
 # ---------------------------------------------------------------------------
 
 
-def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> NormalFormModel:
-    """Damped pendulum with torque input: ydd = -beta sin y - gamma yd + alpha u."""
+def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> PlainModel:
+    """Damped pendulum with torque input: ydd = -beta sin y - gamma yd + alpha u,
+    stepped as the state (y, yd)."""
     if alpha == 0.0:
         raise ConfigError("alpha must be nonzero")
 
-    def f(t, x, z, u):
-        return -beta * math.sin(x[0]) - gamma * x[1] + alpha * u
+    def rhs(t, s, u):
+        return (s[1], -beta * math.sin(s[0]) - gamma * s[1] + alpha * u)
 
-    def f_jac(t, x, z, u):
-        return (-beta * math.cos(x[0]), -gamma), (), alpha
+    def jac(t, s, u):
+        return ((0.0, 1.0), (-beta * math.cos(s[0]), -gamma))
 
-    return NormalFormModel(
+    return PlainModel(
         name="kapitza",
         n=2,
-        r=2,
-        f=f,
-        f_jac=f_jac,
+        rhs_fn=rhs,
+        jac_fn=jac,
         sample_box=((math.pi - 2.0, math.pi + 2.0), (-3.0, 3.0)),
     )
 
@@ -323,7 +309,6 @@ def fitzhugh_nagumo(
     return NormalFormModel(
         name="fhn",
         n=2,
-        r=1,
         f=f,
         f_jac=f_jac,
         g=g,
@@ -388,9 +373,9 @@ class ConductanceParams:
         return self.gbar_s * self.kappa_s * (1.0 - t_s * t_s) * (y - self.E_s)
 
 
-def hh_conductance(params: ConductanceParams | None = None) -> NormalFormModel:
+def hh_conductance(params: ConductanceParams) -> NormalFormModel:
     """Conductance membrane model with first-order slow gate zd = -z + y."""
-    p = params or ConductanceParams()
+    p = params
 
     def f(t, x, z, u):
         return p.membrane_current(x[0], z[0], u) / p.eps
@@ -411,7 +396,6 @@ def hh_conductance(params: ConductanceParams | None = None) -> NormalFormModel:
     return NormalFormModel(
         name="hh",
         n=2,
-        r=1,
         f=f,
         f_jac=f_jac,
         g=g,
@@ -579,7 +563,6 @@ class ParameterizedPlant:
         return NormalFormModel(
             name=f"{self.name}-theta",
             n=self.n,
-            r=1,
             f=f,
             f_jac=f_jac,
             g=g,

@@ -37,22 +37,12 @@ class PiecewisePoly:
             raise ValueError("breakpoints must be strictly increasing")
 
     def __call__(self, y: float) -> float:
-        # Horner in the same operation order as np.polyval, so the scalar and
-        # the vectorized paths agree bit for bit.
+        # Horner in the same operation order as np.polyval, so a piece gives
+        # the bits of np.polyval on its coefficients.
         acc = 0.0
         for c in self.coeffs[bisect_left(self.breaks, y)]:
             acc = acc * y + c
         return float(acc)
-
-    def values(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        idx = np.searchsorted(self.breaks, ys, side="left")
-        out = np.empty_like(ys)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if mask.any():
-                out[mask] = np.polyval(c, ys[mask])
-        return out
 
     def derivative(self) -> "PiecewisePoly":
         return PiecewisePoly(

@@ -123,14 +123,13 @@ class Sinusoid(InputSignal):
 class ImpulseTrain(InputSignal):
     """Train of narrow bumps at t0 + n*period, n = 0, 1, 2, ...
 
-    Each bump is the square root of a normalized Gaussian, which has unit L2
-    mass for every width. magnitudes cycles if the train is longer than the
-    list.
+    Each bump is magnitude times the square root of a normalized Gaussian,
+    which has unit L2 mass for every width.
     """
 
     t0: float
     period: float
-    magnitudes: tuple[float, ...]
+    magnitude: float
     width: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -138,8 +137,6 @@ class ImpulseTrain(InputSignal):
             raise ValueError("period must be positive")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if not self.magnitudes:
-            raise ValueError("magnitudes must be non-empty")
 
     def _bump(self, x: np.ndarray) -> np.ndarray:
         a = self.width
@@ -152,7 +149,7 @@ class ImpulseTrain(InputSignal):
         return range(n_lo, n_hi + 1)
 
     def _sum_bumps(self, t, weight: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        """Sum over the train of weight(eps_n * bump(x), x), x = t - center_n."""
+        """Sum over the train of weight(magnitude * bump(x), x), x = t - center_n."""
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
         out = np.zeros_like(flat)
@@ -163,8 +160,7 @@ class ImpulseTrain(InputSignal):
             x = flat - c
             mask = np.abs(x) <= _SUPPORT_WIDTHS * self.width
             if mask.any():
-                eps = self.magnitudes[n % len(self.magnitudes)]
-                out[mask] += weight(eps * self._bump(x[mask]), x[mask])
+                out[mask] += weight(self.magnitude * self._bump(x[mask]), x[mask])
         return out.reshape(ts.shape)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
@@ -187,13 +183,12 @@ class ImpulseTrain(InputSignal):
 
 @dataclass(frozen=True)
 class SquarePulseTrain(InputSignal):
-    """Rectangular pulses: magnitude on [start + n*period, ... + duration), else baseline."""
+    """Rectangular pulses: magnitude on [n*period, n*period + duration) for
+    n = 0, 1, 2, ..., else 0."""
 
     magnitude: float
     duration: float
     period: float
-    start: float = 0.0
-    baseline: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.duration <= self.period:
@@ -201,39 +196,28 @@ class SquarePulseTrain(InputSignal):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        phase = (ts - self.start) % self.period
-        on = (phase < self.duration) & (ts >= self.start)
-        return np.where(on, self.magnitude, self.baseline)
+        on = (ts % self.period < self.duration) & (ts >= 0.0)
+        return np.where(on, self.magnitude, 0.0)
 
     def derivative(self, t):
         return _zeros_like(t)  # piecewise constant; jumps are handled by breakpoints
 
-    def breakpoints(self, t0: float, t1: float) -> list[float]:
-        out = []
-        n = max(0, math.floor((t0 - self.start) / self.period) - 1)
-        while True:
-            rise = self.start + n * self.period
-            if rise > t1:
-                break
-            for edge in (rise, rise + self.duration):
-                if t0 <= edge <= t1:
-                    out.append(edge)
+    def _rises(self, t0: float, t1: float):
+        """Pulse starts from the one before t0's period through t1."""
+        n = max(0, math.floor(t0 / self.period) - 1)
+        while n * self.period <= t1:
+            yield n * self.period
             n += 1
-        return out
+
+    def breakpoints(self, t0: float, t1: float) -> list[float]:
+        return [edge for rise in self._rises(t0, t1)
+                for edge in (rise, rise + self.duration) if t0 <= edge <= t1]
 
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
         # Resolve each pulse with at least a few steps.
         cap = self.duration / 4.0
-        out = []
-        n = max(0, math.floor((t0 - self.start) / self.period) - 1)
-        while True:
-            rise = self.start + n * self.period
-            if rise > t1:
-                break
-            if rise + self.duration >= t0:
-                out.append((max(rise, t0), min(rise + self.duration, t1), cap))
-            n += 1
-        return out
+        return [(max(rise, t0), min(rise + self.duration, t1), cap)
+                for rise in self._rises(t0, t1) if rise + self.duration >= t0]
 
     def max_angular_frequency(self) -> float:
         return 2.0 * math.pi / self.period
@@ -241,15 +225,14 @@ class SquarePulseTrain(InputSignal):
 
 @dataclass(frozen=True)
 class PiecewiseLinear(InputSignal):
-    """Linear interpolation through knots, optionally repeated periodically.
+    """Linear interpolation through knots, repeated with period
+    knots[-1] - knots[0].
 
     At a knot time the slope comes from the segment to the right, the one
-    that breakpoints() starts; for a periodic signal the pattern wraps with
-    period knots[-1] - knots[0].
+    that breakpoints() starts.
     """
 
     knots: tuple[tuple[float, float], ...]
-    periodic: bool = False
 
     def __post_init__(self) -> None:
         if len(self.knots) < 2:
@@ -266,19 +249,8 @@ class PiecewiseLinear(InputSignal):
     def period(self) -> float:
         return self.knots[-1][0] - self.knots[0][0]
 
-    def _wrap(self, t) -> np.ndarray:
-        """Each time folded into the knot span: wrapped if periodic, else clamped."""
-        ts = self._ts
-        if self.periodic:
-            return ts[0] + (np.asarray(t, dtype=float) - ts[0]) % self.period
-        return np.clip(t, ts[0], ts[-1])
-
-    def _locate(self, tau) -> np.ndarray:
-        """Index of the segment each folded time lies on, the right one at a knot."""
-        return np.clip(np.searchsorted(self._ts, tau, side="right") - 1, 0, self._ts.size - 2)
-
     def _cycle_segment(self, t) -> np.ndarray:
-        """Segment index of each time of a periodic signal, the right one at a knot.
+        """Segment index of each time, the right one at a knot.
 
         Times are compared with the knots of their cycle n as breakpoints()
         unfolds them, tk + n * period: the wrapped time can land one ulp short
@@ -295,21 +267,19 @@ class PiecewiseLinear(InputSignal):
         return i
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        # The signal is continuous, so the segment the folded time falls on
-        # gives the value at a knot too, up to the rounding of the knot time.
-        tau = self._wrap(ts)
-        i = self._locate(tau)
-        return self._vs[i] + self._slopes[i] * (tau - self._ts[i])
+        # The signal is continuous, so the segment the time folded into the
+        # knot span falls on gives the value at a knot too, up to the
+        # rounding of the knot time.
+        knot_ts = self._ts
+        tau = knot_ts[0] + (np.asarray(ts, dtype=float) - knot_ts[0]) % self.period
+        i = np.clip(np.searchsorted(knot_ts, tau, side="right") - 1, 0, knot_ts.size - 2)
+        return self._vs[i] + self._slopes[i] * (tau - knot_ts[i])
 
     def derivative(self, t):
-        if self.periodic:
-            return self._slopes[self._cycle_segment(t)]
-        return self._slopes[self._locate(self._wrap(t))]
+        return self._slopes[self._cycle_segment(t)]
 
-    def _unfolded_knot_times(self, t0: float, t1: float) -> list[float]:
+    def breakpoints(self, t0: float, t1: float) -> list[float]:
         base = [k[0] for k in self.knots]
-        if not self.periodic:
-            return [t for t in base if t0 <= t <= t1]
         out = []
         n = math.floor((t0 - base[0]) / self.period) - 1
         while base[0] + n * self.period <= t1:
@@ -320,12 +290,9 @@ class PiecewiseLinear(InputSignal):
             n += 1
         return sorted(out)
 
-    def breakpoints(self, t0: float, t1: float) -> list[float]:
-        return self._unfolded_knot_times(t0, t1)
-
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
         # Cap the step at a quarter of each segment so short ramps are resolved.
-        edges = self._unfolded_knot_times(t0 - self.period if self.periodic else t0, t1)
+        edges = self.breakpoints(t0 - self.period, t1)
         out = []
         for a, b in zip(edges, edges[1:]):
             if b >= t0 and a <= t1:
@@ -333,7 +300,7 @@ class PiecewiseLinear(InputSignal):
         return out
 
     def max_angular_frequency(self) -> float:
-        return 2.0 * math.pi / self.period if self.periodic else 0.0
+        return 2.0 * math.pi / self.period
 
 
 @dataclass(frozen=True)
@@ -378,7 +345,6 @@ class CallableSignal(InputSignal):
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    breakpoints_fn: Callable[[float, float], Sequence[float]] | None = None
     windows_fn: Callable[[float, float], Sequence[tuple[float, float, float]]] | None = None
     angular_frequency: float = 0.0
     derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -390,11 +356,6 @@ class CallableSignal(InputSignal):
         if self.derivative_fn is None:
             return super().derivative(t)
         return np.asarray(self.derivative_fn(np.asarray(t, dtype=float)), dtype=float)[()]
-
-    def breakpoints(self, t0: float, t1: float) -> list[float]:
-        if self.breakpoints_fn is None:
-            return []
-        return list(self.breakpoints_fn(t0, t1))
 
     def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
         if self.windows_fn is None:

@@ -9,7 +9,7 @@ import pytest
 import condux.cli
 from condux.cli import main
 
-from test_config import OUT_OF_RANGE
+from test_config import OUT_OF_RANGE, WRONG_LENGTH
 
 
 def _write(path: Path, obj) -> str:
@@ -64,14 +64,24 @@ def test_non_positive_steps_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("exp,params,expected", OUT_OF_RANGE,
-                         ids=[f"{e}-{next(iter(p))}" for e, p, _ in OUT_OF_RANGE])
-def test_out_of_range_values_exit_2(tmp_path, capsys, exp, params, expected):
+def _assert_exits_2(tmp_path, capsys, exp, params, expected):
     cfg = _write(tmp_path / "bad.json", {"experiment": exp, "params": params})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"config error: {m}" for m in expected]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exp,params,expected", OUT_OF_RANGE,
+                         ids=[f"{e}-{next(iter(p))}" for e, p, _ in OUT_OF_RANGE])
+def test_out_of_range_values_exit_2(tmp_path, capsys, exp, params, expected):
+    _assert_exits_2(tmp_path, capsys, exp, params, expected)
+
+
+@pytest.mark.parametrize("exp,params,expected", WRONG_LENGTH,
+                         ids=[f"{e}-{next(iter(p))}" for e, p, _ in WRONG_LENGTH])
+def test_wrong_lengths_exit_2(tmp_path, capsys, exp, params, expected):
+    _assert_exits_2(tmp_path, capsys, exp, params, expected)
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

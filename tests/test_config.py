@@ -114,7 +114,8 @@ def test_non_positive_steps_are_rejected_at_every_path():
 
 # Values that a constructor downstream rejects, with the message validation
 # gives instead. Each used to end `condux run` with a traceback (exit 1), or
-# with a ZeroDivisionError reported as a numerical failure.
+# with a ZeroDivisionError, PeriodMismatch or ValueError reported as a
+# numerical failure (exit 3).
 OUT_OF_RANGE = [
     ("hh", {"T_hat": -1.0, "run_delta_sweep": False}, ["params.T_hat: must be positive"]),
     ("hh", {"tau": 0.0}, ["params.tau: must be positive"]),
@@ -133,6 +134,26 @@ OUT_OF_RANGE = [
                                               "params.beta: must be positive"]),
     ("kapitza", {"amplitude_grid": [0.3, -1.0]}, ["params.amplitude_grid[1]: must be positive"]),
     ("kapitza", {"horizon": 0.0}, ["params.horizon: must be positive"]),
+    ("probe", {"t1": -1.0}, ["params.t1: must exceed params.t0"]),
+    ("chua", {"from_rest": True, "from_rest_horizon": -1.0},
+     ["params.from_rest_horizon: must be positive"]),
+    ("observer", {"settle_periods": -1}, ["params.settle_periods: must not be negative"]),
+]
+
+# Lists of a length the pipeline cannot unpack or index, which used to end
+# `condux run` with a traceback (exit 1) or, for an empty amplitude grid,
+# with NoStabilizingAmplitude (exit 3).
+WRONG_LENGTH = [
+    ("observer", {"theta0": [0.3, 1.8, 0.1]}, ["params.theta0: expected 2 entries, got 3"]),
+    ("observer", {"theta_star": [0.5]}, ["params.theta_star: expected 2 entries, got 1"]),
+    ("hh", {"sync_ics": [[1.0, 0.0, 0.0], [0.5, -0.5, 0.0]]},
+     ["params.sync_ics[0]: expected 2 entries, got 3",
+      "params.sync_ics[1]: expected 2 entries, got 3"]),
+    ("hh", {"sync_ics": [[1.0, 0.0]]}, ["params.sync_ics: expected 2 entries, got 1"]),
+    ("hh", {"levels": [1.0, 0.3]}, ["params.levels: expected 4 entries, got 2"]),
+    ("fhn", {"phase_offsets": [0.05]}, ["params.phase_offsets: expected 2 entries, got 1"]),
+    ("lorenz", {"x0": [1.0, 1.0]}, ["params.x0: expected 3 entries, got 2"]),
+    ("kapitza", {"amplitude_grid": []}, ["params.amplitude_grid: must not be empty"]),
 ]
 
 
@@ -142,8 +163,14 @@ def test_out_of_range_values_are_rejected(exp, params, expected):
     assert validate_raw({"experiment": exp, "params": params}) == expected
 
 
+@pytest.mark.parametrize("exp,params,expected", WRONG_LENGTH,
+                         ids=[f"{e}-{next(iter(p))}" for e, p, _ in WRONG_LENGTH])
+def test_wrong_lengths_are_rejected(exp, params, expected):
+    assert validate_raw({"experiment": exp, "params": params}) == expected
+
+
 def test_range_rules_hold_at_the_defaults():
-    for exp in ("fhn", "observer"):
+    for exp in ("fhn", "observer", "probe"):
         assert validate_raw({"experiment": exp}) == []
     assert validate_raw({"experiment": "observer",
                          "params": {"duration": 2.8, "period": 2.8}}) == []

@@ -17,7 +17,6 @@ from condux.design import (
     orbit_scale,
 )
 from condux.errors import (
-    ConfigError,
     NoStabilizingAmplitude,
     PeriodUnstable,
     RangeViolation,
@@ -27,10 +26,8 @@ from condux.models import (
     ConductanceParams,
     NormalFormModel,
     fitzhugh_nagumo,
-    kapitza,
     lorenz,
 )
-from condux.signals import CallableSignal, Sinusoid
 
 
 class TestAveragedGain:
@@ -173,14 +170,7 @@ class TestConductanceCertificate:
             ff = feedforward_from_reference(
                 params_model(params), ref, 0.0, 2.0 * sq.period,
                 zbar_ic=np.array([sq.value(0.0)]))
-            cap = 0.001 / 80.0
-            capped = CallableSignal(
-                fn=sq.values,
-                breakpoints_fn=sq.breakpoints,
-                windows_fn=lambda a, b: [(lo, hi, min(c, cap))
-                                         for lo, hi, c in sq.refine_windows(a, b)],
-            )
-            grid = build_grid(0.0, sq.period, 5e-4, capped)
+            grid = build_grid(0.0, sq.period, min(5e-4, 0.001 / 80.0), sq)
             ys = sq.values(grid)
             yd = sq.derivative(grid)
             zs = ff.zbar.interp_state(grid)[:, 0]
@@ -189,6 +179,15 @@ class TestConductanceCertificate:
             rep = hh_certificate(params, traj, yd)
             margins.append(params.eps * rep.T_hat - rep.a_bar * rep.tau_unstable)
         assert margins[0] < margins[1] < margins[2]
+
+    def test_certificate_grid_size(self, hh_run):
+        # the certificate grid steps every segment, plateaus included, at
+        # min(base_step, tau / divisor): 400,000 steps at the defaults (T_hat
+        # 5, tau 1e-3, divisor 80); the benchmark's T_hat 2.5, tau 5e-4 and
+        # divisor 1 leave the base step 5e-4 and the ramps' quarter caps
+        assert hh_run[0]["reference_traj"].ts.size == 400_081
+        sq = hh_square_reference(2.5, 5e-4)
+        assert build_grid(0.0, sq.period, 5e-4, sq).size == 5_009
 
     def test_tabulated_feedforward_matches_pointwise(self):
         sq = hh_square_reference(2.5, 5e-4)
@@ -255,11 +254,6 @@ class TestOutputReference:
         assert np.array_equal(grid, build_grid(t0, 2.0 * t1, h, sig.ref.signal))
         assert set(sig.ref.signal.breakpoints(t0, 2.0 * t1)) <= set(grid.tolist())
 
-    def test_model_without_internal_states_is_rejected(self):
-        sig = Sinusoid(amplitude=0.5, omega=2.0, offset=math.pi)
-        with pytest.raises(ConfigError):
-            feedforward_from_reference(kapitza(), OutputReference(sig), 0.0, 1.0)
-
 
 def test_orbit_scale():
     ts = np.linspace(0.0, 1.0, 5)
@@ -313,8 +307,7 @@ def test_fhn_slow_multiplier_shrinks_with_timescale():
     for eps, expected_period in ((0.1, 3.29023715), (0.05, 2.77665807),
                                  (0.02, 2.38653791)):
         model = fitzhugh_nagumo(eps=eps)
-        cyc = find_limit_cycle(model, None, np.array([1.0, 0.0]),
-                               section=(0, 0.0, 1), max_time=200.0,
+        cyc = find_limit_cycle(model, None, np.array([1.0, 0.0]), max_time=200.0,
                                step=0.002, agreement=1e-5)
         assert cyc.period == pytest.approx(expected_period, abs=1e-4)
         loop = integrate(model, None, cyc.t_anchor, cyc.t_anchor + cyc.period,
@@ -330,8 +323,7 @@ def test_fhn_slow_multiplier_shrinks_with_timescale():
 def test_fhn_cycle_unstable_period_at_tight_agreement():
     with pytest.raises(PeriodUnstable):
         find_limit_cycle(fitzhugh_nagumo(eps=0.05), None, np.array([1.0, 0.0]),
-                         section=(0, 0.0, 1), max_time=200.0,
-                         step=0.002, agreement=1e-6)
+                         max_time=200.0, step=0.002, agreement=1e-6)
 
 
 def _with_neighbours(ts) -> np.ndarray:

@@ -73,7 +73,7 @@ def test_default_step_rules():
 
 
 def test_grid_hits_breakpoints_exactly():
-    sig = ImpulseTrain(t0=1.0, period=2.0, magnitudes=(1.0,), width=1e-4)
+    sig = ImpulseTrain(t0=1.0, period=2.0, magnitude=1.0, width=1e-4)
     grid = build_grid(0.0, 5.0, 0.01, sig)
     assert grid[0] == 0.0 and grid[-1] == 5.0
     assert np.all(np.diff(grid) > 0)
@@ -92,13 +92,12 @@ def _three_signals(draw):
     times = np.cumsum([draw(st.floats(-1.0, 1.0))] + gaps)
     levels = draw(st.lists(st.floats(-2.0, 2.0), min_size=times.size,
                            max_size=times.size))
-    ramp = PiecewiseLinear(tuple(zip(times.tolist(), levels)), periodic=draw(st.booleans()))
+    ramp = PiecewiseLinear(tuple(zip(times.tolist(), levels)))
     period = draw(st.floats(0.2, 2.0))
     pulses = SquarePulseTrain(magnitude=1.0, period=period,
-                              duration=period * draw(st.floats(0.05, 1.0)),
-                              start=draw(st.floats(-1.0, 1.0)))
+                              duration=period * draw(st.floats(0.05, 1.0)))
     kicks = ImpulseTrain(t0=draw(st.floats(-1.0, 2.0)), period=draw(st.floats(0.3, 2.0)),
-                         magnitudes=(1.0,), width=draw(st.floats(1e-4, 1e-2)))
+                         magnitude=1.0, width=draw(st.floats(1e-4, 1e-2)))
     return Sum((ramp, pulses, kicks))
 
 
@@ -289,7 +288,6 @@ def test_forced_linear_system_keeps_fourth_order():
 class TestFindLimitCycle:
     def test_planar_period(self):
         cyc = find_limit_cycle(planar_limit_cycle(), None, np.array([1.3, 0.0]),
-                               section=(1, 0.0, 1), transient=20.0,
                                step=0.001)
         assert cyc.period == pytest.approx(2.0 * math.pi, rel=1e-6)
         assert np.hypot(*cyc.anchor) == pytest.approx(1.0, abs=1e-6)
@@ -297,11 +295,9 @@ class TestFindLimitCycle:
     def test_no_crossings(self):
         with pytest.raises(NoCrossings):
             find_limit_cycle(leaky_integrator(1.0), Constant(0.5),
-                             np.array([0.0]), section=(0, 2.0, 1),
-                             transient=5.0, max_time=20.0)
+                             np.array([0.0]), max_time=20.0)
 
     def test_chaotic_system_has_no_stable_period(self):
         with pytest.raises((PeriodUnstable, NoCrossings)):
             find_limit_cycle(lorenz(10.0, 28.0, 8.0 / 3.0), None,
-                             np.array([1.0, 1.0, 1.0]), section=(0, 0.0, 1),
-                             transient=10.0, max_time=60.0)
+                             np.array([1.0, 1.0, 1.0]), max_time=60.0)

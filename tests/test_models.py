@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condux.errors import GainFloorViolated
+from condux.errors import ConfigError, GainFloorViolated
 from condux.lure import chua_system
 from condux.models import (
     ConductanceParams,
@@ -60,49 +60,59 @@ class TestKapitza:
         assert out[0] == s[1]
         assert out[1] == pytest.approx(-math.sin(0.4) + 0.2 + 0.7)
 
-    def test_f_inv_affine(self):
-        m = kapitza(alpha=2.0, beta=1.0, gamma=0.5)
-        x = np.array([0.9, -0.3])
-        u = m.f_inv(0.0, x, np.empty(0), 2.0)
-        assert m.f(0.0, x, np.empty(0), u) == pytest.approx(2.0, abs=1e-12)
-
     def test_alpha_zero_rejected(self):
         with pytest.raises(Exception):
             kapitza(alpha=0.0)
+
+
+def _still(t, z, x):
+    return (0.0,)
+
+
+def _still_jac(t, z, x):
+    return ((0.0,),), ((0.0,),)
 
 
 # bounded f = tanh(u): not affine in u, so the closed form misses and every
 # target but v = 0 goes to the bracket
 SATURATING = NormalFormModel(
     name="saturating",
-    n=1,
-    r=1,
+    n=2,
     f=lambda t, x, z, u: np.tanh(u),
-    f_jac=lambda t, x, z, u: (np.array([0.0]), np.empty(0),
+    f_jac=lambda t, x, z, u: (np.array([0.0]), np.array([0.0]),
                               np.maximum(1.0 / np.cosh(u) ** 2, 1e-6)),
+    g=_still,
+    g_jac=_still_jac,
 )
+
+
+def test_model_without_internal_states_is_rejected():
+    with pytest.raises(ConfigError):
+        NormalFormModel(name="output-only", n=1, f=SATURATING.f, f_jac=SATURATING.f_jac,
+                        g=_still, g_jac=_still_jac)
 
 
 def test_f_inv_unreachable_target():
     # no u reaches v = 2, the bracket expansion must report it, alone or
     # among reachable targets
     with pytest.raises(GainFloorViolated):
-        SATURATING.f_inv(0.0, np.array([0.0]), np.empty(0), 2.0)
+        SATURATING.f_inv(0.0, np.array([0.0]), np.array([0.0]), 2.0)
     with pytest.raises(GainFloorViolated):
-        SATURATING.f_inv(np.zeros(3), np.zeros((1, 3)), np.empty((0, 3)),
+        SATURATING.f_inv(np.zeros(3), np.zeros((1, 3)), np.zeros((1, 3)),
                          np.array([0.5, 2.0, -0.5]))
 
 
 def test_f_inv_names_the_first_time_below_the_gain_floor():
     # f = y u has no input gain where y = 0
     bilinear = NormalFormModel(
-        name="bilinear", n=1, r=1,
+        name="bilinear", n=2,
         f=lambda t, x, z, u: x[0] * u,
-        f_jac=lambda t, x, z, u: (u, np.empty(0), x[0]),
+        f_jac=lambda t, x, z, u: (u, np.zeros(1), x[0]),
+        g=_still, g_jac=_still_jac,
     )
     with pytest.raises(GainFloorViolated, match=r"at t=2\.0$"):
         bilinear.f_inv(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.0, 0.0]]),
-                       np.empty((0, 3)), np.ones(3))
+                       np.zeros((1, 3)), np.ones(3))
 
 
 def test_f_inv_falls_back_to_the_bracket_per_point(monkeypatch):
@@ -112,10 +122,10 @@ def test_f_inv_falls_back_to_the_bracket_per_point(monkeypatch):
                         lambda self, *a: calls.append(a) or bracket(self, *a))
     v = np.linspace(-0.95, 0.95, 41)
     u = SATURATING.f_inv(np.zeros(v.size), np.zeros((1, v.size)),
-                         np.empty((0, v.size)), v)
+                         np.zeros((1, v.size)), v)
     assert len(calls) == v.size - 1  # v = 0 is solved by the closed form
     assert np.all(np.abs(np.tanh(u) - v) <= 1e-10)
-    one = [SATURATING.f_inv(0.0, np.array([0.0]), np.empty(0), vk) for vk in v]
+    one = [SATURATING.f_inv(0.0, np.array([0.0]), np.array([0.0]), vk) for vk in v]
     assert np.array_equal(u.view(np.int64), np.array(one).view(np.int64))
 
 
@@ -188,13 +198,16 @@ def test_neuron_plant_values():
                                   "NEURON_TAU_PRIME", "NEURON_Z_INF",
                                   "NEURON_Z_INF_PRIME", "NEURON_M_INT"])
 def test_piecewise_scalar_call_matches_vectorized(name):
-    # the scalar Horner path must agree bit for bit with np.polyval in values,
-    # on every piece and at the breakpoints themselves (left piece applies)
+    # the scalar Horner path must agree bit for bit with np.polyval on the
+    # piece a vectorized lookup picks, on every piece and at the breakpoints
+    # themselves (left piece applies)
     import condux.models as m
 
     poly = getattr(m, name)
     ys = np.concatenate([np.linspace(-1.5, 1.5, 20001), poly.breaks])
-    assert np.array_equal(np.array([poly(float(y)) for y in ys]), poly.values(ys))
+    piece = np.searchsorted(poly.breaks, ys, side="left")
+    ref = np.array([np.polyval(poly.coeffs[k], y) for k, y in zip(piece, ys)])
+    assert np.array_equal(np.array([poly(float(y)) for y in ys]), ref)
 
 
 @given(
@@ -213,8 +226,7 @@ def test_piecewise_scalar_call_matches_vectorized(name):
 def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
     # away from its breakpoints (and from the levels, where a near-double
     # root may shift a break by the root solver's sqrt(eps)), the flattened
-    # piecewise form is the clamp of the polynomial, bit for bit, in both the
-    # scalar and the vectorized call
+    # piecewise form is the clamp of the polynomial, bit for bit
     p = (lead, *coeffs)
     hi = lo + gap
     sat = sat_poly(lo, hi, p)
@@ -223,7 +235,6 @@ def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
                    and min(abs(np.polyval(p, y) - lo), abs(np.polyval(p, y) - hi)) > 1e-9])
     clamped = np.clip(np.polyval(p, ys), lo, hi)
     assert np.array_equal(np.array([sat(float(y)) for y in ys]), clamped)
-    assert np.array_equal(sat.values(ys), clamped)
 
 
 def test_neuron_update_antiderivative_consistency():
