@@ -152,8 +152,13 @@ _SHAPES = {"theta_star": (2,), "theta0": (2,), "phase_offsets": (2,), "x0": (3,)
            "levels": (4,), "sync_ics": (2, 2), "amplitude_grid": (None,)}
 
 # Relations between fields that the pipelines rely on: experiment -> rules
-# (fields, predicate, message), each checked on finite numbers.
+# (fields, predicate, message), each checked on finite numbers or lists of
+# them. The hh rule is hh_certificate's range, slack included: the default
+# levels sit on both of its ends.
 _RANGES = {
+    "hh": [(("levels", "E_s", "E_f", "theta", "theta_prime"),
+            lambda lv, es, ef, th, thp: all(es + th - 1e-12 <= v <= ef - thp + 1e-12 for v in lv),
+            "params.levels: must lie in [E_s + theta, E_f - theta_prime]")],
     "fhn": [(("eps_fraction",), lambda e: 0 < e < 1,
              "params.eps_fraction: must lie in (0, 1)")],
     "observer": [(("duration", "period"), lambda d, p: d <= p,
@@ -244,7 +249,8 @@ def validate_raw(raw: Any) -> list[str]:
                 _check_shape(f"params.{key}", _SHAPES[key], value, errors)
         for fields, holds, message in _RANGES.get(exp, ()):
             vals = [params.get(f, table[f][1]) for f in fields]
-            if all(_KINDS["number"](v) and not _non_finite(v) for v in vals) and not holds(*vals):
+            flat = [x for v in vals for x in (v if isinstance(v, list) else (v,))]
+            if all(_KINDS["number"](x) and not _non_finite(x) for x in flat) and not holds(*vals):
                 errors.append(message)
 
     integ = raw.get("integration", {})

@@ -145,28 +145,20 @@ def describing_function(
     M: float,
     omega: float,
     kinks: Sequence[float] = (),
-    convention: str = "literal",
 ) -> DescribingFunctionResult:
     """First-harmonic gains of h at amplitude M and frequency omega by
     quadrature. Kink ordinates of h, if supplied, become quadrature panel
     boundaries at their phase preimages.
 
-    The default convention scales the in-phase and quadrature gains by
-    1/omega and 1/omega**2 respectively (the p + q*s replacement applies an
-    extra derivative to the quadrature channel); convention="classical"
-    leaves both frequency-free.
+    The in-phase and quadrature gains are scaled by 1/omega and 1/omega**2
+    respectively (the p + q*s replacement applies an extra derivative to
+    the quadrature channel).
     """
     if M <= 0 or omega <= 0:
         raise ValueError("M and omega must be positive")
     i_s, i_c, err = _harmonic_integrals(h, M, kinks)
-    if convention == "literal":
-        p = i_s / (math.pi * M * omega)
-        q = i_c / (math.pi * M * omega**2)
-    elif convention == "classical":
-        p = i_s / (math.pi * M)
-        q = i_c / (math.pi * M)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    p = i_s / (math.pi * M * omega)
+    q = i_c / (math.pi * M * omega**2)
     # gate the error against the larger of the gain scale and the integral
     # magnitudes, so strong nonlinearities are judged relatively
     scale = max(math.pi * M * min(1.0, omega), abs(i_s), abs(i_c))
@@ -248,8 +240,8 @@ def lure_input_reconstruct(
     D and theta come from the linearized loop with gain p + q s:
     G = P / (1 + P (p + q s)) evaluated at s = j omega, D = M / |G|,
     theta = -arg G. The returned signal then compensates h exactly, so the
-    construction does not depend on which p convention produced df (the
-    p-dependent terms cancel).
+    construction does not depend on the value of df.p (the p-dependent
+    terms cancel): the closed-form and the quadrature gain give one drive.
     """
     s = 1j * omega
     P = np.polyval(num, s) / np.polyval(den, s)

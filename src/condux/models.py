@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AntiderivativeMismatch, ConfigError, GainFloorViolated
-from .piecewise import sat_poly
+from .piecewise import GateStack, sat_poly
 
 __all__ = [
     "VectorField",
@@ -41,6 +41,8 @@ __all__ = [
     "NEURON_TAU",
     "NEURON_Z_INF",
     "NEURON_M_INT",
+    "NEURON_GATES",
+    "NEURON_GATE_SLOPES",
     "finite_difference_jacobian",
 ]
 
@@ -486,87 +488,76 @@ NEURON_Z_INF_PRIME = NEURON_Z_INF.derivative()
 # Antiderivative of m_inf(y) * (y - 1), the piece of the update antiderivative
 # that cannot be written with a single polynomial.
 NEURON_M_INT = NEURON_M_INF.multiply_poly((1.0, -1.0)).antiderivative()
+# The gates each hook of the neuron plant reads, one lookup per state value.
+# Both stacks merge the same breaks: the y-levels where the plant's Jacobian
+# jumps.
+NEURON_GATES = GateStack(NEURON_M_INF, NEURON_TAU, NEURON_Z_INF, NEURON_M_INT)
+NEURON_GATE_SLOPES = GateStack(NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU,
+                               NEURON_TAU_PRIME, NEURON_Z_INF, NEURON_Z_INF_PRIME)
 
 
 @dataclass(frozen=True)
 class ParameterizedPlant:
     """Relative-degree-one plant whose output equation is linear in unknown parameters.
 
-    eps_m * yd = eps_m * f0(t, y, z, u) + eps_m * h(y) . theta with h the
-    plant regressor; zd = g(t, z, y). model(theta) instantiates the plant as
-    an ordinary NormalFormModel for a fixed parameter vector, with h(y) .
-    theta added left to right (_dot), as the observer adds it.
+    yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y). Two hooks give the
+    plant at one (t, y, z, u), y a float and z a float sequence:
+    values returns (f0, g, h, hu, H), the drifts, the plant regressor h,
+    the update regressor hu and its antiderivative H; derivatives returns
+    (df0, dg, dh), the row (df0/dy, df0/dz), the rows (dg/dy, dg/dz) and
+    dh/dy. h, hu and H depend on y alone, so a caller that needs no f0
+    passes u = 0. model(theta) is the plant for fixed parameters, one hook
+    call per rhs or jac, with h(y) . theta added left to right (_dot), as
+    the observer adds it.
 
-    Every callable is in float form: y is a float, z a float sequence; the
-    regressors, antiderivative, g, df0_dz and dg_dy return float sequences
-    and dg_dz returns rows.
-
-    The observer updates its estimate through update_antiderivative, which
-    must be an antiderivative of update_regressor: construction raises
-    AntiderivativeMismatch when its centered difference (step 1e-7) misses
-    update_regressor by more than 1e-6 at any of 401 points spanning
-    sample_box[0].
+    Construction raises AntiderivativeMismatch when the centered difference
+    of H (step 1e-7) misses hu by more than 1e-6 at any of 401 points
+    spanning sample_box[0].
     """
 
     name: str
     n: int
     m: int
-    f0: Callable[[float, float, Sequence[float], float], float]
-    g: Callable[[float, Sequence[float], float], Vector]
-    regressor: Callable[[float], Sequence[float]]
-    df0_dy: Callable[[float, float, Sequence[float], float], float]
-    df0_dz: Callable[[float, float, Sequence[float], float], Sequence[float]]
-    df0_du: float
-    dregressor_dy: Callable[[float], Sequence[float]]
-    dg_dy: Callable[[float, Sequence[float], float], Sequence[float]]
-    dg_dz: Callable[[float, Sequence[float], float], Rows]
-    update_regressor: Callable[[float], Sequence[float]]
-    update_antiderivative: Callable[[float], Sequence[float]]
+    values: Callable[[float, float, Sequence[float], float],
+                     tuple[float, Vector, Vector, Vector, Vector]]
+    derivatives: Callable[[float, float, Sequence[float], float], tuple[Vector, Rows, Vector]]
     theta_box: tuple[tuple[float, float], ...]
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        h, H = self.update_regressor, self.update_antiderivative
+        z = (0.0,) * (self.n - 1)
+        H = lambda y: np.asarray(self.values(0.0, y, z, 0.0)[4])
         lo, hi = self.sample_box[0]
         worst = 0.0
         for y in np.linspace(lo, hi, 401):
-            fd = (np.asarray(H(y + 1e-7)) - np.asarray(H(y - 1e-7))) / 2e-7
-            worst = max(worst, float(np.max(np.abs(fd - np.asarray(h(y))))))
+            fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
+            worst = max(worst, float(np.max(np.abs(fd - self.values(0.0, y, z, 0.0)[3]))))
         if worst > 1e-6:
             raise AntiderivativeMismatch(
                 f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
             )
 
-    def model(self, theta: np.ndarray) -> NormalFormModel:
+    def model(self, theta: np.ndarray) -> PlainModel:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.m,):
             raise ConfigError(f"theta must have shape ({self.m},)")
         th = tuple(theta.tolist())
+        values, derivatives = self.values, self.derivatives
 
-        def f(t, x, z, u):
-            y = x[0]
-            return self.f0(t, y, z, u) + _dot(self.regressor(y), th)
+        def rhs(t, s, u):
+            f0, g, h, _, _ = values(t, s[0], s[1:], u)
+            return (f0 + _dot(h, th), *g)
 
-        def f_jac(t, x, z, u):
-            y = x[0]
-            dfy = self.df0_dy(t, y, z, u) + _dot(self.dregressor_dy(y), th)
-            return (dfy,), self.df0_dz(t, y, z, u), self.df0_du
+        def jac(t, s, u):
+            df0, dg, dh = derivatives(t, s[0], s[1:], u)
+            return ((df0[0] + _dot(dh, th), *df0[1:]), *dg)
 
-        def g(t, z, x):
-            return self.g(t, z, x[0])
-
-        def g_jac(t, z, x):
-            y = x[0]
-            return tuple((d,) for d in self.dg_dy(t, z, y)), self.dg_dz(t, z, y)
-
-        return NormalFormModel(
+        return PlainModel(
             name=f"{self.name}-theta",
             n=self.n,
-            f=f,
-            f_jac=f_jac,
-            g=g,
-            g_jac=g_jac,
+            rhs_fn=rhs,
+            jac_fn=jac,
             stiffness=self.stiffness,
             sample_box=self.sample_box,
         )
@@ -580,47 +571,30 @@ def neuron_family() -> ParameterizedPlant:
     """
     inv_eps = 1.0 / _NEURON_EPS
 
-    def f0(t, y, z, u):
-        return inv_eps * (-2.0 * z[0] * (y + 0.7) + 0.15 + u)
+    def values(t, y, z, u):
+        m, tau, z_inf, m_int = NEURON_GATES(y)
+        return (
+            inv_eps * (-2.0 * z[0] * (y + 0.7) + 0.15 + u),
+            ((z_inf - z[0]) / tau,),
+            (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
+            (-(y + 0.4), -(m * (y - 1.0))),
+            (-(0.5 * y**2 + 0.4 * y), -m_int),
+        )
 
-    def regressor(y):
-        return (-inv_eps * (y + 0.4), -inv_eps * (NEURON_M_INF(y) * (y - 1.0)))
-
-    def dregressor_dy(y):
-        return (-inv_eps, -inv_eps * (NEURON_M_INF_PRIME(y) * (y - 1.0) + NEURON_M_INF(y)))
-
-    def g(t, z, y):
-        return ((NEURON_Z_INF(y) - z[0]) / NEURON_TAU(y),)
-
-    def dg_dy(t, z, y):
-        tau = NEURON_TAU(y)
-        dtau = NEURON_TAU_PRIME(y)
-        return ((NEURON_Z_INF_PRIME(y) * tau - (NEURON_Z_INF(y) - z[0]) * dtau) / tau**2,)
-
-    def dg_dz(t, z, y):
-        return ((-1.0 / NEURON_TAU(y),),)
-
-    def update_regressor(y):
-        return (-(y + 0.4), -(NEURON_M_INF(y) * (y - 1.0)))
-
-    def update_antiderivative(y):
-        return (-(0.5 * y**2 + 0.4 * y), -NEURON_M_INT(y))
+    def derivatives(t, y, z, u):
+        m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
+        return (
+            (inv_eps * (-2.0 * z[0]), inv_eps * (-2.0 * (y + 0.7))),
+            (((dz_inf * tau - (z_inf - z[0]) * dtau) / tau**2, -1.0 / tau),),
+            (-inv_eps, -inv_eps * (dm * (y - 1.0) + m)),
+        )
 
     return ParameterizedPlant(
         name="neuron",
         n=2,
         m=2,
-        f0=f0,
-        g=g,
-        regressor=regressor,
-        df0_dy=lambda t, y, z, u: inv_eps * (-2.0 * z[0]),
-        df0_dz=lambda t, y, z, u: (inv_eps * (-2.0 * (y + 0.7)),),
-        df0_du=inv_eps,
-        dregressor_dy=dregressor_dy,
-        dg_dy=dg_dy,
-        dg_dz=dg_dz,
-        update_regressor=update_regressor,
-        update_antiderivative=update_antiderivative,
+        values=values,
+        derivatives=derivatives,
         theta_box=((0.3, 0.7), (1.1, 1.9)),
         stiffness=_NEURON_EPS,
         sample_box=((-1.1, 1.1), (-0.1, 1.1)),

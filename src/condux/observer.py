@@ -34,34 +34,34 @@ __all__ = [
 def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainModel:
     """Plant and observer stacked as one vector field.
 
-    State layout: (y, z, yh, zh, thetah). Both blocks evaluate the same
-    plant functions in the same arithmetic as plant.model (h(y) . theta
-    added left to right), so matched initial data with thetah = theta_star
-    gives a bitwise-identical observer block (the update difference is
-    exactly zero and stays zero).
+    State layout: (y, z, yh, zh, thetah). Both blocks read the plant's hooks
+    in the same arithmetic as plant.model (h(y) . theta added left to
+    right), so matched initial data with thetah = theta_star gives a
+    bitwise-identical observer block (the update difference is exactly zero
+    and stays zero). rhs reads the values hook once per block, jac the
+    derivatives hook and the values hook once per block each.
     """
     n, m = plant.n, plant.m
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (m,):
         raise ConfigError(f"theta_star must have shape ({m},)")
     th_star = tuple(theta_star.tolist())
-    f0, g, h, H = plant.f0, plant.g, plant.regressor, plant.update_antiderivative
+    values, derivatives = plant.values, plant.derivatives
 
     def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        y, z = s[0], s[1:n]
-        yh, zh = s[n], s[n + 1 : 2 * n]
+        f0, g, h, _, H = values(t, s[0], s[1:n], u)
+        f0h, gh, hh, _, Hh = values(t, s[n], s[n + 1 : 2 * n], u)
         return (
-            f0(t, y, z, u) + _dot(h(y), th_star),
-            *g(t, z, y),
-            f0(t, yh, zh, u) + _dot(h(yh), s[2 * n :]),
-            *g(t, zh, yh),
-            *[a - b for a, b in zip(H(y), H(yh))],
+            f0 + _dot(h, th_star),
+            *g,
+            f0h + _dot(hh, s[2 * n :]),
+            *gh,
+            *[a - b for a, b in zip(H, Hh)],
         )
 
     def block(t: float, y: float, z, u: float, theta) -> list[tuple[float, ...]]:
-        top = (plant.df0_dy(t, y, z, u) + _dot(plant.dregressor_dy(y), theta),
-               *plant.df0_dz(t, y, z, u))
-        return [top, *((a, *row) for a, row in zip(plant.dg_dy(t, z, y), plant.dg_dz(t, z, y)))]
+        df0, dg, dh = derivatives(t, y, z, u)
+        return [(df0[0] + _dot(dh, theta), *df0[1:]), *dg]
 
     def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
         y, z = s[0], s[1:n]
@@ -69,11 +69,12 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
         zn, zm = (0.0,) * n, (0.0,) * m
         plant_rows = block(t, y, z, u, th_star)
         obs_rows = block(t, yh, zh, u, s[2 * n :])
-        hy, hyh = plant.update_regressor(y), plant.update_regressor(yh)
+        hy = values(t, y, z, u)[3]
+        _, _, h, hyh, _ = values(t, yh, zh, u)
         zr = (0.0,) * (n - 1)
         return (
             *((*row, *zn, *zm) for row in plant_rows),
-            (*zn, *obs_rows[0], *h(yh)),
+            (*zn, *obs_rows[0], *h),
             *((*zn, *row, *zm) for row in obs_rows[1:]),
             *((hy[k], *zr, -hyh[k], *zr, *zm) for k in range(m)),
         )
@@ -127,22 +128,11 @@ def run_observer(
     th = traj.states[:, 2 * plant.n :]
     theta_error = np.linalg.norm(th - theta_star, axis=1)
 
-    window = 3.0 * period
-    ok = theta_error < tolerance
-    converged_at = None
-    i = 0
-    ts = traj.ts
-    while i < ts.size:
-        if not ok[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < ts.size and ok[j + 1]:
-            j += 1
-        if ts[j] - ts[i] >= window:
-            converged_at = float(ts[i])
-            break
-        i = j + 1
+    # runs of in-tolerance samples: first index of each, and one past its last
+    ok = np.concatenate([[False], theta_error < tolerance, [False]])
+    starts, stops = np.flatnonzero(np.diff(ok.astype(int))).reshape(-1, 2).T
+    long = np.flatnonzero(traj.ts[stops - 1] - traj.ts[starts] >= 3.0 * period)
+    converged_at = float(traj.ts[starts[long[0]]]) if long.size else None
 
     return ObserverRun(
         traces=traj,
@@ -199,7 +189,7 @@ def observer_contraction_check(
     rho = mono.spectral_radius
     verdict = StabilityVerdict(stable=rho < 1.0, margin=1.0 - rho)
 
-    h0 = np.asarray(plant.regressor(float(x0[0])))
+    h0 = np.asarray(plant.values(t0, float(x0[0]), x0[1:n], 0.0)[2])
     Q = np.eye(n + m)
     Q[0, n:] = -eps_coupling * h0
     Q[n:, 0] = -eps_coupling * h0

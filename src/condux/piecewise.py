@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PiecewisePoly", "sat_poly"]
+__all__ = ["PiecewisePoly", "GateStack", "sat_poly"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,31 @@ class PiecewisePoly:
         return PiecewisePoly(self.breaks, tuple(out))
 
 
+class GateStack:
+    """Several PiecewisePoly read at one y with one lookup.
+
+    breaks merges the breaks of every gate; pieces[j] holds each gate's
+    coefficient tuple on the merged interval (breaks[j-1], breaks[j]]. Every
+    gate break is a merged break, so bisect_left on the merged list picks
+    each gate's own piece (the left one at a break), and slot k of a call
+    gives the bits of gate k.
+    """
+
+    def __init__(self, *gates: PiecewisePoly) -> None:
+        self.breaks = tuple(sorted({float(b) for g in gates for b in g.breaks}))
+        self.pieces = tuple(tuple(g.coeffs[bisect_left(g.breaks, b)] for g in gates)
+                            for b in (*self.breaks, math.inf))
+
+    def __call__(self, y: float) -> tuple[float, ...]:
+        out = []
+        for coeffs in self.pieces[bisect_left(self.breaks, y)]:
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * y + c
+            out.append(acc)
+        return tuple(out)
+
+
 def _real_roots(coeffs: np.ndarray) -> list[float]:
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
     if c.size <= 1:
@@ -89,11 +114,12 @@ def _real_roots(coeffs: np.ndarray) -> list[float]:
             # Two Newton polish steps clean up np.roots jitter. Off a root
             # where p' is nearly zero a step can overflow; the raw root stays.
             d = np.polyder(c)
-            for _ in range(2):
-                fx, dx = np.polyval(c, x), np.polyval(d, x)
-                if dx != 0:
-                    x -= fx / dx
-            out.append(x if math.isfinite(x) else raw)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for _ in range(2):
+                    fx, dx = np.polyval(c, x), np.polyval(d, x)
+                    if dx != 0:
+                        x -= fx / dx
+            out.append(float(x) if math.isfinite(x) else raw)
     out.sort()
     # Merge near-coincident (tangential) roots.
     merged: list[float] = []

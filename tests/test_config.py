@@ -138,6 +138,10 @@ OUT_OF_RANGE = [
     ("chua", {"from_rest": True, "from_rest_horizon": -1.0},
      ["params.from_rest_horizon: must be positive"]),
     ("observer", {"settle_periods": -1}, ["params.settle_periods: must not be negative"]),
+    # a reference level above E_f - theta_prime = 1.35 used to fail in the
+    # certificate with RangeViolation (exit 3)
+    ("hh", {"levels": [1.9, 0.3, -1.45, -0.5]},
+     ["params.levels: must lie in [E_s + theta, E_f - theta_prime]"]),
 ]
 
 # Lists of a length the pipeline cannot unpack or index, which used to end
@@ -170,8 +174,11 @@ def test_wrong_lengths_are_rejected(exp, params, expected):
 
 
 def test_range_rules_hold_at_the_defaults():
-    for exp in ("fhn", "observer", "probe"):
+    for exp in ("fhn", "hh", "observer", "probe"):
         assert validate_raw({"experiment": exp}) == []
+    # the default hh levels sit exactly on both ends of their interval
+    assert validate_raw({"experiment": "hh",
+                         "params": {"levels": [1.35, 0.3, -1.45, -0.5]}}) == []
     assert validate_raw({"experiment": "observer",
                          "params": {"duration": 2.8, "period": 2.8}}) == []
     # a field that is not a number is reported once, by its type

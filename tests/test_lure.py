@@ -21,7 +21,7 @@ from condux.lure import (
 
 class TestDescribingFunction:
     def test_linear_gain_literal(self):
-        # literal convention divides the in-phase integral by pi M omega
+        # the in-phase integral is divided by pi M omega
         for omega in (1.0, 3.0):
             df = describing_function(lambda y: y, 1.4, omega)
             assert df.p == pytest.approx(1.0 / omega, rel=1e-10)
@@ -31,10 +31,6 @@ class TestDescribingFunction:
         M, omega = 1.9, 2.0
         df = describing_function(lambda y: y ** 3, M, omega)
         assert df.p == pytest.approx(0.75 * M * M / omega, rel=1e-10)
-
-    def test_classical_convention(self):
-        df = describing_function(lambda y: y, 1.4, 3.0, convention="classical")
-        assert df.p == pytest.approx(1.0, rel=1e-10)
 
     @given(
         a=st.floats(-3.0, 3.0),
@@ -105,7 +101,7 @@ class TestInputReconstruction:
 
     def test_drive_invariant_to_gain_convention(self):
         # u(t) swaps p back out, so the reconstructed input cannot depend on
-        # which convention produced the describing function
+        # which gain, closed form or quadrature, the describing function holds
         M, omega = 200.0, 1.0
         cf = chua_closed_form(M, omega)
         qd = describing_function(chua_nonlinearity, M, omega, kinks=CHUA_KINKS)

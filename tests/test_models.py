@@ -194,20 +194,38 @@ def test_neuron_plant_values():
     assert out[1] == pytest.approx(0.0, abs=1e-15)
 
 
+# each stacked gate table and the gates it stacks, slot by slot
+STACKS = {
+    "NEURON_GATES": ("NEURON_M_INF", "NEURON_TAU", "NEURON_Z_INF", "NEURON_M_INT"),
+    "NEURON_GATE_SLOPES": ("NEURON_M_INF", "NEURON_M_INF_PRIME", "NEURON_TAU",
+                           "NEURON_TAU_PRIME", "NEURON_Z_INF", "NEURON_Z_INF_PRIME"),
+}
+
+
 @pytest.mark.parametrize("name", ["NEURON_M_INF", "NEURON_M_INF_PRIME", "NEURON_TAU",
                                   "NEURON_TAU_PRIME", "NEURON_Z_INF",
-                                  "NEURON_Z_INF_PRIME", "NEURON_M_INT"])
+                                  "NEURON_Z_INF_PRIME", "NEURON_M_INT", *STACKS])
 def test_piecewise_scalar_call_matches_vectorized(name):
     # the scalar Horner path must agree bit for bit with np.polyval on the
-    # piece a vectorized lookup picks, on every piece and at the breakpoints
-    # themselves (left piece applies)
+    # piece a vectorized lookup picks, on every piece, at the breakpoints
+    # themselves (left piece applies) and one ulp to either side of them; a
+    # stacked table gives in each slot the bits of the gate it stacks there
     import condux.models as m
 
-    poly = getattr(m, name)
-    ys = np.concatenate([np.linspace(-1.5, 1.5, 20001), poly.breaks])
-    piece = np.searchsorted(poly.breaks, ys, side="left")
-    ref = np.array([np.polyval(poly.coeffs[k], y) for k, y in zip(piece, ys)])
-    assert np.array_equal(np.array([poly(float(y)) for y in ys]), ref)
+    table = getattr(m, name)
+    gates = [getattr(m, g) for g in STACKS.get(name, (name,))]
+    assert all(type(b) is float for b in table.breaks)
+    assert table.breaks == tuple(sorted({b for g in gates for b in g.breaks}))
+    edges = np.array(table.breaks)
+    ys = np.concatenate([np.linspace(-1.5, 1.5, 20001), edges,
+                         np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    rows = [table(float(y)) for y in ys]
+    for k, poly in enumerate(gates):
+        piece = np.searchsorted(poly.breaks, ys, side="left")
+        ref = np.array([np.polyval(poly.coeffs[i], y) for i, y in zip(piece, ys)])
+        got = np.array([r[k] for r in rows] if name in STACKS else rows)
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == np.array([poly(float(y)) for y in ys]).tobytes()
 
 
 @given(
@@ -239,19 +257,18 @@ def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
 
 def test_neuron_update_antiderivative_consistency():
     plant = neuron_family()
+    H = lambda y: np.asarray(plant.values(0.0, y, (0.5,), 0.0)[4])
     h = 1e-7
     for y in (-0.9, -0.6, -0.3, 0.2, 0.8):
-        fd = (np.asarray(plant.update_antiderivative(y + h))
-              - np.asarray(plant.update_antiderivative(y - h))) / (2 * h)
-        assert np.allclose(fd, plant.update_regressor(y), atol=1e-6)
+        fd = (H(y + h) - H(y - h)) / (2 * h)
+        assert np.allclose(fd, plant.values(0.0, y, (0.5,), 0.0)[3], atol=1e-6)
 
 
 def test_neuron_theta_box_and_regressor_scaling():
     plant = neuron_family()
     assert plant.theta_box == ((0.3, 0.7), (1.1, 1.9))
-    y = -0.2
-    assert np.allclose(plant.regressor(y),
-                       np.asarray(plant.update_regressor(y)) / plant_eps())
+    _, _, h, hu, _ = plant.values(0.0, -0.2, (0.5,), 0.0)
+    assert np.allclose(h, np.asarray(hu) / plant_eps())
 
 
 def plant_eps() -> float:

@@ -11,6 +11,7 @@ from condux.observer import (
     observer_contraction_check,
     run_observer,
 )
+from condux.piecewise import GateStack, PiecewisePoly
 from condux.signals import SquarePulseTrain, Zero
 
 THETA_STAR = np.array([0.5, 1.5])
@@ -24,15 +25,38 @@ def plant():
 
 class TestBuildObserver:
     def test_antiderivative_mismatch_rejected(self, plant):
-        bad_H = lambda y: np.array([y, y])  # not an antiderivative of h
+        def bad_values(t, y, z, u):
+            f0, g, h, hu, _ = plant.values(t, y, z, u)
+            return f0, g, h, hu, (y, y)  # not an antiderivative of hu
+
         with pytest.raises(AntiderivativeMismatch):
-            dataclasses.replace(plant, update_antiderivative=bad_H)
+            dataclasses.replace(plant, values=bad_values)
 
     def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
         for y in (-0.8, -0.4, 0.5):
-            assert np.allclose(np.asarray(plant.update_regressor(y)),
-                               np.asarray(plant.regressor(y)) * 0.02)
+            _, _, h, hu, _ = plant.values(0.0, y, (0.5,), 0.0)
+            assert np.allclose(np.asarray(hu), np.asarray(h) * 0.02)
+
+    def test_gate_lookups_per_call(self, plant, monkeypatch):
+        # each hook reads every gate it needs with one stacked lookup per
+        # state value: one values lookup per block for rhs, one values and
+        # one derivatives lookup per block for jac
+        lookups = []
+        for cls in (PiecewisePoly, GateStack):
+            call = cls.__call__
+            monkeypatch.setattr(cls, "__call__",
+                                lambda self, y, call=call: lookups.append(y) or call(self, y))
+        coupled = coupled_system(plant, THETA_STAR)
+        model = plant.model(THETA_STAR)
+        s = (-0.3, 0.2, 0.1, 0.4, 0.45, 1.6)
+        for field, state, rhs_bound, jac_bound in ((coupled, s, 2, 4), (model, s[:2], 2, 2)):
+            lookups.clear()
+            field.rhs(0.0, state, 0.5)
+            assert len(lookups) <= rhs_bound
+            lookups.clear()
+            field.jac(0.0, state, 0.5)
+            assert len(lookups) <= jac_bound
 
 
 class TestEmbedding:
@@ -57,12 +81,14 @@ class TestEmbedding:
         # constant to H cancels. With matched initial data the difference is
         # exactly zero at every integrator stage and the cancellation is
         # bitwise. With a parameter error it is only analytic: the shifted
-        # callable rounds H(y) + 7.5 before the difference is taken, which
+        # hook rounds H(y) + 7.5 before the difference is taken, which
         # perturbs the update at the last-bit level, so we bound the drift
         # instead (measured 3.7e-14 over three input periods).
-        H = plant.update_antiderivative
-        shifted = dataclasses.replace(
-            plant, update_antiderivative=lambda y: np.asarray(H(y)) + 7.5)
+        def shifted_values(t, y, z, u):
+            f0, g, h, hu, H = plant.values(t, y, z, u)
+            return f0, g, h, hu, tuple(a + 7.5 for a in H)
+
+        shifted = dataclasses.replace(plant, values=shifted_values)
         kw = dict(horizon=PULSE.period, tolerance=0.0316,
                   plant_ic=np.array([-0.7, 0.0]), step=1e-3)
         m1 = run_observer(plant, THETA_STAR, PULSE,
@@ -117,8 +143,11 @@ class TestContractionCheck:
 
     def test_zero_update_leaves_parameter_block_identity(self, plant,
                                                          observer_run):
-        frozen = dataclasses.replace(plant, update_regressor=lambda y: np.zeros(2),
-                                     update_antiderivative=lambda y: np.zeros(2))
+        def frozen_values(t, y, z, u):
+            f0, g, h, _, _ = plant.values(t, y, z, u)
+            return f0, g, h, (0.0, 0.0), (0.0, 0.0)
+
+        frozen = dataclasses.replace(plant, values=frozen_values)
         ref = observer_run[0]["reference"]
         check = observer_contraction_check(frozen, THETA_STAR, ref, PULSE)
         phi = check.monodromy.phi
