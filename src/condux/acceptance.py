@@ -290,11 +290,10 @@ def criterion_properties() -> list[CriterionRow]:
 
     # input inversion residual on the conductance model
     hh = hh_conductance(ConductanceParams())
-    x, z, v = np.array([[rng.uniform(-1.2, 1.2), rng.uniform(-0.8, 0.8),
+    y, z, v = np.array([[rng.uniform(-1.2, 1.2), rng.uniform(-0.8, 0.8),
                          rng.uniform(-30.0, 30.0)] for _ in range(50)]).T
-    x, z = x[None], z[None]
-    u = hh.f_inv(0.0, x, z, v)
-    worst = float(np.max(np.abs(hh.f(0.0, x, z, u) - v) / np.maximum(1.0, np.abs(v))))
+    u = hh.f_inv(0.0, y, z, v)
+    worst = float(np.max(np.abs(hh.f(0.0, y, z, u) - v) / np.maximum(1.0, np.abs(v))))
     rows.append(_row("properties", "input_inversion_residual", "0", worst,
                      "1e-10", worst <= 1e-10))
 

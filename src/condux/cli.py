@@ -55,6 +55,12 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    prefixes = [c.out_prefix for c in cfgs]
+    dup = next((p for i, p in enumerate(prefixes) if p in prefixes[:i]), None)
+    if dup is not None:
+        print(f"config error: out_prefix: '{dup}' is used by more than one config",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.jobs > 1 and len(cfgs) > 1:
             from concurrent.futures import ProcessPoolExecutor

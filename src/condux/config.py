@@ -271,8 +271,13 @@ def validate_raw(raw: Any) -> list[str]:
 
     if "seed" in raw:
         _check_leaf("seed", "int", raw["seed"], errors)
+        if _KINDS["int"](raw["seed"]) and raw["seed"] < 0:
+            errors.append("seed: must be non-negative")
     if "out_prefix" in raw:
-        _check_leaf("out_prefix", "string", raw["out_prefix"], errors)
+        prefix = raw["out_prefix"]
+        _check_leaf("out_prefix", "string", prefix, errors)
+        if isinstance(prefix, str) and (not prefix or "/" in prefix or "\\" in prefix):
+            errors.append("out_prefix: must be a non-empty file name without / or \\")
     if exp == "probe" and isinstance(params, dict):
         target = params.get("target", "leaky")
         if isinstance(target, str) and target not in ("leaky", "fhn", "hh"):

@@ -155,9 +155,9 @@ class OutputReference:
 class FeedforwardSignal(InputSignal):
     """Input realizing a reference output, evaluated by inversion.
 
-    u(t) = f_inv(t, x**(t), zbar(t), v**(t)); the internal trajectory zbar is
+    u(t) = f_inv(t, y**(t), zbar(t), v**(t)); the internal trajectory zbar is
     linearly interpolated from its stored warm-started solution. values
-    tabulates x**, zbar and v** over all its times at once and inverts them
+    tabulates y**, zbar and v** over all its times at once and inverts them
     in one f_inv call. The grid hooks are the reference signal's.
     """
 
@@ -167,8 +167,8 @@ class FeedforwardSignal(InputSignal):
         self.zbar = zbar
 
     def _tabulate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x** (1 x N), zbar (n-1 x N) and v** (N) at the times ts (N)."""
-        return self.ref.x_fn(ts), self.zbar.interp_state(ts).T, self.ref.v_fn(ts)
+        """y**, zbar and v** at the times ts, each of shape (N,)."""
+        return self.ref.signal.values(ts), self.zbar.interp_state(ts)[:, 0], self.ref.v_fn(ts)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -203,12 +203,11 @@ def feedforward_from_reference(
 ) -> FeedforwardResult:
     """Feedforward input that makes the reference output an exact solution.
 
-    Every NormalFormModel has relative degree one and internal states (its
-    constructor raises ConfigError otherwise). The internal state is
-    obtained by simulating the inverse system driven by the reference
-    output, after a warm-up long enough for its fading memory to forget the
-    initial condition (20 contraction time constants, estimated by a
-    contraction probe).
+    Every NormalFormModel is planar with relative degree one. The internal
+    state is obtained by simulating the inverse system driven by the
+    reference output, after a warm-up long enough for its fading memory to
+    forget the initial condition (20 contraction time constants, estimated
+    by a contraction probe).
     """
     inverse = InverseSystem(model)
     drive = ref.signal
@@ -224,8 +223,8 @@ def feedforward_from_reference(
     sig = FeedforwardSignal(model, ref, zbar)
     # Sample-wise residual audit of the inversion on the stored grid.
     ts = zbar.ts[:: max(1, zbar.ts.size // 400)]
-    x, z, v = sig._tabulate(ts)
-    res = float(np.max(np.abs(model.f(ts, x, z, sig.values(ts)) - v)))
+    y, z, v = sig._tabulate(ts)
+    res = float(np.max(np.abs(model.f(ts, y, z, sig.values(ts)) - v)))
     if res > 1e-8:
         raise ArithmeticError(f"feedforward residual {res:.3e} exceeds 1e-8")
     return FeedforwardResult(signal=sig, zbar=zbar, residual_max=res, inverse_rate=rate)

@@ -176,8 +176,8 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
 
     def ystar_dot(t):
         w = wrap(t)
-        s = one.interp_state(w).T
-        return model.f(w, s[:1], s[1:], 0.0)
+        y, z = one.interp_state(w).T
+        return model.f(w, y, z, 0.0)
 
     ref = OutputReference(Sum((CallableSignal(fn=ystar, derivative_fn=ystar_dot), train)))
     w0 = design.t0 - 8.0 * train.width
@@ -260,7 +260,7 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
                                    max_time=60.0, agreement=1e-4)
             loop = integrate(model, None, cyc.t_anchor, cyc.t_anchor + cyc.period,
                              cyc.anchor)
-            ydf = model.f(loop.ts, loop.states.T[:1], loop.states.T[1:], 0.0)
+            ydf = model.f(loop.ts, loop.states[:, 0], loop.states[:, 1], 0.0)
             free = {
                 "period": cyc.period,
                 "y_range": [float(loop.states[:, 0].min()), float(loop.states[:, 0].max())],
@@ -443,10 +443,9 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
                        tolerance=tol, plant_ic=np.array([-0.7, 0.0]),
                        theta0=theta_star.copy(), step=step)
     st = emb.traces.states
-    n = plant.n
     emb_dev = max(
-        float(np.max(np.abs(st[:, n:2 * n] - st[:, :n]))),
-        float(np.max(np.abs(st[:, 2 * n:] - theta_star))),
+        float(np.max(np.abs(st[:, 2:4] - st[:, :2]))),
+        float(np.max(np.abs(st[:, 4:] - theta_star))),
     )
 
     nominal = run_observer(plant, theta_star, u, horizon=p["horizon"], tolerance=tol,

@@ -1,13 +1,11 @@
 """System models in output normal form, plus the built-in example systems.
 
-A NormalFormModel is a relative-degree-one model: its output y obeys
-y' = f(t, y, z, u) and its internal states z obey z' = g(t, z, y). The input
-enters only through f, with a uniformly sign-definite gain, so a feedforward
-input realizing a desired output rate can always be recovered from
-f(t, y, z, u) = v (NormalFormModel.f_inv). The inversion is
-closed form first, over whole grids at once; a point where the closed form
-misses its residual bound, which happens only for fields that are not
-affine in u, falls back to a 1-D bracket and root solve.
+A NormalFormModel is a planar relative-degree-one model: its output y obeys
+y' = f(t, y, z, u) and its one internal state z obeys z' = g(t, z, y). The
+input enters only through f, affinely and with a uniformly sign-definite
+gain, so a feedforward input realizing a desired output rate is recovered
+from f(t, y, z, u) = v in closed form (NormalFormModel.f_inv), over whole
+grids at once.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AntiderivativeMismatch, ConfigError, GainFloorViolated
 from .piecewise import GateStack, sat_poly
@@ -87,127 +84,63 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class NormalFormModel:
-    """Output y' = f(t, x, z, u) with x = (y,) and internal states
-    z' = g(t, z, x), n - 1 >= 1 of them; the input enters through f only.
+    """Planar relative-degree-one model: output y' = f(t, y, z, u) and one
+    internal state z' = g(t, z, y); the input enters through f only, and
+    affinely.
 
-    g returns the internal drift as a tuple. f_jac returns (df/dx, df/dz,
-    df/du) with the first two as float sequences, and g_jac returns the rows
-    of (dg/dx, dg/dz), all evaluated at float sequences x and z. The fhn and
-    hh f and f_jac also take columns (x of shape (1, N), z of shape (n-1, N)),
-    which is how f_inv inverts a whole grid in one call.
+    f and f_jac take y, z and u as floats or as arrays of one shape, which
+    is how f_inv inverts a whole grid in one call; f_jac returns (df/dy,
+    df/dz, df/du). g returns the internal drift as a float and g_jac returns
+    (dg/dy, dg/dz).
     """
 
+    n: ClassVar[int] = 2
     name: str
-    n: int
-    f: Callable[[float, Sequence[float], Sequence[float], float], float]
-    f_jac: Callable[[float, Sequence[float], Sequence[float], float],
-                    tuple[Sequence[float], Sequence[float], float]]
-    g: Callable[[float, Sequence[float], Sequence[float]], Vector]
-    g_jac: Callable[[float, Sequence[float], Sequence[float]], tuple[Rows, Rows]]
+    f: Callable[[float, float, float, float], float]
+    f_jac: Callable[[float, float, float, float], tuple[float, float, float]]
+    g: Callable[[float, float, float], float]
+    g_jac: Callable[[float, float, float], tuple[float, float]]
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigError(f"{self.name} needs internal states, got n={self.n}")
-
     def rhs(self, t: float, state: Sequence[float], u: float) -> Vector:
-        x, z = state[:1], state[1:]
-        return (self.f(t, x, z, u), *self.g(t, z, x))
+        y, z = state[0], state[1]
+        return (self.f(t, y, z, u), self.g(t, z, y))
 
     def jac(self, t: float, state: Sequence[float], u: float) -> Rows:
-        x, z = state[:1], state[1:]
-        dfx, dfz, _ = self.f_jac(t, x, z, u)
-        dgx, dgz = self.g_jac(t, z, x)
-        return ((*dfx, *dfz), *((*a, *b) for a, b in zip(dgx, dgz)))
+        y, z = state[0], state[1]
+        dfy, dfz, _ = self.f_jac(t, y, z, u)
+        return ((dfy, dfz), self.g_jac(t, z, y))
 
-    def f_inv(self, t, x, z, v):
-        """Solve f(t, x, z, u) = v for u, at one point or at every column.
+    def f_inv(self, t, y, z, v):
+        """Solve f(t, y, z, u) = v for u, at one point or elementwise.
 
-        x has shape (1,) or (1, N), z (n-1,) or (n-1, N), and t and v are a
-        time and a target or arrays of shape (N,); any shapes f and f_jac
-        broadcast over will do. Every built-in model is input-affine, so u
-        is (v - f(t, x, z, 0)) / df/du in closed form. A point where that
-        misses the residual bound 1e-10 * max(1, |v|) is solved again by
-        _f_inv_bracket, which needs only that f is monotone in u.
+        t, y, z and v are floats or arrays that f and f_jac broadcast over.
+        f is affine in u, so u = (v - f(t, y, z, 0)) / df/du in closed form.
+        A gain |df/du| below GAIN_FLOOR raises GainFloorViolated naming the
+        first time where it occurs; a residual above 1e-10 * max(1, |v|),
+        which only a field that is not affine in u leaves, raises
+        ArithmeticError.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        v = np.asarray(v, dtype=float)
-        _, _, g0 = self.f_jac(t, x, z, 0.0)
-        f0 = self.f(t, x, z, 0.0)
-        shape = np.broadcast_shapes(np.shape(t), v.shape, np.shape(f0), np.shape(g0))
-        ts = np.broadcast_to(t, shape)
+        _, _, g0 = self.f_jac(t, y, z, 0.0)
+        f0 = self.f(t, y, z, 0.0)
+        shape = np.broadcast_shapes(np.shape(t), np.shape(v), np.shape(f0), np.shape(g0))
         low = np.broadcast_to(np.abs(g0) < GAIN_FLOOR, shape)
         if low.any():
             i = tuple(np.argwhere(low)[0])
             g = np.broadcast_to(g0, shape)[i]
             raise GainFloorViolated(
                 f"input gain {g:.3e} below floor {GAIN_FLOOR:.3e} "
-                f"for {self.name} at t={ts[i]}"
+                f"for {self.name} at t={np.broadcast_to(t, shape)[i]}"
             )
         u = np.array(np.broadcast_to((v - f0) / g0, shape))
-        miss = ~(np.abs(self.f(t, x, z, u) - v) <= 1e-10 * np.maximum(1.0, np.abs(v)))
-        if miss.any():
-            vs = np.broadcast_to(v, shape)
-            for row in np.argwhere(np.broadcast_to(miss, shape)):
-                i = tuple(row)
-                u[i] = self._f_inv_bracket(
-                    float(ts[i]), _column(x, shape, i), _column(z, shape, i), float(vs[i])
-                )
-        return u[()]
-
-    def _f_inv_bracket(self, t: float, x: np.ndarray, z: np.ndarray, v: float) -> float:
-        """Solve f(t, x, z, u) = v at one point for f monotone in u.
-
-        The sign-definite input gain makes f monotone in u, so a geometric
-        bracket expansion followed by a root solve always lands. The answer
-        is verified to a residual of 1e-10 * max(1, |v|).
-        """
-        tol = 1e-10 * max(1.0, abs(v))
-        _, _, g0 = self.f_jac(t, x, z, 0.0)
-        # Monotonicity in u: expand away from 0 until the residual flips sign.
-        p0 = self.f(t, x, z, 0.0) - v
-        if p0 == 0.0:
-            return 0.0
-        phi = lambda u: self.f(t, x, z, u) - v
-        direction = 1.0 if math.copysign(1.0, g0) * p0 < 0 else -1.0
-        step = max(1.0, abs(p0) / max(abs(g0), GAIN_FLOOR))
-        u_edge = 0.0
-        bracket = None
-        for k in range(80):
-            u_new = direction * step * (2.0**k)
-            p_new = phi(u_new)
-            if p_new == 0.0:
-                return u_new
-            if (p_new > 0) != (p0 > 0):
-                bracket = (min(u_edge, u_new), max(u_edge, u_new))
-                break
-            u_edge = u_new
-        if bracket is None:
-            raise GainFloorViolated(
-                f"no sign change while bracketing f_inv for {self.name} at t={t}"
+        res = np.abs(self.f(t, y, z, u) - v)
+        if not np.all(res <= 1e-10 * np.maximum(1.0, np.abs(v))):
+            raise ArithmeticError(
+                f"f_inv residual {np.max(res):.3e} for {self.name} exceeds "
+                "1e-10 * max(1, |v|): f is not affine in u"
             )
-        u = brentq(phi, *bracket, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        for _ in range(4):
-            res = phi(u)
-            if abs(res) <= tol:
-                return u
-            _, _, gu = self.f_jac(t, x, z, u)
-            if abs(gu) < GAIN_FLOOR:
-                break
-            u -= res / gu
-        res = phi(u)
-        if abs(res) > tol:
-            raise ArithmeticError(f"f_inv residual {res:.3e} exceeds {tol:.3e}")
-        return u
-
-
-def _column(a: np.ndarray, shape: tuple[int, ...], i: tuple[int, ...]) -> np.ndarray:
-    """The state vector of point i of an (m,) or (m,) + shape stack."""
-    if a.ndim == 1:
-        return a
-    return np.broadcast_to(a, a.shape[:1] + shape)[(slice(None),) + i]
+        return u[()]
 
 
 @dataclass(frozen=True)
@@ -243,14 +176,14 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
     g, g_jac = model.g, model.g_jac
 
     def rhs(t: float, z: Sequence[float], u: float) -> Vector:
-        return g(t, z, (u,))
+        return (g(t, z[0], u),)
 
     def jac(t: float, z: Sequence[float], u: float) -> Rows:
-        return g_jac(t, z, (u,))[1]
+        return ((g_jac(t, z[0], u)[1],),)
 
     return PlainModel(
         name=f"{model.name}-inverse",
-        n=model.n - 1,
+        n=1,
         rhs_fn=rhs,
         jac_fn=jac,
         stiffness=model.stiffness,
@@ -294,23 +227,20 @@ def fitzhugh_nagumo(
             "2*alpha >= 3*gamma: the free system may not oscillate", stacklevel=2
         )
 
-    def f(t, x, z, u):
-        y = x[0]
-        return (alpha * y - beta * y * y * y - gamma * z[0] + u) / eps
+    def f(t, y, z, u):
+        return (alpha * y - beta * y * y * y - gamma * z + u) / eps
 
-    def f_jac(t, x, z, u):
-        y = x[0]
-        return ((alpha - 3.0 * beta * y * y) / eps,), (-gamma / eps,), 1.0 / eps
+    def f_jac(t, y, z, u):
+        return (alpha - 3.0 * beta * y * y) / eps, -gamma / eps, 1.0 / eps
 
-    def g(t, z, x):
-        return (x[0] - z[0],)
+    def g(t, z, y):
+        return y - z
 
-    def g_jac(t, z, x):
-        return ((1.0,),), ((-1.0,),)
+    def g_jac(t, z, y):
+        return 1.0, -1.0
 
     return NormalFormModel(
         name="fhn",
-        n=2,
         f=f,
         f_jac=f_jac,
         g=g,
@@ -379,25 +309,24 @@ def hh_conductance(params: ConductanceParams) -> NormalFormModel:
     """Conductance membrane model with first-order slow gate zd = -z + y."""
     p = params
 
-    def f(t, x, z, u):
-        return p.membrane_current(x[0], z[0], u) / p.eps
+    def f(t, y, z, u):
+        return p.membrane_current(y, z, u) / p.eps
 
-    def f_jac(t, x, z, u):
+    def f_jac(t, y, z, u):
         return (
-            (-p.total_conductance(x[0], z[0]) / p.eps,),
-            (-p.slow_coupling(x[0], z[0]) / p.eps,),
+            -p.total_conductance(y, z) / p.eps,
+            -p.slow_coupling(y, z) / p.eps,
             1.0 / p.eps,
         )
 
-    def g(t, z, x):
-        return (x[0] - z[0],)
+    def g(t, z, y):
+        return y - z
 
-    def g_jac(t, z, x):
-        return ((1.0,),), ((-1.0,),)
+    def g_jac(t, z, y):
+        return 1.0, -1.0
 
     return NormalFormModel(
         name="hh",
-        n=2,
         f=f,
         f_jac=f_jac,
         g=g,
@@ -498,41 +427,40 @@ NEURON_GATE_SLOPES = GateStack(NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU,
 
 @dataclass(frozen=True)
 class ParameterizedPlant:
-    """Relative-degree-one plant whose output equation is linear in unknown parameters.
+    """Planar relative-degree-one plant whose output equation is linear in
+    unknown parameters.
 
     yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y). Two hooks give the
-    plant at one (t, y, z, u), y a float and z a float sequence:
-    values returns (f0, g, h, hu, H), the drifts, the plant regressor h,
-    the update regressor hu and its antiderivative H; derivatives returns
-    (df0, dg, dh), the row (df0/dy, df0/dz), the rows (dg/dy, dg/dz) and
-    dh/dy. h, hu and H depend on y alone, so a caller that needs no f0
-    passes u = 0. model(theta) is the plant for fixed parameters, one hook
-    call per rhs or jac, with h(y) . theta added left to right (_dot), as
-    the observer adds it.
+    plant at one (t, y, z, u), all floats: values returns (f0, g, h, hu, H),
+    the two drifts, the plant regressor h, the update regressor hu and its
+    antiderivative H; derivatives returns (df0, dg, dh), the rows
+    (df0/dy, df0/dz) and (dg/dy, dg/dz) and dh/dy. h, hu and H depend on y
+    alone, so a caller that needs no f0 passes u = 0. model(theta) is the
+    plant for fixed parameters, one hook call per rhs or jac, with
+    h(y) . theta added left to right (_dot), as the observer adds it.
 
     Construction raises AntiderivativeMismatch when the centered difference
     of H (step 1e-7) misses hu by more than 1e-6 at any of 401 points
     spanning sample_box[0].
     """
 
+    n: ClassVar[int] = 2
     name: str
-    n: int
     m: int
-    values: Callable[[float, float, Sequence[float], float],
-                     tuple[float, Vector, Vector, Vector, Vector]]
-    derivatives: Callable[[float, float, Sequence[float], float], tuple[Vector, Rows, Vector]]
+    values: Callable[[float, float, float, float],
+                     tuple[float, float, Vector, Vector, Vector]]
+    derivatives: Callable[[float, float, float, float], tuple[Vector, Vector, Vector]]
     theta_box: tuple[tuple[float, float], ...]
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        z = (0.0,) * (self.n - 1)
-        H = lambda y: np.asarray(self.values(0.0, y, z, 0.0)[4])
+        H = lambda y: np.asarray(self.values(0.0, y, 0.0, 0.0)[4])
         lo, hi = self.sample_box[0]
         worst = 0.0
         for y in np.linspace(lo, hi, 401):
             fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
-            worst = max(worst, float(np.max(np.abs(fd - self.values(0.0, y, z, 0.0)[3]))))
+            worst = max(worst, float(np.max(np.abs(fd - self.values(0.0, y, 0.0, 0.0)[3]))))
         if worst > 1e-6:
             raise AntiderivativeMismatch(
                 f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
@@ -546,12 +474,12 @@ class ParameterizedPlant:
         values, derivatives = self.values, self.derivatives
 
         def rhs(t, s, u):
-            f0, g, h, _, _ = values(t, s[0], s[1:], u)
-            return (f0 + _dot(h, th), *g)
+            f0, g, h, _, _ = values(t, s[0], s[1], u)
+            return (f0 + _dot(h, th), g)
 
         def jac(t, s, u):
-            df0, dg, dh = derivatives(t, s[0], s[1:], u)
-            return ((df0[0] + _dot(dh, th), *df0[1:]), *dg)
+            df0, dg, dh = derivatives(t, s[0], s[1], u)
+            return ((df0[0] + _dot(dh, th), df0[1]), dg)
 
         return PlainModel(
             name=f"{self.name}-theta",
@@ -574,8 +502,8 @@ def neuron_family() -> ParameterizedPlant:
     def values(t, y, z, u):
         m, tau, z_inf, m_int = NEURON_GATES(y)
         return (
-            inv_eps * (-2.0 * z[0] * (y + 0.7) + 0.15 + u),
-            ((z_inf - z[0]) / tau,),
+            inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u),
+            (z_inf - z) / tau,
             (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
             (-(y + 0.4), -(m * (y - 1.0))),
             (-(0.5 * y**2 + 0.4 * y), -m_int),
@@ -584,14 +512,13 @@ def neuron_family() -> ParameterizedPlant:
     def derivatives(t, y, z, u):
         m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
         return (
-            (inv_eps * (-2.0 * z[0]), inv_eps * (-2.0 * (y + 0.7))),
-            (((dz_inf * tau - (z_inf - z[0]) * dtau) / tau**2, -1.0 / tau),),
+            (inv_eps * (-2.0 * z), inv_eps * (-2.0 * (y + 0.7))),
+            ((dz_inf * tau - (z_inf - z) * dtau) / tau**2, -1.0 / tau),
             (-inv_eps, -inv_eps * (dm * (y - 1.0) + m)),
         )
 
     return ParameterizedPlant(
         name="neuron",
-        n=2,
         m=2,
         values=values,
         derivatives=derivatives,

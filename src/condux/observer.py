@@ -41,7 +41,7 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     and stays zero). rhs reads the values hook once per block, jac the
     derivatives hook and the values hook once per block each.
     """
-    n, m = plant.n, plant.m
+    m = plant.m
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (m,):
         raise ConfigError(f"theta_star must have shape ({m},)")
@@ -49,39 +49,34 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     values, derivatives = plant.values, plant.derivatives
 
     def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        f0, g, h, _, H = values(t, s[0], s[1:n], u)
-        f0h, gh, hh, _, Hh = values(t, s[n], s[n + 1 : 2 * n], u)
+        f0, g, h, _, H = values(t, s[0], s[1], u)
+        f0h, gh, hh, _, Hh = values(t, s[2], s[3], u)
         return (
             f0 + _dot(h, th_star),
-            *g,
-            f0h + _dot(hh, s[2 * n :]),
-            *gh,
+            g,
+            f0h + _dot(hh, s[4:]),
+            gh,
             *[a - b for a, b in zip(H, Hh)],
         )
 
-    def block(t: float, y: float, z, u: float, theta) -> list[tuple[float, ...]]:
-        df0, dg, dh = derivatives(t, y, z, u)
-        return [(df0[0] + _dot(dh, theta), *df0[1:]), *dg]
-
     def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
-        y, z = s[0], s[1:n]
-        yh, zh = s[n], s[n + 1 : 2 * n]
-        zn, zm = (0.0,) * n, (0.0,) * m
-        plant_rows = block(t, y, z, u, th_star)
-        obs_rows = block(t, yh, zh, u, s[2 * n :])
+        y, z, yh, zh = s[0], s[1], s[2], s[3]
+        df0, dg, dh = derivatives(t, y, z, u)
+        df0h, dgh, dhh = derivatives(t, yh, zh, u)
         hy = values(t, y, z, u)[3]
         _, _, h, hyh, _ = values(t, yh, zh, u)
-        zr = (0.0,) * (n - 1)
+        zm = (0.0,) * m
         return (
-            *((*row, *zn, *zm) for row in plant_rows),
-            (*zn, *obs_rows[0], *h),
-            *((*zn, *row, *zm) for row in obs_rows[1:]),
-            *((hy[k], *zr, -hyh[k], *zr, *zm) for k in range(m)),
+            (df0[0] + _dot(dh, th_star), df0[1], 0.0, 0.0, *zm),
+            (*dg, 0.0, 0.0, *zm),
+            (0.0, 0.0, df0h[0] + _dot(dhh, s[4:]), df0h[1], *h),
+            (0.0, 0.0, *dgh, *zm),
+            *((hy[k], 0.0, -hyh[k], 0.0, *zm) for k in range(m)),
         )
 
     return PlainModel(
         name=f"{plant.name}-observer",
-        n=2 * n + m,
+        n=4 + m,
         rhs_fn=rhs,
         jac_fn=jac,
         stiffness=plant.stiffness,
@@ -189,7 +184,7 @@ def observer_contraction_check(
     rho = mono.spectral_radius
     verdict = StabilityVerdict(stable=rho < 1.0, margin=1.0 - rho)
 
-    h0 = np.asarray(plant.values(t0, float(x0[0]), x0[1:n], 0.0)[2])
+    h0 = np.asarray(plant.values(t0, float(x0[0]), float(x0[1]), 0.0)[2])
     Q = np.eye(n + m)
     Q[0, n:] = -eps_coupling * h0
     Q[n:, 0] = -eps_coupling * h0

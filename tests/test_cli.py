@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import condux.acceptance
 import condux.cli
 from condux.cli import main
 
-from test_config import OUT_OF_RANGE, WRONG_LENGTH
+from test_config import BAD_TOP_LEVEL, BAD_TOP_LEVEL_IDS, OUT_OF_RANGE, WRONG_LENGTH
 
 
 def _write(path: Path, obj) -> str:
@@ -84,6 +85,27 @@ def test_wrong_lengths_exit_2(tmp_path, capsys, exp, params, expected):
     _assert_exits_2(tmp_path, capsys, exp, params, expected)
 
 
+@pytest.mark.parametrize("raw,expected", BAD_TOP_LEVEL, ids=BAD_TOP_LEVEL_IDS)
+def test_bad_seed_or_prefix_exits_2(tmp_path, capsys, raw, expected):
+    cfg = _write(tmp_path / "bad.json", raw)
+    out = tmp_path / "run" / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {m}" for m in expected]
+    assert not (tmp_path / "run").exists()
+
+
+def test_duplicate_out_prefix_exits_2(tmp_path, capsys):
+    # two probes share the default prefix 'probe': the second report used to
+    # overwrite the first
+    a = _write(tmp_path / "a.json", {"experiment": "probe", "params": {"target": "leaky"}})
+    b = _write(tmp_path / "b.json", {"experiment": "probe", "params": {"target": "fhn"}})
+    assert main(["run", a, b, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: out_prefix: 'probe' is used by more than one config"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 2
@@ -140,9 +162,10 @@ def test_verify_properties_section_passes(tmp_path, capsys):
     assert {r["criterion"] for r in rows} == {"properties"}
 
 
-@pytest.mark.slow
-def test_verify_exits_1_when_a_check_fails(capsys):
-    # the kapitza criterion carries a known-red deadline check
+def test_verify_exits_1_when_a_check_fails(kapitza_run, monkeypatch, capsys):
+    # the kapitza criterion carries a known-red deadline check; it reads the
+    # shared kapitza_run fixture instead of running the pipeline again
+    monkeypatch.setattr(condux.acceptance, "kapitza_pipeline", lambda p: kapitza_run[0])
     assert main(["verify", "--filter=kapitza"]) == 1
     text = capsys.readouterr().out
     assert "FAIL" in text and "note:" in text

@@ -173,6 +173,30 @@ def test_wrong_lengths_are_rejected(exp, params, expected):
     assert validate_raw({"experiment": exp, "params": params}) == expected
 
 
+# a negative seed used to reach np.random.default_rng and exit 1; a prefix
+# with a separator used to crash on a missing directory or write outside the
+# output directory
+PREFIX_MESSAGE = "out_prefix: must be a non-empty file name without / or \\"
+BAD_TOP_LEVEL = [
+    ({"experiment": "lorenz", "seed": -1}, ["seed: must be non-negative"]),
+    ({"experiment": "probe", "out_prefix": ""}, [PREFIX_MESSAGE]),
+    ({"experiment": "probe", "out_prefix": "sub/dir/x"}, [PREFIX_MESSAGE]),
+    ({"experiment": "probe", "out_prefix": "../x"}, [PREFIX_MESSAGE]),
+    ({"experiment": "probe", "out_prefix": "..\\x"}, [PREFIX_MESSAGE]),
+]
+BAD_TOP_LEVEL_IDS = ["negative-seed", "empty-prefix", "nested-prefix", "parent-prefix",
+                     "backslash-prefix"]
+
+
+@pytest.mark.parametrize("raw,expected", BAD_TOP_LEVEL, ids=BAD_TOP_LEVEL_IDS)
+def test_bad_seed_or_prefix_is_rejected(raw, expected):
+    assert validate_raw(raw) == expected
+
+
+def test_zero_seed_and_plain_prefix_are_accepted():
+    assert validate_raw({"experiment": "lorenz", "seed": 0, "out_prefix": "a.b-c"}) == []
+
+
 def test_range_rules_hold_at_the_defaults():
     for exp in ("fhn", "hh", "observer", "probe"):
         assert validate_raw({"experiment": exp}) == []

@@ -24,7 +24,6 @@ from condux.errors import (
 from condux.integrate import Trajectory, build_grid, find_limit_cycle, integrate
 from condux.models import (
     ConductanceParams,
-    NormalFormModel,
     fitzhugh_nagumo,
     lorenz,
 )
@@ -200,22 +199,6 @@ class TestConductanceCertificate:
         _assert_bitwise(sig.values(ts), [sig.value(float(t)) for t in ts])
         _assert_bitwise(sig.ref.x_fn(ts)[0], [sig.ref.x_fn(float(t))[0] for t in ts])
         _assert_bitwise(sig.ref.v_fn(ts), [sig.ref.v_fn(float(t)) for t in ts])
-
-    def test_feedforward_is_solved_in_closed_form(self, monkeypatch):
-        # the conductance model is affine in u, so no point of the audit or of
-        # a whole grid and its midpoints goes to the bracket
-        calls = []
-        bracket = NormalFormModel._f_inv_bracket
-        monkeypatch.setattr(NormalFormModel, "_f_inv_bracket",
-                            lambda self, *a: calls.append(a) or bracket(self, *a))
-        sq = hh_square_reference(2.5, 5e-4)
-        ff = feedforward_from_reference(
-            params_model(ConductanceParams()), OutputReference(sq),
-            0.0, 2.0 * sq.period, zbar_ic=np.array([sq.value(0.0)]))
-        ts = ff.zbar.ts
-        u = ff.signal.values(np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])]))
-        assert np.all(np.isfinite(u))
-        assert calls == []
 
     def test_delta_sweep_leaves_certified_range(self, hh_run):
         sweep = hh_run[0]["delta_sweep"]

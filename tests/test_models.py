@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condux.errors import ConfigError, GainFloorViolated
+from condux.errors import GainFloorViolated
 from condux.lure import chua_system
 from condux.models import (
     ConductanceParams,
@@ -65,68 +65,44 @@ class TestKapitza:
             kapitza(alpha=0.0)
 
 
-def _still(t, z, x):
-    return (0.0,)
+def _still(t, z, y):
+    return 0.0
 
 
-def _still_jac(t, z, x):
-    return ((0.0,),), ((0.0,),)
+def _still_jac(t, z, y):
+    return 0.0, 0.0
 
 
-# bounded f = tanh(u): not affine in u, so the closed form misses and every
-# target but v = 0 goes to the bracket
+# bounded f = tanh(u): not affine in u, so the closed form misses every
+# target but v = 0
 SATURATING = NormalFormModel(
     name="saturating",
-    n=2,
-    f=lambda t, x, z, u: np.tanh(u),
-    f_jac=lambda t, x, z, u: (np.array([0.0]), np.array([0.0]),
-                              np.maximum(1.0 / np.cosh(u) ** 2, 1e-6)),
+    f=lambda t, y, z, u: np.tanh(u),
+    f_jac=lambda t, y, z, u: (0.0, 0.0, np.maximum(1.0 / np.cosh(u) ** 2, 1e-6)),
     g=_still,
     g_jac=_still_jac,
 )
 
 
-def test_model_without_internal_states_is_rejected():
-    with pytest.raises(ConfigError):
-        NormalFormModel(name="output-only", n=1, f=SATURATING.f, f_jac=SATURATING.f_jac,
-                        g=_still, g_jac=_still_jac)
-
-
-def test_f_inv_unreachable_target():
-    # no u reaches v = 2, the bracket expansion must report it, alone or
-    # among reachable targets
-    with pytest.raises(GainFloorViolated):
-        SATURATING.f_inv(0.0, np.array([0.0]), np.array([0.0]), 2.0)
-    with pytest.raises(GainFloorViolated):
-        SATURATING.f_inv(np.zeros(3), np.zeros((1, 3)), np.zeros((1, 3)),
-                         np.array([0.5, 2.0, -0.5]))
+def test_f_inv_rejects_a_field_not_affine_in_u():
+    assert SATURATING.f_inv(0.0, 0.0, 0.0, 0.0) == 0.0
+    with pytest.raises(ArithmeticError, match="not affine in u"):
+        SATURATING.f_inv(0.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ArithmeticError, match="not affine in u"):
+        SATURATING.f_inv(np.zeros(3), np.zeros(3), np.zeros(3), np.array([0.0, 0.5, -0.5]))
 
 
 def test_f_inv_names_the_first_time_below_the_gain_floor():
     # f = y u has no input gain where y = 0
     bilinear = NormalFormModel(
-        name="bilinear", n=2,
-        f=lambda t, x, z, u: x[0] * u,
-        f_jac=lambda t, x, z, u: (u, np.zeros(1), x[0]),
+        name="bilinear",
+        f=lambda t, y, z, u: y * u,
+        f_jac=lambda t, y, z, u: (u, 0.0, y),
         g=_still, g_jac=_still_jac,
     )
     with pytest.raises(GainFloorViolated, match=r"at t=2\.0$"):
-        bilinear.f_inv(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.0, 0.0]]),
-                       np.zeros((1, 3)), np.ones(3))
-
-
-def test_f_inv_falls_back_to_the_bracket_per_point(monkeypatch):
-    calls = []
-    bracket = NormalFormModel._f_inv_bracket
-    monkeypatch.setattr(NormalFormModel, "_f_inv_bracket",
-                        lambda self, *a: calls.append(a) or bracket(self, *a))
-    v = np.linspace(-0.95, 0.95, 41)
-    u = SATURATING.f_inv(np.zeros(v.size), np.zeros((1, v.size)),
-                         np.zeros((1, v.size)), v)
-    assert len(calls) == v.size - 1  # v = 0 is solved by the closed form
-    assert np.all(np.abs(np.tanh(u) - v) <= 1e-10)
-    one = [SATURATING.f_inv(0.0, np.array([0.0]), np.array([0.0]), vk) for vk in v]
-    assert np.array_equal(u.view(np.int64), np.array(one).view(np.int64))
+        bilinear.f_inv(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]),
+                       np.zeros(3), np.ones(3))
 
 
 class TestConductance:
@@ -140,10 +116,8 @@ class TestConductance:
     )
     @settings(max_examples=60, deadline=None)
     def test_f_inv_residual(self, y, z, v):
-        x = np.array([y])
-        zz = np.array([z])
-        u = self.m.f_inv(0.0, x, zz, v)
-        assert abs(self.m.f(0.0, x, zz, u) - v) <= 1e-10 * max(1.0, abs(v))
+        u = self.m.f_inv(0.0, y, z, v)
+        assert abs(self.m.f(0.0, y, z, u) - v) <= 1e-10 * max(1.0, abs(v))
 
     def test_parameter_ordering_enforced(self):
         with pytest.raises(Exception):
@@ -157,25 +131,22 @@ class TestConductance:
                     min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_f_inv_over_arrays_matches_pointwise(model, pts):
-    # one call over every column meets the residual bound at every point and
-    # gives the bits of the per-point call; so do the gain rows of f_jac.
+    # one call over whole arrays meets the residual bound at every point and
+    # gives the bits of the per-point call; so do the gains of f_jac.
     # Hypothesis favours simple floats, on which even y**3 agrees, so every
     # example also carries 256 uniform points.
     rng = np.random.default_rng(len(pts))
     more = rng.uniform((-2.0, -1.5, -40.0, -10.0), (2.0, 1.5, 40.0, 10.0), (256, 4))
     y, z, v, t = np.concatenate([np.array(pts), more]).T
-    u = model.f_inv(t, y[None], z[None], v)
+    u = model.f_inv(t, y, z, v)
     assert u.shape == v.shape
-    assert np.all(np.abs(model.f(t, y[None], z[None], u) - v)
-                  <= 1e-10 * np.maximum(1.0, np.abs(v)))
-    one = [model.f_inv(tk, np.array([yk]), np.array([zk]), vk)
-           for yk, zk, vk, tk in zip(y, z, v, t)]
+    assert np.all(np.abs(model.f(t, y, z, u) - v) <= 1e-10 * np.maximum(1.0, np.abs(v)))
+    one = [model.f_inv(tk, yk, zk, vk) for yk, zk, vk, tk in zip(y, z, v, t)]
     assert np.array_equal(u.view(np.int64), np.array(one).view(np.int64))
     for k in range(2):
-        tab = np.broadcast_to(model.f_jac(t, y[None], z[None], u)[k], (1, y.size))
-        one = [model.f_jac(tk, np.array([yk]), np.array([zk]), uk)[k][0]
-               for yk, zk, uk, tk in zip(y, z, u, t)]
-        assert np.array_equal(tab[0].view(np.int64), np.array(one).view(np.int64))
+        tab = np.broadcast_to(model.f_jac(t, y, z, u)[k], y.shape)
+        one = [model.f_jac(tk, yk, zk, uk)[k] for yk, zk, uk, tk in zip(y, z, u, t)]
+        assert np.array_equal(tab.view(np.int64), np.array(one).view(np.int64))
 
 
 def test_inverse_system_shape():
@@ -257,17 +228,17 @@ def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
 
 def test_neuron_update_antiderivative_consistency():
     plant = neuron_family()
-    H = lambda y: np.asarray(plant.values(0.0, y, (0.5,), 0.0)[4])
+    H = lambda y: np.asarray(plant.values(0.0, y, 0.5, 0.0)[4])
     h = 1e-7
     for y in (-0.9, -0.6, -0.3, 0.2, 0.8):
         fd = (H(y + h) - H(y - h)) / (2 * h)
-        assert np.allclose(fd, plant.values(0.0, y, (0.5,), 0.0)[3], atol=1e-6)
+        assert np.allclose(fd, plant.values(0.0, y, 0.5, 0.0)[3], atol=1e-6)
 
 
 def test_neuron_theta_box_and_regressor_scaling():
     plant = neuron_family()
     assert plant.theta_box == ((0.3, 0.7), (1.1, 1.9))
-    _, _, h, hu, _ = plant.values(0.0, -0.2, (0.5,), 0.0)
+    _, _, h, hu, _ = plant.values(0.0, -0.2, 0.5, 0.0)
     assert np.allclose(h, np.asarray(hu) / plant_eps())
 
 

@@ -35,7 +35,7 @@ class TestBuildObserver:
     def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
         for y in (-0.8, -0.4, 0.5):
-            _, _, h, hu, _ = plant.values(0.0, y, (0.5,), 0.0)
+            _, _, h, hu, _ = plant.values(0.0, y, 0.5, 0.0)
             assert np.allclose(np.asarray(hu), np.asarray(h) * 0.02)
 
     def test_gate_lookups_per_call(self, plant, monkeypatch):
