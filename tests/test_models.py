@@ -84,6 +84,15 @@ SATURATING = NormalFormModel(
 )
 
 
+def test_f_inv_unreachable_target():
+    # no u reaches v = 2, which must be reported alone or among reachable
+    # targets
+    with pytest.raises(ArithmeticError):
+        SATURATING.f_inv(0.0, 0.0, 0.0, 2.0)
+    with pytest.raises(ArithmeticError):
+        SATURATING.f_inv(np.zeros(3), np.zeros(3), np.zeros(3), np.array([0.5, 2.0, -0.5]))
+
+
 def test_f_inv_rejects_a_field_not_affine_in_u():
     assert SATURATING.f_inv(0.0, 0.0, 0.0, 0.0) == 0.0
     with pytest.raises(ArithmeticError, match="not affine in u"):
