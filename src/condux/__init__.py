@@ -21,7 +21,6 @@ from .errors import ConduxError, ConfigError
 from .experiments import run_experiment
 from .integrate import (
     Trajectory,
-    find_limit_cycle,
     integrate,
 )
 from .lure import (

@@ -56,7 +56,6 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
         "width": ("number", 1e-4),
         "phase_points": ("int", 256),
         "cross_budget": ("number", 0.0075),
-        "cycle_step": ("number", 0.002),
         "fine_step": ("number", 5e-4),
         "sync_step": ("number", 1e-3),
         "phase_offsets": ("numbers", [-0.05, 0.05]),
@@ -138,7 +137,7 @@ _TOP_KEYS = ("experiment", "params", "integration", "seed", "out_prefix")
 # (or a grid of one step per edge interval) instead of failing. The other
 # fields are spans, counts, widths and amplitudes (of a list, every entry)
 # that a constructor downstream rejects unless positive.
-_POSITIVE = frozenset({"cycle_step", "fine_step", "sync_step", "base_step",
+_POSITIVE = frozenset({"fine_step", "sync_step", "base_step",
                        "ramp_step_divisor", "monodromy_base_step",
                        "monodromy_kink_step",
                        "amplitude_grid", "omega", "horizon", "width", "phase_points",
@@ -276,8 +275,8 @@ def validate_raw(raw: Any) -> list[str]:
     if "out_prefix" in raw:
         prefix = raw["out_prefix"]
         _check_leaf("out_prefix", "string", prefix, errors)
-        if isinstance(prefix, str) and (not prefix or "/" in prefix or "\\" in prefix):
-            errors.append("out_prefix: must be a non-empty file name without / or \\")
+        if isinstance(prefix, str) and (not prefix or any(c in prefix for c in "/\\\0")):
+            errors.append("out_prefix: must be a non-empty file name without /, \\ or NUL")
     if exp == "probe" and isinstance(params, dict):
         target = params.get("target", "leaky")
         if isinstance(target, str) and target not in ("leaky", "fhn", "hh"):

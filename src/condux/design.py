@@ -258,10 +258,11 @@ def fhn_impulse_design(
 
     eps_n is set by eps_n^2 = eps_fraction * eps / (3 beta), keeping the
     jump factor strictly inside (0, 1). The anchor maximizes the output
-    component of the cycle tangent over a phase grid, restricted to phases
-    where the neglected y* cross term of the squared impulse stays below
-    cross_budget in the exponent; the restriction is dropped (with the
-    global maximizer used) only if no phase qualifies.
+    component of the cycle tangent over the first half of a grid of
+    phase_points phases, restricted to phases where the neglected y* cross
+    term of the squared impulse stays below cross_budget in the exponent;
+    the restriction is dropped (with the maximizer over that half used)
+    only if no phase qualifies.
     """
     if not 0.0 < eps_fraction < 1.0:
         raise ValueError("eps_fraction must lie in (0, 1)")
@@ -269,7 +270,10 @@ def fhn_impulse_design(
     period = cycle.t1 - cycle.t0
     eps_n = math.sqrt(eps_fraction * eps / (3.0 * beta))
 
-    phases = cycle.t0 + period * np.arange(phase_points) / phase_points
+    # FHN is odd in (y, z), so phases k and k + phase_points / 2 are mirror
+    # images with equal |y'| up to rounding; only the first half is searched,
+    # so that a rounding tie cannot pick the anchor.
+    phases = cycle.t0 + period * np.arange(max(1, phase_points // 2)) / phase_points
     on_cycle = cycle.interp_state(phases)
     tangents = np.array(
         [model.rhs(t, s, 0.0) for t, s in zip(phases.tolist(), on_cycle)]
@@ -281,7 +285,7 @@ def fhn_impulse_design(
     cross = ((3.0 * beta / eps) * np.abs(on_cycle[:, 0])
              * eps_n * SQRT_DELTA_MASS * math.sqrt(width))
     ok = cross <= cross_budget
-    pool = np.nonzero(ok)[0] if ok.any() else np.arange(phase_points)
+    pool = np.nonzero(ok)[0] if ok.any() else np.arange(phases.size)
     k = int(pool[np.argmax(out_comp[pool])])
     t0 = float(phases[k])
     # The monodromy window is anchored just before the impulse support so the

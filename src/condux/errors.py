@@ -36,7 +36,8 @@ class NoCrossings(ConduxError):
 
 
 class PeriodUnstable(ConduxError):
-    """Successive return times failed to settle to a consistent period."""
+    """No attracting periodic orbit: too few returns, or Newton shooting failed
+    or closed an orbit that does not attract."""
 
 
 class PeriodMismatch(ConduxError):

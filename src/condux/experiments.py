@@ -28,7 +28,6 @@ from .errors import NoCrossings, PeriodUnstable, RangeViolation
 from .integrate import (
     Trajectory,
     build_grid,
-    find_limit_cycle,
     integrate,
     write_csv,
 )
@@ -154,12 +153,9 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     """Free cycle, impulse design, inverse feedforward, realized monodromy,
     and phase synchronization under the designed input."""
     model = fitzhugh_nagumo(p["alpha"], p["beta"], p["gamma"], p["eps"])
-    cyc = find_limit_cycle(
-        model, None, np.array([1.0, 0.0]), max_time=200.0, step=p["cycle_step"],
-    )
-    T = cyc.period
     fine = step if step is not None else p["fine_step"]
-    one = integrate(model, None, cyc.t_anchor, cyc.t_anchor + T, cyc.anchor, fine)
+    one = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=fine)
+    T = one.t1 - one.t0
     design = fhn_impulse_design(
         one, p["eps_fraction"], alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"],
         eps=p["eps"], width=p["width"], phase_points=p["phase_points"],
@@ -203,7 +199,7 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     return {
         "model": model,
         "period": T,
-        "anchor": cyc.anchor,
+        "anchor": one.states[0],
         "cycle": one,
         "design": design,
         "feedforward": ff,
@@ -256,13 +252,10 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     sweep = []
     if p["run_delta_sweep"]:
         try:
-            cyc = find_limit_cycle(model, None, np.array([1.0, 0.0]),
-                                   max_time=60.0, agreement=1e-4)
-            loop = integrate(model, None, cyc.t_anchor, cyc.t_anchor + cyc.period,
-                             cyc.anchor)
+            loop = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0)
             ydf = model.f(loop.ts, loop.states[:, 0], loop.states[:, 1], 0.0)
             free = {
-                "period": cyc.period,
+                "period": loop.t1 - loop.t0,
                 "y_range": [float(loop.states[:, 0].min()), float(loop.states[:, 0].max())],
             }
             for delta in p["delta_sweep"]:
@@ -407,7 +400,7 @@ def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
                      np.array(p["x0"], dtype=float), step)
     flags = np.array([lorenz_region_check(s, sigma, beta) for s in traj.states])
     try:
-        find_limit_cycle(chaotic, None, np.array(p["x0"], dtype=float), max_time=60.0)
+        refine_periodic_orbit(chaotic, None, np.array(p["x0"], dtype=float), 0.0)
         cycle_outcome = {"error": None}
     except (PeriodUnstable, NoCrossings) as exc:
         cycle_outcome = {"error": type(exc).__name__, "detail": str(exc)}

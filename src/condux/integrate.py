@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCrossings, NumericalBlowup, PeriodUnstable
+from .errors import NumericalBlowup
 from .models import VectorField
 from .signals import InputSignal, Zero
 
@@ -33,8 +33,6 @@ __all__ = [
     "default_step",
     "build_grid",
     "integrate",
-    "CycleResult",
-    "find_limit_cycle",
 ]
 
 
@@ -203,59 +201,3 @@ def integrate(
         raise ValueError(f"x0 must have shape ({model.n},)")
     h = step if step is not None else default_step(model, signal, t0, t1)
     return _rk4_run(model, signal, build_grid(t0, t1, h, signal), x0)
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    """A located periodic orbit: crossing anchor and measured period."""
-
-    period: float
-    anchor: np.ndarray
-    t_anchor: float
-
-
-def find_limit_cycle(
-    model: VectorField,
-    signal: InputSignal | None,
-    x_guess: np.ndarray,
-    max_time: float = 400.0,
-    step: float | None = None,
-    agreement: float = 1e-6,
-) -> CycleResult:
-    """Locate an attracting cycle by Poincare returns to the section where
-    x[0] crosses 0 upward.
-
-    The transient discard is 50 time units or 20 crossings, whichever comes
-    first. Successive return intervals must agree to the given relative
-    tolerance, else the orbit is declared unstable or drifting
-    (PeriodUnstable).
-    """
-    traj = integrate(model, signal, 0.0, max_time, np.asarray(x_guess, dtype=float), step)
-    s = traj.states[:, 0]
-    hit = (s[:-1] < 0.0) & (s[1:] >= 0.0)
-    i_hits = np.nonzero(hit)[0]
-    if i_hits.size == 0:
-        raise NoCrossings(f"no section crossings for {model.name} within {max_time} time units")
-    # Linear-interpolation refinement of each crossing time and state.
-    t_cross, x_cross = [], []
-    for i in i_hits:
-        w = s[i] / (s[i] - s[i + 1])
-        t_cross.append(float(traj.ts[i] + w * (traj.ts[i + 1] - traj.ts[i])))
-        x_cross.append((1.0 - w) * traj.states[i] + w * traj.states[i + 1])
-    t_cross = np.array(t_cross)
-    cut = 50.0
-    if t_cross.size > 20:
-        cut = min(cut, t_cross[19])
-    keep = np.nonzero(t_cross > cut)[0]
-    if keep.size < 4:
-        raise PeriodUnstable(
-            f"only {keep.size} crossings after transient for {model.name}"
-        )
-    tc = t_cross[keep[-4:]]
-    periods = np.diff(tc)
-    mean = float(np.mean(periods))
-    if mean <= 0 or float(np.max(np.abs(periods - mean))) > agreement * mean:
-        raise PeriodUnstable(
-            f"return intervals {periods.tolist()} do not settle for {model.name}"
-        )
-    return CycleResult(period=mean, anchor=x_cross[keep[-1]], t_anchor=float(tc[-1]))

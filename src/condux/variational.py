@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PeriodMismatch, ZeroLeadingCoefficient
-from .integrate import Trajectory, integrate
+from .errors import (
+    NoCrossings,
+    NumericalBlowup,
+    PeriodMismatch,
+    PeriodUnstable,
+    ZeroLeadingCoefficient,
+)
+from .integrate import Trajectory, default_step, integrate
 from .models import PlainModel, VectorField, _dot
-from .signals import InputSignal
+from .signals import InputSignal, Zero
 
 __all__ = [
     "ANCHOR_TOL",
@@ -36,6 +42,13 @@ __all__ = [
 # Largest return gap, relative to the state scale, that a declared period
 # may leave between the first and last state of a window.
 ANCHOR_TOL = 1e-3
+
+# Newton steps and closure tolerance of refine_periodic_orbit.
+NEWTON_ITERS = 6
+NEWTON_TOL = 1e-10
+
+# Length of the forward run whose section crossings seed an autonomous orbit.
+GUESS_SPAN = 20.0
 
 
 def _with_variations(model: VectorField) -> PlainModel:
@@ -85,34 +98,77 @@ def refine_periodic_orbit(
     signal,
     x_guess: np.ndarray,
     t0: float,
-    period: float,
+    period: float | None = None,
     step: float | None = None,
-    max_iters: int = 6,
-    tol: float = 1e-10,
 ) -> Trajectory:
-    """Newton-polish a period-1 point of the known-period return map.
+    """Close a periodic orbit by Newton shooting; return one loop from t0.
 
-    Drives x toward a fixed point of x -> flow over [t0, t0 + period] using
-    the monodromy matrix as the map Jacobian, then returns the closed loop.
-    Requires I - Phi nonsingular, i.e. no Floquet multiplier at +1, which a
-    forced attracting orbit satisfies.  The closure gap is measured on the
-    integrator's own grid, so the result is consistent with later monodromy
-    evaluations at the same step. Raises PeriodMismatch when the loop
-    still does not close within tol after max_iters Newton steps.
+    With a period (a forced orbit), x is driven to a fixed point of the map
+    x -> flow over [t0, t0 + period] with I - Phi as its Jacobian, which a
+    forced attracting orbit keeps nonsingular. The gap is measured on the
+    integrator's own grid, so later monodromy evaluations at the same step
+    agree. PeriodMismatch if the loop is not closed to NEWTON_TOL after
+    NEWTON_ITERS steps.
+
+    Without one (an autonomous orbit), the last two upward crossings of
+    x[0] = 0 in a GUESS_SPAN run from x_guess give the guess (x, T); there
+    must be three, as the first may lie in the transient (NoCrossings if
+    there is none, else PeriodUnstable). Newton solves phi_T(x) = x with the
+    phase condition x[0] = 0 on the bordered Jacobian
+    [[Phi - I, f(phi_T(x))], [e1, 0]], stepping at T / k for a fixed k so
+    that the map is smooth in T. PeriodUnstable if a multiplier other than
+    the one nearest 1 is not inside the unit circle, and on a non-finite
+    state, T <= 0, a singular solve or no convergence.
     """
     x = np.asarray(x_guess, dtype=float).copy()
     n = x.size
-    for _ in range(max_iters):
-        traj, phi = flow(model, signal, t0, t0 + period, x, step)
-        gap = traj.states[-1] - x
-        if float(np.max(np.abs(gap))) < tol:
-            return traj
-        x = x + np.linalg.solve(np.eye(n) - phi, gap)
+    free = period is None
+    if free:
+        traj = integrate(model, signal, t0, t0 + GUESS_SPAN, x, step)
+        s = traj.states[:, 0]
+        i = np.nonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))[0]
+        if i.size < 3:
+            raise (PeriodUnstable if i.size else NoCrossings)(
+                f"only {i.size} upward crossings of x[0] = 0 in {GUESS_SPAN} time units "
+                f"for {model.name}")
+        tc = traj.ts[i] + s[i] / (s[i] - s[i + 1]) * (traj.ts[i + 1] - traj.ts[i])
+        x, period = traj.interp_state(tc[-1]), float(tc[-1] - tc[-2])
+        k = math.ceil(period / (step or default_step(model, signal or Zero(), t0, t0 + period)))
+    try:
+        for _ in range(NEWTON_ITERS):
+            traj, phi = flow(model, signal, t0, t0 + period, x, period / k if free else step)
+            gap = traj.states[-1] - x
+            lhs, res = np.eye(n) - phi, gap
+            if free:
+                f = model.rhs(traj.t1, traj.states[-1].tolist(), float(traj.us[-1]))
+                lhs = np.block([[lhs, -np.reshape(f, (n, 1))], [-np.eye(1, n), 0.0]])
+                res = np.append(gap, x[0])
+            if float(np.max(np.abs(res))) < NEWTON_TOL:
+                if free:
+                    lam = np.linalg.eigvals(phi)
+                    rest = np.abs(np.delete(lam, np.argmin(np.abs(lam - 1.0))))
+                    if not np.all(rest < 1.0):
+                        raise PeriodUnstable(f"{model.name} orbit is not attracting: "
+                                             f"multiplier {rest.max():.4g}")
+                return traj
+            d = np.linalg.solve(lhs, res)
+            x = x + d[:n]
+            if free:
+                period += float(d[n])
+                if not (np.isfinite(x).all() and 0.0 < period < math.inf):
+                    raise PeriodUnstable(f"Newton left the {model.name} orbit (T = {period:.6g})")
+    except (NumericalBlowup, np.linalg.LinAlgError) as exc:
+        if not free:
+            raise
+        raise PeriodUnstable(f"Newton failed on the {model.name} orbit: {exc}") from exc
+    if free:
+        raise PeriodUnstable(f"{model.name} orbit does not close after "
+                             f"{NEWTON_ITERS} Newton steps")
     traj = integrate(model, signal, t0, t0 + period, x, step)
     gap = float(np.max(np.abs(traj.states[-1] - x)))
-    if gap < tol:
+    if gap < NEWTON_TOL:
         return traj
-    raise PeriodMismatch(f"orbit does not close after {max_iters} Newton steps (gap {gap:.3e})")
+    raise PeriodMismatch(f"orbit does not close after {NEWTON_ITERS} Newton steps (gap {gap:.3e})")
 
 
 @dataclass(frozen=True)

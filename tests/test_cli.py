@@ -146,6 +146,17 @@ def test_run_reports_written_paths(tmp_path, capsys):
     assert report["rate"] == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("x0", [[1.0, 1.0, 1.0], [0.5, -2.0, 20.0], [3.0, 3.0, 3.0]])
+def test_lorenz_reports_no_stable_period(tmp_path, capsys, x0):
+    # Newton shooting from a chaotic start leaves the orbit or does not
+    # converge; either is reported, not raised
+    cfg = _write(tmp_path / "lorenz.json", {"experiment": "lorenz", "params": {"x0": x0}})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "lorenz_report.json").read_text())
+    assert report["cycle_outcome"]["error"] == "PeriodUnstable"
+
+
 def test_verify_filter_without_match_exits_2(capsys):
     assert main(["verify", "--filter=bogus"]) == 2
     assert "matches no criterion" in capsys.readouterr().err

@@ -95,9 +95,8 @@ def test_non_positive_steps_are_rejected_at_every_path():
     # a zero or negative step or step divisor used to build a degenerate
     # grid instead of failing
     msgs = validate_raw({"experiment": "fhn", "params": {
-        "cycle_step": 0.0, "fine_step": -1e-3, "sync_step": 0}})
-    assert msgs == [f"params.{k}: must be positive"
-                    for k in ("cycle_step", "fine_step", "sync_step")]
+        "fine_step": 0.0, "sync_step": 0}})
+    assert msgs == [f"params.{k}: must be positive" for k in ("fine_step", "sync_step")]
     msgs = validate_raw({"experiment": "hh", "params": {
         "base_step": -1.0, "ramp_step_divisor": 0.0}})
     assert msgs == ["params.base_step: must be positive",
@@ -175,17 +174,19 @@ def test_wrong_lengths_are_rejected(exp, params, expected):
 
 # a negative seed used to reach np.random.default_rng and exit 1; a prefix
 # with a separator used to crash on a missing directory or write outside the
-# output directory
-PREFIX_MESSAGE = "out_prefix: must be a non-empty file name without / or \\"
+# output directory, and one with a NUL character crashed when the first
+# artifact was opened
+PREFIX_MESSAGE = "out_prefix: must be a non-empty file name without /, \\ or NUL"
 BAD_TOP_LEVEL = [
     ({"experiment": "lorenz", "seed": -1}, ["seed: must be non-negative"]),
     ({"experiment": "probe", "out_prefix": ""}, [PREFIX_MESSAGE]),
     ({"experiment": "probe", "out_prefix": "sub/dir/x"}, [PREFIX_MESSAGE]),
     ({"experiment": "probe", "out_prefix": "../x"}, [PREFIX_MESSAGE]),
     ({"experiment": "probe", "out_prefix": "..\\x"}, [PREFIX_MESSAGE]),
+    ({"experiment": "probe", "out_prefix": "a\0b"}, [PREFIX_MESSAGE]),
 ]
 BAD_TOP_LEVEL_IDS = ["negative-seed", "empty-prefix", "nested-prefix", "parent-prefix",
-                     "backslash-prefix"]
+                     "backslash-prefix", "nul-prefix"]
 
 
 @pytest.mark.parametrize("raw,expected", BAD_TOP_LEVEL, ids=BAD_TOP_LEVEL_IDS)

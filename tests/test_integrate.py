@@ -10,12 +10,14 @@ from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
 from condux.integrate import (
     build_grid,
     default_step,
-    find_limit_cycle,
     integrate,
     write_csv,
 )
 from condux.models import (
+    ConductanceParams,
     PlainModel,
+    fitzhugh_nagumo,
+    hh_conductance,
     leaky_integrator,
     lorenz,
     planar_limit_cycle,
@@ -29,6 +31,7 @@ from condux.signals import (
     Sum,
     Zero,
 )
+from condux.variational import refine_periodic_orbit
 
 
 def _rotation() -> PlainModel:
@@ -285,19 +288,60 @@ def test_forced_linear_system_keeps_fourth_order():
     assert abs(math.log2(errs[0] / errs[1]) - 4.0) < 0.2
 
 
+# Periods of the free fhn cycle and the free hh orbit from [1, 0], by DOP853
+# with event location on upward crossings of y = 0, rtol = atol = 1e-12.
+FHN_PERIOD = 3.290236938862108
+HH_FREE_PERIOD = 0.9522062739399928
+
+
 class TestFindLimitCycle:
+    """Autonomous orbits closed by refine_periodic_orbit without a period."""
+
     def test_planar_period(self):
-        cyc = find_limit_cycle(planar_limit_cycle(), None, np.array([1.3, 0.0]),
-                               step=0.001)
-        assert cyc.period == pytest.approx(2.0 * math.pi, rel=1e-6)
-        assert np.hypot(*cyc.anchor) == pytest.approx(1.0, abs=1e-6)
+        loop = refine_periodic_orbit(planar_limit_cycle(), None, np.array([1.3, 0.0]),
+                                     0.0, step=0.001)
+        assert loop.t1 - loop.t0 == pytest.approx(2.0 * math.pi, abs=1e-10)
+        assert loop.states[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert np.hypot(*loop.states[0]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_fhn_period_converges_at_fourth_order(self):
+        errs = []
+        for h in (4e-3, 2e-3, 1e-3):
+            loop = refine_periodic_orbit(fitzhugh_nagumo(), None, np.array([1.0, 0.0]),
+                                         0.0, step=h)
+            errs.append(abs(loop.t1 - loop.t0 - FHN_PERIOD))
+        assert all(math.log2(a / b) >= 3.5 for a, b in zip(errs, errs[1:]))
+
+    def test_hh_period_converges_at_fourth_order(self, hh_run):
+        # the hh pipeline closes the free orbit at the default step, 5e-4
+        coarse = hh_run[0]["free_orbit"]["period"] - HH_FREE_PERIOD
+        loop = refine_periodic_orbit(hh_conductance(ConductanceParams()), None,
+                                     np.array([1.0, 0.0]), 0.0, step=2.5e-4)
+        fine = loop.t1 - loop.t0 - HH_FREE_PERIOD
+        assert math.log2(abs(coarse / fine)) >= 3.5
+
+    def test_repelling_orbit_is_unstable(self):
+        # r' = -r (1 - r^2) / 20 around the unit circle: a closed orbit whose
+        # nontrivial multiplier is exp(4 pi / 20) > 1
+        def rhs(t, s, u):
+            g = -0.05 * (1.0 - s[0] * s[0] - s[1] * s[1])
+            return (g * s[0] - s[1], s[0] + g * s[1])
+
+        def jac(t, s, u):
+            g = -0.05 * (1.0 - s[0] * s[0] - s[1] * s[1])
+            return ((g + 0.1 * s[0] * s[0], 0.1 * s[0] * s[1] - 1.0),
+                    (1.0 + 0.1 * s[0] * s[1], g + 0.1 * s[1] * s[1]))
+
+        with pytest.raises(PeriodUnstable, match="not attracting"):
+            refine_periodic_orbit(PlainModel("repelling", 2, rhs, jac), None,
+                                  np.array([1.0, 0.0]), 0.0, step=0.01)
 
     def test_no_crossings(self):
         with pytest.raises(NoCrossings):
-            find_limit_cycle(leaky_integrator(1.0), Constant(0.5),
-                             np.array([0.0]), max_time=20.0)
+            refine_periodic_orbit(leaky_integrator(1.0), Constant(0.5),
+                                  np.array([0.0]), 0.0)
 
     def test_chaotic_system_has_no_stable_period(self):
-        with pytest.raises((PeriodUnstable, NoCrossings)):
-            find_limit_cycle(lorenz(10.0, 28.0, 8.0 / 3.0), None,
-                             np.array([1.0, 1.0, 1.0]), max_time=60.0)
+        with pytest.raises(PeriodUnstable):
+            refine_periodic_orbit(lorenz(10.0, 28.0, 8.0 / 3.0), None,
+                                  np.array([1.0, 1.0, 1.0]), 0.0)

@@ -100,9 +100,12 @@ def test_refine_periodic_orbit_closes_gap():
 
 
 def test_refine_periodic_orbit_raises_when_loop_does_not_close():
+    # x' = 1 + sin(x) / 2 > 0 has no periodic solution: every Newton step
+    # leaves a gap of at least period / 2
+    drift = PlainModel("drift", 1, lambda t, s, u: (1.0 + 0.5 * math.sin(s[0]),),
+                       lambda t, s, u: ((0.5 * math.cos(s[0]),),))
     with pytest.raises(PeriodMismatch):
-        refine_periodic_orbit(planar_limit_cycle(), None, np.array([2.0, 0.5]), 0.0,
-                              2.0 * math.pi, 0.001, max_iters=1)
+        refine_periodic_orbit(drift, None, np.array([0.0]), 0.0, 1.0, 0.01)
 
 
 def test_probe_recovers_rate():
