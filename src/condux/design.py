@@ -296,9 +296,12 @@ def fhn_impulse_design(
     w0 = t0 - 8.0 * width
 
     train = ImpulseTrain(t0=t0, period=period, magnitude=eps_n, width=width)
-    h = min(5e-4, eps / 100.0)
-    x_w0 = integrate(model, None, cycle.t0, w0, cycle.states[0], h).states[-1]
-    _, phi_free = flow(model, None, w0, w0 + period, x_w0, h)
+    # One loop of the cycle at its own step, split at w0: by periodicity
+    # Phi(w0 + T, w0) = Phi(w0, t_c) Phi(t_c + T, w0), t_c = cycle.t0.
+    h = float(cycle.ts[1] - cycle.ts[0])
+    lead, phi_lead = flow(model, None, cycle.t0, w0, cycle.states[0], h)
+    _, phi_rest = flow(model, None, w0, cycle.t1, lead.states[-1], h)
+    phi_free = phi_lead @ phi_rest
     jump = math.exp(-3.0 * beta * eps_n**2 / eps)
     predicted = phi_free @ np.diag([jump, 1.0])
 

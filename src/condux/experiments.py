@@ -1,13 +1,15 @@
 """Experiment drivers: one pipeline per built-in study, artifacts out.
 
 Each pipeline is a pure function of its parameter dict (plus an optional
-fixed-step override) returning raw results; the run_* wrappers serialize a
-JSON report and downsampled CSV traces. Reports carry no wall-clock data so
-identical configs produce byte-identical artifacts.
+fixed-step override) returning raw results; each _run_* wrapper turns them
+into a report and named trace columns, and run_experiment alone writes those
+as a JSON report and downsampled CSV traces. Reports carry no wall-clock data
+so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from .integrate import (
     Trajectory,
     build_grid,
     integrate,
-    write_csv,
 )
 from .lure import (
     CHUA_C,
@@ -81,10 +82,17 @@ __all__ = [
 _CSV_ROW_CAP = 20000
 
 
-def _strided(*arrays: np.ndarray) -> list[np.ndarray]:
-    n = arrays[0].size
-    stride = max(1, math.ceil(n / _CSV_ROW_CAP))
-    return [np.asarray(a)[::stride] for a in arrays]
+def write_csv(path, cols: dict[str, np.ndarray]) -> None:
+    """Write equal-length named columns under a header row, every value as
+    %.17g so that reading the file back recovers each float64 exactly. Longer
+    columns keep every k-th row from the first, k the least stride that leaves
+    at most _CSV_ROW_CAP rows."""
+    arrays = [np.asarray(c) for c in cols.values()]
+    stride = max(1, math.ceil(arrays[0].size / _CSV_ROW_CAP))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in zip(*(a[::stride] for a in arrays)):
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def _per_period_max(ts: np.ndarray, d: np.ndarray, t0: float, T: float,
@@ -105,6 +113,8 @@ def _json_ready(obj):
         return [obj.real, obj.imag]
     if isinstance(obj, np.generic):
         return _json_ready(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -252,7 +262,8 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     sweep = []
     if p["run_delta_sweep"]:
         try:
-            loop = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0)
+            loop = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0,
+                                         step=step)
             ydf = model.f(loop.ts, loop.states[:, 0], loop.states[:, 1], 0.0)
             free = {
                 "period": loop.t1 - loop.t0,
@@ -400,7 +411,8 @@ def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
                      np.array(p["x0"], dtype=float), step)
     flags = np.array([lorenz_region_check(s, sigma, beta) for s in traj.states])
     try:
-        refine_periodic_orbit(chaotic, None, np.array(p["x0"], dtype=float), 0.0)
+        refine_periodic_orbit(chaotic, None, np.array(p["x0"], dtype=float), 0.0,
+                              step=step)
         cycle_outcome = {"error": None}
     except (PeriodUnstable, NoCrossings) as exc:
         cycle_outcome = {"error": type(exc).__name__, "detail": str(exc)}
@@ -483,13 +495,14 @@ def probe_pipeline(p: dict, step: float | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# runners: pipeline -> artifacts
+# runners: pipeline -> (report, traces); run_experiment writes the artifacts
 # ---------------------------------------------------------------------------
 
 
-def _run_kapitza(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_kapitza(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = kapitza_pipeline(cfg.params, cfg.step)
     design = r["design"]
+    traj = r["traj"]
     report = {
         "selected_amplitude": design.M,
         "averaged_gain": design.gain,
@@ -498,18 +511,13 @@ def _run_kapitza(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "band_entry_time": r["band_entry_time"],
         "deviation_at_deadline": r["deviation_at_deadline"],
         "measured_slow_decay": r["measured_slow_decay"],
-        "steps": int(r["traj"].ts.size),
+        "steps": int(traj.ts.size),
     }
-    if outdir is not None:
-        traj = r["traj"]
-        ts, y, dy, slow, us = _strided(traj.ts, traj.states[:, 0], r["delta_y"],
-                                       r["slow"], traj.us)
-        write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
-                  ["t", "y", "delta_y", "y_slow", "u"], [ts, y, dy, slow, us])
-    return report
+    return report, {"trace": {"t": traj.ts, "y": traj.states[:, 0], "delta_y": r["delta_y"],
+                              "y_slow": r["slow"], "u": traj.us}}
 
 
-def _run_fhn(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_fhn(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = fhn_pipeline(cfg.params, cfg.step)
     design = r["design"]
     report = {
@@ -527,22 +535,19 @@ def _run_fhn(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "monodromy_entrywise_mismatch": r["monodromy_mismatch"],
         "sync_diff_per_period": r["sync_diff_per_period"],
     }
-    if outdir is not None:
-        real = r["realized"]
-        cyc = r["cycle"]
-        y_ref = cyc.interp_state(cyc.t0 + (real.ts - cyc.t0) % r["period"])[:, 0]
-        ts, ys, yr, us = _strided(real.ts, real.states[:, 0], y_ref, real.us)
-        write_csv(outdir / f"{cfg.out_prefix}_realized.csv",
-                  ["t", "y", "y_free_reference", "u"], [ts, ys, yr, us])
-        a, b = r["sync_runs"]
-        ts, ya, yb = _strided(a.ts, a.states[:, 0], b.states[:, 0])
-        write_csv(outdir / f"{cfg.out_prefix}_sync.csv",
-                  ["t", "y_phase_a", "y_phase_b", "abs_diff"],
-                  [ts, ya, yb, np.abs(ya - yb)])
-    return report
+    real = r["realized"]
+    cyc = r["cycle"]
+    y_ref = cyc.interp_state(cyc.t0 + (real.ts - cyc.t0) % r["period"])[:, 0]
+    a, b = r["sync_runs"]
+    ya, yb = a.states[:, 0], b.states[:, 0]
+    return report, {
+        "realized": {"t": real.ts, "y": real.states[:, 0], "y_free_reference": y_ref,
+                     "u": real.us},
+        "sync": {"t": a.ts, "y_phase_a": ya, "y_phase_b": yb, "abs_diff": np.abs(ya - yb)},
+    }
 
 
-def _run_hh(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_hh(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = hh_pipeline(cfg.params, cfg.step)
     report = {
         "period": r["period"],
@@ -559,22 +564,17 @@ def _run_hh(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "free_orbit": r["free_orbit"],
         "delta_sweep": r["delta_sweep"],
     }
-    if outdir is not None:
-        a, b = r["sync_runs"]
-        y_ref = r["reference"].values(a.ts)
-        ts, yr, ya, yb, us = _strided(a.ts, y_ref, a.states[:, 0], b.states[:, 0],
-                                      a.us)
-        write_csv(outdir / f"{cfg.out_prefix}_sync.csv",
-                  ["t", "y_reference", "y_ic_a", "y_ic_b", "u"],
-                  [ts, yr, ya, yb, us])
-        ref = r["reference_traj"]
-        ts, yr, zs, us = _strided(ref.ts, ref.states[:, 0], ref.states[:, 1], ref.us)
-        write_csv(outdir / f"{cfg.out_prefix}_reference.csv",
-                  ["t", "y_reference", "z_bar", "u"], [ts, yr, zs, us])
-    return report
+    a, b = r["sync_runs"]
+    ref = r["reference_traj"]
+    return report, {
+        "sync": {"t": a.ts, "y_reference": r["reference"].values(a.ts),
+                 "y_ic_a": a.states[:, 0], "y_ic_b": b.states[:, 0], "u": a.us},
+        "reference": {"t": ref.ts, "y_reference": ref.states[:, 0],
+                      "z_bar": ref.states[:, 1], "u": ref.us},
+    }
 
 
-def _run_chua(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_chua(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = chua_pipeline(cfg.params)
     cf, qd, rec = r["closed_form"], r["quadrature_df"], r["reconstruction"]
     report = {
@@ -591,16 +591,12 @@ def _run_chua(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "perturbed_growth_per_period": r["perturbed_growth_per_period"],
         "from_rest": r["from_rest"],
     }
-    if outdir is not None:
-        tr = r["traj"]
-        y = tr.states @ np.asarray(CHUA_C)
-        ts, yr, ys, us = _strided(tr.ts, r["y_ref"], y, tr.us)
-        write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
-                  ["t", "y_reference", "y", "u"], [ts, yr, ys, us])
-    return report
+    tr = r["traj"]
+    return report, {"trace": {"t": tr.ts, "y_reference": r["y_ref"],
+                              "y": tr.states @ np.asarray(CHUA_C), "u": tr.us}}
 
 
-def _run_lorenz(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_lorenz(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = lorenz_pipeline(cfg.params, cfg.seed, cfg.step)
     report = {
         "samples_total": r["samples_total"],
@@ -608,17 +604,12 @@ def _run_lorenz(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "region_contraction_violations": r["region_violations"],
         "cycle_outcome": r["cycle_outcome"],
     }
-    if outdir is not None:
-        tr = r["traj"]
-        ts, x1, x2, z = _strided(tr.ts, tr.states[:, 0], tr.states[:, 1],
-                                 tr.states[:, 2])
-        flags = _strided(r["in_region_flags"].astype(float))[0]
-        write_csv(outdir / f"{cfg.out_prefix}_trace.csv",
-                  ["t", "x1", "x2", "z", "in_region"], [ts, x1, x2, z, flags])
-    return report
+    x = r["traj"].states
+    return report, {"trace": {"t": r["traj"].ts, "x1": x[:, 0], "x2": x[:, 1], "z": x[:, 2],
+                              "in_region": r["in_region_flags"].astype(float)}}
 
 
-def _run_observer(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_observer(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = observer_pipeline(cfg.params, cfg.step)
     check = r["check"]
     nominal = r["nominal"]
@@ -636,20 +627,16 @@ def _run_observer(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "final_theta_error": float(nominal.theta_error[-1]),
         "corners": r["corners"],
     }
-    if outdir is not None:
-        tr = nominal.traces
-        m = len(cfg.params["theta_star"])
-        names = (["t", "y", "y_hat", "z", "z_hat"]
-                 + [f"theta_hat_{j + 1}" for j in range(m)] + ["theta_error"])
-        cols = [tr.ts, tr.states[:, 0], tr.states[:, 2], tr.states[:, 1],
-                tr.states[:, 3]]
-        cols += [tr.states[:, 4 + j] for j in range(m)]
-        cols += [nominal.theta_error]
-        write_csv(outdir / f"{cfg.out_prefix}_nominal.csv", names, _strided(*cols))
-    return report
+    tr = nominal.traces
+    trace = {"t": tr.ts, "y": tr.states[:, 0], "y_hat": tr.states[:, 2],
+             "z": tr.states[:, 1], "z_hat": tr.states[:, 3]}
+    for j in range(len(cfg.params["theta_star"])):
+        trace[f"theta_hat_{j + 1}"] = tr.states[:, 4 + j]
+    trace["theta_error"] = nominal.theta_error
+    return report, {"nominal": trace}
 
 
-def _run_probe(cfg: ExperimentConfig, outdir: Path | None) -> dict:
+def _run_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
     r = probe_pipeline(cfg.params, cfg.step)
     probe = r["probe"]
     return {
@@ -657,7 +644,7 @@ def _run_probe(cfg: ExperimentConfig, outdir: Path | None) -> dict:
         "rate": probe.rate,
         "stable": probe.stable,
         "final_separation": probe.final_separation,
-    }
+    }, {}
 
 
 _RUNNERS = {
@@ -671,20 +658,18 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: str | Path | None = None) -> dict:
-    """Execute one experiment; write report/config/trace artifacts if outdir
-    is given. Returns the JSON-ready report dict."""
-    out = Path(outdir) if outdir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    report = _json_ready(_RUNNERS[cfg.experiment](cfg, out))
-    if out is not None:
-        import json
-
-        with open(out / f"{cfg.out_prefix}_report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(out / f"{cfg.out_prefix}_config.json", "w", encoding="utf-8") as fh:
-            json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> dict:
+    """Execute one experiment and write its artifacts into outdir: one
+    <out_prefix>_<name>.csv per trace, then <out_prefix>_report.json and
+    <out_prefix>_config.json. Returns the JSON-ready report dict."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    report, traces = _RUNNERS[cfg.experiment](cfg)
+    for name, cols in traces.items():
+        write_csv(out / f"{cfg.out_prefix}_{name}.csv", cols)
+    report = _json_ready(report)
+    for name, obj in (("report", report), ("config", cfg.to_dict())):
+        with open(out / f"{cfg.out_prefix}_{name}.json", "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return report

@@ -29,7 +29,6 @@ from .signals import InputSignal, Zero
 
 __all__ = [
     "Trajectory",
-    "write_csv",
     "default_step",
     "build_grid",
     "integrate",
@@ -96,15 +95,6 @@ def build_grid(
             nodes.append(a + (b - a) * j / k)
         nodes.append(b)
     return np.array(nodes)
-
-
-def write_csv(path, names: list[str], cols: list[np.ndarray]) -> None:
-    """Write equal-length columns under a header row, every value as %.17g
-    so that reading the file back recovers each float64 exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 @dataclass

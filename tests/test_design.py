@@ -10,6 +10,7 @@ from condux.design import (
     OutputReference,
     averaged_gain,
     feedforward_from_reference,
+    fhn_impulse_design,
     hh_certificate,
     hh_square_reference,
     kapitza_design,
@@ -20,13 +21,13 @@ from condux.errors import (
     NoStabilizingAmplitude,
     RangeViolation,
 )
-from condux.integrate import Trajectory, build_grid
+from condux.integrate import Trajectory, build_grid, integrate
 from condux.models import (
     ConductanceParams,
     fitzhugh_nagumo,
     lorenz,
 )
-from condux.variational import refine_periodic_orbit
+from condux.variational import flow, refine_periodic_orbit
 
 
 class TestAveragedGain:
@@ -89,6 +90,30 @@ class TestKapitzaDesign:
 
 
 class TestImpulseDesign:
+    @pytest.fixture(scope="class")
+    def coarse_cycle(self):
+        return refine_periodic_orbit(fitzhugh_nagumo(), None, np.array([1.0, 0.0]), 0.0,
+                                     step=4e-3)
+
+    @pytest.mark.parametrize("phase_points", [256, 2])
+    def test_free_window_keeps_the_unit_multiplier(self, coarse_cycle, phase_points):
+        # phase_points = 2 anchors at the cycle start, which shifts the window
+        # one period forward
+        d = fhn_impulse_design(coarse_cycle, 0.5, phase_points=phase_points)
+        lam = d.free_window_monodromy.eigenvalues
+        assert min(abs(lam - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("phase_points", [256, 2])
+    def test_free_window_matches_a_direct_flow(self, coarse_cycle, phase_points):
+        d = fhn_impulse_design(coarse_cycle, 0.5, phase_points=phase_points)
+        w0, T = d.free_window_monodromy.t0, d.free_window_monodromy.period
+        h = coarse_cycle.ts[1] - coarse_cycle.ts[0]
+        model = fitzhugh_nagumo()
+        x_w0 = integrate(model, None, coarse_cycle.t0, w0, coarse_cycle.states[0], h).states[-1]
+        _, phi = flow(model, None, w0, w0 + T, x_w0, h)
+        err = np.max(np.abs(d.free_window_monodromy.phi - phi)) / np.max(np.abs(phi))
+        assert err < 1e-8
+
     def test_frozen_cycle_and_design(self, fhn_run):
         r = fhn_run[0]
         # DOP853 with event location (rtol = atol = 1e-12) gives the period

@@ -1,0 +1,98 @@
+"""The artifacts run_experiment writes: file names, CSV headers and row caps,
+strict JSON reports, and the fixed-step override reaching orbit closing."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import condux.experiments
+from condux.acceptance import _params
+from condux.config import config_from_dict
+from condux.errors import PeriodUnstable
+from condux.experiments import (
+    _json_ready,
+    hh_pipeline,
+    lorenz_pipeline,
+    run_experiment,
+)
+
+# Short params per study, and the header of each CSV the study writes.
+LAYOUT = {
+    "kapitza": ({"omega": 300.0, "horizon": 10.0},
+                {"trace": "t,y,delta_y,y_slow,u"}),
+    "fhn": ({"fine_step": 4e-3, "sync_step": 4e-3, "sync_periods": 1},
+            {"realized": "t,y,y_free_reference,u",
+             "sync": "t,y_phase_a,y_phase_b,abs_diff"}),
+    "hh": ({"T_hat": 2.5, "tau": 5e-4, "ramp_step_divisor": 1.0, "sync_periods": 2,
+            "run_delta_sweep": False},
+           {"sync": "t,y_reference,y_ic_a,y_ic_b,u",
+            "reference": "t,y_reference,z_bar,u"}),
+    "chua": ({"periods": 2, "monodromy_kink_step": 1e-4},
+             {"trace": "t,y_reference,y,u"}),
+    "lorenz": ({"samples": 50, "horizon": 1.0},
+               {"trace": "t,x1,x2,z,in_region"}),
+    "observer": ({"settle_periods": 20, "embedding_periods": 1, "horizon": 2.8},
+                 {"nominal": "t,y,y_hat,z,z_hat,theta_hat_1,theta_hat_2,theta_error"}),
+    "probe": ({}, {}),
+}
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("experiment", sorted(LAYOUT))
+def test_artifact_layout(tmp_path, experiment):
+    params, headers = LAYOUT[experiment]
+    cfg = config_from_dict({"experiment": experiment, "params": params,
+                            "out_prefix": "run"})
+    report = run_experiment(cfg, tmp_path)
+    names = {f"run_{k}.csv" for k in headers} | {"run_report.json", "run_config.json"}
+    assert {f.name for f in tmp_path.iterdir()} == names
+    for suffix, header in headers.items():
+        lines = (tmp_path / f"run_{suffix}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == header
+        assert 2 < len(lines) <= 20001
+    assert _strict_json((tmp_path / "run_report.json").read_text()) == report
+    if experiment == "kapitza":
+        # every k-th step from the first, k the least stride leaving 20,000 rows
+        n = report["steps"]
+        rows = (tmp_path / "run_trace.csv").read_text(encoding="utf-8").count("\n") - 1
+        assert n > 20000
+        assert rows == math.ceil(n / math.ceil(n / 20000))
+
+
+def test_report_is_strict_json_without_band_entry(tmp_path):
+    cfg = config_from_dict({"experiment": "kapitza", "params": {"horizon": 2.0}})
+    run_experiment(cfg, tmp_path)
+    report = _strict_json((tmp_path / "kapitza_report.json").read_text())
+    # the slow state has not entered the band by the end of the run
+    assert report["band_entry_time"] is None
+
+
+def test_non_finite_floats_become_null():
+    raw = {"a": float("inf"), "b": [np.float64("-inf"), np.nan], "c": np.array([1.5, np.inf]),
+           "d": 2.0}
+    assert _json_ready(raw) == {"a": None, "b": [None, None], "c": [1.5, None], "d": 2.0}
+
+
+def test_step_reaches_orbit_closing(monkeypatch):
+    steps = []
+
+    def spy(*args, step=None, **kwargs):
+        steps.append(step)
+        raise PeriodUnstable("spy")
+
+    monkeypatch.setattr(condux.experiments, "refine_periodic_orbit", spy)
+    p = _params("hh")
+    p.update(T_hat=2.5, tau=5e-4, ramp_step_divisor=1.0, sync_periods=1)
+    assert hh_pipeline(p, step=2e-3)["free_orbit"]["error"] == "PeriodUnstable"
+    p = _params("lorenz")
+    p.update(samples=10, horizon=0.5)
+    assert lorenz_pipeline(p, step=3e-3)["cycle_outcome"]["error"] == "PeriodUnstable"
+    assert steps == [2e-3, 3e-3]

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
+from condux.experiments import write_csv
 from condux.integrate import (
     build_grid,
     default_step,
     integrate,
-    write_csv,
 )
 from condux.models import (
     ConductanceParams,
@@ -135,11 +135,11 @@ def test_trajectory_interp_and_csv_roundtrip(tmp_path):
     assert mid == pytest.approx(traj.states[50] * 0.5 + traj.states[51] * 0.5,
                                 rel=1e-3)
     path = tmp_path / "traj.csv"
-    cols = [traj.ts, *traj.states.T, traj.us]
-    write_csv(path, ["t", "x", "y", "u"], cols)
+    cols = {"t": traj.ts, "x": traj.states[:, 0], "y": traj.states[:, 1], "u": traj.us}
+    write_csv(path, cols)
     names, back = _read_csv(path)
     assert names == ["t", "x", "y", "u"]
-    assert np.array_equal(back, np.column_stack(cols))
+    assert np.array_equal(back, np.column_stack(list(cols.values())))
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -164,7 +164,7 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 def test_csv_roundtrip_is_exact(tmp_path_factory, cols):
     names = [f"x{i}" for i in range(cols.shape[1])]
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
-    write_csv(path, names, list(cols.T))
+    write_csv(path, dict(zip(names, cols.T)))
     back_names, back = _read_csv(path)
     assert back_names == names
     # compare bit patterns, so -0.0 must come back as -0.0
@@ -294,7 +294,7 @@ FHN_PERIOD = 3.290236938862108
 HH_FREE_PERIOD = 0.9522062739399928
 
 
-class TestFindLimitCycle:
+class TestRefinePeriodicOrbit:
     """Autonomous orbits closed by refine_periodic_orbit without a period."""
 
     def test_planar_period(self):
