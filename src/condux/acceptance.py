@@ -1,34 +1,28 @@
 """Acceptance suite: one function per study, each returning verdict rows.
 
 Every row pins an expected value and a tolerance up front and reports the
-observed value honestly; a red row is a result, not an error. The functions
-are shared by the CLI `verify` subcommand and the test suite so the two can
-never drift apart.
+observed value honestly; a red row is a result, not an error. Each criterion
+is a function of its study's validated params and the JSON-ready report that
+run_experiment returns for them, so `condux verify` checks the same report
+`condux run` writes; the test suite calls the same functions.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import config_from_dict
-from .experiments import (
-    chua_pipeline,
-    fhn_pipeline,
-    hh_pipeline,
-    kapitza_pipeline,
-    lorenz_pipeline,
-    observer_pipeline,
-)
+from .experiments import run_experiment
 from .integrate import integrate
 from .lure import (
     CHUA_DEN,
     CHUA_NUM,
     DescribingFunctionResult,
-    chua_closed_form,
     chua_system,
     describing_function,
     lure_stability,
@@ -46,13 +40,13 @@ from .models import (
 from .signals import Constant
 from .variational import contraction_probe, flow
 
-__all__ = ["CriterionRow", "CRITERIA", "run_criteria", "bessel_j0"]
+__all__ = ["CriterionRow", "CRITERIA", "VERIFY", "run_criteria", "bessel_j0"]
 
 
 @dataclass
 class CriterionRow:
     criterion: str
-    name: str
+    check: str
     expected: str
     observed: str
     tolerance: str
@@ -60,11 +54,12 @@ class CriterionRow:
     note: str = ""
 
 
-def _row(criterion: str, name: str, expected: str, observed, tolerance: str,
+def _row(criterion: str, check: str, expected: str, observed, tolerance: str,
          passed: bool, note: str = "") -> CriterionRow:
     if isinstance(observed, float):
         observed = f"{observed:.6g}"
-    return CriterionRow(criterion, name, expected, str(observed), tolerance,
+    return CriterionRow(criterion, check, expected,
+                        "none" if observed is None else str(observed), tolerance,
                         bool(passed), note)
 
 
@@ -80,132 +75,105 @@ def bessel_j0(x: float, terms: int = 40) -> float:
     return total
 
 
-def _params(experiment: str) -> dict:
-    return config_from_dict({"experiment": experiment}).params
-
-
-def criterion_kapitza(results: dict | None = None,
-                      wall: float | None = None) -> list[CriterionRow]:
-    t_start = time.monotonic()
-    p = _params("kapitza")
-    r = kapitza_pipeline(p) if results is None else results
+def criterion_kapitza(p: dict, r: dict) -> list[CriterionRow]:
     rows = []
-    gain = r["design"].gain
+    gain = r["averaged_gain"]
     rows.append(_row("kapitza", "averaged_gain_sign", "gain < 0", gain, "exact",
-                     gain < 0.0, f"M = {r['design'].M:.6g}"))
-    series = bessel_j0(r["design"].M)
+                     gain < 0.0, f"M = {r['selected_amplitude']:.6g}"))
+    series = bessel_j0(r["selected_amplitude"])
     rows.append(_row("kapitza", "bessel_series_agreement",
                      f"{series:.6g}", gain, "1e-9",
                      abs(gain - series) <= 1e-9,
                      f"|diff| = {abs(gain - series):.3g}"))
+    # the entry time is null when the slow angle never enters the band, the
+    # decay rate when the run is too short to fit it; a complex eigenvalue is
+    # a [re, im] pair
     entry = r["band_entry_time"]
+    decay = r["measured_slow_decay"]
+    slowest = max(e[0] if isinstance(e, list) else e for e in r["averaged_eigenvalues"])
     rows.append(_row("kapitza", "band_entry_by_deadline",
                      "entry <= 20 tu", entry, "0.05 rad band",
-                     entry <= p["settle_deadline"],
+                     entry is not None and entry <= p["settle_deadline"],
                      f"deviation at 20 tu = {r['deviation_at_deadline']:.4g}; "
-                     f"slow decay rate {r['measured_slow_decay']:.5g} matches the "
-                     "averaged eigenvalue "
-                     f"{max(np.real(r['averaged_eigenvalues'])):.5g}, so the slow "
+                     f"slow decay rate {'none' if decay is None else f'{decay:.5g}'} "
+                     f"matches the averaged eigenvalue {slowest:.5g}, so the slow "
                      "mode sets a longer settling time than the deadline"))
-    if wall is None:
-        wall = time.monotonic() - t_start
-    rows.append(_row("kapitza", "runtime", "<= 60 s", f"{wall:.1f} s", "60 s",
-                     wall <= 60.0))
     return rows
 
 
-def criterion_fhn(results: dict | None = None,
-                  wall: float | None = None) -> list[CriterionRow]:
-    t_start = time.monotonic()
-    p = _params("fhn")
-    r = fhn_pipeline(p) if results is None else results
+def criterion_fhn(p: dict, r: dict) -> list[CriterionRow]:
     rows = []
-    free = r["design"].free_window_monodromy.eigenvalues
-    lead = free[np.argmax(np.abs(free))]
-    rows.append(_row("fhn", "free_multiplier_unity", "1", abs(lead), "1e-3",
-                     abs(abs(lead) - 1.0) <= 1e-3))
-    second = float(np.sort(np.abs(free))[-2])
+    free = np.sort(np.abs([complex(*e) for e in r["free_window_monodromy"]["eigenvalues"]]))
+    lead, second = float(free[-1]), float(free[-2])
+    rows.append(_row("fhn", "free_multiplier_unity", "1", lead, "1e-3",
+                     abs(lead - 1.0) <= 1e-3))
     rows.append(_row("fhn", "free_second_multiplier", "< 1", second, "exact",
                      second < 1.0))
-    mism = r["monodromy_mismatch"]
+    mism = r["monodromy_entrywise_mismatch"]
     rows.append(_row("fhn", "realized_vs_predicted_monodromy", "0", mism, "2e-2",
                      mism <= 0.02,
-                     f"impulse magnitude {r['design'].eps_n:.6g} at width {p['width']:g}"))
-    rho = r["realized_monodromy"].spectral_radius
+                     f"impulse magnitude {r['impulse_magnitude']:.6g} at width {p['width']:g}"))
+    rho = r["realized_monodromy"]["spectral_radius"]
     rows.append(_row("fhn", "realized_spectral_radius", "< 1", rho, "exact",
                      rho < 1.0))
     final = r["sync_diff_per_period"][-1]
     rows.append(_row("fhn", "phase_synchronization", "< 1e-3", final, "1e-3",
-                     final < p["sync_tol"],
+                     final < 1e-3,
                      f"offsets {p['phase_offsets']} periods, "
                      f"{p['sync_periods']} periods simulated"))
-    if wall is None:
-        wall = time.monotonic() - t_start
-    rows.append(_row("fhn", "runtime", "<= 120 s", f"{wall:.1f} s", "120 s",
-                     wall <= 120.0))
     return rows
 
 
-def criterion_hh(results: dict | None = None,
-                 wall: float | None = None) -> list[CriterionRow]:
-    t_start = time.monotonic()
-    p = _params("hh")
-    r = hh_pipeline(p) if results is None else results
+def criterion_hh(p: dict, r: dict) -> list[CriterionRow]:
     rows = []
     rep = r["certificate"]
-    rows.append(_row("hh", "slow_gate_midpoint", "0.5", rep.M_s, "exact",
-                     rep.M_s == 0.5))
-    rows.append(_row("hh", "total_conductance_bound", "49", rep.G_tot, "exact",
-                     rep.G_tot == 49.0))
-    rows.append(_row("hh", "averaged_rate_bound", "49.5", rep.a_bar, "exact",
-                     rep.a_bar == 49.5))
+    rows.append(_row("hh", "slow_gate_midpoint", "0.5", rep["M_s"], "exact",
+                     rep["M_s"] == 0.5))
+    rows.append(_row("hh", "total_conductance_bound", "49", rep["G_tot"], "exact",
+                     rep["G_tot"] == 49.0))
+    rows.append(_row("hh", "averaged_rate_bound", "49.5", rep["a_bar"], "exact",
+                     rep["a_bar"] == 49.5))
     lhs = p["eps"] * p["T_hat"]
-    rhs = rep.a_bar * p["tau"]
+    rhs = rep["a_bar"] * p["tau"]
     rows.append(_row("hh", "certificate_verdict",
                      f"{lhs:.6g} > {rhs:.6g} and verdict true",
-                     f"verdict={rep.verdict}", "exact",
-                     rep.verdict and lhs > rhs,
-                     f"measured tau = {rep.tau_unstable:.6g}, "
-                     f"T_hat = {rep.T_hat:.6g}"))
+                     f"verdict={rep['verdict']}", "exact",
+                     rep["verdict"] and lhs > rhs,
+                     f"measured tau = {rep['tau_unstable']:.6g}, "
+                     f"T_hat = {rep['T_hat']:.6g}"))
     sync = r["sync_diff_per_period"][-1]
     rows.append(_row("hh", "two_state_synchronization", "< 1e-2", sync, "1e-2",
-                     sync < p["sync_tol"],
+                     sync < 1e-2,
                      f"initial conditions {p['sync_ics']}"))
-    if wall is None:
-        wall = time.monotonic() - t_start
-    rows.append(_row("hh", "runtime", "<= 120 s", f"{wall:.1f} s", "120 s",
-                     wall <= 120.0))
     return rows
 
 
-def criterion_chua(threshold: float = -0.05, results: dict | None = None,
-                   wall: float | None = None) -> list[CriterionRow]:
-    t_start = time.monotonic()
-    p = _params("chua")
-    p["from_rest"] = True
-    r = chua_pipeline(p) if results is None else results
+# the constant-gain stability threshold the two chua probes bracket
+CHUA_THRESHOLD = -0.05
+
+
+def criterion_chua(p: dict, r: dict) -> list[CriterionRow]:
     rows = []
-    cf = chua_closed_form(p["M"], p["omega"])
-    rows.append(_row("chua", "closed_form_gain", "-0.05 < p < 0", cf.p, "exact",
-                     -0.05 < cf.p < 0.0))
+    cf = r["closed_form_gain"]
+    rows.append(_row("chua", "closed_form_gain", "-0.05 < p < 0", cf, "exact",
+                     -0.05 < cf < 0.0))
 
     def verdict_at(rho: float):
         df = DescribingFunctionResult(p=rho, q=0.0, M=p["M"], omega=p["omega"])
         return lure_stability(CHUA_NUM, CHUA_DEN, df)
 
-    above = verdict_at(threshold + 1e-3)
+    above = verdict_at(CHUA_THRESHOLD + 1e-3)
     rows.append(_row("chua", "stable_above_threshold",
-                     f"stable at {threshold + 1e-3:.6g}",
+                     f"stable at {CHUA_THRESHOLD + 1e-3:.6g}",
                      f"stable={above.stable}", "margin > 0", above.stable,
                      f"margin = {above.margin:.3g}"))
-    below = verdict_at(threshold - 1e-3)
+    below = verdict_at(CHUA_THRESHOLD - 1e-3)
     rows.append(_row("chua", "unstable_below_threshold",
-                     f"unstable at {threshold - 1e-3:.6g}",
+                     f"unstable at {CHUA_THRESHOLD - 1e-3:.6g}",
                      f"stable={below.stable}", "margin < 0", not below.stable,
                      f"margin = {below.margin:.3g}; the constant-gain loop "
                      "loses stability near -0.05118, just below this probe"))
-    fr = r["from_rest"]
-    fund = fr["fundamental_amplitude"]
+    fund = r["from_rest"]["fundamental_amplitude"]
     rel = abs(fund - p["M"]) / p["M"]
     rows.append(_row("chua", "entrained_fundamental",
                      f"{p['M']:.6g}", fund, "3%", rel <= 0.03,
@@ -214,45 +182,33 @@ def criterion_chua(threshold: float = -0.05, results: dict | None = None,
                      f"linearization has spectral radius "
                      f"{r['orbit_spectral_radius']:.5g} > 1, so from rest the "
                      "response escapes to a large attractor instead"))
-    if wall is None:
-        wall = time.monotonic() - t_start
-    rows.append(_row("chua", "runtime", "<= 120 s", f"{wall:.1f} s", "120 s",
-                     wall <= 120.0))
     return rows
 
 
-def criterion_observer(results: dict | None = None,
-                       wall: float | None = None) -> list[CriterionRow]:
-    t_start = time.monotonic()
-    p = _params("observer")
-    r = observer_pipeline(p) if results is None else results
+def criterion_observer(p: dict, r: dict) -> list[CriterionRow]:
     rows = []
-    conv = r["nominal"].converged_at
-    err_end = float(r["nominal"].theta_error[-1])
+    conv = r["converged_at"]
     rows.append(_row("observer", "parameter_convergence",
                      f"error < {r['tolerance']:.4g} held 3 periods within "
                      f"{p['horizon']:g} s",
                      "none" if conv is None else f"{conv:.1f} s",
                      f"{r['tolerance']:.4g}", conv is not None,
-                     f"error at horizon = {err_end:.4g}; a longer run converges "
-                     "near 364 s, the shortfall is a non-normal transient plus "
-                     "a slow nonlinear approach, not divergence"))
+                     f"error at horizon = {r['final_theta_error']:.4g}; a longer run "
+                     "converges near 364 s, the shortfall is a non-normal transient "
+                     "plus a slow nonlinear approach, not divergence"))
     emb = r["embedding_deviation"]
     rows.append(_row("observer", "embedding_invariance", "0", emb, "1e-6",
                      emb <= 1e-6,
                      f"{p['embedding_periods']} input periods"))
-    rho = r["check"].monodromy.spectral_radius
+    rho = r["extended_monodromy"]["spectral_radius"]
     rows.append(_row("observer", "extended_contraction", "< 1", rho, "exact",
-                     rho < 1.0, f"margin = {r['check'].verdict.margin:.4g}"))
-    if wall is None:
-        wall = time.monotonic() - t_start
-    rows.append(_row("observer", "runtime", "<= 180 s", f"{wall:.1f} s", "180 s",
-                     wall <= 180.0))
+                     rho < 1.0, f"margin = {r['contraction_margin']:.4g}"))
     return rows
 
 
-def criterion_properties() -> list[CriterionRow]:
-    t_start = time.monotonic()
+def criterion_properties(p: dict, r: dict) -> list[CriterionRow]:
+    """Solver and model identities, plus region contraction read from the
+    lorenz report."""
     rows = []
     rng = np.random.default_rng(7)
 
@@ -327,17 +283,11 @@ def criterion_properties() -> list[CriterionRow]:
                      "0.01", abs(probe.rate + 1.0) <= 0.01))
 
     # region membership implies a negative-definite symmetric part
-    lp = _params("lorenz")
-    lr = lorenz_pipeline(lp, seed=0)
-    ok = lr["samples_in_region"] > 0 and not lr["region_violations"]
+    violations = r["region_contraction_violations"]
+    ok = r["samples_in_region"] > 0 and not violations
     rows.append(_row("properties", "lorenz_region_contraction",
-                     "0 violations",
-                     f"{len(lr['region_violations'])} of {lr['samples_in_region']}",
-                     "exact", ok, f"{lr['samples_total']} samples"))
-
-    wall = time.monotonic() - t_start
-    rows.append(_row("properties", "runtime", "<= 120 s", f"{wall:.1f} s",
-                     "120 s", wall <= 120.0))
+                     "0 violations", f"{len(violations)} of {r['samples_in_region']}",
+                     "exact", ok, f"{r['samples_total']} samples"))
     return rows
 
 
@@ -350,19 +300,37 @@ CRITERIA = {
     "properties": criterion_properties,
 }
 
+# criterion -> (the config it runs and reads the report of, runtime budget in
+# seconds); chua runs from rest too, for its entrained_fundamental row
+VERIFY = {
+    "kapitza": ({"experiment": "kapitza"}, 60),
+    "fhn": ({"experiment": "fhn"}, 120),
+    "hh": ({"experiment": "hh"}, 120),
+    "chua": ({"experiment": "chua", "params": {"from_rest": True}}, 120),
+    "observer": ({"experiment": "observer"}, 180),
+    "properties": ({"experiment": "lorenz"}, 120),
+}
+
 
 def run_criteria(names=None, jobs: int = 1) -> list[CriterionRow]:
+    """Run each picked criterion's verify config through run_experiment, check
+    the report it returns, and add a runtime row timing run and checks."""
     picked = list(CRITERIA) if not names else [n for n in CRITERIA if n in names]
     if jobs > 1 and len(picked) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(CRITERIA[n]) for n in picked]
-            rows: list[CriterionRow] = []
-            for f in futures:
-                rows.extend(f.result())
-            return rows
+            return [row for rows in pool.map(run_criteria, [[n] for n in picked])
+                    for row in rows]
     rows = []
-    for n in picked:
-        rows.extend(CRITERIA[n]())
+    for name in picked:
+        raw, budget = VERIFY[name]
+        t_start = time.monotonic()
+        cfg = config_from_dict(raw)
+        with tempfile.TemporaryDirectory() as out:
+            report = run_experiment(cfg, out)
+        rows += CRITERIA[name](cfg.params, report)
+        wall = time.monotonic() - t_start
+        rows.append(_row(name, "runtime", f"<= {budget} s", f"{wall:.1f} s",
+                         f"{budget} s", wall <= budget))
     return rows

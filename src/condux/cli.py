@@ -4,6 +4,7 @@ acceptance suite."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -100,7 +101,7 @@ def _cmd_verify(args) -> int:
         return EXIT_NUMERICAL
     wide = [len("criterion"), len("check"), len("expected"), len("observed"),
             len("tolerance")]
-    table = [(r.criterion, r.name, r.expected, r.observed, r.tolerance,
+    table = [(r.criterion, r.check, r.expected, r.observed, r.tolerance,
               "pass" if r.passed else "FAIL", r.note) for r in rows]
     for row in table:
         for i in range(5):
@@ -118,20 +119,18 @@ def _cmd_verify(args) -> int:
     print(f"\n{len(rows) - n_fail}/{len(rows)} checks passed "
           f"({time.monotonic() - t0:.1f} s)")
     if args.out:
-        payload = [
-            {"criterion": r.criterion, "check": r.name, "expected": r.expected,
-             "observed": r.observed, "tolerance": r.tolerance,
-             "passed": r.passed, "note": r.note}
-            for r in rows
-        ]
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump([dataclasses.asdict(r) for r in rows], fh, indent=2)
             fh.write("\n")
     return EXIT_OK if n_fail == 0 else 1
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.jobs < 1:
+        print(f"config error: --jobs: must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_verify(args)

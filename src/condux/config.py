@@ -60,7 +60,6 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
         "sync_step": ("number", 1e-3),
         "phase_offsets": ("numbers", [-0.05, 0.05]),
         "sync_periods": ("int", 30),
-        "sync_tol": ("number", 1e-3),
     },
     "hh": {
         "g": ("number", 1.0),
@@ -84,7 +83,6 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
         "ramp_step_divisor": ("number", 80.0),
         "sync_ics": ("points", [[1.0, 0.0], [0.5, -0.5]]),
         "sync_periods": ("int", 5),
-        "sync_tol": ("number", 1e-2),
         "delta_sweep": ("numbers", [0.0, 0.02, 0.05, 0.1]),
         "run_delta_sweep": ("bool", True),
     },

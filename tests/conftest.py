@@ -7,19 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from condux.acceptance import _params
+import condux.experiments
+from condux.acceptance import VERIFY
+from condux.config import config_from_dict
 from condux.design import (
     OutputReference,
     feedforward_from_reference,
     hh_square_reference,
     kapitza_design,
-)
-from condux.experiments import (
-    chua_pipeline,
-    fhn_pipeline,
-    hh_pipeline,
-    kapitza_pipeline,
-    observer_pipeline,
 )
 from condux.lure import chua_system
 from condux.models import (
@@ -41,37 +36,55 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.slow)
 
 
-def _timed(fn, params):
+def _verify_run(name, tmp_path_factory):
+    """(raw, report, wall) of criterion `name`'s verify config, run through
+    run_experiment as `condux verify` runs it. The raw pipeline dict is kept
+    by wrapping the module-global pipeline the runner looks up, as the
+    benchmark worker does."""
+    cfg = config_from_dict(VERIFY[name][0])
+    attr = f"{cfg.experiment}_pipeline"
+    pipeline = getattr(condux.experiments, attr)
+    kept = []
+
+    def keep(*args, **kwargs):
+        kept.append(pipeline(*args, **kwargs))
+        return kept[-1]
+
     t0 = time.monotonic()
-    results = fn(params)
-    return results, time.monotonic() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condux.experiments, attr, keep)
+        report = condux.experiments.run_experiment(cfg, tmp_path_factory.mktemp(name))
+    return kept[0], report, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
-def kapitza_run():
-    return _timed(kapitza_pipeline, _params("kapitza"))
+def kapitza_run(tmp_path_factory):
+    return _verify_run("kapitza", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
-def fhn_run():
-    return _timed(fhn_pipeline, _params("fhn"))
+def fhn_run(tmp_path_factory):
+    return _verify_run("fhn", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
-def hh_run():
-    return _timed(hh_pipeline, _params("hh"))
+def hh_run(tmp_path_factory):
+    return _verify_run("hh", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
-def chua_run():
-    p = _params("chua")
-    p["from_rest"] = True
-    return _timed(chua_pipeline, p)
+def chua_run(tmp_path_factory):
+    return _verify_run("chua", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
-def observer_run():
-    return _timed(observer_pipeline, _params("observer"))
+def observer_run(tmp_path_factory):
+    return _verify_run("observer", tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def properties_run(tmp_path_factory):
+    return _verify_run("properties", tmp_path_factory)
 
 
 # Short forced runs of the built-in fields, as (model, signal, x0, t0, t1,

@@ -6,17 +6,9 @@ EXPECTED_RED so a silent flip in either direction fails the suite and forces
 the expectation to be re-examined.
 """
 
-import pytest
-
-from condux.acceptance import (
-    CRITERIA,
-    criterion_chua,
-    criterion_fhn,
-    criterion_hh,
-    criterion_kapitza,
-    criterion_observer,
-    criterion_properties,
-)
+import condux.acceptance
+from condux.acceptance import CRITERIA, VERIFY, criterion_chua
+from condux.config import config_from_dict
 
 EXPECTED_RED = {
     ("kapitza", "band_entry_by_deadline"),
@@ -30,7 +22,7 @@ def _table(rows):
     lines = []
     for r in rows:
         mark = "pass" if r.passed else "FAIL"
-        lines.append(f"  {r.criterion}/{r.name}: expected {r.expected}, "
+        lines.append(f"  {r.criterion}/{r.check}: expected {r.expected}, "
                      f"observed {r.observed} (tol {r.tolerance}) -> {mark}")
         if r.note:
             lines.append(f"    note: {r.note}")
@@ -40,7 +32,7 @@ def _table(rows):
 def _assert_pattern(rows):
     assert rows, "criterion produced no rows"
     wrong = [r for r in rows
-             if r.passed == ((r.criterion, r.name) in EXPECTED_RED)]
+             if r.passed == ((r.criterion, r.check) in EXPECTED_RED)]
     assert not wrong, (
         "rows off the pinned pass/fail pattern:\n" + _table(wrong)
         + "\nfull table:\n" + _table(rows)
@@ -52,40 +44,45 @@ def test_criteria_registry_is_complete():
                                "properties")
 
 
+def _assert_verified(name, run):
+    # the criterion's rows on the fixture's report, and the condition of the
+    # runtime row run_criteria would add
+    _, report, wall = run
+    raw, budget = VERIFY[name]
+    _assert_pattern(CRITERIA[name](config_from_dict(raw).params, report))
+    assert wall <= budget
+
+
 def test_kapitza_criterion(kapitza_run):
-    results, wall = kapitza_run
-    _assert_pattern(criterion_kapitza(results=results, wall=wall))
+    _assert_verified("kapitza", kapitza_run)
 
 
 def test_fhn_criterion(fhn_run):
-    results, wall = fhn_run
-    _assert_pattern(criterion_fhn(results=results, wall=wall))
+    _assert_verified("fhn", fhn_run)
 
 
 def test_hh_criterion(hh_run):
-    results, wall = hh_run
-    _assert_pattern(criterion_hh(results=results, wall=wall))
+    _assert_verified("hh", hh_run)
 
 
 def test_chua_criterion(chua_run):
-    results, wall = chua_run
-    _assert_pattern(criterion_chua(results=results, wall=wall))
+    _assert_verified("chua", chua_run)
 
 
 def test_observer_criterion(observer_run):
-    results, wall = observer_run
-    _assert_pattern(criterion_observer(results=results, wall=wall))
+    _assert_verified("observer", observer_run)
 
 
-def test_properties_criterion():
-    _assert_pattern(criterion_properties())
+def test_properties_criterion(properties_run):
+    _assert_verified("properties", properties_run)
 
 
-def test_negative_control_threshold_shift(chua_run):
+def test_negative_control_threshold_shift(chua_run, monkeypatch):
     # moving the stability threshold expectation to -0.10 must break the
     # stable-side probe: the loop is unstable at -0.099
-    results, wall = chua_run
-    rows = criterion_chua(threshold=-0.10, results=results, wall=wall)
-    probe = [r for r in rows if r.name == "stable_above_threshold"]
+    monkeypatch.setattr(condux.acceptance, "CHUA_THRESHOLD", -0.10)
+    _, report, _ = chua_run
+    rows = criterion_chua(config_from_dict(VERIFY["chua"][0]).params, report)
+    probe = [r for r in rows if r.check == "stable_above_threshold"]
     assert len(probe) == 1
     assert not probe[0].passed, _table(probe)

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import condux.acceptance
 import condux.cli
+import condux.experiments
 from condux.cli import main
 
 from test_config import BAD_TOP_LEVEL, BAD_TOP_LEVEL_IDS, OUT_OF_RANGE, WRONG_LENGTH
@@ -157,6 +157,18 @@ def test_lorenz_reports_no_stable_period(tmp_path, capsys, x0):
     assert report["cycle_outcome"]["error"] == "PeriodUnstable"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
+    # both used to run sequentially and exit 0
+    args = [_write(tmp_path / "probe.json", {"experiment": "probe"}),
+            "--out", str(tmp_path / "out")] if command == "run" else ["--filter=properties"]
+    assert main([command, *args, "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --jobs: must be at least 1, got {jobs}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_filter_without_match_exits_2(capsys):
     assert main(["verify", "--filter=bogus"]) == 2
     assert "matches no criterion" in capsys.readouterr().err
@@ -170,13 +182,17 @@ def test_verify_properties_section_passes(tmp_path, capsys):
     assert "FAIL" not in text
     rows = json.loads(out.read_text())
     assert rows and all(r["passed"] for r in rows)
+    assert list(rows[0]) == ["criterion", "check", "expected", "observed", "tolerance",
+                             "passed", "note"]
     assert {r["criterion"] for r in rows} == {"properties"}
 
 
 def test_verify_exits_1_when_a_check_fails(kapitza_run, monkeypatch, capsys):
-    # the kapitza criterion carries a known-red deadline check; it reads the
-    # shared kapitza_run fixture instead of running the pipeline again
-    monkeypatch.setattr(condux.acceptance, "kapitza_pipeline", lambda p: kapitza_run[0])
+    # the kapitza criterion carries a known-red deadline check; verify's run
+    # gets the shared kapitza_run fixture's raw dict instead of running the
+    # pipeline again
+    monkeypatch.setattr(condux.experiments, "kapitza_pipeline",
+                        lambda p, step=None: kapitza_run[0])
     assert main(["verify", "--filter=kapitza"]) == 1
     text = capsys.readouterr().out
     assert "FAIL" in text and "note:" in text

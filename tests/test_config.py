@@ -211,6 +211,13 @@ def test_range_rules_hold_at_the_defaults():
         "params.eps_fraction: expected number, got str"]
 
 
+@pytest.mark.parametrize("exp", ["fhn", "hh"])
+def test_sync_tol_is_unknown(exp):
+    # no pipeline read it, so setting it changed nothing
+    assert validate_raw({"experiment": exp, "params": {"sync_tol": 1e-3}}) == [
+        f"params.sync_tol: unknown field for experiment '{exp}'"]
+
+
 def test_bool_is_not_a_number():
     msgs = validate_raw({"experiment": "kapitza", "params": {"alpha": True}})
     assert msgs == ["params.alpha: expected number, got bool"]

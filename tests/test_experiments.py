@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import condux.experiments
-from condux.acceptance import _params
+from condux.acceptance import criterion_kapitza
 from condux.config import config_from_dict
 from condux.errors import PeriodUnstable
 from condux.experiments import (
@@ -17,6 +17,7 @@ from condux.experiments import (
     lorenz_pipeline,
     run_experiment,
 )
+from condux.models import neuron_family
 
 # Short params per study, and the header of each CSV the study writes.
 LAYOUT = {
@@ -33,7 +34,8 @@ LAYOUT = {
              {"trace": "t,y_reference,y,u"}),
     "lorenz": ({"samples": 50, "horizon": 1.0},
                {"trace": "t,x1,x2,z,in_region"}),
-    "observer": ({"settle_periods": 20, "embedding_periods": 1, "horizon": 2.8},
+    "observer": ({"settle_periods": 20, "embedding_periods": 1, "horizon": 2.8,
+                  "run_corners": True},
                  {"nominal": "t,y,y_hat,z,z_hat,theta_hat_1,theta_hat_2,theta_error"}),
     "probe": ({}, {}),
 }
@@ -65,14 +67,38 @@ def test_artifact_layout(tmp_path, experiment):
         rows = (tmp_path / "run_trace.csv").read_text(encoding="utf-8").count("\n") - 1
         assert n > 20000
         assert rows == math.ceil(n / math.ceil(n / 20000))
+    if experiment == "observer":
+        # one estimation run from each corner of the parameter box
+        (a0, a1), (b0, b1) = neuron_family().theta_box
+        corners = report["corners"]
+        assert [c["theta0"] for c in corners] == [[a0, b0], [a0, b1], [a1, b0], [a1, b1]]
+        assert all(math.isfinite(c["final_error"]) for c in corners)
 
 
 def test_report_is_strict_json_without_band_entry(tmp_path):
     cfg = config_from_dict({"experiment": "kapitza", "params": {"horizon": 2.0}})
     run_experiment(cfg, tmp_path)
     report = _strict_json((tmp_path / "kapitza_report.json").read_text())
-    # the slow state has not entered the band by the end of the run
+    # the slow state has not entered the band by the end of the run, and the
+    # run is too short to fit the slow decay rate
     assert report["band_entry_time"] is None
+    assert report["measured_slow_decay"] is None
+    band = [r for r in criterion_kapitza(cfg.params, report)
+            if r.check == "band_entry_by_deadline"]
+    assert len(band) == 1 and not band[0].passed
+    assert band[0].observed == "none"
+    assert "slow decay rate none" in band[0].note
+
+
+def test_kapitza_criterion_reads_complex_eigenvalues(tmp_path):
+    # light damping makes the averaged eigenvalues a complex pair, which the
+    # report writes as [re, im]
+    cfg = config_from_dict({"experiment": "kapitza", "params": {"horizon": 2.0, "gamma": 0.1}})
+    report = run_experiment(cfg, tmp_path)
+    assert [len(e) for e in report["averaged_eigenvalues"]] == [2, 2]
+    band = [r for r in criterion_kapitza(cfg.params, report)
+            if r.check == "band_entry_by_deadline"]
+    assert "matches the averaged eigenvalue -0.05," in band[0].note
 
 
 def test_non_finite_floats_become_null():
@@ -89,10 +115,10 @@ def test_step_reaches_orbit_closing(monkeypatch):
         raise PeriodUnstable("spy")
 
     monkeypatch.setattr(condux.experiments, "refine_periodic_orbit", spy)
-    p = _params("hh")
+    p = config_from_dict({"experiment": "hh"}).params
     p.update(T_hat=2.5, tau=5e-4, ramp_step_divisor=1.0, sync_periods=1)
     assert hh_pipeline(p, step=2e-3)["free_orbit"]["error"] == "PeriodUnstable"
-    p = _params("lorenz")
+    p = config_from_dict({"experiment": "lorenz"}).params
     p.update(samples=10, horizon=0.5)
     assert lorenz_pipeline(p, step=3e-3)["cycle_outcome"]["error"] == "PeriodUnstable"
     assert steps == [2e-3, 3e-3]
