@@ -8,16 +8,21 @@ trajectories.
 
 The loop steps Python floats. The inputs of a whole grid are tabulated in
 numpy calls first; then each block of 64 steps converts its slice of the
-grid, the steps and the three input columns to float lists, runs the stages
-on lists of floats through the field's float-form rhs (see VectorField),
-and writes its rows into the preallocated state array, where they are
-checked for finiteness. Python + * / on floats round exactly like numpy's
-elementwise ops, so the float loop gives the bits of the same stages over
-arrays, and converting per block keeps memory at one array of states.
+grid, the steps and the three input columns to float lists and hands them
+to the RK4 block for the state size n. That block is Python source rendered
+from one template the first time a run of size n needs it, compiled and
+cached: it keeps the state in n local floats, passes it to the field's
+float-form rhs (see VectorField) as a tuple and unpacks each stage into n
+locals, so an rhs that returns other than n components raises ValueError.
+Its rows are written into the preallocated state array and checked for
+finiteness. Python + * / on floats round exactly like numpy's elementwise
+ops, so the rendered block gives the bits of the same stages over arrays,
+and converting per block keeps memory at one array of states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +42,49 @@ __all__ = [
 
 # Steps between two finiteness checks of the stored states.
 _FINITE_BLOCK = 64
+
+# The RK4 block for a state of n components, as the source of a function
+# that steps the state through one slice of the grid. Each "{x}" below is
+# rendered as its expression written out for i = 0..n-1, comma-terminated:
+# the state is a0..a(n-1), the stages k1..k4 are b, c, d and e, and every
+# component takes the same operations in the same order.
+_BLOCK_TEMPLATE = """\
+def block(rhs, ts, hs, uas, ums, ubs, y, rows):
+    push = rows.append
+    for t, h, ua, um, ub in zip(ts, hs, uas, ums, ubs):
+        {a} = y
+        hh = 0.5 * h
+        {b} = rhs(t, y, ua)
+        {c} = rhs(t + hh, ({k2_state}), um)
+        {d} = rhs(t + hh, ({k3_state}), um)
+        {e} = rhs(t + h, ({k4_state}), ub)
+        h6 = h / 6.0
+        y = ({step})
+        push(y)
+"""
+
+
+@functools.cache
+def _rk4_block(n: int):
+    """block(rhs, ts, hs, uas, ums, ubs, y, rows) for states of n components,
+    rendered and compiled on the first run of that size: steps the tuple y
+    over the steps hs from the times ts, with inputs uas, ums and ubs at the
+    left end, midpoint and right end of each step, appending every new state
+    to rows."""
+
+    def each(expr: str) -> str:
+        return " ".join(expr.format(i=i) + "," for i in range(n))
+
+    src = _BLOCK_TEMPLATE.format(
+        a=each("a{i}"), b=each("b{i}"), c=each("c{i}"), d=each("d{i}"), e=each("e{i}"),
+        k2_state=each("a{i} + hh * b{i}"),
+        k3_state=each("a{i} + hh * c{i}"),
+        k4_state=each("a{i} + h * d{i}"),
+        step=each("a{i} + h6 * (b{i} + 2.0 * c{i} + 2.0 * d{i} + e{i})"),
+    )
+    scope: dict = {}
+    exec(compile(src, f"<rk4 block n={n}>", "exec"), scope)
+    return scope["block"]
 
 
 def default_step(model: VectorField, signal: InputSignal, t0: float, t1: float) -> float:
@@ -135,8 +183,9 @@ def _rk4_run(
     u_hi = signal.values(np.nextafter(grid[1:], grid[:-1]))
     states = np.empty((n, x0.size))
     states[0] = x0
-    y = x0.tolist()
+    y = tuple(x0.tolist())
     rhs = model.rhs
+    block = _rk4_block(x0.size)
     # Finiteness is checked once per block of steps; a failed block is
     # rescanned so that the error names the first non-finite node. A field
     # that raises on a non-finite state reports the same blowup.
@@ -144,18 +193,8 @@ def _rk4_run(
         hi = min(lo + _FINITE_BLOCK, n - 1)
         rows = []
         try:
-            for t, h, ua, um, ub in zip(grid[lo:hi].tolist(), hs[lo:hi].tolist(),
-                                        u_lo[lo:hi].tolist(), u_mid[lo:hi].tolist(),
-                                        u_hi[lo:hi].tolist()):
-                hh = 0.5 * h
-                k1 = rhs(t, y, ua)
-                k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)], um)
-                k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)], um)
-                k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)], ub)
-                h6 = h / 6.0
-                y = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
-                     for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-                rows.append(y)
+            block(rhs, grid[lo:hi].tolist(), hs[lo:hi].tolist(), u_lo[lo:hi].tolist(),
+                  u_mid[lo:hi].tolist(), u_hi[lo:hi].tolist(), y, rows)
         except Exception:
             if rows:
                 states[lo + 1:lo + 1 + len(rows)] = rows
@@ -163,6 +202,7 @@ def _rk4_run(
             raise
         states[lo + 1:hi + 1] = rows
         _check_finite(model, grid, states, lo, hi)
+        y = rows[-1]
     return Trajectory(grid, states, signal.values(grid))
 
 

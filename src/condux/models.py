@@ -56,9 +56,9 @@ class VectorField(Protocol):
     """Anything the integrator can step: dimension, rhs, and a Jacobian.
 
     Fields are written in float form. rhs takes the state as any length-n
-    sequence of floats (a tuple, a list or a 1-D array) and returns the
-    derivative as a tuple of n floats; jac takes the same arguments and
-    returns the n rows of the Jacobian, each a tuple. The integrator steps
+    sequence of floats (the integrator passes a tuple) and returns the
+    derivative as a tuple of exactly n floats; jac takes the same arguments
+    and returns the n rows of the Jacobian, each a tuple. The integrator steps
     Python floats, so a field never builds small arrays per call; callers
     that need an array wrap the result in np.asarray.
     """

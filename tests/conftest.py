@@ -21,6 +21,7 @@ from condux.models import (
     ConductanceParams,
     hh_conductance,
     kapitza,
+    leaky_integrator,
     lorenz,
     neuron_family,
 )
@@ -115,6 +116,13 @@ def hh_case():
 def lorenz_case():
     return (lorenz(), Sinusoid(amplitude=2.0, omega=3.0), np.array([1.0, 1.0, 1.0]),
             0.0, 1.0, 1e-3)
+
+
+@pytest.fixture(scope="session")
+def leaky_case():
+    """The scalar fading-memory system under a pulse train."""
+    return (leaky_integrator(0.5), SquarePulseTrain(magnitude=1.5, duration=0.3, period=1.0),
+            np.array([0.2]), 0.0, 2.0, 1e-2)
 
 
 _PULSE = SquarePulseTrain(magnitude=-3.0, duration=0.002, period=2.8)

@@ -31,7 +31,7 @@ from condux.signals import (
     Sum,
     Zero,
 )
-from condux.variational import refine_periodic_orbit
+from condux.variational import _with_variations, flow, refine_periodic_orbit
 
 
 def _rotation() -> PlainModel:
@@ -195,7 +195,7 @@ def test_blowup_names_the_first_nonfinite_node(k, on_state):
     grid = build_grid(0.0, 3.0, h, Zero())
     t_bad = grid[k] + 0.75 * (grid[k + 1] - grid[k])
 
-    for n in (1, 2):
+    for n in (1, 2, 3, 6):
         def rhs(t, s, u, n=n):
             last = (math.sin(s[-1]) if on_state else 1.0) + (math.inf if t > t_bad else 0.0)
             return (*[0.5] * (n - 1), last)
@@ -256,15 +256,75 @@ def _array_rk4(model, signal, grid, x0):
     return np.array(out)
 
 
-@pytest.mark.parametrize("case", ["kapitza_case", "hh_case", "lorenz_case"])
-def test_float_loop_matches_the_array_step_bitwise(case, request):
-    # pins the stage order: reordering or regrouping any stage sum changes
-    # the last bits somewhere along these runs
+@pytest.mark.parametrize("case, joint", [
+    pytest.param("leaky_case", False, id="leaky_case"),                # n = 1
+    pytest.param("kapitza_case", False, id="kapitza_case"),            # n = 2
+    pytest.param("hh_case", False, id="hh_case"),                      # n = 2
+    pytest.param("lorenz_case", False, id="lorenz_case"),              # n = 3
+    pytest.param("observer_case", False, id="observer_case"),          # n = 6
+    pytest.param("kapitza_case", True, id="kapitza_case-joint"),       # n = 6
+    pytest.param("lorenz_case", True, id="lorenz_case-joint"),         # n = 12
+    pytest.param("observer_case", True, id="observer_case-joint"),     # n = 42
+])
+def test_float_loop_matches_the_array_step_bitwise(case, joint, request):
+    # pins the stage order at every state size the studies step, the joint
+    # (x, vec Phi) fields of flow included: reordering or regrouping any
+    # stage sum changes the last bits somewhere along these runs
     model, signal, x0, t0, t1, h = request.getfixturevalue(case)
+    if joint:
+        x0 = np.concatenate((x0, np.eye(model.n).ravel()))
+        model = _with_variations(model)
     traj = integrate(model, signal, t0, t1, x0, h)
     ref = _array_rk4(model, signal, build_grid(t0, t1, h, signal), x0)
     assert traj.states.shape == ref.shape
     assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
+
+
+@st.composite
+def _linear_forced_field(draw):
+    """x' = A x + b u for a random A and b of size n in 1..8, written as
+    left-to-right float sums, with a random initial state."""
+    n = draw(st.integers(1, 8))
+    entry = st.floats(-1.0, 1.0)
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+
+    def rhs(t, s, u):
+        out = []
+        for row, bi in zip(a, b):
+            acc = bi * u
+            for aij, sj in zip(row, s):
+                acc = acc + aij * sj
+            out.append(acc)
+        return tuple(out)
+
+    x0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return PlainModel("linear", n, rhs, None), x0
+
+
+@given(field=_linear_forced_field(), omega=st.floats(0.1, 20.0),
+       span=st.floats(0.5, 2.0), h=st.floats(0.005, 0.05))
+@settings(max_examples=40, deadline=None)
+def test_random_linear_field_matches_the_array_step_bitwise(field, omega, span, h):
+    model, x0 = field
+    drive = Sinusoid(amplitude=1.0, omega=omega)
+    traj = integrate(model, drive, 0.0, span, x0, h)
+    ref = _array_rk4(model, drive, build_grid(0.0, span, h, drive), x0)
+    assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_rhs_of_wrong_length_is_rejected(n, extra):
+    # one component too many or too few is rejected at the first stage, in
+    # integrate and in flow's joint field, not cut to n components or left
+    # to a later numpy broadcast error
+    field = PlainModel("wrong-length", n, lambda t, s, u: (1.0,) * (n + extra),
+                       lambda t, s, u: ((0.0,) * n,) * n)
+    with pytest.raises(ValueError, match="values to unpack"):
+        integrate(field, None, 0.0, 1.0, np.zeros(n), 0.1)
+    with pytest.raises(ValueError, match="values to unpack"):
+        flow(field, None, 0.0, 1.0, np.zeros(n), 0.1)
 
 
 def test_forced_linear_system_keeps_fourth_order():
