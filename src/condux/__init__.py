@@ -50,7 +50,6 @@ from .signals import (
     Constant,
     ImpulseTrain,
     PiecewiseLinear,
-    Sinusoid,
     SquarePulseTrain,
     Sum,
     Zero,

@@ -116,6 +116,9 @@ def criterion_fhn(p: dict, r: dict) -> list[CriterionRow]:
     rho = r["realized_monodromy"]["spectral_radius"]
     rows.append(_row("fhn", "realized_spectral_radius", "< 1", rho, "exact",
                      rho < 1.0))
+    gap = r["realized_closure_gap"]
+    rows.append(_row("fhn", "realized_orbit_closes", "0", gap, "1e-5", gap <= 1e-5,
+                     "state gap over one period of the realized orbit"))
     final = r["sync_diff_per_period"][-1]
     rows.append(_row("fhn", "phase_synchronization", "< 1e-3", final, "1e-3",
                      final < 1e-3,

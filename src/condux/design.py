@@ -25,7 +25,7 @@ from .errors import (
     RangeViolation,
     TangentDegenerate,
 )
-from .integrate import Trajectory, integrate
+from .integrate import Trajectory
 from .models import (
     ConductanceParams,
     InverseSystem,
@@ -45,6 +45,7 @@ from .variational import (
     contraction_probe,
     flow,
     hurwitz,
+    refine_periodic_orbit,
 )
 
 __all__ = [
@@ -155,10 +156,12 @@ class OutputReference:
 class FeedforwardSignal(InputSignal):
     """Input realizing a reference output, evaluated by inversion.
 
-    u(t) = f_inv(t, y**(t), zbar(t), v**(t)); the internal trajectory zbar is
-    linearly interpolated from its stored warm-started solution. values
-    tabulates y**, zbar and v** over all its times at once and inverts them
-    in one f_inv call. The grid hooks are the reference signal's.
+    u(t) = f_inv(t, y**(t), zbar(t), v**(t)); the internal response zbar is
+    one stored loop of the inverse system's periodic orbit, read at
+    t0 + (t - t0) mod P with t0 and P its own span and linearly interpolated.
+    values tabulates y**, zbar and v** over all its times at once and
+    inverts them in one f_inv call. The grid hooks are the reference
+    signal's.
     """
 
     def __init__(self, model: NormalFormModel, ref: OutputReference, zbar: Trajectory):
@@ -168,7 +171,9 @@ class FeedforwardSignal(InputSignal):
 
     def _tabulate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """y**, zbar and v** at the times ts, each of shape (N,)."""
-        return self.ref.signal.values(ts), self.zbar.interp_state(ts)[:, 0], self.ref.v_fn(ts)
+        z0, P = self.zbar.t0, self.zbar.t1 - self.zbar.t0
+        zs = self.zbar.interp_state(z0 + (ts - z0) % P)[:, 0]
+        return self.ref.signal.values(ts), zs, self.ref.v_fn(ts)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -197,29 +202,27 @@ def feedforward_from_reference(
     model: NormalFormModel,
     ref: OutputReference,
     t0: float,
-    t1: float,
+    period: float,
     zbar_ic: np.ndarray,
     step: float | None = None,
 ) -> FeedforwardResult:
-    """Feedforward input that makes the reference output an exact solution.
+    """Feedforward input that makes a periodic reference output an exact
+    solution.
 
-    Every NormalFormModel is planar with relative degree one. The internal
-    state is obtained by simulating the inverse system driven by the
-    reference output, after a warm-up long enough for its fading memory to
-    forget the initial condition (20 contraction time constants, estimated
-    by a contraction probe).
+    Every NormalFormModel is planar with relative degree one. A contraction
+    probe over [t0, t0 + max(10, period)] checks that the inverse system,
+    driven by the reference output, contracts; then it has exactly one
+    periodic response zbar, which refine_periodic_orbit closes from zbar_ic
+    over [t0, t0 + period]. That one loop is stored and read periodically.
     """
     inverse = InverseSystem(model)
     drive = ref.signal
     ic = np.asarray(zbar_ic, dtype=float)
-    probe = contraction_probe(
-        inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, 0.2 * (t1 - t0)), step
-    )
+    probe = contraction_probe(inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, period), step)
     rate = probe.rate
     if not probe.stable or rate >= 0:
         raise InverseNotContracting(f"inverse system probe rate {rate:+.3g} for {model.name}")
-    warm = integrate(inverse, drive, t0 - 20.0 / abs(rate), t0, ic, step)
-    zbar = integrate(inverse, drive, t0, t1, warm.states[-1], step)
+    zbar = refine_periodic_orbit(inverse, drive, ic, t0, period, step)
     sig = FeedforwardSignal(model, ref, zbar)
     # Sample-wise residual audit of the inversion on the stored grid.
     ts = zbar.ts[:: max(1, zbar.ts.size // 400)]

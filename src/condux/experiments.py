@@ -189,10 +189,9 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     w0 = design.t0 - 8.0 * train.width
     n_sync = p["sync_periods"]
     ff = feedforward_from_reference(
-        model, ref, w0, w0 + (n_sync + 1.0) * T,
-        zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), step=fine,
+        model, ref, w0, T, zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), step=fine,
     )
-    ic = np.array([ref.signal.value(w0), float(ff.zbar.interp_state(w0)[0])])
+    ic = np.array([ref.signal.value(w0), ff.zbar.states[0, 0]])
     realized, mono = floquet(model, ff.signal, ic, w0, T, fine)
     closure = float(np.max(np.abs(realized.states[-1] - realized.states[0])))
     pred = design.predicted_monodromy
@@ -235,8 +234,7 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     sq = hh_square_reference(p["T_hat"], p["tau"], tuple(p["levels"]))
     P = sq.period
     ff = feedforward_from_reference(
-        model, OutputReference(sq), 0.0, (p["sync_periods"] + 1.0) * P,
-        zbar_ic=np.array([sq.value(0.0)]), step=step,
+        model, OutputReference(sq), 0.0, P, zbar_ic=np.array([sq.value(0.0)]), step=step,
     )
 
     # certificate grid: every segment of the reference, plateaus included,

@@ -31,7 +31,6 @@ __all__ = [
     "fitzhugh_nagumo",
     "hh_conductance",
     "lorenz",
-    "planar_limit_cycle",
     "leaky_integrator",
     "neuron_family",
     "NEURON_M_INF",
@@ -353,31 +352,6 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> P
         rhs_fn=rhs,
         jac_fn=jac,
         sample_box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
-    )
-
-
-def planar_limit_cycle() -> PlainModel:
-    """Planar field with the unit circle as an attracting cycle of period 2 pi."""
-
-    def rhs(t, s, u):
-        x, y = s
-        r = math.hypot(x, y)
-        return (x * (1.0 - r) - y + u, y * (1.0 - r) + x)
-
-    def jac(t, s, u):
-        x, y = s
-        r = math.hypot(x, y)
-        return (
-            (1.0 - r - x * x / r, -1.0 - x * y / r),
-            (1.0 - x * y / r, 1.0 - r - y * y / r),
-        )
-
-    return PlainModel(
-        name="planar",
-        n=2,
-        rhs_fn=rhs,
-        jac_fn=jac,
-        sample_box=((0.2, 1.5), (0.2, 1.5)),
     )
 
 

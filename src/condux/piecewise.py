@@ -36,14 +36,6 @@ class PiecewisePoly:
         if any(b <= a for a, b in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
-    def __call__(self, y: float) -> float:
-        # Horner in the same operation order as np.polyval, so a piece gives
-        # the bits of np.polyval on its coefficients.
-        acc = 0.0
-        for c in self.coeffs[bisect_left(self.breaks, y)]:
-            acc = acc * y + c
-        return float(acc)
-
     def derivative(self) -> "PiecewisePoly":
         return PiecewisePoly(
             self.breaks,

@@ -22,7 +22,6 @@ __all__ = [
     "InputSignal",
     "Zero",
     "Constant",
-    "Sinusoid",
     "ImpulseTrain",
     "SquarePulseTrain",
     "PiecewiseLinear",
@@ -92,31 +91,6 @@ class Constant(InputSignal):
 
     def derivative(self, t):
         return _zeros_like(t)
-
-
-@dataclass(frozen=True)
-class Sinusoid(InputSignal):
-    """u(t) = offset + amplitude * sin(omega * t + phase)."""
-
-    amplitude: float
-    omega: float
-    phase: float = 0.0
-    offset: float = 0.0
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return self.offset + self.amplitude * np.sin(self.omega * ts + self.phase)
-
-    def derivative(self, t):
-        # d/dt shifts the phase by pi/2 and multiplies by omega.
-        return (
-            self.amplitude
-            * self.omega
-            * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase + math.pi / 2.0)
-        )
-
-    def max_angular_frequency(self) -> float:
-        return abs(self.omega)
 
 
 @dataclass(frozen=True)

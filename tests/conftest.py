@@ -3,6 +3,7 @@ shared between the acceptance tests and the detailed value checks."""
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from condux.design import (
 from condux.lure import chua_system
 from condux.models import (
     ConductanceParams,
+    PlainModel,
     hh_conductance,
     kapitza,
     leaky_integrator,
@@ -26,7 +28,60 @@ from condux.models import (
     neuron_family,
 )
 from condux.observer import coupled_system
-from condux.signals import Sinusoid, SquarePulseTrain
+from condux.signals import InputSignal, SquarePulseTrain
+
+
+# Test-only fields and signals: a harmonic drive and a planar field with a
+# known cycle, for checks that need a closed form to compare against.
+
+@dataclass(frozen=True)
+class Sinusoid(InputSignal):
+    """u(t) = offset + amplitude * sin(omega * t + phase)."""
+
+    amplitude: float
+    omega: float
+    phase: float = 0.0
+    offset: float = 0.0
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return self.offset + self.amplitude * np.sin(self.omega * ts + self.phase)
+
+    def derivative(self, t):
+        # d/dt shifts the phase by pi/2 and multiplies by omega.
+        return (
+            self.amplitude
+            * self.omega
+            * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase + math.pi / 2.0)
+        )
+
+    def max_angular_frequency(self) -> float:
+        return abs(self.omega)
+
+
+def planar_limit_cycle() -> PlainModel:
+    """Planar field with the unit circle as an attracting cycle of period 2 pi."""
+
+    def rhs(t, s, u):
+        x, y = s
+        r = math.hypot(x, y)
+        return (x * (1.0 - r) - y + u, y * (1.0 - r) + x)
+
+    def jac(t, s, u):
+        x, y = s
+        r = math.hypot(x, y)
+        return (
+            (1.0 - r - x * x / r, -1.0 - x * y / r),
+            (1.0 - x * y / r, 1.0 - r - y * y / r),
+        )
+
+    return PlainModel(
+        name="planar",
+        n=2,
+        rhs_fn=rhs,
+        jac_fn=jac,
+        sample_box=((0.2, 1.5), (0.2, 1.5)),
+    )
 
 
 def pytest_collection_modifyitems(items):
@@ -106,8 +161,7 @@ def hh_case():
     reference, over one period with both fast ramps."""
     model = hh_conductance(ConductanceParams())
     sq = hh_square_reference(2.5, 5e-4)
-    ff = feedforward_from_reference(model, OutputReference(sq),
-                                    0.0, 2.0 * sq.period,
+    ff = feedforward_from_reference(model, OutputReference(sq), 0.0, sq.period,
                                     zbar_ic=np.array([sq.value(0.0)]), step=2e-3)
     return model, ff.signal, np.array([1.0, 0.0]), 0.0, sq.period, 2e-3
 

@@ -27,7 +27,7 @@ from condux.models import (
     fitzhugh_nagumo,
     lorenz,
 )
-from condux.variational import flow, refine_periodic_orbit
+from condux.variational import NEWTON_TOL, flow, refine_periodic_orbit
 
 
 class TestAveragedGain:
@@ -147,6 +147,17 @@ class TestImpulseDesign:
         rho = max(np.abs(r["realized_monodromy"].eigenvalues))
         assert rho == pytest.approx(0.6975, abs=1e-3)
 
+    def test_realized_orbit_closes(self, fhn_run):
+        # zbar is the inverse system's periodic response over one period
+        # from the window start, closed by Newton, so the realized orbit
+        # closes down to the floor that the impulse's step cap leaves
+        r = fhn_run[0]
+        zbar = r["feedforward"].zbar
+        assert zbar.t0 == r["window_start"]
+        assert zbar.t1 - zbar.t0 == pytest.approx(r["period"], abs=1e-12)
+        assert abs(zbar.states[-1, 0] - zbar.states[0, 0]) < NEWTON_TOL
+        assert r["realized_closure_gap"] < 1e-5
+
     def test_feedforward_quality(self, fhn_run):
         ff = fhn_run[0]["feedforward"]
         assert ff.residual_max < 1e-10
@@ -196,8 +207,7 @@ class TestConductanceCertificate:
             sq = hh_square_reference(T_hat=T_hat)
             ref = OutputReference(sq)
             ff = feedforward_from_reference(
-                params_model(params), ref, 0.0, 2.0 * sq.period,
-                zbar_ic=np.array([sq.value(0.0)]))
+                params_model(params), ref, 0.0, sq.period, zbar_ic=np.array([sq.value(0.0)]))
             grid = build_grid(0.0, sq.period, min(5e-4, 0.001 / 80.0), sq)
             ys = sq.values(grid)
             yd = sq.derivative(grid)
@@ -221,13 +231,19 @@ class TestConductanceCertificate:
         sq = hh_square_reference(2.5, 5e-4)
         ff = feedforward_from_reference(
             params_model(ConductanceParams()), OutputReference(sq),
-            0.0, 2.0 * sq.period, zbar_ic=np.array([sq.value(0.0)]))
+            0.0, sq.period, zbar_ic=np.array([sq.value(0.0)]))
         ts = _with_neighbours(np.concatenate([
             ff.zbar.ts[::37], sq.breakpoints(0.0, 2.0 * sq.period)]))
         sig = ff.signal
         _assert_bitwise(sig.values(ts), [sig.value(float(t)) for t in ts])
         _assert_bitwise(sig.ref.x_fn(ts)[0], [sig.ref.x_fn(float(t))[0] for t in ts])
         _assert_bitwise(sig.ref.v_fn(ts), [sig.ref.v_fn(float(t)) for t in ts])
+
+    def test_zbar_closes_over_one_period(self, hh_run):
+        r = hh_run[0]
+        zbar = r["feedforward"].zbar
+        assert (zbar.t0, zbar.t1) == (0.0, r["period"])
+        assert abs(zbar.states[-1, 0] - zbar.states[0, 0]) < NEWTON_TOL
 
     def test_delta_sweep_leaves_certified_range(self, hh_run):
         sweep = hh_run[0]["delta_sweep"]
@@ -266,6 +282,14 @@ class TestOutputReference:
         grid = build_grid(t0, 2.0 * t1, h, sig)
         assert np.array_equal(grid, build_grid(t0, 2.0 * t1, h, sig.ref.signal))
         assert set(sig.ref.signal.breakpoints(t0, 2.0 * t1)) <= set(grid.tolist())
+
+    def test_hh_feedforward_repeats_with_its_reference(self, hh_case):
+        # one stored period of zbar is read modulo that period, so the input
+        # repeats with its reference on every later period
+        _, sig, _, t0, period, h = hh_case
+        ts = build_grid(t0, t0 + period, h, sig)
+        np.testing.assert_allclose(sig.values(ts + 3.0 * period), sig.values(ts),
+                                   rtol=1e-9, atol=0.0)
 
 
 def test_orbit_scale():

@@ -20,18 +20,17 @@ from condux.models import (
     hh_conductance,
     leaky_integrator,
     lorenz,
-    planar_limit_cycle,
 )
 from condux.signals import (
     Constant,
     ImpulseTrain,
     PiecewiseLinear,
-    Sinusoid,
     SquarePulseTrain,
     Sum,
     Zero,
 )
 from condux.variational import _with_variations, flow, refine_periodic_orbit
+from conftest import Sinusoid, planar_limit_cycle
 
 
 def _rotation() -> PlainModel:

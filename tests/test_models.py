@@ -18,10 +18,10 @@ from condux.models import (
     leaky_integrator,
     lorenz,
     neuron_family,
-    planar_limit_cycle,
 )
 from condux.observer import coupled_system
-from condux.piecewise import sat_poly
+from condux.piecewise import GateStack, sat_poly
+from conftest import planar_limit_cycle
 
 BUILTINS = [
     kapitza(),
@@ -189,23 +189,25 @@ def test_piecewise_scalar_call_matches_vectorized(name):
     # the scalar Horner path must agree bit for bit with np.polyval on the
     # piece a vectorized lookup picks, on every piece, at the breakpoints
     # themselves (left piece applies) and one ulp to either side of them; a
-    # stacked table gives in each slot the bits of the gate it stacks there
+    # stacked table gives in each slot the bits of the gate read alone
     import condux.models as m
 
     table = getattr(m, name)
     gates = [getattr(m, g) for g in STACKS.get(name, (name,))]
     assert all(type(b) is float for b in table.breaks)
     assert table.breaks == tuple(sorted({b for g in gates for b in g.breaks}))
+    stack = table if name in STACKS else GateStack(table)
     edges = np.array(table.breaks)
     ys = np.concatenate([np.linspace(-1.5, 1.5, 20001), edges,
                          np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
-    rows = [table(float(y)) for y in ys]
+    rows = [stack(float(y)) for y in ys]
     for k, poly in enumerate(gates):
         piece = np.searchsorted(poly.breaks, ys, side="left")
         ref = np.array([np.polyval(poly.coeffs[i], y) for i, y in zip(piece, ys)])
-        got = np.array([r[k] for r in rows] if name in STACKS else rows)
+        got = np.array([r[k] for r in rows])
         assert np.array_equal(got, ref)
-        assert got.tobytes() == np.array([poly(float(y)) for y in ys]).tobytes()
+        alone = GateStack(poly)
+        assert got.tobytes() == np.array([alone(float(y))[0] for y in ys]).tobytes()
 
 
 @given(
@@ -232,7 +234,8 @@ def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
                    if all(abs(y - b) > 1e-6 for b in sat.breaks)
                    and min(abs(np.polyval(p, y) - lo), abs(np.polyval(p, y) - hi)) > 1e-9])
     clamped = np.clip(np.polyval(p, ys), lo, hi)
-    assert np.array_equal(np.array([sat(float(y)) for y in ys]), clamped)
+    gate = GateStack(sat)
+    assert np.array_equal(np.array([gate(float(y))[0] for y in ys]), clamped)
 
 
 def test_neuron_update_antiderivative_consistency():

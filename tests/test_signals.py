@@ -19,11 +19,11 @@ from condux.signals import (
     Constant,
     ImpulseTrain,
     PiecewiseLinear,
-    Sinusoid,
     SquarePulseTrain,
     Sum,
     Zero,
 )
+from conftest import Sinusoid
 
 
 def _quad(sig, lo, hi, n=200001):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from condux.errors import PeriodMismatch
 from condux.integrate import integrate
-from condux.models import PlainModel, fitzhugh_nagumo, leaky_integrator, planar_limit_cycle
+from condux.models import PlainModel, fitzhugh_nagumo, leaky_integrator
 from condux.signals import Constant
 from condux.variational import (
     contraction_probe,
@@ -18,6 +18,7 @@ from condux.variational import (
     hurwitz,
     refine_periodic_orbit,
 )
+from conftest import planar_limit_cycle
 
 
 def test_transition_matrix_constant_field():
