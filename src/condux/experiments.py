@@ -435,8 +435,10 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
 
     model = plant.model(theta_star)
     k = p["settle_periods"]
-    settle = integrate(model, u, 0.0, (k + 2.0) * P, np.array([-0.7, 0.0]), step)
-    ref = refine_periodic_orbit(model, u, settle.interp_state(k * P), k * P, P, step)
+    guess = np.array([-0.7, 0.0])
+    if k:
+        guess = integrate(model, u, 0.0, k * P, guess, step).states[-1]
+    ref = refine_periodic_orbit(model, u, guess, k * P, P, step)
     closure = float(np.max(np.abs(ref.states[-1] - ref.states[0])))
     check = observer_contraction_check(plant, theta_star, ref, u, step,
                                        eps_coupling=p["eps_coupling"])

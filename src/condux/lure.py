@@ -89,8 +89,8 @@ def chua_system() -> PlainModel:
     return PlainModel(
         name="chua",
         n=3,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         sample_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
     )
 

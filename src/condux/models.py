@@ -146,23 +146,19 @@ class NormalFormModel:
 class PlainModel:
     """A vector field given directly, for systems not kept in normal form.
 
-    rhs_fn and jac_fn follow the float form of VectorField: the state comes
-    as a float sequence, the derivative goes back as a tuple and the
-    Jacobian as a tuple of rows.
+    rhs and jac are the field's own callables, stored as fields and called
+    without a forwarding method, and follow the float form of VectorField:
+    the state comes as a float sequence, the derivative goes back as a tuple
+    and the Jacobian as a tuple of rows. jac may be None for a field that is
+    only ever stepped.
     """
 
     name: str
     n: int
-    rhs_fn: Callable[[float, Sequence[float], float], Vector]
-    jac_fn: Callable[[float, Sequence[float], float], Rows] | None
+    rhs: Callable[[float, Sequence[float], float], Vector]
+    jac: Callable[[float, Sequence[float], float], Rows] | None
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
-
-    def rhs(self, t: float, state: Sequence[float], u: float) -> Vector:
-        return self.rhs_fn(t, state, u)
-
-    def jac(self, t: float, state: Sequence[float], u: float) -> Rows:
-        return self.jac_fn(t, state, u)
 
 
 def InverseSystem(model: NormalFormModel) -> PlainModel:
@@ -183,8 +179,8 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
     return PlainModel(
         name=f"{model.name}-inverse",
         n=1,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         stiffness=model.stiffness,
     )
 
@@ -209,8 +205,8 @@ def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> PlainM
     return PlainModel(
         name="kapitza",
         n=2,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         sample_box=((math.pi - 2.0, math.pi + 2.0), (-3.0, 3.0)),
     )
 
@@ -349,8 +345,8 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> P
     return PlainModel(
         name="lorenz",
         n=3,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         sample_box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
     )
 
@@ -369,8 +365,8 @@ def leaky_integrator(tau: float = 1.0) -> PlainModel:
     return PlainModel(
         name="leaky-integrator",
         n=1,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         sample_box=((-2.0, 2.0),),
     )
 
@@ -458,8 +454,8 @@ class ParameterizedPlant:
         return PlainModel(
             name=f"{self.name}-theta",
             n=self.n,
-            rhs_fn=rhs,
-            jac_fn=jac,
+            rhs=rhs,
+            jac=jac,
             stiffness=self.stiffness,
             sample_box=self.sample_box,
         )

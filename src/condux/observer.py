@@ -77,8 +77,8 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     return PlainModel(
         name=f"{plant.name}-observer",
         n=4 + m,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         stiffness=plant.stiffness,
     )
 

@@ -72,26 +72,36 @@ class PiecewisePoly:
 class GateStack:
     """Several PiecewisePoly read at one y with one lookup.
 
-    breaks merges the breaks of every gate; pieces[j] holds each gate's
-    coefficient tuple on the merged interval (breaks[j-1], breaks[j]]. Every
-    gate break is a merged break, so bisect_left on the merged list picks
-    each gate's own piece (the left one at a break), and slot k of a call
-    gives the bits of gate k.
+    breaks merges the breaks of every gate, and piece j is the merged
+    interval (breaks[j-1], breaks[j]]. Every gate break is a merged break,
+    so bisect_left on the merged list picks each gate's own piece (the left
+    one at a break). At construction each piece is compiled into one
+    function that returns the tuple of its gates' Horner chains,
+    ((0.0 * y + c0) * y + c1) * y + ..., with the coefficients bound as
+    names in the compiled scope: the loop acc = acc * y + c from acc = 0.0
+    written out, so slot k of a call gives the bits of gate k at every y,
+    signed zeros included.
     """
 
     def __init__(self, *gates: PiecewisePoly) -> None:
         self.breaks = tuple(sorted({float(b) for g in gates for b in g.breaks}))
-        self.pieces = tuple(tuple(g.coeffs[bisect_left(g.breaks, b)] for g in gates)
-                            for b in (*self.breaks, math.inf))
+        scope: dict = {}
+        defs = []
+        for j, b in enumerate((*self.breaks, math.inf)):
+            chains = []
+            for k, g in enumerate(gates):
+                chain = "0.0"
+                for i, c in enumerate(g.coeffs[bisect_left(g.breaks, b)]):
+                    name = f"c{j}_{k}_{i}"
+                    scope[name] = c
+                    chain = f"({chain}) * y + {name}"
+                chains.append(chain + ",")
+            defs.append(f"def piece{j}(y):\n    return ({' '.join(chains)})\n")
+        exec(compile("".join(defs), "<gate stack>", "exec"), scope)
+        self._fns = tuple(scope[f"piece{j}"] for j in range(len(self.breaks) + 1))
 
     def __call__(self, y: float) -> tuple[float, ...]:
-        out = []
-        for coeffs in self.pieces[bisect_left(self.breaks, y)]:
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * y + c
-            out.append(acc)
-        return tuple(out)
+        return self._fns[bisect_left(self.breaks, y)](y)
 
 
 def _real_roots(coeffs: np.ndarray) -> list[float]:

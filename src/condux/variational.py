@@ -5,11 +5,15 @@ equations Phi' = J(t, x, u) Phi ride along as extra components of one vector
 field through the same RK4 loop, on the same grid and with the same
 tabulated inputs, so Phi converges at the state's order and fast features
 resolved for the state (impulse windows, ramps, pulse edges) are resolved
-for Phi too.
+for Phi too. The joint field is straight-line Python rendered from one
+template per state size n, compiled and cached like the RK4 block: it
+unpacks J into n * n locals and writes each entry of J Phi as its row times
+its column, added left to right, so no entry depends on a BLAS build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +27,7 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .integrate import Trajectory, default_step, integrate
-from .models import PlainModel, VectorField, _dot
+from .models import PlainModel, VectorField
 from .signals import InputSignal, Zero
 
 __all__ = [
@@ -51,23 +55,45 @@ NEWTON_TOL = 1e-10
 GUESS_SPAN = 20.0
 
 
+# The joint field of flow for n state components, closing over the field's
+# rhs f and Jacobian jac. "{rows}" renders as the n rows of locals j{i}_{k}
+# that J unpacks into, "{jphi}" as the entries of J Phi row by row, each
+# comma-terminated: entry (i, j) is j{i}_0 * s[n + j] + j{i}_1 * s[2n + j] + ...
+_JOINT_TEMPLATE = """\
+def joint(f, jac):
+    def rhs(t, s, u):
+        x = s[:{n}]
+        {rows} = jac(t, x, u)
+        return (*f(t, x, u), {jphi})
+    return rhs
+"""
+
+
+@functools.cache
+def _joint(n: int):
+    """joint(f, jac) for n state components, compiled on the first flow of
+    that size; a Jacobian that is not n rows of n entries raises ValueError."""
+
+    def dot(i: int, j: int) -> str:
+        return " + ".join(f"j{i}_{k} * s[{n + k * n + j}]" for k in range(n))
+
+    src = _JOINT_TEMPLATE.format(
+        n=n,
+        rows=" ".join("(" + " ".join(f"j{i}_{k}," for k in range(n)) + ")," for i in range(n)),
+        jphi=" ".join(dot(i, j) + "," for i in range(n) for j in range(n)),
+    )
+    scope: dict = {}
+    exec(compile(src, f"<joint field n={n}>", "exec"), scope)
+    return scope["joint"]
+
+
 def _with_variations(model: VectorField) -> PlainModel:
-    """The field (x, vec Phi) -> (f(t, x, u), vec(J(t, x, u) Phi)).
-
-    Each entry of J Phi is the row of J times the column of Phi added left
-    to right (_dot), in floats like the state.
-    """
+    """The field (x, vec Phi) -> (f(t, x, u), vec(J(t, x, u) Phi)), in floats
+    like the state. Its jac is None: the joint field is only ever stepped,
+    never linearized."""
     n = model.n
-    f, jac = model.rhs, model.jac
-
-    def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        x = s[:n]
-        cols = [s[n + j::n] for j in range(n)]
-        return (*f(t, x, u), *[_dot(row, col) for row in jac(t, x, u) for col in cols])
-
-    # jac_fn is None: the joint field is only ever stepped, never linearized.
-    return PlainModel(name=model.name, n=n * (n + 1), rhs_fn=rhs, jac_fn=None,
-                      stiffness=model.stiffness)
+    return PlainModel(name=model.name, n=n * (n + 1), rhs=_joint(n)(model.rhs, model.jac),
+                      jac=None, stiffness=model.stiffness)
 
 
 def flow(

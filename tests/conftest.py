@@ -78,8 +78,8 @@ def planar_limit_cycle() -> PlainModel:
     return PlainModel(
         name="planar",
         n=2,
-        rhs_fn=rhs,
-        jac_fn=jac,
+        rhs=rhs,
+        jac=jac,
         sample_box=((0.2, 1.5), (0.2, 1.5)),
     )
 

@@ -15,6 +15,7 @@ from condux.experiments import (
     _json_ready,
     hh_pipeline,
     lorenz_pipeline,
+    observer_pipeline,
     run_experiment,
 )
 from condux.models import neuron_family
@@ -122,3 +123,41 @@ def test_step_reaches_orbit_closing(monkeypatch):
     p.update(samples=10, horizon=0.5)
     assert lorenz_pipeline(p, step=3e-3)["cycle_outcome"]["error"] == "PeriodUnstable"
     assert steps == [2e-3, 3e-3]
+
+
+class _Guess(Exception):
+    """Stops the observer pipeline at its orbit closing."""
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_observer_settle_run_ends_at_the_orbit_start(monkeypatch, k):
+    # the plant settles for exactly k periods and the orbit is closed from
+    # the last settled state at k P; with no settle periods the Newton guess
+    # is the initial state itself
+    runs, guesses = [], []
+    integrate = condux.experiments.integrate
+
+    def record(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    def capture(model, signal, x_guess, t0, period, step):
+        guesses.append((x_guess, t0))
+        raise _Guess
+
+    monkeypatch.setattr(condux.experiments, "integrate", record)
+    monkeypatch.setattr(condux.experiments, "refine_periodic_orbit", capture)
+    p = config_from_dict({"experiment": "observer"}).params
+    p.update(settle_periods=k)
+    with pytest.raises(_Guess):
+        observer_pipeline(p, step=1e-3)
+    P = p["period"]
+    (x_guess, t0), = guesses
+    assert t0 == k * P
+    if k == 0:
+        assert runs == []
+        assert x_guess.tolist() == [-0.7, 0.0]
+    else:
+        settle, = runs
+        assert settle.t0 == 0.0 and settle.t1 == k * P
+        assert np.array_equal(x_guess, settle.states[-1])

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from condux.models import (
     ConductanceParams,
     InverseSystem,
     NormalFormModel,
+    PlainModel,
+    VectorField,
     finite_difference_jacobian,
     fitzhugh_nagumo,
     hh_conductance,
@@ -20,7 +23,7 @@ from condux.models import (
     neuron_family,
 )
 from condux.observer import coupled_system
-from condux.piecewise import GateStack, sat_poly
+from condux.piecewise import GateStack, PiecewisePoly, sat_poly
 from conftest import planar_limit_cycle
 
 BUILTINS = [
@@ -208,6 +211,61 @@ def test_piecewise_scalar_call_matches_vectorized(name):
         assert np.array_equal(got, ref)
         alone = GateStack(poly)
         assert got.tobytes() == np.array([alone(float(y))[0] for y in ys]).tobytes()
+
+
+def _loop_horner(gates, y):
+    """Each gate's piece at y (the left one at a break) by the Horner loop
+    acc = acc * y + c from acc = 0.0: the oracle of a GateStack call."""
+    out = []
+    for g in gates:
+        acc = 0.0
+        for c in g.coeffs[bisect_left(g.breaks, y)]:
+            acc = acc * y + c
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+@given(ys=st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0]), max_size=40))
+@settings(max_examples=50, deadline=None)
+def test_gate_stack_matches_the_horner_loop_bitwise(name, ys):
+    # the compiled pieces give the loop's bits and np.polyval's at every
+    # break, one ulp to either side of it and at random y, signed zeros
+    # included
+    import condux.models as m
+
+    stack = getattr(m, name)
+    gates = [getattr(m, g) for g in STACKS[name]]
+    probe = [*stack.breaks, *(math.nextafter(b, -math.inf) for b in stack.breaks),
+             *(math.nextafter(b, math.inf) for b in stack.breaks), *ys]
+    for y in probe:
+        got = [v.hex() for v in stack(y)]
+        assert got == [v.hex() for v in _loop_horner(gates, y)]
+        assert got == [float(np.polyval(g.coeffs[bisect_left(g.breaks, y)], y)).hex()
+                       for g in gates]
+
+
+def test_gate_stack_keeps_the_loop_signed_zero():
+    # the Horner chain starts from 0.0 * y like the loop, so a -0.0
+    # coefficient reads +0.0 at finite y and a non-finite y gives nan
+    flat = PiecewisePoly((), ((-0.0,),))
+    assert GateStack(flat)(2.0)[0].hex() == _loop_horner([flat], 2.0)[0].hex() == "0x0.0p+0"
+    assert math.isnan(GateStack(flat)(math.inf)[0])
+
+
+def test_plain_model_stores_its_callables():
+    # rhs and jac are the field's own functions, called with no forwarding
+    # frame, and the model is still a VectorField
+    def rhs(t, s, u):
+        return (u - s[0],)
+
+    def jac(t, s, u):
+        return ((-1.0,),)
+
+    model = PlainModel("lag", 1, rhs, jac)
+    assert model.rhs is rhs and model.jac is jac
+    assert not hasattr(model, "rhs_fn") and not hasattr(model, "jac_fn")
+    assert isinstance(model, VectorField)
 
 
 @given(

@@ -16,6 +16,7 @@ from condux.variational import (
     floquet,
     flow,
     hurwitz,
+    _with_variations,
     refine_periodic_orbit,
 )
 from conftest import planar_limit_cycle
@@ -90,6 +91,71 @@ def test_monodromy_json_shape():
     d = mono.to_json_dict()
     assert len(d["phi"]) == 4
     assert all(len(pair) == 2 for pair in d["eigenvalues"])
+
+
+def _dot_joint(model):
+    """The joint (x, vec Phi) field as a loop of inner products, each added
+    left to right: the oracle the rendered joint field must match bitwise."""
+    n = model.n
+
+    def dot(a, b):
+        acc = a[0] * b[0]
+        for k in range(1, len(a)):
+            acc = acc + a[k] * b[k]
+        return acc
+
+    def rhs(t, s, u):
+        x = s[:n]
+        cols = [s[n + j::n] for j in range(n)]
+        return (*model.rhs(t, x, u), *[dot(row, col) for row in model.jac(t, x, u)
+                                       for col in cols])
+
+    return rhs
+
+
+@st.composite
+def _joint_case(draw):
+    """A field of size n in {1, 2, 3, 6} whose Jacobian reads the state, and
+    a joint state; entries are random normals (so the order of a sum shows
+    in its last bits), and hypothesis puts signed zeros among them."""
+    n = draw(st.sampled_from([1, 2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(k):
+        zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=k, max_size=k))
+        return [v if z is None else z for v, z in zip(rng.normal(0.0, 10.0, k).tolist(), zeros)]
+
+    a = [entries(n) for _ in range(n)]
+
+    def rhs(t, s, u):
+        return tuple(v * u for v in s)
+
+    def jac(t, s, u):
+        return tuple(tuple(aik * s[i] for aik in row) for i, row in enumerate(a))
+
+    return PlainModel("joint-case", n, rhs, jac), tuple(entries(n * (n + 1)))
+
+
+@given(case=_joint_case(), t=st.floats(0.0, 10.0),
+       u=st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0]))
+@settings(max_examples=200, deadline=None)
+def test_joint_field_matches_the_dot_loop_bitwise(case, t, u):
+    model, s = case
+    got = _with_variations(model).rhs(t, s, u)
+    want = _dot_joint(model)(t, s, u)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(((0.0, 0.0),), id="one-row"),
+    pytest.param(((0.0, 0.0),) * 3, id="three-rows"),
+    pytest.param(((0.0,), (0.0,)), id="short-rows"),
+    pytest.param(((0.0,) * 3,) * 2, id="long-rows"),
+])
+def test_joint_field_rejects_a_jacobian_of_the_wrong_shape(rows):
+    field = PlainModel("bad-jac", 2, lambda t, s, u: (0.0, 0.0), lambda t, s, u: rows)
+    with pytest.raises(ValueError):
+        flow(field, None, 0.0, 1.0, np.zeros(2), 0.1)
 
 
 def test_refine_periodic_orbit_closes_gap():
