@@ -1,9 +1,9 @@
 """Paired benchmark runs of two condux checkouts, written as one JSON record.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<N>.json \
-        [--pairs 10] [--number N] [--title TEXT] [--claim TEXT]
+        [--title TEXT] [--claim TEXT]
 
-For every workload and every seed 1..pairs, perfbench/run.py runs once in
+For every workload and every seed 1..10, perfbench/run.py runs once in
 each checkout with --seconds 10 --trace 0, in alternating order: the parent
 first for odd seeds, the change first for even seeds. The record keeps every
 run's end-to-end metrics, each side's median and quartiles (inclusive
@@ -12,6 +12,7 @@ method), the relative change of the medians, the parent's wall_s spread
 lower (ties count for neither side). Each checkout then runs every workload
 once with --trace 1 at seed 1, and the per-layer metrics are recorded side
 by side. src_lines counts the lines of src/condux/*.py in each checkout.
+The record's "pr" field is the N of the --out name BENCH_<N>.json.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -29,6 +31,7 @@ from pathlib import Path
 WORKLOADS = ("kapitza-vibration", "fhn-impulse", "hh-square-wave", "observer-estimation")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "ref_err")
 SECONDS = 10
+PAIRS = 10
 LAYER_SEED = 1
 
 
@@ -84,16 +87,17 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="tools/bench_pairs.py")
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--number", type=int, help="N of BENCH_<N>.json, kept as its \"pr\" field")
+    ap.add_argument("--out", type=Path, required=True, help="BENCH_<N>.json")
     ap.add_argument("--title", default="")
     ap.add_argument("--claim", default="")
     args = ap.parse_args(argv)
+    name = re.fullmatch(r"BENCH_(\d+)\.json", args.out.name)
+    if name is None:
+        ap.error(f"--out must be named BENCH_<N>.json, not {args.out.name}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     record = {
-        "pr": args.number,
+        "pr": int(name.group(1)),
         "title": args.title,
         "box": f"{os.cpu_count()}-core {platform.machine()}, Python "
                f"{platform.python_version()}, OPENBLAS_NUM_THREADS=1 (set by perfbench)",
@@ -107,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     for w in WORKLOADS:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        seeds = list(range(1, args.pairs + 1))
+        seeds = list(range(1, PAIRS + 1))
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
