@@ -8,6 +8,7 @@ import dataclasses
 import json
 import sys
 import time
+from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
@@ -63,6 +64,11 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         if args.jobs > 1 and len(cfgs) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -93,6 +99,10 @@ def _cmd_verify(args) -> int:
             print(f"config error: --filter={args.filter} matches no criterion "
                   f"(have: {', '.join(CRITERIA)})", file=sys.stderr)
             return EXIT_CONFIG
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).absolute().parent.is_dir()):
+        print(f"config error: --out: {args.out} is not a file in an existing directory",
+              file=sys.stderr)
+        return EXIT_CONFIG
     t0 = time.monotonic()
     try:
         rows = run_criteria(names, jobs=args.jobs)

@@ -42,7 +42,6 @@ from .signals import (
 from .variational import (
     MonodromyResult,
     StabilityVerdict,
-    contraction_probe,
     flow,
     hurwitz,
     refine_periodic_orbit,
@@ -195,7 +194,7 @@ class FeedforwardResult:
     signal: FeedforwardSignal
     zbar: Trajectory
     residual_max: float
-    inverse_rate: float  # contraction rate of the inverse system
+    inverse_rate: float  # log|Phi(t0 + P, t0)| / P of the inverse system along zbar
 
 
 def feedforward_from_reference(
@@ -209,20 +208,22 @@ def feedforward_from_reference(
     """Feedforward input that makes a periodic reference output an exact
     solution.
 
-    Every NormalFormModel is planar with relative degree one. A contraction
-    probe over [t0, t0 + max(10, period)] checks that the inverse system,
-    driven by the reference output, contracts; then it has exactly one
-    periodic response zbar, which refine_periodic_orbit closes from zbar_ic
-    over [t0, t0 + period]. That one loop is stored and read periodically.
+    Every NormalFormModel is planar with relative degree one.
+    refine_periodic_orbit closes the inverse system's periodic response zbar
+    to the reference output from zbar_ic over [t0, t0 + period]; its
+    multiplier Phi certifies that the inverse system contracts to it
+    (InverseNotContracting unless |Phi| < 1). That one loop is stored and
+    read periodically.
     """
-    inverse = InverseSystem(model)
-    drive = ref.signal
-    ic = np.asarray(zbar_ic, dtype=float)
-    probe = contraction_probe(inverse, drive, ic, ic + 0.5, t0, t0 + max(10.0, period), step)
-    rate = probe.rate
-    if not probe.stable or rate >= 0:
-        raise InverseNotContracting(f"inverse system probe rate {rate:+.3g} for {model.name}")
-    zbar = refine_periodic_orbit(inverse, drive, ic, t0, period, step)
+    try:
+        zbar, phi = refine_periodic_orbit(InverseSystem(model), ref.signal,
+                                          np.asarray(zbar_ic, dtype=float), t0, period, step)
+    except np.linalg.LinAlgError as exc:
+        raise InverseNotContracting(f"inverse system of {model.name} is neutral: {exc}") from exc
+    mult = abs(float(phi[0, 0]))
+    if not mult < 1.0:
+        raise InverseNotContracting(f"inverse system multiplier {mult:.6g} for {model.name}")
+    rate = math.log(mult) / period if mult else -math.inf
     sig = FeedforwardSignal(model, ref, zbar)
     # Sample-wise residual audit of the inversion on the stored grid.
     ts = zbar.ts[:: max(1, zbar.ts.size // 400)]

@@ -69,7 +69,7 @@ class ZeroResponse(ConduxError):
 
 
 class InverseNotContracting(ConduxError):
-    """Inverse subsystem failed its fading-memory (contraction) probe."""
+    """Inverse subsystem's periodic multiplier is not inside the unit circle."""
 
 
 class AntiderivativeMismatch(ConduxError):

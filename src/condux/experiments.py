@@ -164,7 +164,7 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     and phase synchronization under the designed input."""
     model = fitzhugh_nagumo(p["alpha"], p["beta"], p["gamma"], p["eps"])
     fine = step if step is not None else p["fine_step"]
-    one = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=fine)
+    one, _ = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=fine)
     T = one.t1 - one.t0
     design = fhn_impulse_design(
         one, p["eps_fraction"], alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"],
@@ -260,8 +260,8 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     sweep = []
     if p["run_delta_sweep"]:
         try:
-            loop = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0,
-                                         step=step)
+            loop, _ = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0,
+                                            step=step)
             ydf = model.f(loop.ts, loop.states[:, 0], loop.states[:, 1], 0.0)
             free = {
                 "period": loop.t1 - loop.t0,
@@ -438,7 +438,7 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
     guess = np.array([-0.7, 0.0])
     if k:
         guess = integrate(model, u, 0.0, k * P, guess, step).states[-1]
-    ref = refine_periodic_orbit(model, u, guess, k * P, P, step)
+    ref, _ = refine_periodic_orbit(model, u, guess, k * P, P, step)
     closure = float(np.max(np.abs(ref.states[-1] - ref.states[0])))
     check = observer_contraction_check(plant, theta_star, ref, u, step,
                                        eps_coupling=p["eps_coupling"])

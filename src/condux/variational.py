@@ -126,8 +126,9 @@ def refine_periodic_orbit(
     t0: float,
     period: float | None = None,
     step: float | None = None,
-) -> Trajectory:
-    """Close a periodic orbit by Newton shooting; return one loop from t0.
+) -> tuple[Trajectory, np.ndarray]:
+    """Close a periodic orbit by Newton shooting; return one loop from t0
+    and its transition matrix Phi(t0 + T, t0), as flow does.
 
     With a period (a forced orbit), x is driven to a fixed point of the map
     x -> flow over [t0, t0 + period] with I - Phi as its Jacobian, which a
@@ -161,7 +162,8 @@ def refine_periodic_orbit(
         x, period = traj.interp_state(tc[-1]), float(tc[-1] - tc[-2])
         k = math.ceil(period / (step or default_step(model, signal or Zero(), t0, t0 + period)))
     try:
-        for _ in range(NEWTON_ITERS):
+        # a forced orbit's last flow checks the last Newton update
+        for it in range(NEWTON_ITERS + (not free)):
             traj, phi = flow(model, signal, t0, t0 + period, x, period / k if free else step)
             gap = traj.states[-1] - x
             lhs, res = np.eye(n) - phi, gap
@@ -169,14 +171,18 @@ def refine_periodic_orbit(
                 f = model.rhs(traj.t1, traj.states[-1].tolist(), float(traj.us[-1]))
                 lhs = np.block([[lhs, -np.reshape(f, (n, 1))], [-np.eye(1, n), 0.0]])
                 res = np.append(gap, x[0])
-            if float(np.max(np.abs(res))) < NEWTON_TOL:
+            res_max = float(np.max(np.abs(res)))
+            if res_max < NEWTON_TOL:
                 if free:
                     lam = np.linalg.eigvals(phi)
                     rest = np.abs(np.delete(lam, np.argmin(np.abs(lam - 1.0))))
                     if not np.all(rest < 1.0):
                         raise PeriodUnstable(f"{model.name} orbit is not attracting: "
                                              f"multiplier {rest.max():.4g}")
-                return traj
+                return traj, phi
+            if it == NEWTON_ITERS:
+                raise PeriodMismatch(f"orbit does not close after {NEWTON_ITERS} Newton steps "
+                                     f"(gap {res_max:.3e})")
             d = np.linalg.solve(lhs, res)
             x = x + d[:n]
             if free:
@@ -187,14 +193,7 @@ def refine_periodic_orbit(
         if not free:
             raise
         raise PeriodUnstable(f"Newton failed on the {model.name} orbit: {exc}") from exc
-    if free:
-        raise PeriodUnstable(f"{model.name} orbit does not close after "
-                             f"{NEWTON_ITERS} Newton steps")
-    traj = integrate(model, signal, t0, t0 + period, x, step)
-    gap = float(np.max(np.abs(traj.states[-1] - x)))
-    if gap < NEWTON_TOL:
-        return traj
-    raise PeriodMismatch(f"orbit does not close after {NEWTON_ITERS} Newton steps (gap {gap:.3e})")
+    raise PeriodUnstable(f"{model.name} orbit does not close after {NEWTON_ITERS} Newton steps")
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_out_on_an_existing_file_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "probe.json", {"experiment": "probe"})
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["run", cfg, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --out: ")
+
+
 def test_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
     def singular(cfg, out):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -185,6 +194,18 @@ def test_verify_properties_section_passes(tmp_path, capsys):
     assert list(rows[0]) == ["criterion", "check", "expected", "observed", "tolerance",
                              "passed", "note"]
     assert {r["criterion"] for r in rows} == {"properties"}
+
+
+@pytest.mark.parametrize("name", ["missing/rows.json", "."], ids=["missing-dir", "a-dir"])
+def test_verify_unwritable_out_exits_2_before_any_check(tmp_path, capsys, monkeypatch, name):
+    def never(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(condux.cli, "run_criteria", never)
+    out = str(tmp_path / name)
+    assert main(["verify", "--filter=properties", "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --out: {out} is not a file in an existing directory"]
 
 
 def test_verify_exits_1_when_a_check_fails(kapitza_run, monkeypatch, capsys):

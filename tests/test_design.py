@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,14 @@ from condux.design import (
     orbit_scale,
 )
 from condux.errors import (
+    InverseNotContracting,
     NoStabilizingAmplitude,
     RangeViolation,
 )
 from condux.integrate import Trajectory, build_grid, integrate
 from condux.models import (
     ConductanceParams,
+    InverseSystem,
     fitzhugh_nagumo,
     lorenz,
 )
@@ -93,7 +96,7 @@ class TestImpulseDesign:
     @pytest.fixture(scope="class")
     def coarse_cycle(self):
         return refine_periodic_orbit(fitzhugh_nagumo(), None, np.array([1.0, 0.0]), 0.0,
-                                     step=4e-3)
+                                     step=4e-3)[0]
 
     @pytest.mark.parametrize("phase_points", [256, 2])
     def test_free_window_keeps_the_unit_multiplier(self, coarse_cycle, phase_points):
@@ -161,7 +164,8 @@ class TestImpulseDesign:
     def test_feedforward_quality(self, fhn_run):
         ff = fhn_run[0]["feedforward"]
         assert ff.residual_max < 1e-10
-        assert ff.inverse_rate == pytest.approx(-1.0, abs=1e-6)
+        # g = y - z, so the inverse system's multiplier is exactly exp(-P)
+        assert ff.inverse_rate == pytest.approx(-1.0, abs=1e-12)
 
     def test_tabulated_feedforward_matches_pointwise(self, fhn_run):
         # the grid tabulation of u must give the bits of the scalar inversion,
@@ -239,6 +243,10 @@ class TestConductanceCertificate:
         _assert_bitwise(sig.ref.x_fn(ts)[0], [sig.ref.x_fn(float(t))[0] for t in ts])
         _assert_bitwise(sig.ref.v_fn(ts), [sig.ref.v_fn(float(t)) for t in ts])
 
+    def test_feedforward_quality(self, hh_run):
+        # g = y - z, so the inverse system's multiplier is exactly exp(-P)
+        assert hh_run[0]["feedforward"].inverse_rate == pytest.approx(-1.0, abs=1e-12)
+
     def test_zbar_closes_over_one_period(self, hh_run):
         r = hh_run[0]
         zbar = r["feedforward"].zbar
@@ -263,6 +271,41 @@ def params_model(params):
     from condux.models import hh_conductance
 
     return hh_conductance(params)
+
+
+class TestInverseMultiplier:
+    """hh with its internal drift g replaced, on the benchmark's square wave."""
+
+    @staticmethod
+    def _design(g, g_jac):
+        sq = hh_square_reference(2.5, 5e-4)
+        model = dataclasses.replace(params_model(ConductanceParams()), g=g, g_jac=g_jac)
+        return model, sq, lambda: feedforward_from_reference(
+            model, OutputReference(sq), 0.0, sq.period, zbar_ic=np.array([sq.value(0.0)]))
+
+    def test_expanding_inverse_closes_but_is_rejected(self):
+        # z' = z - y: I - Phi is nonsingular, so Newton closes the orbit, and
+        # its multiplier exp(P) is what rejects it
+        model, sq, design = self._design(lambda t, z, y: z - y, lambda t, z, y: (-1.0, 1.0))
+        loop, phi = refine_periodic_orbit(InverseSystem(model), sq, np.array([sq.value(0.0)]),
+                                          0.0, sq.period)
+        assert abs(loop.states[-1, 0] - loop.states[0, 0]) < NEWTON_TOL
+        assert phi[0, 0] == pytest.approx(math.exp(sq.period), rel=1e-9)
+        with pytest.raises(InverseNotContracting, match="multiplier 12.18"):
+            design()
+
+    def test_underflowing_multiplier_counts_as_contracting(self):
+        # z' = 2000 (y - z) at step 5e-4: each RK4 step scales Phi by 3/8,
+        # which takes it through the subnormals to 0 within the period
+        _, _, design = self._design(lambda t, z, y: 2000.0 * (y - z),
+                                    lambda t, z, y: (2000.0, -2000.0))
+        assert design().inverse_rate == -math.inf
+
+    def test_neutral_inverse_is_rejected(self):
+        # z' = y: Phi = 1 leaves Newton's I - Phi singular
+        _, _, design = self._design(lambda t, z, y: y, lambda t, z, y: (1.0, 0.0))
+        with pytest.raises(InverseNotContracting, match="neutral"):
+            design()
 
 
 class TestOutputReference:
@@ -344,7 +387,7 @@ def test_fhn_slow_multiplier_shrinks_with_timescale():
     for eps, expected_period in ((0.1, 3.29023715), (0.05, 2.77665807),
                                  (0.02, 2.38653791)):
         model = fitzhugh_nagumo(eps=eps)
-        loop = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=1e-3)
+        loop, _ = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=1e-3)
         assert loop.t1 - loop.t0 == pytest.approx(expected_period, abs=1e-4)
         tr = np.array([np.trace(model.jac(t, s, 0.0))
                        for t, s in zip(loop.ts, loop.states)])

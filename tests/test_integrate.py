@@ -357,8 +357,8 @@ class TestRefinePeriodicOrbit:
     """Autonomous orbits closed by refine_periodic_orbit without a period."""
 
     def test_planar_period(self):
-        loop = refine_periodic_orbit(planar_limit_cycle(), None, np.array([1.3, 0.0]),
-                                     0.0, step=0.001)
+        loop, _ = refine_periodic_orbit(planar_limit_cycle(), None, np.array([1.3, 0.0]),
+                                        0.0, step=0.001)
         assert loop.t1 - loop.t0 == pytest.approx(2.0 * math.pi, abs=1e-10)
         assert loop.states[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert np.hypot(*loop.states[0]) == pytest.approx(1.0, abs=1e-6)
@@ -366,18 +366,28 @@ class TestRefinePeriodicOrbit:
     def test_fhn_period_converges_at_fourth_order(self):
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
-            loop = refine_periodic_orbit(fitzhugh_nagumo(), None, np.array([1.0, 0.0]),
-                                         0.0, step=h)
+            loop, _ = refine_periodic_orbit(fitzhugh_nagumo(), None, np.array([1.0, 0.0]),
+                                            0.0, step=h)
             errs.append(abs(loop.t1 - loop.t0 - FHN_PERIOD))
         assert all(math.log2(a / b) >= 3.5 for a, b in zip(errs, errs[1:]))
 
     def test_hh_period_converges_at_fourth_order(self, hh_run):
         # the hh pipeline closes the free orbit at the default step, 5e-4
         coarse = hh_run[0]["free_orbit"]["period"] - HH_FREE_PERIOD
-        loop = refine_periodic_orbit(hh_conductance(ConductanceParams()), None,
-                                     np.array([1.0, 0.0]), 0.0, step=2.5e-4)
+        loop, _ = refine_periodic_orbit(hh_conductance(ConductanceParams()), None,
+                                        np.array([1.0, 0.0]), 0.0, step=2.5e-4)
         fine = loop.t1 - loop.t0 - HH_FREE_PERIOD
         assert math.log2(abs(coarse / fine)) >= 3.5
+
+    def test_returns_the_loops_transition_matrix(self):
+        # the autonomous orbit is stepped at T / k, and its Phi is the one
+        # that step gives along the returned loop, with the unit multiplier
+        model = fitzhugh_nagumo()
+        loop, phi = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=4e-3)
+        h = (loop.t1 - loop.t0) / (loop.ts.size - 1)
+        _, again = flow(model, None, loop.t0, loop.t1, loop.states[0], h)
+        assert np.array_equal(phi, again)
+        assert min(abs(np.linalg.eigvals(phi) - 1.0)) < 1e-8
 
     def test_repelling_orbit_is_unstable(self):
         # r' = -r (1 - r^2) / 20 around the unit circle: a closed orbit whose

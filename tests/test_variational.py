@@ -160,10 +160,19 @@ def test_joint_field_rejects_a_jacobian_of_the_wrong_shape(rows):
 
 def test_refine_periodic_orbit_closes_gap():
     model = planar_limit_cycle()
-    loop = refine_periodic_orbit(model, None, np.array([1.05, 0.02]), 0.0,
-                                 2.0 * math.pi, 0.001)
+    loop, _ = refine_periodic_orbit(model, None, np.array([1.05, 0.02]), 0.0,
+                                    2.0 * math.pi, 0.001)
     assert np.max(np.abs(loop.states[-1] - loop.states[0])) < 1e-10
     assert np.hypot(*loop.states[0]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_refine_periodic_orbit_returns_the_loops_transition_matrix():
+    # the forced orbit's Phi is the one its last flow stepped along the loop
+    model = planar_limit_cycle()
+    loop, phi = refine_periodic_orbit(model, None, np.array([1.05, 0.02]), 0.0,
+                                      2.0 * math.pi, 1e-3)
+    _, again = flow(model, None, loop.t0, loop.t1, loop.states[0], 1e-3)
+    assert np.array_equal(phi, again)
 
 
 def test_refine_periodic_orbit_raises_when_loop_does_not_close():
@@ -171,7 +180,7 @@ def test_refine_periodic_orbit_raises_when_loop_does_not_close():
     # leaves a gap of at least period / 2
     drift = PlainModel("drift", 1, lambda t, s, u: (1.0 + 0.5 * math.sin(s[0]),),
                        lambda t, s, u: ((0.5 * math.cos(s[0]),),))
-    with pytest.raises(PeriodMismatch):
+    with pytest.raises(PeriodMismatch, match="does not close after 6 Newton steps"):
         refine_periodic_orbit(drift, None, np.array([0.0]), 0.0, 1.0, 0.01)
 
 

@@ -9,10 +9,13 @@ first for odd seeds, the change first for even seeds. The record keeps every
 run's end-to-end metrics, each side's median and quartiles (inclusive
 method), the relative change of the medians, the parent's wall_s spread
 (upper minus lower quartile) and the pairs in which the change's wall_s is
-lower (ties count for neither side). Each checkout then runs every workload
-once with --trace 1 at seed 1, and the per-layer metrics are recorded side
-by side. src_lines counts the lines of src/condux/*.py in each checkout.
-The record's "pr" field is the N of the --out name BENCH_<N>.json.
+lower (ties count for neither side), and per side the runs that were not
+correct and the runs with a failed operation. Each checkout then runs every
+workload once with --trace 1 at seed 1, and the per-layer metrics are
+recorded side by side. src_lines counts the lines of src/condux/*.py in
+each checkout. The record's "pr" field is the N of the --out name
+BENCH_<N>.json. The script exits 1, after writing the record, if any paired
+run was not correct or had a failed operation.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ def _summary(runs: dict[str, list[dict]]) -> dict:
                           if med["parent"][k] else 0.0 for k in METRICS},
         "parent_wall_s_iqr": round(hi - lo, 4),
         "wall_s_change_wins": f"{wins}/{len(runs['parent'])}",
+        "incorrect_runs": {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()},
+        "failed_runs": {side: sum(r["failed"] > 0 for r in rs) for side, rs in runs.items()},
     }
 
 
@@ -130,7 +135,11 @@ def main(argv: list[str] | None = None) -> int:
     record["src_lines"] = {"command": "wc -l src/condux/*.py",
                            **{side: _src_lines(path) for side, path in sides.items()}}
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    return 0
+    bad = [f"{w}: {k} {s[k]}" for w, s in record["end_to_end"]["workloads"].items()
+           for k in ("incorrect_runs", "failed_runs") if any(s[k].values())]
+    for line in bad:
+        print(f"bad runs in {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
