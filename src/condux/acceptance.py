@@ -322,7 +322,7 @@ def run_criteria(names=None, jobs: int = 1) -> list[CriterionRow]:
     if jobs > 1 and len(picked) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(picked))) as pool:
             return [row for rows in pool.map(run_criteria, [[n] for n in picked])
                     for row in rows]
     rows = []

@@ -72,7 +72,7 @@ def _cmd_run(args) -> int:
         if args.jobs > 1 and len(cfgs) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfgs))) as pool:
                 futures = [pool.submit(run_experiment, c, args.out) for c in cfgs]
                 reports = [f.result() for f in futures]
         else:

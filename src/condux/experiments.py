@@ -50,7 +50,6 @@ from .models import (
     ConductanceParams,
     InverseSystem,
     PlainModel,
-    _dot,
     fitzhugh_nagumo,
     hh_conductance,
     kapitza,
@@ -315,11 +314,14 @@ def chua_pipeline(p: dict) -> dict:
     # jumps where |y| = 1, and each of those instants gets a refine window
     T = 2.0 * math.pi / omega
 
-    def A(t: float, x, y: float) -> tuple[tuple[float, ...], ...]:
-        return chua_linearization(y)
+    def Ax(t: float, x, y: float) -> tuple[float, ...]:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = chua_linearization(y)
+        x0, x1, x2 = x
+        return (a00 * x0 + a01 * x1 + a02 * x2,
+                a10 * x0 + a11 * x1 + a12 * x2,
+                a20 * x0 + a21 * x1 + a22 * x2)
 
-    linearized = PlainModel("chua-linearized", 3,
-                            lambda t, x, y: tuple(_dot(row, x) for row in A(t, x, y)), A)
+    linearized = PlainModel("chua-linearized", 3, Ax, lambda t, x, y: chua_linearization(y))
     kinks = []
     if M > 1.0:
         a = math.asin(1.0 / M)

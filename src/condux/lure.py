@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureNonConvergence, ZeroResponse
-from .models import PlainModel, _dot
+from .models import PlainModel
 from .signals import InputSignal
 from .variational import StabilityVerdict, hurwitz
 
@@ -79,12 +79,19 @@ def chua_linearization(y: float) -> tuple[tuple[float, ...], ...]:
 def chua_system() -> PlainModel:
     """State-space realization xdot = A x + B (u - h(C x)), y = C x."""
 
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = _A_ROWS
+    b0, b1, b2 = _B
+    c0, c1, c2 = _C
+
     def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        w = u - chua_nonlinearity(_dot(_C, s))
-        return tuple(_dot(row, s) + b * w for row, b in zip(_A_ROWS, _B))
+        x0, x1, x2 = s
+        w = u - chua_nonlinearity(c0 * x0 + c1 * x1 + c2 * x2)
+        return (a00 * x0 + a01 * x1 + a02 * x2 + b0 * w,
+                a10 * x0 + a11 * x1 + a12 * x2 + b1 * w,
+                a20 * x0 + a21 * x1 + a22 * x2 + b2 * w)
 
     def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
-        return chua_linearization(_dot(_C, s))
+        return chua_linearization(c0 * s[0] + c1 * s[1] + c2 * s[2])
 
     return PlainModel(
         name="chua",

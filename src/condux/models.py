@@ -72,15 +72,6 @@ class VectorField(Protocol):
     def jac(self, t: float, state: Sequence[float], u: float) -> Rows: ...
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    """a[0]*b[0] + a[1]*b[1] + ..., added left to right: one arithmetic for
-    every inner product of a field, where a BLAS dot may fuse or reorder."""
-    acc = a[0] * b[0]
-    for k in range(1, len(a)):
-        acc = acc + a[k] * b[k]
-    return acc
-
-
 @dataclass(frozen=True)
 class NormalFormModel:
     """Planar relative-degree-one model: output y' = f(t, y, z, u) and one
@@ -398,16 +389,18 @@ NEURON_GATE_SLOPES = GateStack(NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU,
 @dataclass(frozen=True)
 class ParameterizedPlant:
     """Planar relative-degree-one plant whose output equation is linear in
-    unknown parameters.
+    m = 2 unknown parameters.
 
     yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y). Two hooks give the
-    plant at one (t, y, z, u), all floats: values returns (f0, g, h, hu, H),
-    the two drifts, the plant regressor h, the update regressor hu and its
-    antiderivative H; derivatives returns (df0, dg, dh), the rows
-    (df0/dy, df0/dz) and (dg/dy, dg/dz) and dh/dy. h, hu and H depend on y
-    alone, so a caller that needs no f0 passes u = 0. model(theta) is the
-    plant for fixed parameters, one hook call per rhs or jac, with
-    h(y) . theta added left to right (_dot), as the observer adds it.
+    plant at one (t, y, z, u), all floats, each returning what its reader
+    needs. values returns (f0, g, h, H), what an rhs reads: the two drifts,
+    the plant regressor h and the update antiderivative H. derivatives
+    returns (df0, dg, dh, h, hu), what a jac reads: the rows (df0/dy, df0/dz)
+    and (dg/dy, dg/dz), dh/dy, h again (the Jacobian's theta column) and the
+    update regressor hu = dH/dy. h, hu and H depend on y alone, so a caller
+    that needs no f0 passes u = 0. model(theta) is the plant for fixed
+    parameters, one hook call per rhs or jac, with h(y) . theta written out
+    left to right, as the observer writes it.
 
     Construction raises AntiderivativeMismatch when the centered difference
     of H (step 1e-7) misses hu by more than 1e-6 at any of 401 points
@@ -415,22 +408,22 @@ class ParameterizedPlant:
     """
 
     n: ClassVar[int] = 2
+    m: ClassVar[int] = 2
     name: str
-    m: int
-    values: Callable[[float, float, float, float],
-                     tuple[float, float, Vector, Vector, Vector]]
-    derivatives: Callable[[float, float, float, float], tuple[Vector, Vector, Vector]]
+    values: Callable[[float, float, float, float], tuple[float, float, Vector, Vector]]
+    derivatives: Callable[[float, float, float, float],
+                          tuple[Vector, Vector, Vector, Vector, Vector]]
     theta_box: tuple[tuple[float, float], ...]
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        H = lambda y: np.asarray(self.values(0.0, y, 0.0, 0.0)[4])
+        H = lambda y: np.asarray(self.values(0.0, y, 0.0, 0.0)[3])
         lo, hi = self.sample_box[0]
         worst = 0.0
         for y in np.linspace(lo, hi, 401):
             fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
-            worst = max(worst, float(np.max(np.abs(fd - self.values(0.0, y, 0.0, 0.0)[3]))))
+            worst = max(worst, float(np.max(np.abs(fd - self.derivatives(0.0, y, 0.0, 0.0)[4]))))
         if worst > 1e-6:
             raise AntiderivativeMismatch(
                 f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
@@ -440,16 +433,16 @@ class ParameterizedPlant:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.m,):
             raise ConfigError(f"theta must have shape ({self.m},)")
-        th = tuple(theta.tolist())
+        th0, th1 = theta.tolist()
         values, derivatives = self.values, self.derivatives
 
         def rhs(t, s, u):
-            f0, g, h, _, _ = values(t, s[0], s[1], u)
-            return (f0 + _dot(h, th), g)
+            f0, g, (h0, h1), _ = values(t, s[0], s[1], u)
+            return (f0 + (h0 * th0 + h1 * th1), g)
 
         def jac(t, s, u):
-            df0, dg, dh = derivatives(t, s[0], s[1], u)
-            return ((df0[0] + _dot(dh, th), df0[1]), dg)
+            df0, dg, (dh0, dh1), _, _ = derivatives(t, s[0], s[1], u)
+            return ((df0[0] + (dh0 * th0 + dh1 * th1), df0[1]), dg)
 
         return PlainModel(
             name=f"{self.name}-theta",
@@ -465,7 +458,9 @@ def neuron_family() -> ParameterizedPlant:
     """Bursting-neuron plant with two unknown conductance parameters.
 
     0.02 yd = -2 z (y + 0.7) + 0.15 + u - (y + 0.4, m_inf(y)(y - 1)) . theta
-    tau(y) zd = -z + z_inf(y), with saturated-polynomial gates.
+    tau(y) zd = -z + z_inf(y), with saturated-polynomial gates. values reads
+    NEURON_GATES and derivatives NEURON_GATE_SLOPES, one lookup per call;
+    both stacks give m_inf the same bits, so h is the same from either hook.
     """
     inv_eps = 1.0 / _NEURON_EPS
 
@@ -475,7 +470,6 @@ def neuron_family() -> ParameterizedPlant:
             inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u),
             (z_inf - z) / tau,
             (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
-            (-(y + 0.4), -(m * (y - 1.0))),
             (-(0.5 * y**2 + 0.4 * y), -m_int),
         )
 
@@ -485,11 +479,12 @@ def neuron_family() -> ParameterizedPlant:
             (inv_eps * (-2.0 * z), inv_eps * (-2.0 * (y + 0.7))),
             ((dz_inf * tau - (z_inf - z) * dtau) / tau**2, -1.0 / tau),
             (-inv_eps, -inv_eps * (dm * (y - 1.0) + m)),
+            (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
+            (-(y + 0.4), -(m * (y - 1.0))),
         )
 
     return ParameterizedPlant(
         name="neuron",
-        m=2,
         values=values,
         derivatives=derivatives,
         theta_box=((0.3, 0.7), (1.1, 1.9)),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrate import Trajectory, integrate
-from .models import ParameterizedPlant, PlainModel, _dot
+from .models import ParameterizedPlant, PlainModel
 from .signals import InputSignal
 from .variational import MonodromyResult, StabilityVerdict, floquet
 
@@ -34,49 +34,40 @@ __all__ = [
 def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainModel:
     """Plant and observer stacked as one vector field.
 
-    State layout: (y, z, yh, zh, thetah). Both blocks read the plant's hooks
-    in the same arithmetic as plant.model (h(y) . theta added left to
-    right), so matched initial data with thetah = theta_star gives a
-    bitwise-identical observer block (the update difference is exactly zero
-    and stays zero). rhs reads the values hook once per block, jac the
-    derivatives hook and the values hook once per block each.
+    State layout: (y, z, yh, zh, thetah1, thetah2). Both blocks read the
+    plant's hooks in the same arithmetic as plant.model (h(y) . theta
+    written out left to right), so matched initial data with
+    thetah = theta_star gives a bitwise-identical observer block (the update
+    difference is exactly zero and stays zero). rhs reads the values hook
+    once per block, and jac reads the derivatives hook once per block.
     """
-    m = plant.m
     theta_star = np.asarray(theta_star, dtype=float)
-    if theta_star.shape != (m,):
-        raise ConfigError(f"theta_star must have shape ({m},)")
-    th_star = tuple(theta_star.tolist())
+    if theta_star.shape != (plant.m,):
+        raise ConfigError(f"theta_star must have shape ({plant.m},)")
+    th0, th1 = theta_star.tolist()
     values, derivatives = plant.values, plant.derivatives
 
     def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        f0, g, h, _, H = values(t, s[0], s[1], u)
-        f0h, gh, hh, _, Hh = values(t, s[2], s[3], u)
-        return (
-            f0 + _dot(h, th_star),
-            g,
-            f0h + _dot(hh, s[4:]),
-            gh,
-            *[a - b for a, b in zip(H, Hh)],
-        )
+        f0, g, (h0, h1), (H0, H1) = values(t, s[0], s[1], u)
+        f0h, gh, (hh0, hh1), (Hh0, Hh1) = values(t, s[2], s[3], u)
+        return (f0 + (h0 * th0 + h1 * th1), g, f0h + (hh0 * s[4] + hh1 * s[5]), gh,
+                H0 - Hh0, H1 - Hh1)
 
     def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
-        y, z, yh, zh = s[0], s[1], s[2], s[3]
-        df0, dg, dh = derivatives(t, y, z, u)
-        df0h, dgh, dhh = derivatives(t, yh, zh, u)
-        hy = values(t, y, z, u)[3]
-        _, _, h, hyh, _ = values(t, yh, zh, u)
-        zm = (0.0,) * m
+        df0, dg, (dh0, dh1), _, (hu0, hu1) = derivatives(t, s[0], s[1], u)
+        df0h, dgh, (dhh0, dhh1), hh, (huh0, huh1) = derivatives(t, s[2], s[3], u)
         return (
-            (df0[0] + _dot(dh, th_star), df0[1], 0.0, 0.0, *zm),
-            (*dg, 0.0, 0.0, *zm),
-            (0.0, 0.0, df0h[0] + _dot(dhh, s[4:]), df0h[1], *h),
-            (0.0, 0.0, *dgh, *zm),
-            *((hy[k], 0.0, -hyh[k], 0.0, *zm) for k in range(m)),
+            (df0[0] + (dh0 * th0 + dh1 * th1), df0[1], 0.0, 0.0, 0.0, 0.0),
+            (*dg, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, df0h[0] + (dhh0 * s[4] + dhh1 * s[5]), df0h[1], *hh),
+            (0.0, 0.0, *dgh, 0.0, 0.0),
+            (hu0, 0.0, -huh0, 0.0, 0.0, 0.0),
+            (hu1, 0.0, -huh1, 0.0, 0.0, 0.0),
         )
 
     return PlainModel(
         name=f"{plant.name}-observer",
-        n=4 + m,
+        n=2 * plant.n + plant.m,
         rhs=rhs,
         jac=jac,
         stiffness=plant.stiffness,

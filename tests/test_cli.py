@@ -1,13 +1,16 @@
 """Exit codes, error listings, artifact determinism, and verify filtering."""
 
+import concurrent.futures
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import condux.cli
 import condux.experiments
+from condux.acceptance import CRITERIA, run_criteria
 from condux.cli import main
 
 from test_config import BAD_TOP_LEVEL, BAD_TOP_LEVEL_IDS, OUT_OF_RANGE, WRONG_LENGTH
@@ -176,6 +179,36 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
     assert capsys.readouterr().err.splitlines() == [
         f"config error: --jobs: must be at least 1, got {jobs}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_jobs_cap_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch):
+    # on Linux a process pool forks all of its max_workers at once, so --jobs
+    # above the number of configs or criteria used to fork idle workers; the
+    # stand-in pool records its size and starts no process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return SimpleNamespace(result=lambda: {})
+
+        def map(self, fn, tasks):
+            return [[] for _ in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfgs = [_write(tmp_path / f"{k}.json", {"experiment": "probe", "out_prefix": k})
+            for k in ("a", "b")]
+    assert main(["run", *cfgs, "--out", str(tmp_path / "out"), "--jobs", "1000"]) == 0
+    assert run_criteria(None, jobs=1000) == []
+    assert sizes == [2, len(CRITERIA)]
 
 
 def test_verify_filter_without_match_exits_2(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from bisect import bisect_left
 
@@ -6,8 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from condux.config import config_from_dict
 from condux.errors import GainFloorViolated
-from condux.lure import chua_system
+from condux.lure import (
+    CHUA_A,
+    CHUA_B,
+    CHUA_C,
+    chua_linearization,
+    chua_nonlinearity,
+    chua_system,
+)
 from condux.models import (
     ConductanceParams,
     InverseSystem,
@@ -18,6 +27,8 @@ from condux.models import (
     fitzhugh_nagumo,
     hh_conductance,
     kapitza,
+    NEURON_GATE_SLOPES,
+    NEURON_GATES,
     leaky_integrator,
     lorenz,
     neuron_family,
@@ -297,21 +308,178 @@ def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
 
 
 def test_neuron_update_antiderivative_consistency():
+    # H comes from the values hook, its derivative hu from the derivatives hook
     plant = neuron_family()
-    H = lambda y: np.asarray(plant.values(0.0, y, 0.5, 0.0)[4])
+    H = lambda y: np.asarray(plant.values(0.0, y, 0.5, 0.0)[3])
     h = 1e-7
     for y in (-0.9, -0.6, -0.3, 0.2, 0.8):
         fd = (H(y + h) - H(y - h)) / (2 * h)
-        assert np.allclose(fd, plant.values(0.0, y, 0.5, 0.0)[3], atol=1e-6)
+        assert np.allclose(fd, plant.derivatives(0.0, y, 0.5, 0.0)[4], atol=1e-6)
 
 
 def test_neuron_theta_box_and_regressor_scaling():
     plant = neuron_family()
+    assert plant.m == 2 and "m" not in {f.name for f in dataclasses.fields(plant)}
     assert plant.theta_box == ((0.3, 0.7), (1.1, 1.9))
-    _, _, h, hu, _ = plant.values(0.0, -0.2, 0.5, 0.0)
-    assert np.allclose(h, np.asarray(hu) / plant_eps())
+    out = plant.values(0.0, -0.2, 0.5, 0.0)
+    assert len(out) == 4
+    h = out[2]
+    out = plant.derivatives(0.0, -0.2, 0.5, 0.0)
+    assert len(out) == 5
+    assert out[3] == h
+    assert np.allclose(h, np.asarray(out[4]) / plant_eps())
+
+
+def test_neuron_hooks_give_the_same_regressor_bits():
+    # values reads m_inf from NEURON_GATES and derivatives from
+    # NEURON_GATE_SLOPES; both stacks merge the same breaks, so h is the
+    # same from either hook at every break, one ulp beside it and between
+    plant = neuron_family()
+    breaks = NEURON_GATES.breaks
+    assert breaks == NEURON_GATE_SLOPES.breaks
+    ys = [*np.linspace(-1.5, 1.5, 2001).tolist(), *breaks, 0.0, -0.0,
+          *(math.nextafter(b, -math.inf) for b in breaks),
+          *(math.nextafter(b, math.inf) for b in breaks)]
+    for y in ys:
+        h = plant.values(0.0, y, 0.5, 0.0)[2]
+        assert [v.hex() for v in plant.derivatives(0.0, y, 0.5, 0.0)[3]] == [v.hex() for v in h]
 
 
 def plant_eps() -> float:
     # the plant regressor is the update regressor scaled by 1/eps with eps = 0.02
     return 0.02
+
+
+def _dot(a, b):
+    """a[0] * b[0] + a[1] * b[1] + ..., added left to right: the loop that
+    every inner product of the plant, observer and chua fields once went
+    through, and whose bits the written-out products keep."""
+    acc = a[0] * b[0]
+    for k in range(1, len(a)):
+        acc = acc + a[k] * b[k]
+    return acc
+
+
+def _loop_neuron_hooks():
+    """The neuron hooks as they read when every inner product was a _dot
+    loop: values gave (f0, g, h, hu, H) from the NEURON_GATES lookup and
+    derivatives (df0, dg, dh) from the NEURON_GATE_SLOPES lookup."""
+    inv_eps = 1.0 / plant_eps()
+
+    def values(t, y, z, u):
+        m, tau, z_inf, m_int = NEURON_GATES(y)
+        return (inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u), (z_inf - z) / tau,
+                (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
+                (-(y + 0.4), -(m * (y - 1.0))), (-(0.5 * y**2 + 0.4 * y), -m_int))
+
+    def derivatives(t, y, z, u):
+        m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
+        return ((inv_eps * (-2.0 * z), inv_eps * (-2.0 * (y + 0.7))),
+                ((dz_inf * tau - (z_inf - z) * dtau) / tau**2, -1.0 / tau),
+                (-inv_eps, -inv_eps * (dm * (y - 1.0) + m)))
+
+    return values, derivatives
+
+
+def _loop_fields(th):
+    """Oracle (rhs, jac) pairs, by name, of the fields whose inner products
+    are written out, each computed with _dot loops from the same gate values;
+    th is the plant's parameter vector, and the chua linearized field reads
+    its output y from the input slot."""
+    values, derivatives = _loop_neuron_hooks()
+    A, B, C = CHUA_A.tolist(), CHUA_B.tolist(), CHUA_C.tolist()
+
+    def plant_rhs(t, s, u):
+        f0, g, h, _, _ = values(t, s[0], s[1], u)
+        return (f0 + _dot(h, th), g)
+
+    def plant_jac(t, s, u):
+        df0, dg, dh = derivatives(t, s[0], s[1], u)
+        return ((df0[0] + _dot(dh, th), df0[1]), dg)
+
+    def coupled_rhs(t, s, u):
+        f0, g, h, _, H = values(t, s[0], s[1], u)
+        f0h, gh, hh, _, Hh = values(t, s[2], s[3], u)
+        return (f0 + _dot(h, th), g, f0h + _dot(hh, s[4:]), gh,
+                *[a - b for a, b in zip(H, Hh)])
+
+    def coupled_jac(t, s, u):
+        y, z, yh, zh = s[0], s[1], s[2], s[3]
+        df0, dg, dh = derivatives(t, y, z, u)
+        df0h, dgh, dhh = derivatives(t, yh, zh, u)
+        hy = values(t, y, z, u)[3]
+        _, _, h, hyh, _ = values(t, yh, zh, u)
+        zm = (0.0,) * 2
+        return ((df0[0] + _dot(dh, th), df0[1], 0.0, 0.0, *zm),
+                (*dg, 0.0, 0.0, *zm),
+                (0.0, 0.0, df0h[0] + _dot(dhh, s[4:]), df0h[1], *h),
+                (0.0, 0.0, *dgh, *zm),
+                *((hy[k], 0.0, -hyh[k], 0.0, *zm) for k in range(2)))
+
+    def chua_rhs(t, s, u):
+        w = u - chua_nonlinearity(_dot(C, s))
+        return tuple(_dot(row, s) + b * w for row, b in zip(A, B))
+
+    return {
+        "plant": (plant_rhs, plant_jac),
+        "coupled": (coupled_rhs, coupled_jac),
+        "chua": (chua_rhs, lambda t, s, u: chua_linearization(_dot(C, s))),
+        "chua-linearized": (lambda t, x, y: tuple(_dot(row, x) for row in chua_linearization(y)),
+                            lambda t, x, y: chua_linearization(y)),
+    }
+
+
+@pytest.fixture(scope="module")
+def chua_linearized():
+    """The linearized field that chua_pipeline hands to flow, caught before
+    it is stepped."""
+    import condux.experiments
+
+    class Caught(Exception):
+        pass
+
+    def catch(model, *args):
+        raise Caught(model)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condux.experiments, "flow", catch)
+        with pytest.raises(Caught) as caught:
+            condux.experiments.chua_pipeline(config_from_dict({"experiment": "chua"}).params)
+    return caught.value.args[0]
+
+
+def _hexes(out):
+    """Every float of a vector or of a tuple of rows, as its hex string."""
+    return [v.hex() for row in out for v in (row if isinstance(row, tuple) else (row,))]
+
+
+@st.composite
+def _field_case(draw):
+    """A state of six entries, a parameter pair and an input: random
+    uniforms on [-3, 3] (so the order of a sum shows in its last bits), among
+    which hypothesis puts signed zeros and the neuron gate breaks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(-3.0, 3.0, 9).tolist()
+    for k, special in draw(st.lists(st.tuples(st.integers(0, 8), st.sampled_from(
+            [0.0, -0.0, *NEURON_GATES.breaks])), max_size=4)):
+        v[k] = special
+    return tuple(v[:6]), tuple(v[6:8]), v[8]
+
+
+@given(name=st.sampled_from(["plant", "coupled", "chua", "chua-linearized"]),
+       case=_field_case(), t=st.floats(0.0, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_written_out_fields_match_the_dot_loop_bitwise(chua_linearized, name, case, t):
+    # each field's rhs and jac give the bits of the _dot-loop oracle at
+    # random states, signed zeros and the gate breaks among them
+    s, th, u = case
+    plant = neuron_family()
+    field = {
+        "plant": lambda: plant.model(np.array(th)),
+        "coupled": lambda: coupled_system(plant, np.array(th)),
+        "chua": chua_system,
+        "chua-linearized": lambda: chua_linearized,
+    }[name]()
+    state = s[:field.n]
+    for got, want in zip((field.rhs, field.jac), _loop_fields(th)[name]):
+        assert _hexes(got(t, state, u)) == _hexes(want(t, state, u))

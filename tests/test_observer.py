@@ -26,8 +26,8 @@ def plant():
 class TestBuildObserver:
     def test_antiderivative_mismatch_rejected(self, plant):
         def bad_values(t, y, z, u):
-            f0, g, h, hu, _ = plant.values(t, y, z, u)
-            return f0, g, h, hu, (y, y)  # not an antiderivative of hu
+            f0, g, h, _ = plant.values(t, y, z, u)
+            return f0, g, h, (y, y)  # not an antiderivative of hu
 
         with pytest.raises(AntiderivativeMismatch):
             dataclasses.replace(plant, values=bad_values)
@@ -35,27 +35,35 @@ class TestBuildObserver:
     def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
         for y in (-0.8, -0.4, 0.5):
-            _, _, h, hu, _ = plant.values(0.0, y, 0.5, 0.0)
+            _, _, _, h, hu = plant.derivatives(0.0, y, 0.5, 0.0)
             assert np.allclose(np.asarray(hu), np.asarray(h) * 0.02)
 
     def test_gate_lookups_per_call(self, plant, monkeypatch):
         # each hook reads every gate it needs with one stacked lookup per
-        # state value: one values lookup per block for rhs, one values and
-        # one derivatives lookup per block for jac
+        # state value: one values lookup per block for rhs, one derivatives
+        # lookup per block for jac, which never calls values
+        calls = []
+        counted = dataclasses.replace(
+            plant, values=lambda *a: calls.append("values") or plant.values(*a),
+            derivatives=lambda *a: calls.append("derivatives") or plant.derivatives(*a))
         lookups = []
         call = GateStack.__call__
         monkeypatch.setattr(GateStack, "__call__",
                             lambda self, y: lookups.append(y) or call(self, y))
-        coupled = coupled_system(plant, THETA_STAR)
-        model = plant.model(THETA_STAR)
+        coupled = coupled_system(counted, THETA_STAR)
+        model = counted.model(THETA_STAR)
         s = (-0.3, 0.2, 0.1, 0.4, 0.45, 1.6)
-        for field, state, rhs_bound, jac_bound in ((coupled, s, 2, 4), (model, s[:2], 2, 2)):
+        for field, state, blocks in ((coupled, s, 2), (model, s[:2], 1)):
             lookups.clear()
+            calls.clear()
             field.rhs(0.0, state, 0.5)
-            assert len(lookups) <= rhs_bound
+            assert len(lookups) <= 2
+            assert calls == ["values"] * blocks
             lookups.clear()
+            calls.clear()
             field.jac(0.0, state, 0.5)
-            assert len(lookups) <= jac_bound
+            assert len(lookups) <= 2
+            assert calls == ["derivatives"] * blocks
 
 
 class TestEmbedding:
@@ -84,8 +92,8 @@ class TestEmbedding:
         # perturbs the update at the last-bit level, so we bound the drift
         # instead (measured 3.7e-14 over three input periods).
         def shifted_values(t, y, z, u):
-            f0, g, h, hu, H = plant.values(t, y, z, u)
-            return f0, g, h, hu, tuple(a + 7.5 for a in H)
+            f0, g, h, H = plant.values(t, y, z, u)
+            return f0, g, h, tuple(a + 7.5 for a in H)
 
         shifted = dataclasses.replace(plant, values=shifted_values)
         kw = dict(horizon=PULSE.period, tolerance=0.0316,
@@ -142,11 +150,18 @@ class TestContractionCheck:
 
     def test_zero_update_leaves_parameter_block_identity(self, plant,
                                                          observer_run):
+        # the whole update is zero: H in the values hook that rhs reads, and
+        # hu in the derivatives hook that jac reads
         def frozen_values(t, y, z, u):
-            f0, g, h, _, _ = plant.values(t, y, z, u)
-            return f0, g, h, (0.0, 0.0), (0.0, 0.0)
+            f0, g, h, _ = plant.values(t, y, z, u)
+            return f0, g, h, (0.0, 0.0)
 
-        frozen = dataclasses.replace(plant, values=frozen_values)
+        def frozen_derivatives(t, y, z, u):
+            df0, dg, dh, h, _ = plant.derivatives(t, y, z, u)
+            return df0, dg, dh, h, (0.0, 0.0)
+
+        frozen = dataclasses.replace(plant, values=frozen_values,
+                                     derivatives=frozen_derivatives)
         ref = observer_run[0]["reference"]
         check = observer_contraction_check(frozen, THETA_STAR, ref, PULSE)
         phi = check.monodromy.phi
