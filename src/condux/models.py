@@ -38,6 +38,7 @@ __all__ = [
     "NEURON_Z_INF",
     "NEURON_M_INT",
     "NEURON_GATES",
+    "NEURON_UPDATE_GATES",
     "NEURON_GATE_SLOPES",
     "finite_difference_jacobian",
 ]
@@ -378,10 +379,12 @@ NEURON_Z_INF_PRIME = NEURON_Z_INF.derivative()
 # Antiderivative of m_inf(y) * (y - 1), the piece of the update antiderivative
 # that cannot be written with a single polynomial.
 NEURON_M_INT = NEURON_M_INF.multiply_poly((1.0, -1.0)).antiderivative()
-# The gates each hook of the neuron plant reads, one lookup per state value.
-# Both stacks merge the same breaks: the y-levels where the plant's Jacobian
-# jumps.
-NEURON_GATES = GateStack(NEURON_M_INF, NEURON_TAU, NEURON_Z_INF, NEURON_M_INT)
+# The gates each hook of the neuron plant reads, one lookup per call: values
+# reads NEURON_GATES, update NEURON_UPDATE_GATES and derivatives
+# NEURON_GATE_SLOPES. The first and last merge the same breaks: the y-levels
+# where the plant's Jacobian jumps.
+NEURON_GATES = GateStack(NEURON_M_INF, NEURON_TAU, NEURON_Z_INF)
+NEURON_UPDATE_GATES = GateStack(NEURON_M_INT)
 NEURON_GATE_SLOPES = GateStack(NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU,
                                NEURON_TAU_PRIME, NEURON_Z_INF, NEURON_Z_INF_PRIME)
 
@@ -391,16 +394,18 @@ class ParameterizedPlant:
     """Planar relative-degree-one plant whose output equation is linear in
     m = 2 unknown parameters.
 
-    yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y). Two hooks give the
-    plant at one (t, y, z, u), all floats, each returning what its reader
-    needs. values returns (f0, g, h, H), what an rhs reads: the two drifts,
-    the plant regressor h and the update antiderivative H. derivatives
-    returns (df0, dg, dh, h, hu), what a jac reads: the rows (df0/dy, df0/dz)
-    and (dg/dy, dg/dz), dh/dy, h again (the Jacobian's theta column) and the
-    update regressor hu = dH/dy. h, hu and H depend on y alone, so a caller
-    that needs no f0 passes u = 0. model(theta) is the plant for fixed
-    parameters, one hook call per rhs or jac, with h(y) . theta written out
-    left to right, as the observer writes it.
+    yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y). Three hooks give
+    the plant at one point, all floats, each returning as a flat tuple only
+    what its reader uses. values(t, y, z, u, th0, th1) returns (yd, zd) at
+    theta = (th0, th1), with h(y) . theta written out left to right and
+    added to f0 last: what an rhs reads. update(y) returns the update
+    antiderivative (H0, H1), which only the observer's parameter rows read.
+    derivatives(t, y, z, u, th0, th1) returns (dyd/dy, dyd/dz, dzd/dy,
+    dzd/dz, h0, h1, hu0, hu1), what a jac reads: the plant Jacobian at
+    theta, the regressor h (the Jacobian's theta column) and the update
+    regressor hu = dH/dy. h, hu and H depend on y alone. model(theta) is the
+    plant for fixed parameters: its rhs returns the values tuple as it is,
+    and its jac makes one derivatives call.
 
     Construction raises AntiderivativeMismatch when the centered difference
     of H (step 1e-7) misses hu by more than 1e-6 at any of 401 points
@@ -410,20 +415,21 @@ class ParameterizedPlant:
     n: ClassVar[int] = 2
     m: ClassVar[int] = 2
     name: str
-    values: Callable[[float, float, float, float], tuple[float, float, Vector, Vector]]
-    derivatives: Callable[[float, float, float, float],
-                          tuple[Vector, Vector, Vector, Vector, Vector]]
+    values: Callable[[float, float, float, float, float, float], tuple[float, float]]
+    update: Callable[[float], tuple[float, float]]
+    derivatives: Callable[[float, float, float, float, float, float], Vector]
     theta_box: tuple[tuple[float, float], ...]
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        H = lambda y: np.asarray(self.values(0.0, y, 0.0, 0.0)[3])
+        H = lambda y: np.asarray(self.update(y))
         lo, hi = self.sample_box[0]
         worst = 0.0
         for y in np.linspace(lo, hi, 401):
             fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
-            worst = max(worst, float(np.max(np.abs(fd - self.derivatives(0.0, y, 0.0, 0.0)[4]))))
+            hu = self.derivatives(0.0, y, 0.0, 0.0, 0.0, 0.0)[6:]
+            worst = max(worst, float(np.max(np.abs(fd - hu))))
         if worst > 1e-6:
             raise AntiderivativeMismatch(
                 f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
@@ -437,12 +443,11 @@ class ParameterizedPlant:
         values, derivatives = self.values, self.derivatives
 
         def rhs(t, s, u):
-            f0, g, (h0, h1), _ = values(t, s[0], s[1], u)
-            return (f0 + (h0 * th0 + h1 * th1), g)
+            return values(t, s[0], s[1], u, th0, th1)
 
         def jac(t, s, u):
-            df0, dg, (dh0, dh1), _, _ = derivatives(t, s[0], s[1], u)
-            return ((df0[0] + (dh0 * th0 + dh1 * th1), df0[1]), dg)
+            dyy, dyz, dzy, dzz, _, _, _, _ = derivatives(t, s[0], s[1], u, th0, th1)
+            return ((dyy, dyz), (dzy, dzz))
 
         return PlainModel(
             name=f"{self.name}-theta",
@@ -458,34 +463,44 @@ def neuron_family() -> ParameterizedPlant:
     """Bursting-neuron plant with two unknown conductance parameters.
 
     0.02 yd = -2 z (y + 0.7) + 0.15 + u - (y + 0.4, m_inf(y)(y - 1)) . theta
-    tau(y) zd = -z + z_inf(y), with saturated-polynomial gates. values reads
-    NEURON_GATES and derivatives NEURON_GATE_SLOPES, one lookup per call;
-    both stacks give m_inf the same bits, so h is the same from either hook.
+    tau(y) zd = -z + z_inf(y), with saturated-polynomial gates. Each hook
+    reads its gates with one call of its own compiled stack: values
+    NEURON_GATES, update NEURON_UPDATE_GATES and derivatives
+    NEURON_GATE_SLOPES; the first and last give m_inf the same bits, so h is
+    the same whichever hook reads it.
     """
     inv_eps = 1.0 / _NEURON_EPS
 
-    def values(t, y, z, u):
-        m, tau, z_inf, m_int = NEURON_GATES(y)
+    def values(t, y, z, u, th0, th1):
+        m, tau, z_inf = NEURON_GATES(y)
         return (
-            inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u),
+            inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u)
+            + (-inv_eps * (y + 0.4) * th0 + -inv_eps * (m * (y - 1.0)) * th1),
             (z_inf - z) / tau,
-            (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
-            (-(0.5 * y**2 + 0.4 * y), -m_int),
         )
 
-    def derivatives(t, y, z, u):
+    def update(y):
+        m_int, = NEURON_UPDATE_GATES(y)
+        return -(0.5 * y**2 + 0.4 * y), -m_int
+
+    def derivatives(t, y, z, u, th0, th1):
         m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
+        mq = m * (y - 1.0)
         return (
-            (inv_eps * (-2.0 * z), inv_eps * (-2.0 * (y + 0.7))),
-            ((dz_inf * tau - (z_inf - z) * dtau) / tau**2, -1.0 / tau),
-            (-inv_eps, -inv_eps * (dm * (y - 1.0) + m)),
-            (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
-            (-(y + 0.4), -(m * (y - 1.0))),
+            inv_eps * (-2.0 * z) + (-inv_eps * th0 + -inv_eps * (dm * (y - 1.0) + m) * th1),
+            inv_eps * (-2.0 * (y + 0.7)),
+            (dz_inf * tau - (z_inf - z) * dtau) / tau**2,
+            -1.0 / tau,
+            -inv_eps * (y + 0.4),
+            -inv_eps * mq,
+            -(y + 0.4),
+            -mq,
         )
 
     return ParameterizedPlant(
         name="neuron",
         values=values,
+        update=update,
         derivatives=derivatives,
         theta_box=((0.3, 0.7), (1.1, 1.9)),
         stiffness=_NEURON_EPS,

@@ -24,6 +24,7 @@ from .variational import MonodromyResult, StabilityVerdict, floquet
 
 __all__ = [
     "coupled_system",
+    "error_system",
     "ObserverRun",
     "run_observer",
     "ObserverContractionResult",
@@ -35,32 +36,33 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     """Plant and observer stacked as one vector field.
 
     State layout: (y, z, yh, zh, thetah1, thetah2). Both blocks read the
-    plant's hooks in the same arithmetic as plant.model (h(y) . theta
-    written out left to right), so matched initial data with
-    thetah = theta_star gives a bitwise-identical observer block (the update
-    difference is exactly zero and stays zero). rhs reads the values hook
-    once per block, and jac reads the derivatives hook once per block.
+    plant's values hook, the plant block at theta_star and the observer block
+    at thetah, so matched initial data with thetah = theta_star gives a
+    bitwise-identical observer block (the update difference is exactly zero
+    and stays zero). rhs makes one values and one update call per block, and
+    jac one derivatives call per block.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (plant.m,):
         raise ConfigError(f"theta_star must have shape ({plant.m},)")
     th0, th1 = theta_star.tolist()
-    values, derivatives = plant.values, plant.derivatives
+    values, update, derivatives = plant.values, plant.update, plant.derivatives
 
     def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        f0, g, (h0, h1), (H0, H1) = values(t, s[0], s[1], u)
-        f0h, gh, (hh0, hh1), (Hh0, Hh1) = values(t, s[2], s[3], u)
-        return (f0 + (h0 * th0 + h1 * th1), g, f0h + (hh0 * s[4] + hh1 * s[5]), gh,
-                H0 - Hh0, H1 - Hh1)
+        yd, zd = values(t, s[0], s[1], u, th0, th1)
+        ydh, zdh = values(t, s[2], s[3], u, s[4], s[5])
+        H0, H1 = update(s[0])
+        Hh0, Hh1 = update(s[2])
+        return (yd, zd, ydh, zdh, H0 - Hh0, H1 - Hh1)
 
     def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
-        df0, dg, (dh0, dh1), _, (hu0, hu1) = derivatives(t, s[0], s[1], u)
-        df0h, dgh, (dhh0, dhh1), hh, (huh0, huh1) = derivatives(t, s[2], s[3], u)
+        dyy, dyz, dzy, dzz, _, _, hu0, hu1 = derivatives(t, s[0], s[1], u, th0, th1)
+        dyyh, dyzh, dzyh, dzzh, hh0, hh1, huh0, huh1 = derivatives(t, s[2], s[3], u, s[4], s[5])
         return (
-            (df0[0] + (dh0 * th0 + dh1 * th1), df0[1], 0.0, 0.0, 0.0, 0.0),
-            (*dg, 0.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, df0h[0] + (dhh0 * s[4] + dhh1 * s[5]), df0h[1], *hh),
-            (0.0, 0.0, *dgh, 0.0, 0.0),
+            (dyy, dyz, 0.0, 0.0, 0.0, 0.0),
+            (dzy, dzz, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, dyyh, dyzh, hh0, hh1),
+            (0.0, 0.0, dzyh, dzzh, 0.0, 0.0),
             (hu0, 0.0, -huh0, 0.0, 0.0, 0.0),
             (hu1, 0.0, -huh1, 0.0, 0.0, 0.0),
         )
@@ -68,6 +70,40 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     return PlainModel(
         name=f"{plant.name}-observer",
         n=2 * plant.n + plant.m,
+        rhs=rhs,
+        jac=jac,
+        stiffness=plant.stiffness,
+    )
+
+
+def error_system(plant: ParameterizedPlant) -> PlainModel:
+    """The observer block of coupled_system on its embedding, where the
+    plant state equals (yh, zh), as a field of its own.
+
+    State layout: (yh, zh, thetah1, thetah2). rhs returns the update
+    H(y) - H(yh) as the exact 0.0 it is there, and jac is the coupled
+    Jacobian's lower-right block: the linearization of the observer error,
+    whose update rows -hu(yh) are not the derivative of this rhs. rhs makes
+    one values call and jac one derivatives call.
+    """
+    values, derivatives = plant.values, plant.derivatives
+
+    def rhs(t: float, s, u: float) -> tuple[float, ...]:
+        yd, zd = values(t, s[0], s[1], u, s[2], s[3])
+        return (yd, zd, 0.0, 0.0)
+
+    def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
+        dyy, dyz, dzy, dzz, h0, h1, hu0, hu1 = derivatives(t, s[0], s[1], u, s[2], s[3])
+        return (
+            (dyy, dyz, h0, h1),
+            (dzy, dzz, 0.0, 0.0),
+            (-hu0, 0.0, 0.0, 0.0),
+            (-hu1, 0.0, 0.0, 0.0),
+        )
+
+    return PlainModel(
+        name=f"{plant.name}-observer-error",
+        n=plant.n + plant.m,
         rhs=rhs,
         jac=jac,
         stiffness=plant.stiffness,
@@ -154,12 +190,14 @@ def observer_contraction_check(
     couples the parameter block to the output through the plant regressor
     (downward) and the update regressor (upward); its monodromy having
     spectral radius below one certifies local parameter convergence. It is
-    read off the coupled system's transition matrix from the embedded state
-    (x, x, theta_star) at the reference's first sample: there the coupled
-    Jacobian is block lower-triangular, and its lower-right (n + m) block is
-    exactly the error linearization, so the lower-right block of Phi is the
-    error monodromy; floquet raises PeriodMismatch when the reference does
-    not close up over one period. The cross-weighted quadratic form
+    the monodromy of error_system from (x, theta_star), x the reference's
+    first sample: along the embedding (x, x, theta_star) the coupled
+    Jacobian is block lower-triangular with error_system's Jacobian as its
+    lower-right (n + m) block, so this is the lower-right block of the
+    coupled system's Phi, bit for bit (the coupled Phi[:n, n:] stays +-0,
+    so the terms the smaller field drops from each sum are zeros). floquet
+    raises PeriodMismatch when the reference does not close up over one
+    period. The cross-weighted quadratic form
     W(d) = |d|^2/2 - eps * dtheta . h(y**) dy is evaluated over one period as
     a second, coordinate-level diagnostic.
     """
@@ -168,14 +206,13 @@ def observer_contraction_check(
     t0 = ref.t0
     period = ref.t1 - ref.t0
     x0 = ref.states[0]
-    _, joint = floquet(coupled_system(plant, theta_star), u_signal,
-                       np.concatenate([x0, x0, theta_star]), t0, period, step)
-    phi = joint.phi[n:, n:]
-    mono = MonodromyResult.from_phi(t0, period, phi)
+    _, mono = floquet(error_system(plant), u_signal, np.concatenate([x0, theta_star]),
+                      t0, period, step)
+    phi = mono.phi
     rho = mono.spectral_radius
     verdict = StabilityVerdict(stable=rho < 1.0, margin=1.0 - rho)
 
-    h0 = np.asarray(plant.values(t0, float(x0[0]), float(x0[1]), 0.0)[2])
+    h0 = np.asarray(plant.derivatives(t0, float(x0[0]), float(x0[1]), 0.0, 0.0, 0.0)[4:6])
     Q = np.eye(n + m)
     Q[0, n:] = -eps_coupling * h0
     Q[n:, 0] = -eps_coupling * h0

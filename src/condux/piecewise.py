@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,39 +70,44 @@ class PiecewisePoly:
         return PiecewisePoly(self.breaks, tuple(out))
 
 
-class GateStack:
-    """Several PiecewisePoly read at one y with one lookup.
+def GateStack(*gates: PiecewisePoly) -> Callable[[float], tuple[float, ...]]:
+    """Several PiecewisePoly read at one y with one lookup, compiled into one
+    function.
 
-    breaks merges the breaks of every gate, and piece j is the merged
-    interval (breaks[j-1], breaks[j]]. Every gate break is a merged break,
-    so bisect_left on the merged list picks each gate's own piece (the left
-    one at a break). At construction each piece is compiled into one
-    function that returns the tuple of its gates' Horner chains,
-    ((0.0 * y + c0) * y + c1) * y + ..., with the coefficients bound as
-    names in the compiled scope: the loop acc = acc * y + c from acc = 0.0
-    written out, so slot k of a call gives the bits of gate k at every y,
-    signed zeros included.
+    Returns lookup(y), the tuple of the gates' values at y, with
+    lookup.breaks the ascending merged breaks of every gate. lookup is an
+    if-chain over the merged breaks, `if y <= b0: return (...)` and so on,
+    the last piece unconditional: y <= b_j picks the piece bisect_left on
+    the merged breaks picks, the left one at a break and the last one at
+    +inf, and every gate break is a merged break, so each gate reads its own
+    piece. A NaN y falls through to the last piece and gives NaN in every
+    slot. Each slot is its gate's Horner chain written out,
+    ((0.0 * y + c0) * y + c1) * y + ..., with the coefficients bound as names
+    in the compiled scope: the loop acc = acc * y + c from acc = 0.0, so slot
+    k gives the bits of gate k at every y, signed zeros included.
     """
-
-    def __init__(self, *gates: PiecewisePoly) -> None:
-        self.breaks = tuple(sorted({float(b) for g in gates for b in g.breaks}))
-        scope: dict = {}
-        defs = []
-        for j, b in enumerate((*self.breaks, math.inf)):
-            chains = []
-            for k, g in enumerate(gates):
-                chain = "0.0"
-                for i, c in enumerate(g.coeffs[bisect_left(g.breaks, b)]):
-                    name = f"c{j}_{k}_{i}"
-                    scope[name] = c
-                    chain = f"({chain}) * y + {name}"
-                chains.append(chain + ",")
-            defs.append(f"def piece{j}(y):\n    return ({' '.join(chains)})\n")
-        exec(compile("".join(defs), "<gate stack>", "exec"), scope)
-        self._fns = tuple(scope[f"piece{j}"] for j in range(len(self.breaks) + 1))
-
-    def __call__(self, y: float) -> tuple[float, ...]:
-        return self._fns[bisect_left(self.breaks, y)](y)
+    breaks = tuple(sorted({float(b) for g in gates for b in g.breaks}))
+    scope: dict = {}
+    lines = ["def lookup(y):"]
+    for j, b in enumerate((*breaks, math.inf)):
+        chains = []
+        for k, g in enumerate(gates):
+            chain = "0.0"
+            for i, c in enumerate(g.coeffs[bisect_left(g.breaks, b)]):
+                name = f"c{j}_{k}_{i}"
+                scope[name] = c
+                chain = f"({chain}) * y + {name}"
+            chains.append(chain + ",")
+        ret = f"return ({' '.join(chains)})"
+        if j < len(breaks):
+            scope[f"b{j}"] = b
+            lines.append(f"    if y <= b{j}:\n        {ret}")
+        else:
+            lines.append(f"    {ret}")
+    exec(compile("\n".join(lines) + "\n", "<gate stack>", "exec"), scope)
+    lookup = scope["lookup"]
+    lookup.breaks = breaks
+    return lookup
 
 
 def _real_roots(coeffs: np.ndarray) -> list[float]:

@@ -29,11 +29,18 @@ from condux.models import (
     kapitza,
     NEURON_GATE_SLOPES,
     NEURON_GATES,
+    NEURON_M_INF,
+    NEURON_M_INF_PRIME,
+    NEURON_M_INT,
+    NEURON_TAU,
+    NEURON_TAU_PRIME,
+    NEURON_Z_INF,
+    NEURON_Z_INF_PRIME,
     leaky_integrator,
     lorenz,
     neuron_family,
 )
-from condux.observer import coupled_system
+from condux.observer import coupled_system, error_system
 from condux.piecewise import GateStack, PiecewisePoly, sat_poly
 from conftest import planar_limit_cycle
 
@@ -190,7 +197,8 @@ def test_neuron_plant_values():
 
 # each stacked gate table and the gates it stacks, slot by slot
 STACKS = {
-    "NEURON_GATES": ("NEURON_M_INF", "NEURON_TAU", "NEURON_Z_INF", "NEURON_M_INT"),
+    "NEURON_GATES": ("NEURON_M_INF", "NEURON_TAU", "NEURON_Z_INF"),
+    "NEURON_UPDATE_GATES": ("NEURON_M_INT",),
     "NEURON_GATE_SLOPES": ("NEURON_M_INF", "NEURON_M_INF_PRIME", "NEURON_TAU",
                            "NEURON_TAU_PRIME", "NEURON_Z_INF", "NEURON_Z_INF_PRIME"),
 }
@@ -258,10 +266,12 @@ def test_gate_stack_matches_the_horner_loop_bitwise(name, ys):
 
 def test_gate_stack_keeps_the_loop_signed_zero():
     # the Horner chain starts from 0.0 * y like the loop, so a -0.0
-    # coefficient reads +0.0 at finite y and a non-finite y gives nan
+    # coefficient reads +0.0 at finite y and a non-finite y gives nan; a NaN
+    # y fails every y <= b test and gives nan in every slot
     flat = PiecewisePoly((), ((-0.0,),))
     assert GateStack(flat)(2.0)[0].hex() == _loop_horner([flat], 2.0)[0].hex() == "0x0.0p+0"
     assert math.isnan(GateStack(flat)(math.inf)[0])
+    assert all(math.isnan(v) for v in NEURON_GATE_SLOPES(math.nan))
 
 
 def test_plain_model_stores_its_callables():
@@ -308,41 +318,38 @@ def test_sat_poly_equals_clamped_polynomial(coeffs, lead, lo, gap, ys):
 
 
 def test_neuron_update_antiderivative_consistency():
-    # H comes from the values hook, its derivative hu from the derivatives hook
+    # H comes from the update hook, its derivative hu from the derivatives hook
     plant = neuron_family()
-    H = lambda y: np.asarray(plant.values(0.0, y, 0.5, 0.0)[3])
+    H = lambda y: np.asarray(plant.update(y))
     h = 1e-7
     for y in (-0.9, -0.6, -0.3, 0.2, 0.8):
         fd = (H(y + h) - H(y - h)) / (2 * h)
-        assert np.allclose(fd, plant.derivatives(0.0, y, 0.5, 0.0)[4], atol=1e-6)
+        assert np.allclose(fd, plant.derivatives(0.0, y, 0.5, 0.0, 0.5, 1.5)[6:], atol=1e-6)
 
 
 def test_neuron_theta_box_and_regressor_scaling():
     plant = neuron_family()
     assert plant.m == 2 and "m" not in {f.name for f in dataclasses.fields(plant)}
     assert plant.theta_box == ((0.3, 0.7), (1.1, 1.9))
-    out = plant.values(0.0, -0.2, 0.5, 0.0)
-    assert len(out) == 4
-    h = out[2]
-    out = plant.derivatives(0.0, -0.2, 0.5, 0.0)
-    assert len(out) == 5
-    assert out[3] == h
-    assert np.allclose(h, np.asarray(out[4]) / plant_eps())
+    assert len(plant.values(0.0, -0.2, 0.5, 0.0, 0.5, 1.5)) == 2
+    assert len(plant.update(-0.2)) == 2
+    out = plant.derivatives(0.0, -0.2, 0.5, 0.0, 0.5, 1.5)
+    assert len(out) == 8
+    assert np.allclose(out[4:6], np.asarray(out[6:]) / plant_eps())
 
 
 def test_neuron_hooks_give_the_same_regressor_bits():
     # values reads m_inf from NEURON_GATES and derivatives from
-    # NEURON_GATE_SLOPES; both stacks merge the same breaks, so h is the
-    # same from either hook at every break, one ulp beside it and between
-    plant = neuron_family()
+    # NEURON_GATE_SLOPES; both stacks merge the same breaks, so m_inf, and
+    # with it h, is the same from either stack at every break, one ulp
+    # beside it and between
     breaks = NEURON_GATES.breaks
     assert breaks == NEURON_GATE_SLOPES.breaks
     ys = [*np.linspace(-1.5, 1.5, 2001).tolist(), *breaks, 0.0, -0.0,
           *(math.nextafter(b, -math.inf) for b in breaks),
           *(math.nextafter(b, math.inf) for b in breaks)]
     for y in ys:
-        h = plant.values(0.0, y, 0.5, 0.0)[2]
-        assert [v.hex() for v in plant.derivatives(0.0, y, 0.5, 0.0)[3]] == [v.hex() for v in h]
+        assert NEURON_GATE_SLOPES(y)[0].hex() == NEURON_GATES(y)[0].hex()
 
 
 def plant_eps() -> float:
@@ -362,18 +369,21 @@ def _dot(a, b):
 
 def _loop_neuron_hooks():
     """The neuron hooks as they read when every inner product was a _dot
-    loop: values gave (f0, g, h, hu, H) from the NEURON_GATES lookup and
-    derivatives (df0, dg, dh) from the NEURON_GATE_SLOPES lookup."""
+    loop: values gave (f0, g, h, hu, H) and derivatives (df0, dg, dh), each
+    reading its gates by the Horner loop."""
     inv_eps = 1.0 / plant_eps()
 
     def values(t, y, z, u):
-        m, tau, z_inf, m_int = NEURON_GATES(y)
+        m, tau, z_inf, m_int = _loop_horner(
+            [NEURON_M_INF, NEURON_TAU, NEURON_Z_INF, NEURON_M_INT], y)
         return (inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u), (z_inf - z) / tau,
                 (-inv_eps * (y + 0.4), -inv_eps * (m * (y - 1.0))),
                 (-(y + 0.4), -(m * (y - 1.0))), (-(0.5 * y**2 + 0.4 * y), -m_int))
 
     def derivatives(t, y, z, u):
-        m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
+        m, dm, tau, dtau, z_inf, dz_inf = _loop_horner(
+            [NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU, NEURON_TAU_PRIME,
+             NEURON_Z_INF, NEURON_Z_INF_PRIME], y)
         return ((inv_eps * (-2.0 * z), inv_eps * (-2.0 * (y + 0.7))),
                 ((dz_inf * tau - (z_inf - z) * dtau) / tau**2, -1.0 / tau),
                 (-inv_eps, -inv_eps * (dm * (y - 1.0) + m)))
@@ -383,8 +393,9 @@ def _loop_neuron_hooks():
 
 def _loop_fields(th):
     """Oracle (rhs, jac) pairs, by name, of the fields whose inner products
-    are written out, each computed with _dot loops from the same gate values;
-    th is the plant's parameter vector, and the chua linearized field reads
+    are written out, each computed with _dot loops from gate values read by
+    the Horner loop; th is the plant's parameter vector, the error field
+    reads its parameters from the state, and the chua linearized field reads
     its output y from the input slot."""
     values, derivatives = _loop_neuron_hooks()
     A, B, C = CHUA_A.tolist(), CHUA_B.tolist(), CHUA_C.tolist()
@@ -416,6 +427,17 @@ def _loop_fields(th):
                 (0.0, 0.0, *dgh, *zm),
                 *((hy[k], 0.0, -hyh[k], 0.0, *zm) for k in range(2)))
 
+    def error_rhs(t, s, u):
+        f0, g, h, _, _ = values(t, s[0], s[1], u)
+        return (f0 + _dot(h, s[2:]), g, 0.0, 0.0)
+
+    def error_jac(t, s, u):
+        df0, dg, dh = derivatives(t, s[0], s[1], u)
+        _, _, h, hu, _ = values(t, s[0], s[1], u)
+        return ((df0[0] + _dot(dh, s[2:]), df0[1], *h),
+                (*dg, 0.0, 0.0),
+                *((-hu[k], 0.0, 0.0, 0.0) for k in range(2)))
+
     def chua_rhs(t, s, u):
         w = u - chua_nonlinearity(_dot(C, s))
         return tuple(_dot(row, s) + b * w for row, b in zip(A, B))
@@ -423,6 +445,7 @@ def _loop_fields(th):
     return {
         "plant": (plant_rhs, plant_jac),
         "coupled": (coupled_rhs, coupled_jac),
+        "error": (error_rhs, error_jac),
         "chua": (chua_rhs, lambda t, s, u: chua_linearization(_dot(C, s))),
         "chua-linearized": (lambda t, x, y: tuple(_dot(row, x) for row in chua_linearization(y)),
                             lambda t, x, y: chua_linearization(y)),
@@ -466,7 +489,7 @@ def _field_case(draw):
     return tuple(v[:6]), tuple(v[6:8]), v[8]
 
 
-@given(name=st.sampled_from(["plant", "coupled", "chua", "chua-linearized"]),
+@given(name=st.sampled_from(["plant", "coupled", "error", "chua", "chua-linearized"]),
        case=_field_case(), t=st.floats(0.0, 10.0))
 @settings(max_examples=300, deadline=None)
 def test_written_out_fields_match_the_dot_loop_bitwise(chua_linearized, name, case, t):
@@ -477,6 +500,7 @@ def test_written_out_fields_match_the_dot_loop_bitwise(chua_linearized, name, ca
     field = {
         "plant": lambda: plant.model(np.array(th)),
         "coupled": lambda: coupled_system(plant, np.array(th)),
+        "error": lambda: error_system(plant),
         "chua": chua_system,
         "chua-linearized": lambda: chua_linearized,
     }[name]()

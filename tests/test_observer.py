@@ -3,16 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import condux.models
 from condux.errors import AntiderivativeMismatch, ConfigError, PeriodMismatch
 from condux.integrate import Trajectory
 from condux.models import neuron_family
 from condux.observer import (
     coupled_system,
+    error_system,
     observer_contraction_check,
     run_observer,
 )
-from condux.piecewise import GateStack
 from condux.signals import SquarePulseTrain, Zero
+from condux.variational import floquet
 
 THETA_STAR = np.array([0.5, 1.5])
 PULSE = SquarePulseTrain(magnitude=-3.0, duration=0.002, period=2.8)
@@ -25,45 +27,53 @@ def plant():
 
 class TestBuildObserver:
     def test_antiderivative_mismatch_rejected(self, plant):
-        def bad_values(t, y, z, u):
-            f0, g, h, _ = plant.values(t, y, z, u)
-            return f0, g, h, (y, y)  # not an antiderivative of hu
-
         with pytest.raises(AntiderivativeMismatch):
-            dataclasses.replace(plant, values=bad_values)
+            # not an antiderivative of hu
+            dataclasses.replace(plant, update=lambda y: (y, y))
 
     def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
         for y in (-0.8, -0.4, 0.5):
-            _, _, _, h, hu = plant.derivatives(0.0, y, 0.5, 0.0)
-            assert np.allclose(np.asarray(hu), np.asarray(h) * 0.02)
+            _, _, _, _, h0, h1, hu0, hu1 = plant.derivatives(0.0, y, 0.5, 0.0, 0.5, 1.5)
+            assert np.allclose([hu0, hu1], np.array([h0, h1]) * 0.02)
 
     def test_gate_lookups_per_call(self, plant, monkeypatch):
-        # each hook reads every gate it needs with one stacked lookup per
-        # state value: one values lookup per block for rhs, one derivatives
-        # lookup per block for jac, which never calls values
-        calls = []
-        counted = dataclasses.replace(
-            plant, values=lambda *a: calls.append("values") or plant.values(*a),
-            derivatives=lambda *a: calls.append("derivatives") or plant.derivatives(*a))
+        # every hook call reads its gates with exactly one call of its own
+        # compiled stack, and the fields make no lookup outside a hook: the
+        # plant and error fields make one hook call per rhs or jac, the
+        # coupled rhs one values and one update call per block and the
+        # coupled jac one derivatives call per block
+        own = {"values": "NEURON_GATES", "update": "NEURON_UPDATE_GATES",
+               "derivatives": "NEURON_GATE_SLOPES"}
         lookups = []
-        call = GateStack.__call__
-        monkeypatch.setattr(GateStack, "__call__",
-                            lambda self, y: lookups.append(y) or call(self, y))
-        coupled = coupled_system(counted, THETA_STAR)
-        model = counted.model(THETA_STAR)
+        for name in own.values():
+            stack = getattr(condux.models, name)
+            monkeypatch.setattr(condux.models, name,
+                                lambda y, name=name, stack=stack:
+                                lookups.append(name) or stack(y))
+        calls = []
+
+        def counted(hook):
+            def call(*args):
+                before = len(lookups)
+                out = getattr(plant, hook)(*args)
+                calls.append((hook, lookups[before:]))
+                return out
+            return call
+
+        counted_plant = dataclasses.replace(plant, **{hook: counted(hook) for hook in own})
         s = (-0.3, 0.2, 0.1, 0.4, 0.45, 1.6)
-        for field, state, blocks in ((coupled, s, 2), (model, s[:2], 1)):
-            lookups.clear()
-            calls.clear()
-            field.rhs(0.0, state, 0.5)
-            assert len(lookups) <= 2
-            assert calls == ["values"] * blocks
-            lookups.clear()
-            calls.clear()
-            field.jac(0.0, state, 0.5)
-            assert len(lookups) <= 2
-            assert calls == ["derivatives"] * blocks
+        for field, state, rhs_hooks, jac_hooks in (
+                (coupled_system(counted_plant, THETA_STAR), s,
+                 ["values", "values", "update", "update"], ["derivatives"] * 2),
+                (counted_plant.model(THETA_STAR), s[:2], ["values"], ["derivatives"]),
+                (error_system(counted_plant), s[2:], ["values"], ["derivatives"])):
+            for fn, hooks in ((field.rhs, rhs_hooks), (field.jac, jac_hooks)):
+                lookups.clear()
+                calls.clear()
+                fn(0.0, state, 0.5)
+                assert calls == [(hook, [own[hook]]) for hook in hooks]
+                assert len(lookups) == len(hooks)
 
 
 class TestEmbedding:
@@ -91,11 +101,8 @@ class TestEmbedding:
         # hook rounds H(y) + 7.5 before the difference is taken, which
         # perturbs the update at the last-bit level, so we bound the drift
         # instead (measured 3.7e-14 over three input periods).
-        def shifted_values(t, y, z, u):
-            f0, g, h, H = plant.values(t, y, z, u)
-            return f0, g, h, tuple(a + 7.5 for a in H)
-
-        shifted = dataclasses.replace(plant, values=shifted_values)
+        shifted = dataclasses.replace(
+            plant, update=lambda y: tuple(a + 7.5 for a in plant.update(y)))
         kw = dict(horizon=PULSE.period, tolerance=0.0316,
                   plant_ic=np.array([-0.7, 0.0]), step=1e-3)
         m1 = run_observer(plant, THETA_STAR, PULSE,
@@ -150,17 +157,12 @@ class TestContractionCheck:
 
     def test_zero_update_leaves_parameter_block_identity(self, plant,
                                                          observer_run):
-        # the whole update is zero: H in the values hook that rhs reads, and
-        # hu in the derivatives hook that jac reads
-        def frozen_values(t, y, z, u):
-            f0, g, h, _ = plant.values(t, y, z, u)
-            return f0, g, h, (0.0, 0.0)
+        # the whole update is zero: H in the update hook, and hu in the
+        # derivatives hook that jac reads
+        def frozen_derivatives(t, y, z, u, th0, th1):
+            return (*plant.derivatives(t, y, z, u, th0, th1)[:6], 0.0, 0.0)
 
-        def frozen_derivatives(t, y, z, u):
-            df0, dg, dh, h, _ = plant.derivatives(t, y, z, u)
-            return df0, dg, dh, h, (0.0, 0.0)
-
-        frozen = dataclasses.replace(plant, values=frozen_values,
+        frozen = dataclasses.replace(plant, update=lambda y: (0.0, 0.0),
                                      derivatives=frozen_derivatives)
         ref = observer_run[0]["reference"]
         check = observer_contraction_check(frozen, THETA_STAR, ref, PULSE)
@@ -168,6 +170,20 @@ class TestContractionCheck:
         n = plant.n
         assert np.array_equal(phi[n:, :n], np.zeros((2, n)))
         assert np.array_equal(phi[n:, n:], np.eye(2))
+
+    def test_monodromy_is_the_coupled_lower_right_block_bitwise(self, plant,
+                                                                observer_run):
+        # the check steps the 4-state error system from (x0, theta_star); its
+        # monodromy has the bits of the lower-right block of the 6-state
+        # coupled system's, stepped from the embedding (x0, x0, theta_star)
+        ref = observer_run[0]["reference"]
+        x0 = ref.states[0]
+        _, joint = floquet(coupled_system(plant, THETA_STAR), PULSE,
+                           np.concatenate([x0, x0, THETA_STAR]), ref.t0, ref.t1 - ref.t0, 1e-3)
+        check = observer_contraction_check(plant, THETA_STAR, ref, PULSE, 1e-3)
+        n = plant.n
+        assert ([v.hex() for v in check.monodromy.phi.ravel()]
+                == [v.hex() for v in joint.phi[n:, n:].ravel()])
 
     def test_open_reference_is_rejected(self, plant, observer_run):
         # a window that does not close up is no period: the anchor check of

@@ -2,9 +2,11 @@
 
     python3 tools/artifact_diff.py PARENT_DIR CHANGE_DIR
 
-Seventeen configs run in each checkout: the six study defaults (chua from
-rest, as its acceptance criterion runs it), the probe on the leaky, fhn and
-hh targets, and the four benchmark workloads at seeds 1 and 7, written by
+Eighteen configs run in each checkout: the six study defaults (chua from
+rest, as its acceptance criterion runs it), a short observer run with
+run_corners on (so the coupled plant/observer field is also compared from
+the four corners of the parameter box), the probe on the leaky, fhn and hh
+targets, and the four benchmark workloads at seeds 1 and 7, written by
 PARENT_DIR's perfbench/workloads.make_config. Each config runs as
 `python -m condux run CONFIG --out DIR` in a directory of its own, with the
 checkout's src first on PYTHONPATH, and both checkouts get the same config
@@ -30,6 +32,9 @@ STUDIES = {
     "chua": {"experiment": "chua", "params": {"from_rest": True}},
     "lorenz": {"experiment": "lorenz"},
     "observer": {"experiment": "observer"},
+    "observer-corners": {"experiment": "observer",
+                         "params": {"run_corners": True, "horizon": 28.0,
+                                    "settle_periods": 20, "embedding_periods": 1}},
     **{f"probe-{target}": {"experiment": "probe", "params": {"target": target}}
        for target in ("leaky", "fhn", "hh")},
 }
@@ -38,7 +43,7 @@ SEEDS = (1, 7)
 
 
 def _configs(parent: Path) -> dict[str, dict]:
-    """The seventeen configs by name, the workloads from parent's perfbench."""
+    """The eighteen configs by name, the workloads from parent's perfbench."""
     sys.path.insert(0, str(parent / "perfbench"))
     from workloads import make_config
 
