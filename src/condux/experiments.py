@@ -79,6 +79,9 @@ __all__ = [
 ]
 
 _CSV_ROW_CAP = 20000
+# Rows converted to Python floats at a time, so that write_csv never holds
+# more than this many rows of a column as a list.
+_CSV_CHUNK = 4096
 
 
 def write_csv(path, cols: dict[str, np.ndarray]) -> None:
@@ -88,10 +91,13 @@ def write_csv(path, cols: dict[str, np.ndarray]) -> None:
     at most _CSV_ROW_CAP rows."""
     arrays = [np.asarray(c) for c in cols.values()]
     stride = max(1, math.ceil(arrays[0].size / _CSV_ROW_CAP))
+    kept = [a[::stride] for a in arrays]
+    row = ",".join(["%.17g"] * len(kept)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*(a[::stride] for a in arrays)):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for i in range(0, kept[0].size, _CSV_CHUNK):
+            chunk = zip(*(a[i:i + _CSV_CHUNK].tolist() for a in kept))
+            fh.write("".join([row % r for r in chunk]))
 
 
 def _per_period_max(ts: np.ndarray, d: np.ndarray, t0: float, T: float,

@@ -237,6 +237,17 @@ def fitzhugh_nagumo(
     )
 
 
+def _tanh(x):
+    """np.tanh, as a float for a scalar argument and as an array otherwise.
+
+    math.tanh is not used: it differs from np.tanh in the last bit for some
+    arguments, and the stepped field must read the same f as f_inv does over
+    arrays.
+    """
+    v = np.tanh(x)
+    return v if v.ndim else float(v)
+
+
 @dataclass(frozen=True)
 class ConductanceParams:
     """Two-gate conductance membrane model parameters.
@@ -264,21 +275,11 @@ class ConductanceParams:
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
 
-    def membrane_current(self, y: float, z: float, u: float) -> float:
-        """eps * ydot: leak plus two sigmoidal conductances plus the input."""
-        t_f = np.tanh(self.kappa_f * (y - self.V_f))
-        t_s = np.tanh(self.kappa_s * (z - self.V_s))
-        return (
-            -self.g * (y - self.E)
-            - self.gbar_f * (1.0 + t_f) * (y - self.E_f)
-            - self.gbar_s * (1.0 + t_s) * (y - self.E_s)
-            + u
-        )
-
-    def total_conductance(self, y: float, z: float) -> float:
-        """-d(membrane_current)/dy, the instantaneous total conductance."""
-        t_f = np.tanh(self.kappa_f * (y - self.V_f))
-        t_s = np.tanh(self.kappa_s * (z - self.V_s))
+    def total_conductance(self, y, z):
+        """-eps * df/dy, the instantaneous total conductance, at a point or
+        elementwise over arrays of y and z."""
+        t_f = _tanh(self.kappa_f * (y - self.V_f))
+        t_s = _tanh(self.kappa_s * (z - self.V_s))
         return (
             self.g
             + self.gbar_f * (1.0 + t_f)
@@ -286,24 +287,36 @@ class ConductanceParams:
             + self.gbar_f * self.kappa_f * (1.0 - t_f * t_f) * (y - self.E_f)
         )
 
-    def slow_coupling(self, y: float, z: float) -> float:
-        """-d(membrane_current)/dz, the gain from the slow gate into the output."""
-        t_s = np.tanh(self.kappa_s * (z - self.V_s))
-        return self.gbar_s * self.kappa_s * (1.0 - t_s * t_s) * (y - self.E_s)
-
 
 def hh_conductance(params: ConductanceParams) -> NormalFormModel:
-    """Conductance membrane model with first-order slow gate zd = -z + y."""
+    """Conductance membrane model with first-order slow gate zd = -z + y.
+
+    eps yd = -g (y - E) - gbar_f (1 + tanh(kappa_f (y - V_f))) (y - E_f)
+    - gbar_s (1 + tanh(kappa_s (z - V_s))) (y - E_s) + u. f and f_jac take
+    floats or arrays; on floats they return floats.
+    """
     p = params
+    g_l, E, eps = p.g, p.E, p.eps
+    gbar_f, E_f, kappa_f, V_f = p.gbar_f, p.E_f, p.kappa_f, p.V_f
+    gbar_s, E_s, kappa_s, V_s = p.gbar_s, p.E_s, p.kappa_s, p.V_s
+    total_conductance = p.total_conductance
 
     def f(t, y, z, u):
-        return p.membrane_current(y, z, u) / p.eps
+        t_f = _tanh(kappa_f * (y - V_f))
+        t_s = _tanh(kappa_s * (z - V_s))
+        return (
+            -g_l * (y - E)
+            - gbar_f * (1.0 + t_f) * (y - E_f)
+            - gbar_s * (1.0 + t_s) * (y - E_s)
+            + u
+        ) / eps
 
     def f_jac(t, y, z, u):
+        t_s = _tanh(kappa_s * (z - V_s))
         return (
-            -p.total_conductance(y, z) / p.eps,
-            -p.slow_coupling(y, z) / p.eps,
-            1.0 / p.eps,
+            -total_conductance(y, z) / eps,
+            -(gbar_s * kappa_s * (1.0 - t_s * t_s) * (y - E_s)) / eps,
+            1.0 / eps,
         )
 
     def g(t, z, y):
@@ -318,7 +331,7 @@ def hh_conductance(params: ConductanceParams) -> NormalFormModel:
         f_jac=f_jac,
         g=g,
         g_jac=g_jac,
-        stiffness=p.eps,
+        stiffness=eps,
         sample_box=((-1.6, 1.6), (-1.2, 1.2)),
     )
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
-from condux.experiments import write_csv
+from condux.experiments import _CSV_ROW_CAP, write_csv
 from condux.integrate import (
     build_grid,
     default_step,
@@ -139,6 +139,26 @@ def test_trajectory_interp_and_csv_roundtrip(tmp_path):
     names, back = _read_csv(path)
     assert names == ["t", "x", "y", "u"]
     assert np.array_equal(back, np.column_stack(list(cols.values())))
+
+
+def test_csv_keeps_every_kth_row_of_strided_columns(tmp_path):
+    # more rows than the cap, given as non-contiguous column views: the file
+    # is every k-th row from the first, k = 3 here, each value formatted on
+    # its own as %.17g
+    n, k = 2 * _CSV_ROW_CAP + 4099, 3
+    states = np.random.default_rng(3).uniform(-1e3, 1e3, (n, 3))
+    states[:5 * k:k, 0] = [0.0, -0.0, 5e-324, -2.2e-308, 1e300]
+    states[(n - 1) // k * k, 2] = -0.0
+    cols = {"t": np.arange(n) * 0.1, "x": states[:, 0], "y": states[:, 1], "z": states[:, 2]}
+    assert not cols["x"].flags.c_contiguous
+    path = tmp_path / "long.csv"
+    write_csv(path, cols)
+    want = "t,x,y,z\n" + "".join(
+        ",".join("%.17g" % float(c[i]) for c in cols.values()) + "\n" for i in range(0, n, k))
+    got = path.read_text(encoding="utf-8")
+    assert got == want
+    assert got.count(",-0,") == 1 and got.endswith(",-0\n")
+    assert got.count("\n") == 1 + -(-n // k) <= 1 + _CSV_ROW_CAP
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -42,6 +42,7 @@ from condux.models import (
 )
 from condux.observer import coupled_system, error_system
 from condux.piecewise import GateStack, PiecewisePoly, sat_poly
+from condux.variational import _with_variations
 from conftest import planar_limit_cycle
 
 BUILTINS = [
@@ -177,6 +178,77 @@ def test_f_inv_over_arrays_matches_pointwise(model, pts):
         tab = np.broadcast_to(model.f_jac(t, y, z, u)[k], y.shape)
         one = [model.f_jac(tk, yk, zk, uk)[k] for yk, zk, uk, tk in zip(y, z, u, t)]
         assert np.array_equal(tab.view(np.int64), np.array(one).view(np.int64))
+
+
+def _float_form_fields():
+    """(field, box) for every built-in field, with its id: the box is the
+    field's own sample_box, or one put together from the boxes of the model
+    it is built from. flow's joint field draws its Phi entries from [-1, 1]."""
+    plant = neuron_family()
+    th = np.array([0.5, 1.5])
+    y_box, z_box = plant.sample_box
+    kap, fhn, hh, neuron = (kapitza(), fitzhugh_nagumo(), hh_conductance(ConductanceParams()),
+                            plant.model(th))
+    own = [kap, fhn, hh, lorenz(), leaky_integrator(2.0), chua_system(), neuron]
+    cases = [pytest.param(m, m.sample_box, id=m.name) for m in own]
+    cases += [
+        pytest.param(coupled_system(plant, th), (y_box, z_box, y_box, z_box, *plant.theta_box),
+                     id="observer"),
+        pytest.param(error_system(plant), (y_box, z_box, *plant.theta_box), id="observer-error"),
+        pytest.param(InverseSystem(fhn), (fhn.sample_box[1],), id="fhn-inverse"),
+        pytest.param(InverseSystem(hh), (hh.sample_box[1],), id="hh-inverse"),
+    ]
+    cases += [pytest.param(_with_variations(m), m.sample_box + ((-1.0, 1.0),) * m.n**2,
+                           id=f"joint-{m.name}") for m in (kap, fhn, hh, neuron)]
+    return cases
+
+
+@pytest.mark.parametrize("field, box", _float_form_fields())
+def test_builtin_fields_are_in_float_form(field, box):
+    # the VectorField contract: on a tuple of floats, rhs returns a tuple of
+    # n floats and jac a tuple of n rows of n floats, no numpy scalars
+    rng = np.random.default_rng(7)
+    lows, highs = np.array(box).T
+    for _ in range(25):
+        s = tuple(rng.uniform(lows, highs).tolist())
+        u = float(rng.uniform(-1.0, 1.0))
+        out = field.rhs(0.3, s, u)
+        assert type(out) is tuple and len(out) == field.n
+        assert [type(v) for v in out] == [float] * field.n
+        if field.jac is None:
+            continue
+        rows = field.jac(0.3, s, u)
+        assert type(rows) is tuple and len(rows) == field.n
+        for row in rows:
+            assert type(row) is tuple
+            assert [type(v) for v in row] == [float] * field.n
+
+
+_HH = hh_conductance(ConductanceParams())
+# kappa_f = kappa_s = 5: tanh(5 y) is 1.0 or -1.0 to the last bit from |y| > 3.82
+_HH_SPECIAL = [0.0, -0.0, 4.0, -4.0, 20.0, -20.0]
+
+
+@given(pts=st.lists(st.tuples(*(st.one_of(st.floats(lo, hi), st.sampled_from(_HH_SPECIAL))
+                                for lo, hi in _HH.sample_box),
+                              st.floats(-40.0, 40.0)),
+                    min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_hh_field_gives_the_array_bits_on_floats(pts):
+    # the stepped field and f_inv read one f: on floats, f and f_jac return
+    # floats with the bits of the same call over arrays. Hypothesis favours
+    # simple floats, on which even math.tanh agrees with np.tanh, so every
+    # example also carries 256 uniform points of the sample box.
+    rng = np.random.default_rng(len(pts))
+    (ylo, yhi), (zlo, zhi) = _HH.sample_box
+    more = rng.uniform((ylo, zlo, -40.0), (yhi, zhi, 40.0), (256, 3))
+    y, z, u = np.concatenate([np.array(pts), more]).T
+    tab = [_HH.f(0.0, y, z, u), *_HH.f_jac(0.0, y, z, u)]
+    for k, (yk, zk, uk) in enumerate(zip(y.tolist(), z.tolist(), u.tolist())):
+        one = [_HH.f(0.0, yk, zk, uk), *_HH.f_jac(0.0, yk, zk, uk)]
+        assert [type(v) for v in one] == [float] * 4
+        assert [v.hex() for v in one] == [float(np.broadcast_to(a, y.shape)[k]).hex()
+                                          for a in tab]
 
 
 def test_inverse_system_shape():

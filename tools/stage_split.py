@@ -6,11 +6,11 @@ Each of the four benchmark workloads runs at seed 1, with the config that
 PARENT_DIR's perfbench/workloads.make_config writes, so both checkouts run
 the same config. A stage is a function that condux.experiments imports from
 another condux module (integrate, refine_periodic_orbit,
-observer_contraction_check, ...). Its binding in condux.experiments is
-wrapped, so only the calls a pipeline makes are timed, and only the
-outermost of them; a stage called more than once in one run_experiment call
-counts the sum of those calls. The total stage is the whole run_experiment
-call, artifacts included.
+observer_contraction_check, ...), or its own CSV writer write_csv. Its
+binding in condux.experiments is wrapped, so only the calls a pipeline
+makes are timed, and only the outermost of them; a stage called more than
+once in one run_experiment call counts the sum of those calls. The total
+stage is the whole run_experiment call, artifacts included.
 
 Each checkout runs in fresh processes, with its src first on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1: 5 rounds of one process making 3 calls, the rounds
@@ -59,7 +59,8 @@ def timed(name, fn):
 
 for name, val in list(vars(exp).items()):
     home = getattr(val, "__module__", None) or ""
-    if inspect.isfunction(val) and home.startswith("condux.") and home != exp.__name__:
+    imported = home.startswith("condux.") and home != exp.__name__
+    if inspect.isfunction(val) and (imported or val is exp.write_csv):
         setattr(exp, name, timed(name, val))
 
 calls = []
