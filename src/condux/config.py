@@ -93,7 +93,6 @@ _PARAM_TABLES: dict[str, dict[str, tuple[str, Any]]] = {
         "periods": ("int", 8),
         "steps_per_period": ("int", 2000),
         "monodromy_base_step": ("number", 1e-3),
-        "monodromy_kink_step": ("number", 5e-6),
         "perturbation": ("number", 1e-6),
         "from_rest": ("bool", False),
         "from_rest_horizon": ("number", 400.0),
@@ -137,7 +136,6 @@ _TOP_KEYS = ("experiment", "params", "integration", "seed", "out_prefix")
 # that a constructor downstream rejects unless positive.
 _POSITIVE = frozenset({"fine_step", "sync_step", "base_step",
                        "ramp_step_divisor", "monodromy_base_step",
-                       "monodromy_kink_step",
                        "amplitude_grid", "omega", "horizon", "width", "phase_points",
                        "sync_periods", "T_hat", "tau", "M", "periods",
                        "steps_per_period", "samples", "duration", "period",

@@ -1,10 +1,14 @@
 """Experiment drivers: one pipeline per built-in study, artifacts out.
 
-Each pipeline is a pure function of its parameter dict (plus an optional
-fixed-step override) returning raw results; each _run_* wrapper turns them
-into a report and named trace columns, and run_experiment alone writes those
-as a JSON report and downsampled CSV traces. Reports carry no wall-clock data
-so identical configs produce byte-identical artifacts.
+Each ``<study>_pipeline(cfg)`` runs its study from one validated config and
+returns ``{"report": ..., "traces": ..., **objects}``: the report, its named
+trace columns at full length, and only those objects that a reader outside
+this module needs and that a JSON report cannot carry (designs, feedforwards,
+orbits). run_experiment alone writes the artifacts: one downsampled CSV per
+trace, then the report as strict JSON and the echoed config. It looks the
+pipeline up among this module's globals when called, so that a wrapper put
+in place of ``<study>_pipeline`` sees the call. Reports carry no wall-clock
+data so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -128,18 +132,18 @@ def _json_ready(obj):
 # ---------------------------------------------------------------------------
 
 
-def kapitza_pipeline(p: dict, step: float | None = None) -> dict:
+def kapitza_pipeline(cfg: ExperimentConfig) -> dict:
     """Amplitude selection, averaged verdict, and the full fast simulation."""
+    p = cfg.params
     alpha, beta, gamma = p["alpha"], p["beta"], p["gamma"]
     omega = p["omega"]
     design = kapitza_design(
         p["amplitude_grid"], omega, alpha=alpha, beta=beta, gamma=gamma
     )
     M = design.M
-    avg_eigs = np.sort(np.roots([1.0, gamma, -beta * design.gain]))
     model = kapitza(alpha, beta, gamma)
     ic = np.array([math.pi + p["y0_offset"], M * omega])
-    traj = integrate(model, design.feedforward, 0.0, p["horizon"], ic, step)
+    traj = integrate(model, design.feedforward, 0.0, p["horizon"], ic, cfg.step)
     delta_y = M * np.sin(omega * traj.ts)
     slow = traj.states[:, 0] - delta_y
     dev = np.abs(slow - math.pi)
@@ -151,24 +155,27 @@ def kapitza_pipeline(p: dict, step: float | None = None) -> dict:
     i_dead = min(int(np.searchsorted(traj.ts, p["settle_deadline"])), dev.size - 1)
     msk = (traj.ts > 5.0) & (traj.ts < 30.0) & (dev > 1e-12)
     decay = float(np.polyfit(traj.ts[msk], np.log(dev[msk]), 1)[0]) if msk.sum() > 10 else None
-    return {
-        "design": design,
-        "averaged_eigenvalues": avg_eigs,
-        "traj": traj,
-        "delta_y": delta_y,
-        "slow": slow,
-        "deviation": dev,
+    report = {
+        "selected_amplitude": M,
+        "averaged_gain": design.gain,
+        "averaged_eigenvalues": np.sort(np.roots([1.0, gamma, -beta * design.gain])),
+        "rejected_amplitudes": design.rejected,
         "band_entry_time": entry,
         "deviation_at_deadline": float(dev[i_dead]),
         "measured_slow_decay": decay,
+        "steps": int(traj.ts.size),
     }
+    traces = {"trace": {"t": traj.ts, "y": traj.states[:, 0], "delta_y": delta_y,
+                        "y_slow": slow, "u": traj.us}}
+    return {"report": report, "traces": traces, "design": design}
 
 
-def fhn_pipeline(p: dict, step: float | None = None) -> dict:
+def fhn_pipeline(cfg: ExperimentConfig) -> dict:
     """Free cycle, impulse design, inverse feedforward, realized monodromy,
     and phase synchronization under the designed input."""
+    p = cfg.params
     model = fitzhugh_nagumo(p["alpha"], p["beta"], p["gamma"], p["eps"])
-    fine = step if step is not None else p["fine_step"]
+    fine = cfg.step if cfg.step is not None else p["fine_step"]
     one, _ = refine_periodic_orbit(model, None, np.array([1.0, 0.0]), 0.0, step=fine)
     T = one.t1 - one.t0
     design = fhn_impulse_design(
@@ -198,9 +205,7 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
     )
     ic = np.array([ref.signal.value(w0), ff.zbar.states[0, 0]])
     realized, mono = floquet(model, ff.signal, ic, w0, T, fine)
-    closure = float(np.max(np.abs(realized.states[-1] - realized.states[0])))
     pred = design.predicted_monodromy
-    mismatch = float(np.max(np.abs(mono.phi - pred.phi)) / np.max(np.abs(pred.phi)))
 
     runs = []
     for off in p["phase_offsets"]:
@@ -208,28 +213,38 @@ def fhn_pipeline(p: dict, step: float | None = None) -> dict:
         ic_off = np.array([ystar(t_off), float(one.interp_state(t_off)[1])])
         runs.append(integrate(model, ff.signal, w0, w0 + n_sync * T, ic_off,
                               p["sync_step"]))
-    diff = np.abs(runs[0].states[:, 0] - runs[1].states[:, 0])
-    per_period = _per_period_max(runs[0].ts, diff, w0, T, n_sync)
-    return {
-        "model": model,
+    a, b = runs
+    ya, yb = a.states[:, 0], b.states[:, 0]
+    diff = np.abs(ya - yb)
+    report = {
         "period": T,
         "anchor": one.states[0],
-        "cycle": one,
-        "design": design,
-        "feedforward": ff,
-        "window_start": w0,
-        "realized": realized,
-        "realized_closure_gap": closure,
-        "realized_monodromy": mono,
-        "monodromy_mismatch": mismatch,
-        "sync_runs": runs,
-        "sync_diff_per_period": per_period,
+        "impulse_time": design.t0,
+        "impulse_magnitude": design.eps_n,
+        "cross_exponent": design.cross_exponent,
+        "feedforward_residual": ff.residual_max,
+        "inverse_rate": ff.inverse_rate,
+        "free_window_monodromy": design.free_window_monodromy.to_json_dict(),
+        "predicted_monodromy": pred.to_json_dict(),
+        "realized_monodromy": mono.to_json_dict(),
+        "realized_closure_gap": float(np.max(np.abs(realized.states[-1] - realized.states[0]))),
+        "monodromy_entrywise_mismatch":
+            float(np.max(np.abs(mono.phi - pred.phi)) / np.max(np.abs(pred.phi))),
+        "sync_diff_per_period": _per_period_max(a.ts, diff, w0, T, n_sync),
     }
+    traces = {
+        "realized": {"t": realized.ts, "y": realized.states[:, 0],
+                     "y_free_reference": ystar(realized.ts), "u": realized.us},
+        "sync": {"t": a.ts, "y_phase_a": ya, "y_phase_b": yb, "abs_diff": diff},
+    }
+    return {"report": report, "traces": traces, "cycle": one, "design": design,
+            "feedforward": ff, "realized": realized}
 
 
-def hh_pipeline(p: dict, step: float | None = None) -> dict:
+def hh_pipeline(cfg: ExperimentConfig) -> dict:
     """Square-wave certificate on a dedicated fine grid plus entrainment sync
     and the scaled-free-orbit certificate sweep."""
+    p, step = cfg.params, cfg.step
     params = ConductanceParams(
         g=p["g"], E=p["E"], gbar_f=p["gbar_f"], E_f=p["E_f"], kappa_f=p["kappa_f"],
         V_f=p["V_f"], gbar_s=p["gbar_s"], E_s=p["E_s"], kappa_s=p["kappa_s"],
@@ -247,20 +262,18 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
     # 400,000 nodes on one period
     grid = build_grid(0.0, P, min(p["base_step"], p["tau"] / p["ramp_step_divisor"]), sq)
     ys = sq.values(grid)
-    yd = sq.derivative(grid)
     zs = ff.zbar.interp_state(grid)[:, 0]
     us = ff.signal.values(grid)
     reftraj = Trajectory(ts=grid, states=np.column_stack([ys, zs]), us=us)
-    report = hh_certificate(params, reftraj, theta=p["theta"],
-                            theta_prime=p["theta_prime"], M_y=p["M_y"], ydot=yd)
+    cert = hh_certificate(params, reftraj, theta=p["theta"], theta_prime=p["theta_prime"],
+                          M_y=p["M_y"], ydot=sq.derivative(grid))
 
-    runs = [
+    a, b = (
         integrate(model, ff.signal, 0.0, p["sync_periods"] * P,
                   np.array(ic, dtype=float), step)
         for ic in p["sync_ics"]
-    ]
-    diff = np.abs(runs[0].states[:, 0] - runs[1].states[:, 0])
-    per_period = _per_period_max(runs[0].ts, diff, 0.0, P, p["sync_periods"])
+    )
+    diff = np.abs(a.states[:, 0] - b.states[:, 0])
 
     sweep = []
     if p["run_delta_sweep"]:
@@ -287,26 +300,32 @@ def hh_pipeline(p: dict, step: float | None = None) -> dict:
             free = {"error": type(exc).__name__, "detail": str(exc)}
     else:
         free = None
-    return {
-        "params": params,
-        "reference": sq,
+    report = {
         "period": P,
-        "feedforward": ff,
-        "reference_traj": reftraj,
-        "certificate": report,
-        "sync_runs": runs,
-        "sync_diff_per_period": per_period,
+        "certificate": cert.to_json_dict(),
+        "design_margin": {"eps_T_hat": p["eps"] * p["T_hat"], "a_bar_tau": cert.a_bar * p["tau"]},
+        "feedforward_residual": ff.residual_max,
+        "inverse_rate": ff.inverse_rate,
+        "zbar_range": [float(ff.zbar.states.min()), float(ff.zbar.states.max())],
+        "sync_diff_per_period": _per_period_max(a.ts, diff, 0.0, P, p["sync_periods"]),
         "free_orbit": free,
         "delta_sweep": sweep,
     }
+    traces = {
+        "sync": {"t": a.ts, "y_reference": sq.values(a.ts), "y_ic_a": a.states[:, 0],
+                 "y_ic_b": b.states[:, 0], "u": a.us},
+        "reference": {"t": grid, "y_reference": ys, "z_bar": zs, "u": us},
+    }
+    return {"report": report, "traces": traces, "feedforward": ff}
 
 
-def chua_pipeline(p: dict) -> dict:
+def chua_pipeline(cfg: ExperimentConfig) -> dict:
     """Describing-function design, constant-gain threshold sweep, reference
     monodromy, and the exact-solution check from the phasor initial state."""
+    p = cfg.params
     M, omega = p["M"], p["omega"]
     cf = chua_closed_form(M, omega)
-    quad_df = describing_function(chua_nonlinearity, M, omega, kinks=CHUA_KINKS)
+    qd = describing_function(chua_nonlinearity, M, omega, kinks=CHUA_KINKS)
     rec = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, cf, M, omega, chua_nonlinearity)
 
     sweep = []
@@ -317,7 +336,7 @@ def chua_pipeline(p: dict) -> dict:
 
     # monodromy of the linearization x' = A(y) x along the designed output
     # y = M sin(omega t), fed in as the input; the slope of the nonlinearity
-    # jumps where |y| = 1, and each of those instants gets a refine window
+    # jumps where |y| = 1, and each of those instants is a grid breakpoint
     T = 2.0 * math.pi / omega
 
     def Ax(t: float, x, y: float) -> tuple[float, ...]:
@@ -333,11 +352,7 @@ def chua_pipeline(p: dict) -> dict:
         a = math.asin(1.0 / M)
         kinks = [(b + 2.0 * math.pi * k) / omega
                  for k in range(-1, 3) for b in (a, math.pi - a, -a, math.pi + a)]
-    kink_step = p["monodromy_kink_step"]
-    output = CallableSignal(
-        fn=lambda t: M * np.sin(omega * t),
-        windows_fn=lambda t0, t1: [(c - 2e-3, c + 2e-3, kink_step) for c in kinks],
-    )
+    output = CallableSignal(fn=lambda t: M * np.sin(omega * t), breaks=tuple(kinks))
     _, phi = flow(linearized, output, 0.0, T, np.zeros(3), p["monodromy_base_step"])
     orbit = MonodromyResult.from_phi(0.0, T, phi)
 
@@ -353,13 +368,11 @@ def chua_pipeline(p: dict) -> dict:
     tr = integrate(model, rec, 0.0, n_per * T, x0, h)
     y = tr.states @ np.asarray(CHUA_C)
     y_ref = M * np.sin(omega * tr.ts)
-    per_period = _per_period_max(tr.ts, np.abs(y - y_ref), 0.0, T, n_per)
 
     tr2 = integrate(model, rec, 0.0, n_per * T,
                     x0 + np.array([p["perturbation"], 0.0, 0.0]), h)
     d = np.abs(tr2.states @ np.asarray(CHUA_C) - y_ref)
     peaks = _per_period_max(tr2.ts, d, 0.0, T, n_per)
-    growth = [peaks[i + 1] / peaks[i] for i in range(len(peaks) - 1)]
 
     from_rest = None
     if p["from_rest"]:
@@ -373,28 +386,31 @@ def chua_pipeline(p: dict) -> dict:
             "fundamental_amplitude": math.hypot(a, b),
             "max_output_last_two_periods": float(np.abs(yy).max()),
         }
-    return {
-        "closed_form": cf,
-        "quadrature_df": quad_df,
-        "reconstruction": rec,
+    report = {
+        "closed_form_gain": cf.p,
+        "quadrature_gain_p": qd.p,
+        "quadrature_gain_q": qd.q,
+        "gain_difference_p": qd.p - cf.p,
+        "input_amplitude": rec.D,
+        "input_phase": rec.theta,
         "threshold_sweep": sweep,
         "orbit_monodromy_eigenvalues": orbit.eigenvalues,
         "orbit_spectral_radius": orbit.spectral_radius,
-        "x0": x0,
-        "traj": tr,
-        "y_ref": y_ref,
-        "tracking_per_period": per_period,
-        "perturbed_growth_per_period": growth,
+        "tracking_per_period": _per_period_max(tr.ts, np.abs(y - y_ref), 0.0, T, n_per),
+        "perturbed_growth_per_period": [peaks[i + 1] / peaks[i] for i in range(len(peaks) - 1)],
         "from_rest": from_rest,
     }
+    return {"report": report,
+            "traces": {"trace": {"t": tr.ts, "y_reference": y_ref, "y": y, "u": tr.us}}}
 
 
-def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
+def lorenz_pipeline(cfg: ExperimentConfig) -> dict:
     """Region-implies-contraction sampling plus the no-stable-period probe of
     the chaotic instance."""
+    p, step = cfg.params, cfg.step
     sigma, beta = p["sigma"], p["beta"]
     region_model = lorenz(sigma, p["sampling_rho"], beta)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     z_c = sigma + beta
     z_b = 2.0 * math.sqrt(sigma / 2.0)
     x2_b = 2.0 * math.sqrt(sigma * beta / 2.0)
@@ -422,19 +438,22 @@ def lorenz_pipeline(p: dict, seed: int = 0, step: float | None = None) -> dict:
         cycle_outcome = {"error": None}
     except (PeriodUnstable, NoCrossings) as exc:
         cycle_outcome = {"error": type(exc).__name__, "detail": str(exc)}
-    return {
+    report = {
         "samples_total": p["samples"],
         "samples_in_region": in_region,
-        "region_violations": violations,
-        "traj": traj,
-        "in_region_flags": flags,
+        "region_contraction_violations": violations,
         "cycle_outcome": cycle_outcome,
     }
+    x = traj.states
+    return {"report": report,
+            "traces": {"trace": {"t": traj.ts, "x1": x[:, 0], "x2": x[:, 1], "z": x[:, 2],
+                                 "in_region": flags.astype(float)}}}
 
 
-def observer_pipeline(p: dict, step: float | None = None) -> dict:
+def observer_pipeline(cfg: ExperimentConfig) -> dict:
     """Entrained reference, extended monodromy check, embedding run, and the
     nominal parameter-convergence run."""
+    p, step = cfg.params, cfg.step
     plant = neuron_family()
     theta_star = np.array(p["theta_star"], dtype=float)
     u = SquarePulseTrain(magnitude=p["magnitude"], duration=p["duration"],
@@ -447,7 +466,6 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
     if k:
         guess = integrate(model, u, 0.0, k * P, guess, step).states[-1]
     ref, _ = refine_periodic_orbit(model, u, guess, k * P, P, step)
-    closure = float(np.max(np.abs(ref.states[-1] - ref.states[0])))
     check = observer_contraction_check(plant, theta_star, ref, u, step,
                                        eps_coupling=p["eps_coupling"])
 
@@ -474,21 +492,32 @@ def observer_pipeline(p: dict, step: float | None = None) -> dict:
                              theta0=np.array(c), step=step)
             corners.append({"theta0": list(c), "converged_at": r.converged_at,
                             "final_error": float(r.theta_error[-1])})
-    return {
-        "theta_star": theta_star,
+    report = {
         "tolerance": tol,
-        "reference": ref,
-        "reference_closure_gap": closure,
-        "check": check,
+        "reference_closure_gap": float(np.max(np.abs(ref.states[-1] - ref.states[0]))),
+        "extended_monodromy": check.monodromy.to_json_dict(),
+        "contraction_verdict": check.verdict.stable,
+        "contraction_margin": check.verdict.margin,
+        "lyapunov_shift": check.lyapunov_shift,
+        "lyapunov_decreases": check.lyapunov_decreases,
+        "q_min_eigenvalue": check.q_min_eigenvalue,
         "embedding_deviation": emb_dev,
-        "embedding_run": emb,
-        "nominal": nominal,
+        "converged_at": nominal.converged_at,
+        "final_theta_error": float(nominal.theta_error[-1]),
         "corners": corners,
     }
+    tr = nominal.traces
+    trace = {"t": tr.ts, "y": tr.states[:, 0], "y_hat": tr.states[:, 2],
+             "z": tr.states[:, 1], "z_hat": tr.states[:, 3]}
+    for j in range(theta_star.size):
+        trace[f"theta_hat_{j + 1}"] = tr.states[:, 4 + j]
+    trace["theta_error"] = nominal.theta_error
+    return {"report": report, "traces": {"nominal": trace}, "reference": ref}
 
 
-def probe_pipeline(p: dict, step: float | None = None) -> dict:
+def probe_pipeline(cfg: ExperimentConfig) -> dict:
     """Fading-memory probe of a chosen internal/inverse system."""
+    p = cfg.params
     target = p["target"]
     if target == "leaky":
         model = leaky_integrator(p["tau"])
@@ -498,172 +527,10 @@ def probe_pipeline(p: dict, step: float | None = None) -> dict:
         model = InverseSystem(hh_conductance(ConductanceParams()))
     ic = np.zeros(model.n)
     res = contraction_probe(model, Constant(0.5), ic, ic + p["offset"],
-                            p["t0"], p["t1"], step)
-    return {"model": model.name, "probe": res}
-
-
-# ---------------------------------------------------------------------------
-# runners: pipeline -> (report, traces); run_experiment writes the artifacts
-# ---------------------------------------------------------------------------
-
-
-def _run_kapitza(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = kapitza_pipeline(cfg.params, cfg.step)
-    design = r["design"]
-    traj = r["traj"]
-    report = {
-        "selected_amplitude": design.M,
-        "averaged_gain": design.gain,
-        "averaged_eigenvalues": r["averaged_eigenvalues"],
-        "rejected_amplitudes": design.rejected,
-        "band_entry_time": r["band_entry_time"],
-        "deviation_at_deadline": r["deviation_at_deadline"],
-        "measured_slow_decay": r["measured_slow_decay"],
-        "steps": int(traj.ts.size),
-    }
-    return report, {"trace": {"t": traj.ts, "y": traj.states[:, 0], "delta_y": r["delta_y"],
-                              "y_slow": r["slow"], "u": traj.us}}
-
-
-def _run_fhn(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = fhn_pipeline(cfg.params, cfg.step)
-    design = r["design"]
-    report = {
-        "period": r["period"],
-        "anchor": r["anchor"],
-        "impulse_time": design.t0,
-        "impulse_magnitude": design.eps_n,
-        "cross_exponent": design.cross_exponent,
-        "feedforward_residual": r["feedforward"].residual_max,
-        "inverse_rate": r["feedforward"].inverse_rate,
-        "free_window_monodromy": r["design"].free_window_monodromy.to_json_dict(),
-        "predicted_monodromy": design.predicted_monodromy.to_json_dict(),
-        "realized_monodromy": r["realized_monodromy"].to_json_dict(),
-        "realized_closure_gap": r["realized_closure_gap"],
-        "monodromy_entrywise_mismatch": r["monodromy_mismatch"],
-        "sync_diff_per_period": r["sync_diff_per_period"],
-    }
-    real = r["realized"]
-    cyc = r["cycle"]
-    y_ref = cyc.interp_state(cyc.t0 + (real.ts - cyc.t0) % r["period"])[:, 0]
-    a, b = r["sync_runs"]
-    ya, yb = a.states[:, 0], b.states[:, 0]
-    return report, {
-        "realized": {"t": real.ts, "y": real.states[:, 0], "y_free_reference": y_ref,
-                     "u": real.us},
-        "sync": {"t": a.ts, "y_phase_a": ya, "y_phase_b": yb, "abs_diff": np.abs(ya - yb)},
-    }
-
-
-def _run_hh(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = hh_pipeline(cfg.params, cfg.step)
-    report = {
-        "period": r["period"],
-        "certificate": r["certificate"].to_json_dict(),
-        "design_margin": {
-            "eps_T_hat": cfg.params["eps"] * cfg.params["T_hat"],
-            "a_bar_tau": r["certificate"].a_bar * cfg.params["tau"],
-        },
-        "feedforward_residual": r["feedforward"].residual_max,
-        "inverse_rate": r["feedforward"].inverse_rate,
-        "zbar_range": [float(r["feedforward"].zbar.states.min()),
-                       float(r["feedforward"].zbar.states.max())],
-        "sync_diff_per_period": r["sync_diff_per_period"],
-        "free_orbit": r["free_orbit"],
-        "delta_sweep": r["delta_sweep"],
-    }
-    a, b = r["sync_runs"]
-    ref = r["reference_traj"]
-    return report, {
-        "sync": {"t": a.ts, "y_reference": r["reference"].values(a.ts),
-                 "y_ic_a": a.states[:, 0], "y_ic_b": b.states[:, 0], "u": a.us},
-        "reference": {"t": ref.ts, "y_reference": ref.states[:, 0],
-                      "z_bar": ref.states[:, 1], "u": ref.us},
-    }
-
-
-def _run_chua(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = chua_pipeline(cfg.params)
-    cf, qd, rec = r["closed_form"], r["quadrature_df"], r["reconstruction"]
-    report = {
-        "closed_form_gain": cf.p,
-        "quadrature_gain_p": qd.p,
-        "quadrature_gain_q": qd.q,
-        "gain_difference_p": qd.p - cf.p,
-        "input_amplitude": rec.D,
-        "input_phase": rec.theta,
-        "threshold_sweep": r["threshold_sweep"],
-        "orbit_monodromy_eigenvalues": r["orbit_monodromy_eigenvalues"],
-        "orbit_spectral_radius": r["orbit_spectral_radius"],
-        "tracking_per_period": r["tracking_per_period"],
-        "perturbed_growth_per_period": r["perturbed_growth_per_period"],
-        "from_rest": r["from_rest"],
-    }
-    tr = r["traj"]
-    return report, {"trace": {"t": tr.ts, "y_reference": r["y_ref"],
-                              "y": tr.states @ np.asarray(CHUA_C), "u": tr.us}}
-
-
-def _run_lorenz(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = lorenz_pipeline(cfg.params, cfg.seed, cfg.step)
-    report = {
-        "samples_total": r["samples_total"],
-        "samples_in_region": r["samples_in_region"],
-        "region_contraction_violations": r["region_violations"],
-        "cycle_outcome": r["cycle_outcome"],
-    }
-    x = r["traj"].states
-    return report, {"trace": {"t": r["traj"].ts, "x1": x[:, 0], "x2": x[:, 1], "z": x[:, 2],
-                              "in_region": r["in_region_flags"].astype(float)}}
-
-
-def _run_observer(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = observer_pipeline(cfg.params, cfg.step)
-    check = r["check"]
-    nominal = r["nominal"]
-    report = {
-        "tolerance": r["tolerance"],
-        "reference_closure_gap": r["reference_closure_gap"],
-        "extended_monodromy": check.monodromy.to_json_dict(),
-        "contraction_verdict": check.verdict.stable,
-        "contraction_margin": check.verdict.margin,
-        "lyapunov_shift": check.lyapunov_shift,
-        "lyapunov_decreases": check.lyapunov_decreases,
-        "q_min_eigenvalue": check.q_min_eigenvalue,
-        "embedding_deviation": r["embedding_deviation"],
-        "converged_at": nominal.converged_at,
-        "final_theta_error": float(nominal.theta_error[-1]),
-        "corners": r["corners"],
-    }
-    tr = nominal.traces
-    trace = {"t": tr.ts, "y": tr.states[:, 0], "y_hat": tr.states[:, 2],
-             "z": tr.states[:, 1], "z_hat": tr.states[:, 3]}
-    for j in range(len(cfg.params["theta_star"])):
-        trace[f"theta_hat_{j + 1}"] = tr.states[:, 4 + j]
-    trace["theta_error"] = nominal.theta_error
-    return report, {"nominal": trace}
-
-
-def _run_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    r = probe_pipeline(cfg.params, cfg.step)
-    probe = r["probe"]
-    return {
-        "model": r["model"],
-        "rate": probe.rate,
-        "stable": probe.stable,
-        "final_separation": probe.final_separation,
-    }, {}
-
-
-_RUNNERS = {
-    "kapitza": _run_kapitza,
-    "fhn": _run_fhn,
-    "hh": _run_hh,
-    "chua": _run_chua,
-    "lorenz": _run_lorenz,
-    "observer": _run_observer,
-    "probe": _run_probe,
-}
+                            p["t0"], p["t1"], cfg.step)
+    report = {"model": model.name, "rate": res.rate, "stable": res.stable,
+              "final_separation": res.final_separation}
+    return {"report": report, "traces": {}}
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> dict:
@@ -672,10 +539,12 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     <out_prefix>_config.json. Returns the JSON-ready report dict."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    report, traces = _RUNNERS[cfg.experiment](cfg)
-    for name, cols in traces.items():
+    # looked up when called, not bound at import: tests and the benchmark
+    # worker wrap a study's pipeline by replacing this module's global
+    result = globals()[f"{cfg.experiment}_pipeline"](cfg)
+    for name, cols in result["traces"].items():
         write_csv(out / f"{cfg.out_prefix}_{name}.csv", cols)
-    report = _json_ready(report)
+    report = _json_ready(result["report"])
     for name, obj in (("report", report), ("config", cfg.to_dict())):
         with open(out / f"{cfg.out_prefix}_{name}.json", "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)

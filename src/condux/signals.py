@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,11 +36,6 @@ SQRT_DELTA_MASS = math.sqrt(2.0) * math.pi ** 0.25
 
 # An impulse bump is treated as zero beyond this many widths from its center.
 _SUPPORT_WIDTHS = 8.0
-
-
-def _zeros_like(t):
-    """0.0 for a single time, an array of zeros for an array of times."""
-    return np.zeros(np.shape(t))[()]
 
 
 class InputSignal:
@@ -76,9 +71,6 @@ class Zero(InputSignal):
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(ts, dtype=float))
 
-    def derivative(self, t):
-        return _zeros_like(t)
-
 
 @dataclass(frozen=True)
 class Constant(InputSignal):
@@ -88,9 +80,6 @@ class Constant(InputSignal):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(ts, dtype=float), self.level)
-
-    def derivative(self, t):
-        return _zeros_like(t)
 
 
 @dataclass(frozen=True)
@@ -172,9 +161,6 @@ class SquarePulseTrain(InputSignal):
         ts = np.asarray(ts, dtype=float)
         on = (ts % self.period < self.duration) & (ts >= 0.0)
         return np.where(on, self.magnitude, 0.0)
-
-    def derivative(self, t):
-        return _zeros_like(t)  # piecewise constant; jumps are handled by breakpoints
 
     def _rises(self, t0: float, t1: float):
         """Pulse starts from the one before t0's period through t1."""
@@ -315,11 +301,12 @@ class CallableSignal(InputSignal):
     a derivative rule only if derivative_fn is given.
 
     fn and derivative_fn must accept an array of times as well as a single
-    time, elementwise, as numpy expressions do.
+    time, elementwise, as numpy expressions do. breaks are the signal's
+    breakpoints: instants where fn, or a field that reads it, has a kink.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    windows_fn: Callable[[float, float], Sequence[tuple[float, float, float]]] | None = None
+    breaks: tuple[float, ...] = ()
     angular_frequency: float = 0.0
     derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -331,10 +318,8 @@ class CallableSignal(InputSignal):
             return super().derivative(t)
         return np.asarray(self.derivative_fn(np.asarray(t, dtype=float)), dtype=float)[()]
 
-    def refine_windows(self, t0: float, t1: float) -> list[tuple[float, float, float]]:
-        if self.windows_fn is None:
-            return []
-        return list(self.windows_fn(t0, t1))
+    def breakpoints(self, t0: float, t1: float) -> list[float]:
+        return sorted(b for b in self.breaks if t0 <= b <= t1)
 
     def max_angular_frequency(self) -> float:
         return self.angular_frequency

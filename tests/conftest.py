@@ -93,10 +93,11 @@ def pytest_collection_modifyitems(items):
 
 
 def _verify_run(name, tmp_path_factory):
-    """(raw, report, wall) of criterion `name`'s verify config, run through
-    run_experiment as `condux verify` runs it. The raw pipeline dict is kept
-    by wrapping the module-global pipeline the runner looks up, as the
-    benchmark worker does."""
+    """(result, report, wall) of criterion `name`'s verify config, run
+    through run_experiment as `condux verify` runs it. The pipeline's result
+    dict (report, full-length traces and objects) is kept by wrapping the
+    module-global pipeline that run_experiment looks up, as the benchmark
+    worker does."""
     cfg = config_from_dict(VERIFY[name][0])
     attr = f"{cfg.experiment}_pipeline"
     pipeline = getattr(condux.experiments, attr)

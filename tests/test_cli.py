@@ -243,10 +243,9 @@ def test_verify_unwritable_out_exits_2_before_any_check(tmp_path, capsys, monkey
 
 def test_verify_exits_1_when_a_check_fails(kapitza_run, monkeypatch, capsys):
     # the kapitza criterion carries a known-red deadline check; verify's run
-    # gets the shared kapitza_run fixture's raw dict instead of running the
-    # pipeline again
-    monkeypatch.setattr(condux.experiments, "kapitza_pipeline",
-                        lambda p, step=None: kapitza_run[0])
+    # gets the shared kapitza_run fixture's pipeline result instead of
+    # running the pipeline again
+    monkeypatch.setattr(condux.experiments, "kapitza_pipeline", lambda cfg: kapitza_run[0])
     assert main(["verify", "--filter=kapitza"]) == 1
     text = capsys.readouterr().out
     assert "FAIL" in text and "note:" in text

@@ -102,9 +102,12 @@ def test_non_positive_steps_are_rejected_at_every_path():
     assert msgs == ["params.base_step: must be positive",
                     "params.ramp_step_divisor: must be positive"]
     msgs = validate_raw({"experiment": "chua", "params": {
-        "monodromy_base_step": -1e-3, "monodromy_kink_step": 0.0}})
+        "monodromy_base_step": -1e-3, "steps_per_period": 0}})
     assert msgs == ["params.monodromy_base_step: must be positive",
-                    "params.monodromy_kink_step: must be positive"]
+                    "params.steps_per_period: must be positive"]
+    # chua's kinks are grid breakpoints, so no step refines around them
+    assert validate_raw({"experiment": "chua", "params": {"monodromy_kink_step": 5e-6}}) == [
+        "params.monodromy_kink_step: unknown field for experiment 'chua'"]
     # a non-finite step is reported once, as non-finite
     assert validate_raw({"experiment": "hh", "params": {"base_step": -math.inf}}) == [
         "params.base_step: must be finite"]

@@ -58,8 +58,8 @@ class TestKapitzaDesign:
 
     def test_averaged_eigenvalues(self, kapitza_run):
         # roots of s^2 + gamma s - beta cbar: sum -gamma, product -beta cbar
-        eigs = np.sort(kapitza_run[0]["averaged_eigenvalues"])
-        cbar = kapitza_run[0]["design"].gain
+        eigs = np.sort(kapitza_run[1]["averaged_eigenvalues"])
+        cbar = kapitza_run[1]["averaged_gain"]
         assert eigs.sum() == pytest.approx(-1.0, abs=1e-12)
         assert eigs[0] * eigs[1] == pytest.approx(-cbar, abs=1e-12)
         assert np.all(eigs < 0)
@@ -86,7 +86,7 @@ class TestKapitzaDesign:
                 u_exact, rel=1e-9, abs=1e-6)
 
     def test_simulation_settles_into_band_late(self, kapitza_run):
-        r = kapitza_run[0]
+        r = kapitza_run[1]
         assert r["band_entry_time"] == pytest.approx(31.9394, abs=1e-2)
         assert r["deviation_at_deadline"] == pytest.approx(0.10029, abs=1e-4)
         assert r["measured_slow_decay"] == pytest.approx(-0.0582, abs=1e-3)
@@ -118,12 +118,12 @@ class TestImpulseDesign:
         assert err < 1e-8
 
     def test_frozen_cycle_and_design(self, fhn_run):
-        r = fhn_run[0]
+        r, report, _ = fhn_run
         # DOP853 with event location (rtol = atol = 1e-12) gives the period
         # 3.290236938862108 and the anchor z -0.424542142
-        assert r["period"] == pytest.approx(3.290236938862108, abs=1e-10)
-        assert r["anchor"][0] == pytest.approx(0.0, abs=1e-9)
-        assert r["anchor"][1] == pytest.approx(-0.42454214, abs=1e-6)
+        assert report["period"] == pytest.approx(3.290236938862108, abs=1e-10)
+        assert report["anchor"][0] == pytest.approx(0.0, abs=1e-9)
+        assert report["anchor"][1] == pytest.approx(-0.42454214, abs=1e-6)
         d = r["design"]
         assert d.eps_n == pytest.approx(0.12909944487358055, rel=1e-12)
         # phase 1 of the 256-point grid, searched in its first half
@@ -143,29 +143,30 @@ class TestImpulseDesign:
         assert free[1] < 1e-6 and pred[1] < 1e-6
 
     def test_realized_monodromy_agreement(self, fhn_run):
-        r = fhn_run[0]
-        assert r["monodromy_mismatch"] < 0.02
-        assert r["monodromy_mismatch"] == pytest.approx(0.00131, abs=2e-4)
+        r = fhn_run[1]
+        assert r["monodromy_entrywise_mismatch"] < 0.02
+        assert r["monodromy_entrywise_mismatch"] == pytest.approx(0.00131, abs=2e-4)
         # DOP853 on the same window and impulse reads 0.697539
-        rho = max(np.abs(r["realized_monodromy"].eigenvalues))
+        rho = max(math.hypot(*lam) for lam in r["realized_monodromy"]["eigenvalues"])
         assert rho == pytest.approx(0.6975, abs=1e-3)
 
     def test_realized_orbit_closes(self, fhn_run):
         # zbar is the inverse system's periodic response over one period
         # from the window start, closed by Newton, so the realized orbit
         # closes down to the floor that the impulse's step cap leaves
-        r = fhn_run[0]
+        r, report, _ = fhn_run
         zbar = r["feedforward"].zbar
-        assert zbar.t0 == r["window_start"]
-        assert zbar.t1 - zbar.t0 == pytest.approx(r["period"], abs=1e-12)
+        train = r["design"].train
+        assert zbar.t0 == train.t0 - 8.0 * train.width
+        assert zbar.t1 - zbar.t0 == pytest.approx(report["period"], abs=1e-12)
         assert abs(zbar.states[-1, 0] - zbar.states[0, 0]) < NEWTON_TOL
-        assert r["realized_closure_gap"] < 1e-5
+        assert report["realized_closure_gap"] < 1e-5
 
     def test_feedforward_quality(self, fhn_run):
-        ff = fhn_run[0]["feedforward"]
-        assert ff.residual_max < 1e-10
+        report = fhn_run[1]
+        assert report["feedforward_residual"] < 1e-10
         # g = y - z, so the inverse system's multiplier is exactly exp(-P)
-        assert ff.inverse_rate == pytest.approx(-1.0, abs=1e-12)
+        assert report["inverse_rate"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_tabulated_feedforward_matches_pointwise(self, fhn_run):
         # the grid tabulation of u must give the bits of the scalar inversion,
@@ -181,18 +182,18 @@ class TestImpulseDesign:
 
 class TestConductanceCertificate:
     def test_exact_bounds(self, hh_run):
-        rep = hh_run[0]["certificate"]
-        assert rep.M_s == 0.5
-        assert rep.G_tot == 49.0
-        assert rep.a_bar == 49.5
+        rep = hh_run[1]["certificate"]
+        assert rep["M_s"] == 0.5
+        assert rep["G_tot"] == 49.0
+        assert rep["a_bar"] == 49.5
 
     def test_frozen_measured_values(self, hh_run):
-        rep = hh_run[0]["certificate"]
-        assert rep.verdict is True
-        assert rep.tau_unstable == pytest.approx(0.000575, abs=1e-6)
-        assert rep.T_hat == pytest.approx(5.000425, abs=1e-6)
-        assert rep.m_y_violation_measure == pytest.approx(0.001, abs=1e-9)
-        assert rep.s_max_growth == pytest.approx(24.401, abs=1e-2)
+        rep = hh_run[1]["certificate"]
+        assert rep["verdict"] is True
+        assert rep["tau_unstable"] == pytest.approx(0.000575, abs=1e-6)
+        assert rep["T_hat"] == pytest.approx(5.000425, abs=1e-6)
+        assert rep["m_y_violation_measure"] == pytest.approx(0.001, abs=1e-9)
+        assert rep["s_max_growth"] == pytest.approx(24.401, abs=1e-2)
 
     def test_range_violation_is_strict(self):
         params = ConductanceParams()
@@ -227,7 +228,7 @@ class TestConductanceCertificate:
         # min(base_step, tau / divisor): 400,000 steps at the defaults (T_hat
         # 5, tau 1e-3, divisor 80); the benchmark's T_hat 2.5, tau 5e-4 and
         # divisor 1 leave the base step 5e-4 and the ramps' quarter caps
-        assert hh_run[0]["reference_traj"].ts.size == 400_081
+        assert hh_run[0]["traces"]["reference"]["t"].size == 400_081
         sq = hh_square_reference(2.5, 5e-4)
         assert build_grid(0.0, sq.period, 5e-4, sq).size == 5_009
 
@@ -245,21 +246,20 @@ class TestConductanceCertificate:
 
     def test_feedforward_quality(self, hh_run):
         # g = y - z, so the inverse system's multiplier is exactly exp(-P)
-        assert hh_run[0]["feedforward"].inverse_rate == pytest.approx(-1.0, abs=1e-12)
+        assert hh_run[1]["inverse_rate"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_zbar_closes_over_one_period(self, hh_run):
-        r = hh_run[0]
-        zbar = r["feedforward"].zbar
-        assert (zbar.t0, zbar.t1) == (0.0, r["period"])
+        zbar = hh_run[0]["feedforward"].zbar
+        assert (zbar.t0, zbar.t1) == (0.0, hh_run[1]["period"])
         assert abs(zbar.states[-1, 0] - zbar.states[0, 0]) < NEWTON_TOL
 
     def test_delta_sweep_leaves_certified_range(self, hh_run):
-        sweep = hh_run[0]["delta_sweep"]
+        sweep = hh_run[1]["delta_sweep"]
         assert len(sweep) == 4
         assert all("range_violation" in entry for entry in sweep)
 
     def test_free_orbit_spans_certified_interval(self, hh_run):
-        free = hh_run[0]["free_orbit"]
+        free = hh_run[1]["free_orbit"]
         # DOP853 reads 0.9522062739399928; the default step leaves +4.0e-6
         assert free["period"] == pytest.approx(0.9522102, abs=1e-6)
         lo, hi = free["y_range"]
@@ -314,7 +314,8 @@ class TestOutputReference:
         # windows of the train, with nothing added by the free-cycle term
         r = fhn_run[0]
         sig, train = r["feedforward"].signal, r["design"].train
-        t0, t1 = r["window_start"], r["window_start"] + 2.0 * r["period"]
+        t0 = train.t0 - 8.0 * train.width
+        t1 = t0 + 2.0 * fhn_run[1]["period"]
         grid = build_grid(t0, t1, 5e-4, sig)
         assert np.array_equal(grid, build_grid(t0, t1, 5e-4, sig.ref.signal))
         inside = (grid >= train.t0 - 8.0 * train.width) & (grid <= train.t0 + 8.0 * train.width)

@@ -1,5 +1,6 @@
 """The artifacts run_experiment writes: file names, CSV headers and row caps,
-strict JSON reports, and the fixed-step override reaching orbit closing."""
+strict JSON reports, the pipeline looked up when called, and the fixed-step
+override reaching orbit closing."""
 
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 import condux.experiments
 from condux.acceptance import criterion_kapitza
-from condux.config import config_from_dict
+from condux.config import EXPERIMENTS, config_from_dict
 from condux.errors import PeriodUnstable
 from condux.experiments import (
     _json_ready,
@@ -31,7 +32,7 @@ LAYOUT = {
             "run_delta_sweep": False},
            {"sync": "t,y_reference,y_ic_a,y_ic_b,u",
             "reference": "t,y_reference,z_bar,u"}),
-    "chua": ({"periods": 2, "monodromy_kink_step": 1e-4},
+    "chua": ({"periods": 2},
              {"trace": "t,y_reference,y,u"}),
     "lorenz": ({"samples": 50, "horizon": 1.0},
                {"trace": "t,x1,x2,z,in_region"}),
@@ -76,6 +77,30 @@ def test_artifact_layout(tmp_path, experiment):
         assert all(math.isfinite(c["final_error"]) for c in corners)
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_experiment_writes_what_the_pipeline_returns(tmp_path, monkeypatch, experiment):
+    # run_experiment finds the study's pipeline among the module's globals
+    # when it is called, so a stub put in its place is what runs
+    calls = []
+
+    def stub(cfg):
+        calls.append(cfg)
+        return {"report": {"value": 1.5, "ratio": np.float64(0.25)},
+                "traces": {"only": {"t": np.array([0.0, 0.5]), "x": np.array([1.0, -2.0])}},
+                "kept": object()}
+
+    monkeypatch.setattr(condux.experiments, f"{experiment}_pipeline", stub)
+    cfg = config_from_dict({"experiment": experiment, "out_prefix": "run"})
+    report = run_experiment(cfg, tmp_path)
+    assert len(calls) == 1 and calls[0] is cfg
+    assert report == {"value": 1.5, "ratio": 0.25}
+    assert {f.name for f in tmp_path.iterdir()} == {"run_only.csv", "run_report.json",
+                                                    "run_config.json"}
+    assert (tmp_path / "run_only.csv").read_text(encoding="utf-8") == "t,x\n0,1\n0.5,-2\n"
+    assert _strict_json((tmp_path / "run_report.json").read_text()) == report
+    assert _strict_json((tmp_path / "run_config.json").read_text()) == cfg.to_dict()
+
+
 def test_report_is_strict_json_without_band_entry(tmp_path):
     cfg = config_from_dict({"experiment": "kapitza", "params": {"horizon": 2.0}})
     run_experiment(cfg, tmp_path)
@@ -116,12 +141,12 @@ def test_step_reaches_orbit_closing(monkeypatch):
         raise PeriodUnstable("spy")
 
     monkeypatch.setattr(condux.experiments, "refine_periodic_orbit", spy)
-    p = config_from_dict({"experiment": "hh"}).params
-    p.update(T_hat=2.5, tau=5e-4, ramp_step_divisor=1.0, sync_periods=1)
-    assert hh_pipeline(p, step=2e-3)["free_orbit"]["error"] == "PeriodUnstable"
-    p = config_from_dict({"experiment": "lorenz"}).params
-    p.update(samples=10, horizon=0.5)
-    assert lorenz_pipeline(p, step=3e-3)["cycle_outcome"]["error"] == "PeriodUnstable"
+    cfg = config_from_dict({"experiment": "hh", "integration": {"step": 2e-3}, "params": {
+        "T_hat": 2.5, "tau": 5e-4, "ramp_step_divisor": 1.0, "sync_periods": 1}})
+    assert hh_pipeline(cfg)["report"]["free_orbit"]["error"] == "PeriodUnstable"
+    cfg = config_from_dict({"experiment": "lorenz", "integration": {"step": 3e-3},
+                            "params": {"samples": 10, "horizon": 0.5}})
+    assert lorenz_pipeline(cfg)["report"]["cycle_outcome"]["error"] == "PeriodUnstable"
     assert steps == [2e-3, 3e-3]
 
 
@@ -147,11 +172,11 @@ def test_observer_settle_run_ends_at_the_orbit_start(monkeypatch, k):
 
     monkeypatch.setattr(condux.experiments, "integrate", record)
     monkeypatch.setattr(condux.experiments, "refine_periodic_orbit", capture)
-    p = config_from_dict({"experiment": "observer"}).params
-    p.update(settle_periods=k)
+    cfg = config_from_dict({"experiment": "observer", "integration": {"step": 1e-3},
+                            "params": {"settle_periods": k}})
     with pytest.raises(_Guess):
-        observer_pipeline(p, step=1e-3)
-    P = p["period"]
+        observer_pipeline(cfg)
+    P = cfg.params["period"]
     (x_guess, t0), = guesses
     assert t0 == k * P
     if k == 0:

@@ -393,7 +393,7 @@ class TestRefinePeriodicOrbit:
 
     def test_hh_period_converges_at_fourth_order(self, hh_run):
         # the hh pipeline closes the free orbit at the default step, 5e-4
-        coarse = hh_run[0]["free_orbit"]["period"] - HH_FREE_PERIOD
+        coarse = hh_run[1]["free_orbit"]["period"] - HH_FREE_PERIOD
         loop, _ = refine_periodic_orbit(hh_conductance(ConductanceParams()), None,
                                         np.array([1.0, 0.0]), 0.0, step=2.5e-4)
         fine = loop.t1 - loop.t0 - HH_FREE_PERIOD

@@ -75,7 +75,7 @@ class TestLureStability:
             assert (v.margin > 0) is stable
 
     def test_constant_gain_sweep_frozen(self, chua_run):
-        sweep = {round(e["rho"], 4): e for e in chua_run[0]["threshold_sweep"]}
+        sweep = {round(e["rho"], 4): e for e in chua_run[1]["threshold_sweep"]}
         assert sweep[-0.049]["stable"] is True
         assert sweep[-0.05]["stable"] is True
         # one grid point below: still (barely) stable, the true boundary
@@ -95,9 +95,9 @@ class TestInputReconstruction:
         assert rec.theta == pytest.approx(math.pi / 4.0, rel=1e-12)
 
     def test_frozen_chua_drive(self, chua_run):
-        rec = chua_run[0]["reconstruction"]
-        assert rec.D == pytest.approx(132.3454145783537, rel=1e-12)
-        assert rec.theta == pytest.approx(0.005869335694960121, rel=1e-9)
+        report = chua_run[1]
+        assert report["input_amplitude"] == pytest.approx(132.3454145783537, rel=1e-12)
+        assert report["input_phase"] == pytest.approx(0.005869335694960121, rel=1e-9)
 
     def test_drive_invariant_to_gain_convention(self):
         # u(t) swaps p back out, so the reconstructed input cannot depend on
@@ -117,16 +117,16 @@ class TestInputReconstruction:
 
 class TestDesignedOrbit:
     def test_exact_solution_tracks(self, chua_run):
-        per = chua_run[0]["tracking_per_period"]
+        per = chua_run[1]["tracking_per_period"]
         assert max(per) < 1e-6
 
     def test_designed_orbit_is_unstable(self, chua_run):
-        r = chua_run[0]
+        r = chua_run[1]
         assert r["orbit_spectral_radius"] == pytest.approx(1.09937, abs=1e-4)
         lam = r["orbit_monodromy_eigenvalues"]
-        assert max(abs(z) for z in lam) > 1.0
+        assert max(math.hypot(*z) for z in lam) > 1.0
 
     def test_from_rest_fundamental_far_from_target(self, chua_run):
-        fr = chua_run[0]["from_rest"]
+        fr = chua_run[1]["from_rest"]
         assert fr["fundamental_amplitude"] == pytest.approx(1433.76, rel=1e-2)
         assert abs(fr["fundamental_amplitude"] - 200.0) / 200.0 > 0.03

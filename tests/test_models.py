@@ -539,7 +539,7 @@ def chua_linearized():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condux.experiments, "flow", catch)
         with pytest.raises(Caught) as caught:
-            condux.experiments.chua_pipeline(config_from_dict({"experiment": "chua"}).params)
+            condux.experiments.chua_pipeline(config_from_dict({"experiment": "chua"}))
     return caught.value.args[0]
 
 

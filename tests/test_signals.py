@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condux.design import hh_square_reference
+from condux.integrate import build_grid
 from condux.lure import (
     CHUA_DEN,
     CHUA_NUM,
@@ -118,6 +119,13 @@ def test_callable_signal_passthrough():
     assert CallableSignal(fn=sig.fn, derivative_fn=lambda t: 2.0 * t).derivative(1.5) == 3.0
 
 
+def test_callable_signal_breaks_are_grid_breakpoints():
+    sig = CallableSignal(fn=np.abs, breaks=(2.0, -1.0, 0.5))
+    assert sig.breakpoints(0.0, 2.0) == [0.5, 2.0]
+    assert sig.refine_windows(0.0, 2.0) == []
+    assert 0.5 in build_grid(0.0, 1.0, 0.3, sig).tolist()
+
+
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -141,6 +149,10 @@ SIGNALS = [
     hh_square_reference(2.5, 5e-4),
     Sum((Sinusoid(amplitude=1.0, omega=2.0),
          SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.0))),
+    # every component has a derivative rule, so the sum's is checked too
+    pytest.param(Sum((Sinusoid(amplitude=1.0, omega=2.0),
+                      ImpulseTrain(t0=0.4, period=1.1, magnitude=0.5, width=2e-2))),
+                 id="SumWithDerivative"),
     CallableSignal(fn=lambda t: t * np.sin(3.0 * t)),
     # an explicit id keeps the one above as [CallableSignal]
     pytest.param(CallableSignal(fn=lambda t: t * np.sin(3.0 * t),
