@@ -15,7 +15,6 @@ from .design import (
     hh_square_reference,
     kapitza_design,
     lorenz_region_check,
-    orbit_scale,
 )
 from .errors import ConduxError, ConfigError
 from .experiments import run_experiment

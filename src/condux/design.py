@@ -60,7 +60,6 @@ __all__ = [
     "CertificateReport",
     "hh_certificate",
     "hh_square_reference",
-    "orbit_scale",
     "lorenz_region_check",
 ]
 
@@ -340,30 +339,19 @@ class CertificateReport:
     m_y_violation_measure: float
     s_max_growth: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "M_s": self.M_s,
-            "G_tot": self.G_tot,
-            "a_bar": self.a_bar,
-            "tau_unstable": self.tau_unstable,
-            "T_hat": self.T_hat,
-            "epsilon": self.epsilon,
-            "period": self.period,
-            "verdict": self.verdict,
-            "m_y_violation_measure": self.m_y_violation_measure,
-            "s_max_growth": self.s_max_growth,
-        }
-
 
 def hh_certificate(
     params: ConductanceParams,
-    ref: Trajectory,
+    ts: np.ndarray,
+    ys: np.ndarray,
+    zs: np.ndarray,
     ydot: np.ndarray,
     theta: float = 0.55,
     theta_prime: float = 0.65,
     M_y: float = 0.33,
 ) -> CertificateReport:
-    """Evaluate the growth/stability time-measure certificate along a reference.
+    """Evaluate the growth/stability time-measure certificate along a
+    reference sampled at the times ts, with output ys and internal state zs.
 
     The reference must stay in [E_s + theta, E_f - theta'] (checked
     strictly, RangeViolation otherwise). The output-rate premise
@@ -375,8 +363,10 @@ def hh_certificate(
     ydot holds the output rate at the reference samples: a designed
     reference's exact derivative, or the vector field along a free orbit.
     """
+    yd = np.asarray(ydot, dtype=float)
+    if not ts.shape == ys.shape == zs.shape == yd.shape:
+        raise ValueError("ts, ys, zs and ydot must hold one value per reference sample")
     lo, hi = params.E_s + theta, params.E_f - theta_prime
-    ys, zs, ts = ref.states[:, 0], ref.states[:, 1], ref.ts
     inside = lambda v: (lo - 1e-12 <= v) & (v <= hi + 1e-12)
     out = np.nonzero(~(inside(ys) & inside(zs)))[0]
     if out.size:
@@ -395,9 +385,6 @@ def hh_certificate(
     )
     a_bar = M_s + G_tot
 
-    yd = np.asarray(ydot, dtype=float)
-    if yd.shape != ys.shape:
-        raise ValueError("ydot must match the reference sample count")
     zd = ys - zs
     g_tot = params.total_conductance(ys, zs)
     t_s = np.tanh(params.kappa_s * (zs - params.V_s))
@@ -445,15 +432,6 @@ def hh_square_reference(
         (T, l1),
     )
     return PiecewiseLinear(knots=knots)
-
-
-def orbit_scale(cycle: Trajectory, delta: float) -> Trajectory:
-    """Scale every state component of a periodic reference by (1 + delta)."""
-    return Trajectory(
-        ts=cycle.ts.copy(),
-        states=(1.0 + delta) * cycle.states,
-        us=cycle.us.copy(),
-    )
 
 
 def lorenz_region_check(state, sigma: float, beta: float) -> bool:

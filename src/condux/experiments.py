@@ -13,6 +13,7 @@ data so identical configs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -28,14 +29,9 @@ from .design import (
     hh_square_reference,
     kapitza_design,
     lorenz_region_check,
-    orbit_scale,
 )
 from .errors import NoCrossings, PeriodUnstable, RangeViolation
-from .integrate import (
-    Trajectory,
-    build_grid,
-    integrate,
-)
+from .integrate import build_grid, integrate
 from .lure import (
     CHUA_C,
     CHUA_DEN,
@@ -166,7 +162,7 @@ def kapitza_pipeline(cfg: ExperimentConfig) -> dict:
         "steps": int(traj.ts.size),
     }
     traces = {"trace": {"t": traj.ts, "y": traj.states[:, 0], "delta_y": delta_y,
-                        "y_slow": slow, "u": traj.us}}
+                        "y_slow": slow, "u": design.feedforward.values(traj.ts)}}
     return {"report": report, "traces": traces, "design": design}
 
 
@@ -234,7 +230,8 @@ def fhn_pipeline(cfg: ExperimentConfig) -> dict:
     }
     traces = {
         "realized": {"t": realized.ts, "y": realized.states[:, 0],
-                     "y_free_reference": ystar(realized.ts), "u": realized.us},
+                     "y_free_reference": ystar(realized.ts),
+                     "u": ff.signal.values(realized.ts)},
         "sync": {"t": a.ts, "y_phase_a": ya, "y_phase_b": yb, "abs_diff": diff},
     }
     return {"report": report, "traces": traces, "cycle": one, "design": design,
@@ -264,9 +261,8 @@ def hh_pipeline(cfg: ExperimentConfig) -> dict:
     ys = sq.values(grid)
     zs = ff.zbar.interp_state(grid)[:, 0]
     us = ff.signal.values(grid)
-    reftraj = Trajectory(ts=grid, states=np.column_stack([ys, zs]), us=us)
-    cert = hh_certificate(params, reftraj, theta=p["theta"], theta_prime=p["theta_prime"],
-                          M_y=p["M_y"], ydot=sq.derivative(grid))
+    cert = hh_certificate(params, grid, ys, zs, sq.derivative(grid), theta=p["theta"],
+                          theta_prime=p["theta_prime"], M_y=p["M_y"])
 
     a, b = (
         integrate(model, ff.signal, 0.0, p["sync_periods"] * P,
@@ -286,11 +282,11 @@ def hh_pipeline(cfg: ExperimentConfig) -> dict:
                 "y_range": [float(loop.states[:, 0].min()), float(loop.states[:, 0].max())],
             }
             for delta in p["delta_sweep"]:
-                scaled = orbit_scale(loop, delta)
+                ys_d, zs_d = ((1.0 + delta) * loop.states).T
                 try:
-                    rep = hh_certificate(params, scaled, theta=p["theta"],
-                                         theta_prime=p["theta_prime"], M_y=p["M_y"],
-                                         ydot=(1.0 + delta) * ydf)
+                    rep = hh_certificate(params, loop.ts, ys_d, zs_d, (1.0 + delta) * ydf,
+                                         theta=p["theta"], theta_prime=p["theta_prime"],
+                                         M_y=p["M_y"])
                     sweep.append({"delta": delta, "verdict": rep.verdict,
                                   "tau_unstable": rep.tau_unstable, "T_hat": rep.T_hat})
                 except RangeViolation as exc:
@@ -302,7 +298,7 @@ def hh_pipeline(cfg: ExperimentConfig) -> dict:
         free = None
     report = {
         "period": P,
-        "certificate": cert.to_json_dict(),
+        "certificate": dataclasses.asdict(cert),
         "design_margin": {"eps_T_hat": p["eps"] * p["T_hat"], "a_bar_tau": cert.a_bar * p["tau"]},
         "feedforward_residual": ff.residual_max,
         "inverse_rate": ff.inverse_rate,
@@ -313,7 +309,7 @@ def hh_pipeline(cfg: ExperimentConfig) -> dict:
     }
     traces = {
         "sync": {"t": a.ts, "y_reference": sq.values(a.ts), "y_ic_a": a.states[:, 0],
-                 "y_ic_b": b.states[:, 0], "u": a.us},
+                 "y_ic_b": b.states[:, 0], "u": ff.signal.values(a.ts)},
         "reference": {"t": grid, "y_reference": ys, "z_bar": zs, "u": us},
     }
     return {"report": report, "traces": traces, "feedforward": ff}
@@ -401,7 +397,8 @@ def chua_pipeline(cfg: ExperimentConfig) -> dict:
         "from_rest": from_rest,
     }
     return {"report": report,
-            "traces": {"trace": {"t": tr.ts, "y_reference": y_ref, "y": y, "u": tr.us}}}
+            "traces": {"trace": {"t": tr.ts, "y_reference": y_ref, "y": y,
+                                 "u": rec.values(tr.ts)}}}
 
 
 def lorenz_pipeline(cfg: ExperimentConfig) -> dict:

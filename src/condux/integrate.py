@@ -7,17 +7,18 @@ without paying for a globally tiny step. Identical inputs give bit-identical
 trajectories.
 
 The loop steps Python floats. The inputs of a whole grid are tabulated in
-numpy calls first; then each block of 64 steps converts its slice of the
-grid, the steps and the three input columns to float lists and hands them
-to the RK4 block for the state size n. That block is Python source rendered
-from one template the first time a run of size n needs it, compiled and
-cached: it keeps the state in n local floats, passes it to the field's
-float-form rhs (see VectorField) as a tuple and unpacks each stage into n
-locals, so an rhs that returns other than n components raises ValueError.
-Its rows are written into the preallocated state array and checked for
-finiteness. Python + * / on floats round exactly like numpy's elementwise
-ops, so the rendered block gives the bits of the same stages over arrays,
-and converting per block keeps memory at one array of states.
+three numpy calls first, at the left end, midpoint and right end of every
+step; then each block of 64 steps converts its slice of the grid, the
+steps and the three input columns to float lists and hands them to the RK4
+block for the state size n. That block is Python source rendered from one
+template the first time a run of size n needs it, compiled and cached: it
+keeps the state in n local floats, passes it to the field's float-form rhs
+(see VectorField) as a tuple and unpacks each stage into n locals, so an
+rhs that returns other than n components raises ValueError. Its rows are
+written into the preallocated state array and checked for finiteness.
+Python + * / on floats round exactly like numpy's elementwise ops, so the
+rendered block gives the bits of the same stages over arrays, and
+converting per block keeps memory at one array of states.
 """
 
 from __future__ import annotations
@@ -147,11 +148,10 @@ def build_grid(
 
 @dataclass
 class Trajectory:
-    """Sampled solution with the input that produced it."""
+    """Sampled solution: the grid and the state at each of its nodes."""
 
     ts: np.ndarray
     states: np.ndarray
-    us: np.ndarray
 
     @property
     def t0(self) -> float:
@@ -203,7 +203,7 @@ def _rk4_run(
         states[lo + 1:hi + 1] = rows
         _check_finite(model, grid, states, lo, hi)
         y = rows[-1]
-    return Trajectory(grid, states, signal.values(grid))
+    return Trajectory(grid, states)
 
 
 def _check_finite(model: VectorField, grid: np.ndarray, states: np.ndarray,

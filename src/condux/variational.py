@@ -115,7 +115,7 @@ def flow(
         raise ValueError(f"x0 must have shape ({n},)")
     joint = integrate(_with_variations(model), signal, t0, t1,
                       np.concatenate((x0, np.eye(n).ravel())), step)
-    traj = Trajectory(joint.ts, joint.states[:, :n].copy(), joint.us)
+    traj = Trajectory(joint.ts, joint.states[:, :n].copy())
     return traj, joint.states[-1, n:].reshape(n, n)
 
 
@@ -168,7 +168,8 @@ def refine_periodic_orbit(
             gap = traj.states[-1] - x
             lhs, res = np.eye(n) - phi, gap
             if free:
-                f = model.rhs(traj.t1, traj.states[-1].tolist(), float(traj.us[-1]))
+                f = model.rhs(traj.t1, traj.states[-1].tolist(),
+                              (signal or Zero()).value(traj.t1))
                 lhs = np.block([[lhs, -np.reshape(f, (n, 1))], [-np.eye(1, n), 0.0]])
                 res = np.append(gap, x[0])
             res_max = float(np.max(np.abs(res)))

@@ -3,7 +3,7 @@ shared between the acceptance tests and the detailed value checks."""
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -82,6 +82,30 @@ def planar_limit_cycle() -> PlainModel:
         jac=jac,
         sample_box=((0.2, 1.5), (0.2, 1.5)),
     )
+
+
+def coupled_with_jac(plant, theta_star) -> PlainModel:
+    """condux.observer.coupled_system with its Jacobian, which the package
+    never reads: the contraction check linearizes error_system, the coupled
+    Jacobian's lower-right block on the embedding. jac makes one derivatives
+    call per block."""
+    field = coupled_system(plant, theta_star)
+    th0, th1 = np.asarray(theta_star, dtype=float).tolist()
+    derivatives = plant.derivatives
+
+    def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
+        dyy, dyz, dzy, dzz, _, _, hu0, hu1 = derivatives(t, s[0], s[1], u, th0, th1)
+        dyyh, dyzh, dzyh, dzzh, hh0, hh1, huh0, huh1 = derivatives(t, s[2], s[3], u, s[4], s[5])
+        return (
+            (dyy, dyz, 0.0, 0.0, 0.0, 0.0),
+            (dzy, dzz, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, dyyh, dyzh, hh0, hh1),
+            (0.0, 0.0, dzyh, dzzh, 0.0, 0.0),
+            (hu0, 0.0, -huh0, 0.0, 0.0, 0.0),
+            (hu1, 0.0, -huh1, 0.0, 0.0, 0.0),
+        )
+
+    return replace(field, jac=jac)
 
 
 def pytest_collection_modifyitems(items):
@@ -193,7 +217,7 @@ def neuron_case():
 @pytest.fixture(scope="session")
 def observer_case():
     """Plant and observer stacked, with a parameter error, under the pulses."""
-    model = coupled_system(neuron_family(), np.array([0.5, 1.5]))
+    model = coupled_with_jac(neuron_family(), np.array([0.5, 1.5]))
     x0 = np.array([-0.7, 0.0, -0.7, 0.0, 0.3, 1.8])
     return model, _PULSE, x0, 0.0, 0.2, 1e-3
 

@@ -16,14 +16,13 @@ from condux.design import (
     hh_square_reference,
     kapitza_design,
     lorenz_region_check,
-    orbit_scale,
 )
 from condux.errors import (
     InverseNotContracting,
     NoStabilizingAmplitude,
     RangeViolation,
 )
-from condux.integrate import Trajectory, build_grid, integrate
+from condux.integrate import build_grid, integrate
 from condux.models import (
     ConductanceParams,
     InverseSystem,
@@ -199,10 +198,17 @@ class TestConductanceCertificate:
         params = ConductanceParams()
         ts = np.linspace(0.0, 1.0, 11)
         ys = np.full(11, 1.36)  # just above E_f - theta_prime = 1.35
-        ref = Trajectory(ts=ts, states=np.column_stack([ys, np.zeros(11)]),
-                         us=np.zeros(11))
         with pytest.raises(RangeViolation, match="1.36"):
-            hh_certificate(params, ref, np.zeros(11))
+            hh_certificate(params, ts, ys, np.zeros(11), np.zeros(11))
+
+    def test_sample_counts_must_agree(self):
+        # a one-sample internal state would broadcast against the output
+        params = ConductanceParams()
+        ts = np.linspace(0.0, 1.0, 11)
+        ys = np.full(11, 0.5)
+        for zs, yd in ((np.zeros(1), np.zeros(11)), (np.zeros(11), np.zeros(10))):
+            with pytest.raises(ValueError, match="one value per reference sample"):
+                hh_certificate(params, ts, ys, zs, yd)
 
     def test_margin_grows_with_plateau_length(self):
         # longer plateaus add stability time without touching the ramp cost
@@ -217,9 +223,7 @@ class TestConductanceCertificate:
             ys = sq.values(grid)
             yd = sq.derivative(grid)
             zs = ff.zbar.interp_state(grid)[:, 0]
-            traj = Trajectory(ts=grid, states=np.column_stack([ys, zs]),
-                              us=np.zeros_like(grid))
-            rep = hh_certificate(params, traj, yd)
+            rep = hh_certificate(params, grid, ys, zs, yd)
             margins.append(params.eps * rep.T_hat - rep.a_bar * rep.tau_unstable)
         assert margins[0] < margins[1] < margins[2]
 
@@ -334,15 +338,6 @@ class TestOutputReference:
         ts = build_grid(t0, t0 + period, h, sig)
         np.testing.assert_allclose(sig.values(ts + 3.0 * period), sig.values(ts),
                                    rtol=1e-9, atol=0.0)
-
-
-def test_orbit_scale():
-    ts = np.linspace(0.0, 1.0, 5)
-    states = np.column_stack([np.sin(ts), np.cos(ts)])
-    traj = Trajectory(ts=ts, states=states, us=np.zeros(5))
-    scaled = orbit_scale(traj, 0.1)
-    assert np.allclose(scaled.states, 1.1 * states)
-    assert np.array_equal(scaled.ts, ts)
 
 
 class TestLorenzRegion:

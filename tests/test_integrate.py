@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
 from condux.experiments import _CSV_ROW_CAP, write_csv
 from condux.integrate import (
+    Trajectory,
     build_grid,
     default_step,
     integrate,
@@ -127,14 +129,38 @@ def test_grid_lands_on_every_edge_and_respects_window_caps(sig, t0, span, h):
             assert steps[inside].max() <= cap * (1.0 + 1e-9)
 
 
+@dataclasses.dataclass(frozen=True)
+class _CountedPulses(SquarePulseTrain):
+    """A pulse train that records the number of times of every values call."""
+
+    sizes: list = dataclasses.field(default_factory=list, compare=False)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        self.sizes.append(np.size(ts))
+        return super().values(ts)
+
+
+@pytest.mark.parametrize("run", [integrate, lambda *args: flow(*args)[0]],
+                         ids=["integrate", "flow"])
+def test_a_run_tabulates_its_input_once_per_stage_time(run):
+    # the input is read at the left end, the midpoint and the right end of
+    # every step, one values call each over the whole grid, and nowhere else:
+    # a trajectory is its grid and its states
+    signal = _CountedPulses(magnitude=1.5, duration=0.3, period=1.0)
+    traj = run(leaky_integrator(0.5), signal, 0.0, 2.0, np.array([0.2]), 1e-2)
+    assert signal.sizes == [traj.ts.size - 1] * 3
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["ts", "states"]
+
+
 def test_trajectory_interp_and_csv_roundtrip(tmp_path):
-    traj = integrate(_rotation(), Constant(0.3), 0.0, 1.0, np.array([1.0, 0.0]),
-                     0.01)
+    signal = Constant(0.3)
+    traj = integrate(_rotation(), signal, 0.0, 1.0, np.array([1.0, 0.0]), 0.01)
     mid = traj.interp_state(0.505)
     assert mid == pytest.approx(traj.states[50] * 0.5 + traj.states[51] * 0.5,
                                 rel=1e-3)
     path = tmp_path / "traj.csv"
-    cols = {"t": traj.ts, "x": traj.states[:, 0], "y": traj.states[:, 1], "u": traj.us}
+    cols = {"t": traj.ts, "x": traj.states[:, 0], "y": traj.states[:, 1],
+            "u": signal.values(traj.ts)}
     write_csv(path, cols)
     names, back = _read_csv(path)
     assert names == ["t", "x", "y", "u"]

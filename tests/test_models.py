@@ -40,10 +40,10 @@ from condux.models import (
     lorenz,
     neuron_family,
 )
-from condux.observer import coupled_system, error_system
+from condux.observer import error_system
 from condux.piecewise import GateStack, PiecewisePoly, sat_poly
 from condux.variational import _with_variations
-from conftest import planar_limit_cycle
+from conftest import coupled_with_jac, planar_limit_cycle
 
 BUILTINS = [
     kapitza(),
@@ -55,7 +55,7 @@ BUILTINS = [
     leaky_integrator(2.0),
     neuron_family().model(np.array([0.5, 1.5])),
     # the coupled Jacobian carries the observer contraction certificate
-    coupled_system(neuron_family(), np.array([0.5, 1.5])),
+    coupled_with_jac(neuron_family(), np.array([0.5, 1.5])),
 ]
 
 
@@ -192,7 +192,7 @@ def _float_form_fields():
     own = [kap, fhn, hh, lorenz(), leaky_integrator(2.0), chua_system(), neuron]
     cases = [pytest.param(m, m.sample_box, id=m.name) for m in own]
     cases += [
-        pytest.param(coupled_system(plant, th), (y_box, z_box, y_box, z_box, *plant.theta_box),
+        pytest.param(coupled_with_jac(plant, th), (y_box, z_box, y_box, z_box, *plant.theta_box),
                      id="observer"),
         pytest.param(error_system(plant), (y_box, z_box, *plant.theta_box), id="observer-error"),
         pytest.param(InverseSystem(fhn), (fhn.sample_box[1],), id="fhn-inverse"),
@@ -571,7 +571,7 @@ def test_written_out_fields_match_the_dot_loop_bitwise(chua_linearized, name, ca
     plant = neuron_family()
     field = {
         "plant": lambda: plant.model(np.array(th)),
-        "coupled": lambda: coupled_system(plant, np.array(th)),
+        "coupled": lambda: coupled_with_jac(plant, np.array(th)),
         "error": lambda: error_system(plant),
         "chua": chua_system,
         "chua-linearized": lambda: chua_linearized,

@@ -16,6 +16,7 @@ from condux.observer import (
 )
 from condux.signals import SquarePulseTrain, Zero
 from condux.variational import floquet
+from conftest import coupled_with_jac
 
 THETA_STAR = np.array([0.5, 1.5])
 PULSE = SquarePulseTrain(magnitude=-3.0, duration=0.002, period=2.8)
@@ -43,7 +44,7 @@ class TestBuildObserver:
         # compiled stack, and the fields make no lookup outside a hook: the
         # plant and error fields make one hook call per rhs or jac, the
         # coupled rhs one values and one update call per block and the
-        # coupled jac one derivatives call per block
+        # coupled jac of coupled_with_jac one derivatives call per block
         own = {"values": "NEURON_GATES", "update": "NEURON_UPDATE_GATES",
                "derivatives": "NEURON_GATE_SLOPES"}
         lookups = []
@@ -65,7 +66,7 @@ class TestBuildObserver:
         counted_plant = dataclasses.replace(plant, **{hook: counted(hook) for hook in own})
         s = (-0.3, 0.2, 0.1, 0.4, 0.45, 1.6)
         for field, state, rhs_hooks, jac_hooks in (
-                (coupled_system(counted_plant, THETA_STAR), s,
+                (coupled_with_jac(counted_plant, THETA_STAR), s,
                  ["values", "values", "update", "update"], ["derivatives"] * 2),
                 (counted_plant.model(THETA_STAR), s[:2], ["values"], ["derivatives"]),
                 (error_system(counted_plant), s[2:], ["values"], ["derivatives"])):
@@ -93,6 +94,7 @@ class TestEmbedding:
     def test_coupled_embedding_dimension(self, plant):
         model = coupled_system(plant, THETA_STAR)
         assert model.n == 6
+        assert model.jac is None  # only ever stepped
 
     def test_antiderivative_shift_is_invisible(self, plant):
         # The estimate moves only through H(y) - H(y_hat), so adding a
@@ -179,7 +181,7 @@ class TestContractionCheck:
         # coupled system's, stepped from the embedding (x0, x0, theta_star)
         ref = observer_run[0]["reference"]
         x0 = ref.states[0]
-        _, joint = floquet(coupled_system(plant, THETA_STAR), PULSE,
+        _, joint = floquet(coupled_with_jac(plant, THETA_STAR), PULSE,
                            np.concatenate([x0, x0, THETA_STAR]), ref.t0, ref.t1 - ref.t0, 1e-3)
         check = observer_contraction_check(plant, THETA_STAR, ref, PULSE, 1e-3)
         n = plant.n
@@ -192,7 +194,7 @@ class TestContractionCheck:
         ref = observer_run[0]["reference"]
         half = ref.ts.size // 2
         shifted = Trajectory(ts=ref.ts[half:] - ref.ts[half] + ref.ts[0],
-                             states=ref.states[half:], us=ref.us[half:])
+                             states=ref.states[half:])
         with pytest.raises(PeriodMismatch):
             observer_contraction_check(plant, THETA_STAR, shifted, PULSE)
 
