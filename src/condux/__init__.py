@@ -51,7 +51,6 @@ from .signals import (
     PiecewiseLinear,
     SquarePulseTrain,
     Sum,
-    Zero,
 )
 from .variational import (
     MonodromyResult,

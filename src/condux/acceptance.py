@@ -22,7 +22,6 @@ from .integrate import integrate
 from .lure import (
     CHUA_DEN,
     CHUA_NUM,
-    DescribingFunctionResult,
     chua_system,
     describing_function,
     lure_stability,
@@ -160,17 +159,12 @@ def criterion_chua(p: dict, r: dict) -> list[CriterionRow]:
     cf = r["closed_form_gain"]
     rows.append(_row("chua", "closed_form_gain", "-0.05 < p < 0", cf, "exact",
                      -0.05 < cf < 0.0))
-
-    def verdict_at(rho: float):
-        df = DescribingFunctionResult(p=rho, q=0.0, M=p["M"], omega=p["omega"])
-        return lure_stability(CHUA_NUM, CHUA_DEN, df)
-
-    above = verdict_at(CHUA_THRESHOLD + 1e-3)
+    above = lure_stability(CHUA_NUM, CHUA_DEN, CHUA_THRESHOLD + 1e-3)
     rows.append(_row("chua", "stable_above_threshold",
                      f"stable at {CHUA_THRESHOLD + 1e-3:.6g}",
                      f"stable={above.stable}", "margin > 0", above.stable,
                      f"margin = {above.margin:.3g}"))
-    below = verdict_at(CHUA_THRESHOLD - 1e-3)
+    below = lure_stability(CHUA_NUM, CHUA_DEN, CHUA_THRESHOLD - 1e-3)
     rows.append(_row("chua", "unstable_below_threshold",
                      f"unstable at {CHUA_THRESHOLD - 1e-3:.6g}",
                      f"stable={below.stable}", "margin < 0", not below.stable,

@@ -37,7 +37,6 @@ from .lure import (
     CHUA_DEN,
     CHUA_KINKS,
     CHUA_NUM,
-    DescribingFunctionResult,
     chua_closed_form,
     chua_linearization,
     chua_nonlinearity,
@@ -58,7 +57,7 @@ from .models import (
     neuron_family,
 )
 from .observer import observer_contraction_check, run_observer
-from .signals import CallableSignal, Constant, SquarePulseTrain, Sum, Zero
+from .signals import CallableSignal, Constant, SquarePulseTrain, Sum
 from .variational import (
     MonodromyResult,
     contraction_probe,
@@ -194,7 +193,7 @@ def fhn_pipeline(cfg: ExperimentConfig) -> dict:
         return model.f(w, y, z, 0.0)
 
     ref = OutputReference(Sum((CallableSignal(fn=ystar, derivative_fn=ystar_dot), train)))
-    w0 = design.t0 - 8.0 * train.width
+    w0 = design.free_window_monodromy.t0
     n_sync = p["sync_periods"]
     ff = feedforward_from_reference(
         model, ref, w0, T, zbar_ic=np.array([one.interp_state(wrap(w0))[1]]), step=fine,
@@ -322,12 +321,11 @@ def chua_pipeline(cfg: ExperimentConfig) -> dict:
     M, omega = p["M"], p["omega"]
     cf = chua_closed_form(M, omega)
     qd = describing_function(chua_nonlinearity, M, omega, kinks=CHUA_KINKS)
-    rec = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, cf, M, omega, chua_nonlinearity)
+    rec, D, theta = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, cf, chua_nonlinearity)
 
     sweep = []
     for rho in p["rho_grid"]:
-        df = DescribingFunctionResult(p=rho, q=0.0, M=M, omega=omega)
-        verdict = lure_stability(CHUA_NUM, CHUA_DEN, df)
+        verdict = lure_stability(CHUA_NUM, CHUA_DEN, rho)
         sweep.append({"rho": rho, "stable": verdict.stable, "margin": verdict.margin})
 
     # monodromy of the linearization x' = A(y) x along the designed output
@@ -354,7 +352,7 @@ def chua_pipeline(cfg: ExperimentConfig) -> dict:
 
     # phasor initial state making M sin(omega t) an exact solution
     s = 1j * omega
-    W = rec.D * np.exp(1j * rec.theta) - cf.p * M
+    W = D * np.exp(1j * theta) - cf.p * M
     X1 = CHUA_DEN[0] * W / np.polyval(CHUA_DEN, s)
     phasors = [X1, X1 * s, X1 * s * s]
     x0 = np.array([x.imag for x in phasors])  # value at t = 0 in sin convention
@@ -387,8 +385,8 @@ def chua_pipeline(cfg: ExperimentConfig) -> dict:
         "quadrature_gain_p": qd.p,
         "quadrature_gain_q": qd.q,
         "gain_difference_p": qd.p - cf.p,
-        "input_amplitude": rec.D,
-        "input_phase": rec.theta,
+        "input_amplitude": D,
+        "input_phase": theta,
         "threshold_sweep": sweep,
         "orbit_monodromy_eigenvalues": orbit.eigenvalues,
         "orbit_spectral_radius": orbit.spectral_radius,
@@ -426,7 +424,7 @@ def lorenz_pipeline(cfg: ExperimentConfig) -> dict:
             violations.append({"state": x.tolist(), "lam_max": lam_max})
 
     chaotic = lorenz(sigma, p["rho"], beta)
-    traj = integrate(chaotic, Zero(), 0.0, p["horizon"],
+    traj = integrate(chaotic, None, 0.0, p["horizon"],
                      np.array(p["x0"], dtype=float), step)
     flags = np.array([lorenz_region_check(s, sigma, beta) for s in traj.states])
     try:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalBlowup
 from .models import VectorField
-from .signals import InputSignal, Zero
+from .signals import Constant, InputSignal
 
 __all__ = [
     "Trajectory",
@@ -225,7 +225,7 @@ def integrate(
 ) -> Trajectory:
     """Integrate the model from x0 over [t0, t1] under the given input with
     RK4 step `step` (default_step when None), capped inside refine windows."""
-    signal = signal or Zero()
+    signal = signal or Constant(0.0)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")

@@ -20,7 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureNonConvergence, ZeroResponse
 from .models import PlainModel
-from .signals import InputSignal
+from .signals import CallableSignal
 from .variational import StabilityVerdict, hurwitz
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "describing_function",
     "chua_closed_form",
     "lure_stability",
-    "LureFeedforward",
     "lure_input_reconstruct",
 ]
 
@@ -192,70 +191,49 @@ def chua_closed_form(M: float, omega: float) -> DescribingFunctionResult:
 
 
 def lure_stability(
-    num: Sequence[float], den: Sequence[float], df: DescribingFunctionResult
+    num: Sequence[float], den: Sequence[float], p: float
 ) -> StabilityVerdict:
-    """Hurwitz verdict for den + (p + q s) num, the loop with h replaced by
-    its first-harmonic gain."""
+    """Hurwitz verdict for den + p num, the loop with h replaced by the
+    constant gain p (an odd h has no quadrature gain)."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     if num.size > den.size:
         raise ValueError("plant must be proper (deg num <= deg den)")
-    closed = np.polyadd(den, np.polyadd(df.p * num, np.polymul([df.q, 0.0], num)))
-    closed = np.trim_zeros(closed, "f")
+    closed = np.trim_zeros(np.polyadd(den, p * num), "f")
     if closed.size == 0:
         closed = np.array([0.0])
     return hurwitz(tuple(closed))
-
-
-class LureFeedforward(InputSignal):
-    """u(t) = D sin(omega t + theta) + h(M sin(omega t)) - p M sin(omega t).
-
-    The first term drives the describing-function loop to the target output;
-    the last two swap the first-harmonic gain back out for the true
-    nonlinearity, making the sinusoid an exact solution of the nonlinear loop.
-    """
-
-    def __init__(self, D: float, theta: float, M: float, omega: float, p: float,
-                 h: Callable[[float], float]):
-        self.D = D
-        self.theta = theta
-        self.M = M
-        self.omega = omega
-        self.p = p
-        self.h = h
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        y = self.M * np.sin(self.omega * ts)
-        hv = np.vectorize(self.h, otypes=[float])(y)
-        return self.D * np.sin(self.omega * ts + self.theta) + hv - self.p * y
-
-    def max_angular_frequency(self) -> float:
-        return abs(self.omega)
 
 
 def lure_input_reconstruct(
     num: Sequence[float],
     den: Sequence[float],
     df: DescribingFunctionResult,
-    M: float,
-    omega: float,
     h: Callable[[float], float],
-) -> LureFeedforward:
-    """Input making y = M sin(omega t) an exact solution of the loop.
+) -> tuple[CallableSignal, float, float]:
+    """Input making y = M sin(omega t) an exact solution of the loop, with
+    M, omega and the in-phase gain p read from df; returns (signal, D, theta).
 
-    D and theta come from the linearized loop with gain p + q s:
-    G = P / (1 + P (p + q s)) evaluated at s = j omega, D = M / |G|,
-    theta = -arg G. The returned signal then compensates h exactly, so the
-    construction does not depend on the value of df.p (the p-dependent
-    terms cancel): the closed-form and the quadrature gain give one drive.
+    u(t) = D sin(omega t + theta) + h(M sin(omega t)) - p M sin(omega t).
+    The first term drives the loop with h replaced by the gain p to the
+    target output, G = P / (1 + p P) at s = j omega, D = M / |G|,
+    theta = -arg G; the last two swap that gain back out for the true
+    nonlinearity, making the sinusoid an exact solution of the nonlinear
+    loop. The p-dependent terms cancel, so the closed-form and the
+    quadrature gain give one drive.
     """
+    M, omega, p = df.M, df.omega, df.p
     s = 1j * omega
     P = np.polyval(num, s) / np.polyval(den, s)
-    G = P / (1.0 + P * (df.p + df.q * s))
+    G = P / (1.0 + P * p)
     mag = abs(G)
     if mag < 1e-12:
         raise ZeroResponse(f"loop gain {mag:.3e} at omega={omega} cannot be inverted")
-    return LureFeedforward(
-        D=M / mag, theta=-math.atan2(G.imag, G.real), M=M, omega=omega, p=df.p, h=h
-    )
+    D, theta = M / mag, -math.atan2(G.imag, G.real)
+    hv = np.vectorize(h, otypes=[float])
+
+    def u(ts):
+        y = M * np.sin(omega * ts)
+        return D * np.sin(omega * ts + theta) + hv(y) - p * y
+
+    return CallableSignal(fn=u, angular_frequency=abs(omega)), D, theta

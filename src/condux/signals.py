@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "InputSignal",
-    "Zero",
     "Constant",
     "ImpulseTrain",
     "SquarePulseTrain",
@@ -62,14 +61,6 @@ class InputSignal:
     def max_angular_frequency(self) -> float:
         """Fastest sustained angular rate, 0 if the signal is not oscillatory."""
         return 0.0
-
-
-@dataclass(frozen=True)
-class Zero(InputSignal):
-    """u(t) = 0."""
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(ts, dtype=float))
 
 
 @dataclass(frozen=True)

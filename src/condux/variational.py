@@ -28,7 +28,7 @@ from .errors import (
 )
 from .integrate import Trajectory, default_step, integrate
 from .models import PlainModel, VectorField
-from .signals import InputSignal, Zero
+from .signals import Constant, InputSignal
 
 __all__ = [
     "ANCHOR_TOL",
@@ -121,7 +121,7 @@ def flow(
 
 def refine_periodic_orbit(
     model: VectorField,
-    signal,
+    signal: InputSignal | None,
     x_guess: np.ndarray,
     t0: float,
     period: float | None = None,
@@ -147,6 +147,7 @@ def refine_periodic_orbit(
     the one nearest 1 is not inside the unit circle, and on a non-finite
     state, T <= 0, a singular solve or no convergence.
     """
+    signal = signal or Constant(0.0)
     x = np.asarray(x_guess, dtype=float).copy()
     n = x.size
     free = period is None
@@ -160,7 +161,7 @@ def refine_periodic_orbit(
                 f"for {model.name}")
         tc = traj.ts[i] + s[i] / (s[i] - s[i + 1]) * (traj.ts[i + 1] - traj.ts[i])
         x, period = traj.interp_state(tc[-1]), float(tc[-1] - tc[-2])
-        k = math.ceil(period / (step or default_step(model, signal or Zero(), t0, t0 + period)))
+        k = math.ceil(period / (step or default_step(model, signal, t0, t0 + period)))
     try:
         # a forced orbit's last flow checks the last Newton update
         for it in range(NEWTON_ITERS + (not free)):
@@ -168,8 +169,7 @@ def refine_periodic_orbit(
             gap = traj.states[-1] - x
             lhs, res = np.eye(n) - phi, gap
             if free:
-                f = model.rhs(traj.t1, traj.states[-1].tolist(),
-                              (signal or Zero()).value(traj.t1))
+                f = model.rhs(traj.t1, traj.states[-1].tolist(), signal.value(traj.t1))
                 lhs = np.block([[lhs, -np.reshape(f, (n, 1))], [-np.eye(1, n), 0.0]])
                 res = np.append(gap, x[0])
             res_max = float(np.max(np.abs(res)))

@@ -29,7 +29,6 @@ from condux.signals import (
     PiecewiseLinear,
     SquarePulseTrain,
     Sum,
-    Zero,
 )
 from condux.variational import _with_variations, flow, refine_periodic_orbit
 from conftest import Sinusoid, planar_limit_cycle
@@ -67,13 +66,13 @@ def test_pulse_area_is_exact():
 
 def test_default_step_rules():
     model = _rotation()
-    assert default_step(model, Zero(), 0.0, 100.0) == pytest.approx(0.02)
-    assert default_step(model, Zero(), 0.0, 1.0) == pytest.approx(1.0 / 500.0)
+    assert default_step(model, Constant(0.0), 0.0, 100.0) == pytest.approx(0.02)
+    assert default_step(model, Constant(0.0), 0.0, 1.0) == pytest.approx(1.0 / 500.0)
     h = default_step(model, Sinusoid(amplitude=1.0, omega=1000.0), 0.0, 100.0)
     assert h == pytest.approx(2.0 * math.pi / 1e5)
     from condux.models import fitzhugh_nagumo
 
-    assert default_step(fitzhugh_nagumo(), Zero(), 0.0, 100.0) == pytest.approx(0.1 / 20.0)
+    assert default_step(fitzhugh_nagumo(), Constant(0.0), 0.0, 100.0) == pytest.approx(0.1 / 20.0)
 
 
 def test_grid_hits_breakpoints_exactly():
@@ -237,7 +236,7 @@ def test_blowup_names_the_first_nonfinite_node(k, on_state):
     # state, which must still be reported as the blowup. In the 2-state
     # field the first component stays finite throughout.
     h = 0.01
-    grid = build_grid(0.0, 3.0, h, Zero())
+    grid = build_grid(0.0, 3.0, h, Constant(0.0))
     t_bad = grid[k] + 0.75 * (grid[k + 1] - grid[k])
 
     for n in (1, 2, 3, 6):
@@ -275,7 +274,7 @@ def test_non_positive_or_infinite_step_is_rejected(step):
     with pytest.raises(ValueError, match="step must be finite and positive"):
         integrate(leaky_integrator(), Constant(1.0), 0.0, 2.0, np.array([0.0]), step)
     with pytest.raises(ValueError, match="step must be finite and positive"):
-        build_grid(0.0, 2.0, step, Zero())
+        build_grid(0.0, 2.0, step, Constant(0.0))
     end = integrate(leaky_integrator(), Constant(1.0), 0.0, 2.0, np.array([0.0])).states[-1, 0]
     assert end == pytest.approx(1.0 - math.exp(-2.0), abs=1e-9)
 

@@ -69,8 +69,7 @@ class TestLureStability:
     def test_first_order_threshold(self):
         # loop den (s+1) + p: stable exactly for p > -1
         for p, stable in ((0.5, True), (-0.5, True), (-1.5, False)):
-            df = DescribingFunctionResult(p=p, q=0.0, M=1.0, omega=1.0)
-            v = lure_stability((1.0,), (1.0, 1.0), df)
+            v = lure_stability((1.0,), (1.0, 1.0), p)
             assert v.stable is stable
             assert (v.margin > 0) is stable
 
@@ -89,10 +88,23 @@ class TestInputReconstruction:
     def test_first_order_loop(self):
         # P = 1/(s+1), no nonlinearity: D e^{j theta} = M (1 + j omega)
         df = DescribingFunctionResult(p=0.0, q=0.0, M=1.0, omega=1.0)
-        rec = lure_input_reconstruct((1.0,), (1.0, 1.0), df, 1.0, 1.0,
-                                     lambda y: 0.0)
-        assert rec.D == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert rec.theta == pytest.approx(math.pi / 4.0, rel=1e-12)
+        _, D, theta = lure_input_reconstruct((1.0,), (1.0, 1.0), df, lambda y: 0.0)
+        assert D == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert theta == pytest.approx(math.pi / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p, q", [(0.0, 0.0), (-0.7, 0.0), (0.4, 0.3)])
+    def test_input_solves_the_first_order_loop(self, p, q):
+        # P = 1/(s+1), h(y) = y^3: y = M sin(omega t) solves y' = -y + u - h(y)
+        # exactly when u = y' + y + h(y), whatever gains df holds; only p is
+        # swapped back out, so q is not read
+        M, omega = 1.3, 2.0
+        df = DescribingFunctionResult(p=p, q=q, M=M, omega=omega)
+        sig, _, _ = lure_input_reconstruct((1.0,), (1.0, 1.0), df, lambda y: y ** 3)
+        ts = np.linspace(0.0, 2.0 * math.pi / omega, 41)
+        y = M * np.sin(omega * ts)
+        exact = M * omega * np.cos(omega * ts) + y + y ** 3
+        assert np.max(np.abs(sig.values(ts) - exact)) < 1e-12
+        assert sig.max_angular_frequency() == omega
 
     def test_frozen_chua_drive(self, chua_run):
         report = chua_run[1]
@@ -105,10 +117,8 @@ class TestInputReconstruction:
         M, omega = 200.0, 1.0
         cf = chua_closed_form(M, omega)
         qd = describing_function(chua_nonlinearity, M, omega, kinks=CHUA_KINKS)
-        rec_a = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, cf, M, omega,
-                                       chua_nonlinearity)
-        rec_b = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, qd, M, omega,
-                                       chua_nonlinearity)
+        rec_a, _, _ = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, cf, chua_nonlinearity)
+        rec_b, _, _ = lure_input_reconstruct(CHUA_NUM, CHUA_DEN, qd, chua_nonlinearity)
         ts = np.linspace(0.0, 2.0 * math.pi, 101)
         ua = np.array([rec_a.value(t) for t in ts])
         ub = np.array([rec_b.value(t) for t in ts])

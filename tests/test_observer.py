@@ -14,7 +14,7 @@ from condux.observer import (
     observer_contraction_check,
     run_observer,
 )
-from condux.signals import SquarePulseTrain, Zero
+from condux.signals import Constant, SquarePulseTrain
 from condux.variational import floquet
 from conftest import coupled_with_jac
 
@@ -127,7 +127,7 @@ class TestEmbedding:
 class TestRunObserver:
     def test_requires_period(self, plant):
         with pytest.raises(ConfigError):
-            run_observer(plant, THETA_STAR, Zero(), horizon=10.0,
+            run_observer(plant, THETA_STAR, Constant(0.0), horizon=10.0,
                          tolerance=0.03, plant_ic=np.array([-0.7, 0.0]),
                          theta0=np.array([0.3, 1.8]))
 
