@@ -118,9 +118,10 @@ def kapitza_design(
             continue
 
         def u_star(t, M=M):
-            y = math.pi + M * np.sin(omega * t)
+            s = np.sin(omega * t)
+            y = math.pi + M * s
             yd = M * omega * np.cos(omega * t)
-            ydd = -M * omega * omega * np.sin(omega * t)
+            ydd = -M * omega * omega * s
             return (ydd + beta * np.sin(y) + gamma * yd) / alpha
 
         sig = CallableSignal(fn=u_star, angular_frequency=omega)

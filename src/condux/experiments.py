@@ -2,13 +2,15 @@
 
 Each ``<study>_pipeline(cfg)`` runs its study from one validated config and
 returns ``{"report": ..., "traces": ..., **objects}``: the report, its named
-trace columns at full length, and only those objects that a reader outside
-this module needs and that a JSON report cannot carry (designs, feedforwards,
-orbits). run_experiment alone writes the artifacts: one downsampled CSV per
-trace, then the report as strict JSON and the echoed config. It looks the
-pipeline up among this module's globals when called, so that a wrapper put
-in place of ``<study>_pipeline`` sees the call. Reports carry no wall-clock
-data so identical configs produce byte-identical artifacts.
+trace columns (arrays at full length, or the signal of a column that is only
+written, which write_csv tabulates on the rows it keeps), and only those
+objects that a reader outside this module needs and that a JSON report
+cannot carry (designs, feedforwards, orbits). run_experiment alone writes
+the artifacts: one downsampled CSV per trace, then the report as strict JSON
+and the echoed config. It looks the pipeline up among this module's globals
+when called, so that a wrapper put in place of ``<study>_pipeline`` sees the
+call. Reports carry no wall-clock data so identical configs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .models import (
     neuron_family,
 )
 from .observer import observer_contraction_check, run_observer
-from .signals import CallableSignal, Constant, SquarePulseTrain, Sum
+from .signals import CallableSignal, Constant, InputSignal, SquarePulseTrain, Sum
 from .variational import (
     MonodromyResult,
     contraction_probe,
@@ -83,14 +85,18 @@ _CSV_ROW_CAP = 20000
 _CSV_CHUNK = 4096
 
 
-def write_csv(path, cols: dict[str, np.ndarray]) -> None:
+def write_csv(path, cols: dict[str, np.ndarray | InputSignal]) -> None:
     """Write equal-length named columns under a header row, every value as
     %.17g so that reading the file back recovers each float64 exactly. Longer
     columns keep every k-th row from the first, k the least stride that leaves
-    at most _CSV_ROW_CAP rows."""
-    arrays = [np.asarray(c) for c in cols.values()]
-    stride = max(1, math.ceil(arrays[0].size / _CSV_ROW_CAP))
-    kept = [a[::stride] for a in arrays]
+    at most _CSV_ROW_CAP rows. The first column is the times; a column given
+    as a signal is tabulated at the kept times only."""
+    ts, *rest = cols.values()
+    ts = np.asarray(ts)
+    stride = max(1, math.ceil(ts.size / _CSV_ROW_CAP))
+    ts = ts[::stride]
+    kept = [ts] + [c.values(ts) if isinstance(c, InputSignal) else np.asarray(c)[::stride]
+                   for c in rest]
     row = ",".join(["%.17g"] * len(kept)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
@@ -161,7 +167,7 @@ def kapitza_pipeline(cfg: ExperimentConfig) -> dict:
         "steps": int(traj.ts.size),
     }
     traces = {"trace": {"t": traj.ts, "y": traj.states[:, 0], "delta_y": delta_y,
-                        "y_slow": slow, "u": design.feedforward.values(traj.ts)}}
+                        "y_slow": slow, "u": design.feedforward}}
     return {"report": report, "traces": traces, "design": design}
 
 
@@ -230,7 +236,7 @@ def fhn_pipeline(cfg: ExperimentConfig) -> dict:
     traces = {
         "realized": {"t": realized.ts, "y": realized.states[:, 0],
                      "y_free_reference": ystar(realized.ts),
-                     "u": ff.signal.values(realized.ts)},
+                     "u": ff.signal},
         "sync": {"t": a.ts, "y_phase_a": ya, "y_phase_b": yb, "abs_diff": diff},
     }
     return {"report": report, "traces": traces, "cycle": one, "design": design,
@@ -259,7 +265,6 @@ def hh_pipeline(cfg: ExperimentConfig) -> dict:
     grid = build_grid(0.0, P, min(p["base_step"], p["tau"] / p["ramp_step_divisor"]), sq)
     ys = sq.values(grid)
     zs = ff.zbar.interp_state(grid)[:, 0]
-    us = ff.signal.values(grid)
     cert = hh_certificate(params, grid, ys, zs, sq.derivative(grid), theta=p["theta"],
                           theta_prime=p["theta_prime"], M_y=p["M_y"])
 
@@ -307,9 +312,9 @@ def hh_pipeline(cfg: ExperimentConfig) -> dict:
         "delta_sweep": sweep,
     }
     traces = {
-        "sync": {"t": a.ts, "y_reference": sq.values(a.ts), "y_ic_a": a.states[:, 0],
-                 "y_ic_b": b.states[:, 0], "u": ff.signal.values(a.ts)},
-        "reference": {"t": grid, "y_reference": ys, "z_bar": zs, "u": us},
+        "sync": {"t": a.ts, "y_reference": sq, "y_ic_a": a.states[:, 0],
+                 "y_ic_b": b.states[:, 0], "u": ff.signal},
+        "reference": {"t": grid, "y_reference": ys, "z_bar": zs, "u": ff.signal},
     }
     return {"report": report, "traces": traces, "feedforward": ff}
 
@@ -395,8 +400,7 @@ def chua_pipeline(cfg: ExperimentConfig) -> dict:
         "from_rest": from_rest,
     }
     return {"report": report,
-            "traces": {"trace": {"t": tr.ts, "y_reference": y_ref, "y": y,
-                                 "u": rec.values(tr.ts)}}}
+            "traces": {"trace": {"t": tr.ts, "y_reference": y_ref, "y": y, "u": rec}}}
 
 
 def lorenz_pipeline(cfg: ExperimentConfig) -> dict:

@@ -6,19 +6,26 @@ window the step is capped, so narrow impulses and short ramps are resolved
 without paying for a globally tiny step. Identical inputs give bit-identical
 trajectories.
 
+The grid is built in numpy: a Python loop over the intervals between
+edges picks each interval's step cap and its number of steps k, and the
+nodes a + (b - a) * j / k of all intervals are then written in one pass of
+array operations, the same float operations in the same order as the scalar
+formula.
+
 The loop steps Python floats. The inputs of a whole grid are tabulated in
 three numpy calls first, at the left end, midpoint and right end of every
-step; then each block of 64 steps converts its slice of the grid, the
+step; then each block of 1024 steps converts its slice of the grid, the
 steps and the three input columns to float lists and hands them to the RK4
 block for the state size n. That block is Python source rendered from one
 template the first time a run of size n needs it, compiled and cached: it
 keeps the state in n local floats, passes it to the field's float-form rhs
 (see VectorField) as a tuple and unpacks each stage into n locals, so an
-rhs that returns other than n components raises ValueError. Its rows are
-written into the preallocated state array and checked for finiteness.
-Python + * / on floats round exactly like numpy's elementwise ops, so the
-rendered block gives the bits of the same stages over arrays, and
-converting per block keeps memory at one array of states.
+rhs that returns other than n components raises ValueError. It extends one
+flat list by the components of every new state; the list is copied into
+the preallocated state array in one assignment and checked for
+finiteness. Python + * / on floats round exactly like numpy's elementwise
+ops, so the rendered block gives the bits of the same stages over arrays,
+and converting per block keeps memory at one array of states.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ __all__ = [
 
 
 # Steps between two finiteness checks of the stored states.
-_FINITE_BLOCK = 64
+_FINITE_BLOCK = 1024
 
 # The RK4 block for a state of n components, as the source of a function
 # that steps the state through one slice of the grid. Each "{x}" below is
@@ -51,7 +58,7 @@ _FINITE_BLOCK = 64
 # component takes the same operations in the same order.
 _BLOCK_TEMPLATE = """\
 def block(rhs, ts, hs, uas, ums, ubs, y, rows):
-    push = rows.append
+    push = rows.extend
     for t, h, ua, um, ub in zip(ts, hs, uas, ums, ubs):
         {a} = y
         hh = 0.5 * h
@@ -70,8 +77,8 @@ def _rk4_block(n: int):
     """block(rhs, ts, hs, uas, ums, ubs, y, rows) for states of n components,
     rendered and compiled on the first run of that size: steps the tuple y
     over the steps hs from the times ts, with inputs uas, ums and ubs at the
-    left end, midpoint and right end of each step, appending every new state
-    to rows."""
+    left end, midpoint and right end of each step, extending the flat list
+    rows by the components of every new state."""
 
     def each(expr: str) -> str:
         return " ".join(expr.format(i=i) + "," for i in range(n))
@@ -133,17 +140,29 @@ def build_grid(
             merged.append(e)
     merged[-1] = t1
 
-    nodes = [t0]
+    ks = []
     for a, b in zip(merged, merged[1:]):
         cap = h_default
         for lo, hi, c in windows:
             if lo <= a + 1e-12 * span and b <= hi + 1e-12 * span:
                 cap = min(cap, c)
-        k = max(1, math.ceil((b - a) / cap - 1e-9))
-        for j in range(1, k):
-            nodes.append(a + (b - a) * j / k)
-        nodes.append(b)
-    return np.array(nodes)
+        ks.append(max(1, math.ceil((b - a) / cap - 1e-9)))
+    # Interval [a, b] split in k steps contributes the nodes
+    # a + (b - a) * j / k for j = 1..k-1 and then b itself, all intervals at
+    # once: j, b - a, k and a are repeated per node, and each node takes the
+    # float operations of that formula in the same order.
+    k = np.array(ks)
+    a = np.array(merged[:-1])
+    ends = np.cumsum(k)
+    j = np.arange(1, int(ends[-1]) + 1) - np.repeat(ends - k, k)
+    nodes = np.empty(j.size + 1)
+    nodes[0] = t0
+    inner = nodes[1:]
+    np.multiply(np.repeat(np.array(merged[1:]) - a, k), j, out=inner)
+    inner /= np.repeat(k, k)
+    inner += np.repeat(a, k)
+    nodes[ends] = merged[1:]
+    return nodes
 
 
 @dataclass
@@ -181,28 +200,27 @@ def _rk4_run(
     u_lo = signal.values(np.nextafter(grid[:-1], grid[1:]))
     u_mid = signal.values(grid[:-1] + 0.5 * hs)
     u_hi = signal.values(np.nextafter(grid[1:], grid[:-1]))
-    states = np.empty((n, x0.size))
+    m = x0.size
+    states = np.empty((n, m))
     states[0] = x0
+    flat = states.reshape(-1)
     y = tuple(x0.tolist())
     rhs = model.rhs
-    block = _rk4_block(x0.size)
-    # Finiteness is checked once per block of steps; a failed block is
-    # rescanned so that the error names the first non-finite node. A field
-    # that raises on a non-finite state reports the same blowup.
+    block = _rk4_block(m)
+    # Each block's rows arrive as one flat list of floats and are stored in
+    # one copy. Finiteness is checked once per block of steps; a failed
+    # block is rescanned so that the error names the first non-finite node.
+    # A field that raises on a non-finite state reports the same blowup.
     for lo in range(0, n - 1, _FINITE_BLOCK):
         hi = min(lo + _FINITE_BLOCK, n - 1)
         rows = []
         try:
             block(rhs, grid[lo:hi].tolist(), hs[lo:hi].tolist(), u_lo[lo:hi].tolist(),
                   u_mid[lo:hi].tolist(), u_hi[lo:hi].tolist(), y, rows)
-        except Exception:
-            if rows:
-                states[lo + 1:lo + 1 + len(rows)] = rows
-            _check_finite(model, grid, states, lo, lo + len(rows))
-            raise
-        states[lo + 1:hi + 1] = rows
-        _check_finite(model, grid, states, lo, hi)
-        y = rows[-1]
+        finally:
+            flat[(lo + 1) * m:(lo + 1) * m + len(rows)] = rows
+            _check_finite(model, grid, states, lo, lo + len(rows) // m)
+        y = tuple(rows[-m:])
     return Trajectory(grid, states)
 
 

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from condux.errors import NoCrossings, NumericalBlowup, PeriodUnstable
 from condux.experiments import _CSV_ROW_CAP, write_csv
 from condux.integrate import (
+    _FINITE_BLOCK,
     Trajectory,
     build_grid,
     default_step,
@@ -24,6 +25,7 @@ from condux.models import (
     lorenz,
 )
 from condux.signals import (
+    CallableSignal,
     Constant,
     ImpulseTrain,
     PiecewiseLinear,
@@ -85,6 +87,62 @@ def test_grid_hits_breakpoints_exactly():
         mask = (grid > c - 5e-4) & (grid < c + 5e-4)
         assert mask.sum() > 10
         assert np.max(np.diff(grid[mask])) <= 1e-5 + 1e-15
+
+
+def _scalar_grid(t0, t1, h, signal):
+    """The reference for build_grid: the same edges, merging and caps, with
+    every node appended one at a time by the scalar formula
+    a + (b - a) * j / k."""
+    windows = [(max(lo, t0), min(hi, t1), cap) for lo, hi, cap in signal.refine_windows(t0, t1)
+               if hi > t0 and lo < t1 and cap > 0]
+    edges = {t0, t1} | {b for b in signal.breakpoints(t0, t1) if t0 < b < t1}
+    edges |= {e for lo, hi, _ in windows for e in (lo, hi) if t0 < e < t1}
+    span = t1 - t0
+    merged = [t0]
+    for e in sorted(edges)[1:]:
+        if e - merged[-1] > 1e-12 * span:
+            merged.append(e)
+    merged[-1] = t1
+    nodes = [t0]
+    for a, b in zip(merged, merged[1:]):
+        cap = h
+        for lo, hi, c in windows:
+            if lo <= a + 1e-12 * span and b <= hi + 1e-12 * span:
+                cap = min(cap, c)
+        k = max(1, math.ceil((b - a) / cap - 1e-9))
+        for j in range(1, k):
+            nodes.append(a + (b - a) * j / k)
+        nodes.append(b)
+    return np.array(nodes)
+
+
+def _chua_output(M=1.7, omega=2.0, extra=()):
+    """chua's designed output with its kinks at |M sin(omega t)| = 1 as
+    breakpoints, plus the extra ones."""
+    a = math.asin(1.0 / M)
+    kinks = [(b + 2.0 * math.pi * k) / omega
+             for k in range(-1, 3) for b in (a, math.pi - a, -a, math.pi + a)]
+    return CallableSignal(fn=lambda t: M * np.sin(omega * t), breaks=(*kinks, *extra))
+
+
+@pytest.mark.parametrize("t0, t1, h, signal", [
+    (0.0, 7.3, 0.01, Constant(0.0)),
+    (-0.7, 5.0, 0.013, SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.1)),
+    (0.0, 5.0, 0.01, ImpulseTrain(t0=1.0, period=2.0, magnitude=1.0, width=1e-4)),
+    (0.2, 9.0, 0.05, PiecewiseLinear(((0.5, 0.0), (0.503, 1.0), (2.0, 1.0), (2.01, -1.0),
+                                      (3.5, 0.0)))),
+    (0.0, 2.0 * math.pi, 0.02, _chua_output()),
+    # edges 2.5e-13 and 5e-12 of the span apart: the first pair merges into
+    # one edge, and the last interior edge merges into t1
+    (0.0, 4.0, 0.01, Sum((SquarePulseTrain(magnitude=1.0, duration=0.5, period=1.0),
+                          _chua_output(extra=(1.5 + 1e-12, 2.0 + 2e-11, 4.0 - 1e-12))))),
+], ids=["Constant", "SquarePulseTrain", "ImpulseTrain", "PiecewiseLinear", "chua",
+        "merged-edges"])
+def test_build_grid_matches_the_scalar_node_formula_bitwise(t0, t1, h, signal):
+    grid = build_grid(t0, t1, h, signal)
+    ref = _scalar_grid(t0, t1, h, signal)
+    assert grid.shape == ref.shape
+    assert np.array_equal(grid.view(np.int64), ref.view(np.int64))
 
 
 @st.composite
@@ -186,6 +244,20 @@ def test_csv_keeps_every_kth_row_of_strided_columns(tmp_path):
     assert got.count("\n") == 1 + -(-n // k) <= 1 + _CSV_ROW_CAP
 
 
+def test_csv_tabulates_a_signal_column_on_the_kept_rows(tmp_path):
+    # a column given as its signal is read at the kept times only, and the
+    # file is the one its full-length column gives
+    n = 2 * _CSV_ROW_CAP + 4099
+    ts = np.linspace(-1.0, 7.0, n)
+    pulses = _CountedPulses(magnitude=1.5, duration=0.3, period=1.0)
+    ramp = PiecewiseLinear(((0.2, 0.0), (0.7, 1.3), (1.9, -0.4)))
+    write_csv(tmp_path / "signals.csv", {"t": ts, "u": pulses, "y": ramp})
+    write_csv(tmp_path / "arrays.csv", {"t": ts, "u": pulses.values(ts), "y": ramp.values(ts)})
+    assert pulses.sizes == [-(-n // 3), n]
+    got = (tmp_path / "signals.csv").read_text(encoding="utf-8")
+    assert got == (tmp_path / "arrays.csv").read_text(encoding="utf-8")
+
+
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
     """Header names and the rows of a file written by write_csv."""
     with open(path, encoding="utf-8") as fh:
@@ -227,16 +299,20 @@ def test_interp_state_array_matches_scalar(ts):
     assert np.array_equal(tab.view(np.int64), one.view(np.int64))
 
 
-@pytest.mark.parametrize("k", [0, 62, 63, 64, 137])
+@pytest.mark.parametrize("k", [0, 62, 63, 64, 137, _FINITE_BLOCK - 2, _FINITE_BLOCK - 1,
+                               _FINITE_BLOCK, 2 * _FINITE_BLOCK + 9])
 @pytest.mark.parametrize("on_state", [False, True])
 def test_blowup_names_the_first_nonfinite_node(k, on_state):
     # the last component turns infinite between the last two stages of step
     # k, so node k + 1 is the first non-finite state wherever it falls in a
-    # block of steps; with on_state the next step's math.sin raises on that
-    # state, which must still be reported as the blowup. In the 2-state
-    # field the first component stays finite throughout.
+    # block of steps: inside the first block, at the last two nodes of a
+    # block, at the first node of the next one, and in the third; with
+    # on_state the next step's math.sin raises on that state, which must
+    # still be reported as the blowup. In the 2-state field the first
+    # component stays finite throughout.
     h = 0.01
-    grid = build_grid(0.0, 3.0, h, Constant(0.0))
+    t1 = (2 * _FINITE_BLOCK + 11) * h
+    grid = build_grid(0.0, t1, h, Constant(0.0))
     t_bad = grid[k] + 0.75 * (grid[k + 1] - grid[k])
 
     for n in (1, 2, 3, 6):
@@ -246,25 +322,26 @@ def test_blowup_names_the_first_nonfinite_node(k, on_state):
 
         field = PlainModel("escape", n, rhs, lambda t, s, u, n=n: ((0.0,) * n,) * n)
         with pytest.raises(NumericalBlowup) as err:
-            integrate(field, None, 0.0, 3.0, np.full(n, 0.5), h)
+            integrate(field, None, 0.0, t1, np.full(n, 0.5), h)
         assert err.value.t == grid[k + 1]
 
 
 def test_field_error_on_finite_states_propagates():
     # a field that raises while every stored state is finite is not a
     # blowup: its own error comes through, also from the first stage of the
-    # first step of a block (call 4 * 64 + 1)
+    # first step of a block (call 4 * _FINITE_BLOCK + 1)
     calls = []
 
     def rhs(t, s, u):
         calls.append(t)
-        if len(calls) > 4 * 64:
+        if len(calls) > 4 * _FINITE_BLOCK:
             raise ZeroDivisionError("field failed")
         return (1.0,)
 
     field = PlainModel("fails", 1, rhs, None)
     with pytest.raises(ZeroDivisionError, match="field failed"):
-        integrate(field, None, 0.0, 1.0, np.array([0.0]), 0.01)
+        integrate(field, None, 0.0, 2 * _FINITE_BLOCK * 0.01, np.array([0.0]), 0.01)
+    assert len(calls) == 4 * _FINITE_BLOCK + 1
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])

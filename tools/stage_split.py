@@ -1,10 +1,13 @@
 """CPU time per pipeline stage of two condux checkouts, side by side.
 
-    python3 tools/stage_split.py PARENT_DIR CHANGE_DIR
+    python3 tools/stage_split.py PARENT_DIR CHANGE_DIR [CONFIG...]
 
-Each of the four benchmark workloads runs at seed 1, with the config that
-PARENT_DIR's perfbench/workloads.make_config writes, so both checkouts run
-the same config. A stage is a function that condux.experiments imports from
+Without CONFIG paths, each of the four benchmark workloads runs at seed 1,
+with the config that PARENT_DIR's perfbench/workloads.make_config writes, so
+both checkouts run the same config. Each CONFIG is instead a study config
+file, as `condux run` reads it (a study at its defaults is
+{"experiment": "kapitza"}), run by both checkouts in place of the
+workloads. A stage is a function that condux.experiments imports from
 another condux module (integrate, refine_periodic_orbit,
 observer_contraction_check, ...), or its own CSV writer write_csv. Its
 binding in condux.experiments is wrapped, so only the calls a pipeline
@@ -14,9 +17,9 @@ stage is the whole run_experiment call, artifacts included.
 
 Each checkout runs in fresh processes, with its src first on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1: 5 rounds of one process making 3 calls, the rounds
-alternating which checkout goes first. The script prints, per workload and
-stage, the min and median of time.process_time over the 15 calls of each
-checkout.
+alternating which checkout goes first. The script prints, per workload or
+config and stage, the min and median of time.process_time over the 15 calls
+of each checkout.
 """
 
 from __future__ import annotations
@@ -93,22 +96,27 @@ def _cell(xs: list[float]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: python3 tools/stage_split.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+    if len(args) < 2:
+        print("usage: python3 tools/stage_split.py PARENT_DIR CHANGE_DIR [CONFIG...]",
+              file=sys.stderr)
         return 2
     sides = {"parent": Path(args[0]).resolve(), "change": Path(args[1]).resolve()}
-    sys.path.insert(0, str(sides["parent"] / "perfbench"))
-    from workloads import make_config
+    if args[2:]:
+        runs = {path: json.dumps(json.loads(Path(path).read_text(encoding="utf-8")))
+                for path in args[2:]}
+    else:
+        sys.path.insert(0, str(sides["parent"] / "perfbench"))
+        from workloads import make_config
 
-    for w in WORKLOADS:
-        config = json.dumps(make_config(w, SEED))
+        runs = {f"{w}, seed {SEED}": json.dumps(make_config(w, SEED)) for w in WORKLOADS}
+    for name, config in runs.items():
         calls: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
         for r in range(ROUNDS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 calls[side] += _calls(sides[side], config)
         stages = list(dict.fromkeys(k for cs in calls.values() for c in cs for k in c
                                     if k != "total"))
-        print(f"{w} (seed {SEED}; CPU s, min / median of {ROUNDS * CALLS} calls)")
+        print(f"{name} (CPU s, min / median of {ROUNDS * CALLS} calls)")
         print(f"  {'stage':<34} {'parent':>15} {'change':>15}")
         for stage in (*stages, "total"):
             cells = [_cell([c[stage] for c in calls[side] if stage in c]) for side in sides]
