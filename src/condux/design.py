@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InverseNotContracting,
@@ -70,6 +69,8 @@ def averaged_gain(M: float) -> float:
     frequency cancels out of the average."""
     if M < 0:
         raise ValueError("amplitude must be nonnegative")
+    from scipy.integrate import quad
+
     # The integrand has period pi and is even about pi/2, so a quarter
     # period carries the whole average.
     val, err = quad(lambda tau: math.cos(M * math.sin(tau)), 0.0, 0.5 * math.pi,

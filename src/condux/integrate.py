@@ -6,10 +6,11 @@ window the step is capped, so narrow impulses and short ramps are resolved
 without paying for a globally tiny step. Identical inputs give bit-identical
 trajectories.
 
-The grid is built in numpy: a Python loop over the intervals between
-edges picks each interval's step cap and its number of steps k, and the
-nodes a + (b - a) * j / k of all intervals are then written in one pass of
-array operations, the same float operations in the same order as the scalar
+The grid is built in numpy: each refine window finds the run of intervals
+between edges that it covers by bisection and lowers their step caps, a
+Python loop picks each interval's number of steps k, and the nodes
+a + (b - a) * j / k of all intervals are then written in one pass of array
+operations, the same float operations in the same order as the scalar
 formula.
 
 The loop steps Python floats. The inputs of a whole grid are tabulated in
@@ -30,6 +31,7 @@ and converting per block keeps memory at one array of states.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -140,13 +142,20 @@ def build_grid(
             merged.append(e)
     merged[-1] = t1
 
-    ks = []
-    for a, b in zip(merged, merged[1:]):
-        cap = h_default
-        for lo, hi, c in windows:
-            if lo <= a + 1e-12 * span and b <= hi + 1e-12 * span:
-                cap = min(cap, c)
-        ks.append(max(1, math.ceil((b - a) / cap - 1e-9)))
+    # A window covers interval i, [merged[i], merged[i+1]], when
+    # lo <= merged[i] + tol and merged[i+1] <= hi + tol. Each half is monotone
+    # in the sorted edges, so the covered intervals are one slice, found by
+    # bisection.
+    tol = 1e-12 * span
+    intervals = range(len(merged) - 1)
+    caps = [h_default] * len(intervals)
+    for lo, hi, c in windows:
+        first = bisect.bisect_left(intervals, True, key=lambda i: lo <= merged[i] + tol)
+        stop = bisect.bisect_left(intervals, True, key=lambda i: not merged[i + 1] <= hi + tol)
+        for i in range(first, stop):
+            caps[i] = min(caps[i], c)
+    ks = [max(1, math.ceil((b - a) / cap - 1e-9))
+          for a, b, cap in zip(merged, merged[1:], caps)]
     # Interval [a, b] split in k steps contributes the nodes
     # a + (b - a) * j / k for j = 1..k-1 and then b itself, all intervals at
     # once: j, b - a, k and a are repeated per node, and each node takes the

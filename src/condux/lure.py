@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureNonConvergence, ZeroResponse
 from .models import PlainModel
@@ -116,6 +115,8 @@ def _harmonic_integrals(
 ) -> tuple[float, float, float]:
     """(int h(M sin psi) sin psi, int h(M sin psi) cos psi, error estimate)
     over one cycle."""
+    from scipy.integrate import IntegrationWarning, quad
+
     pts = set()
     for y0 in kinks:
         c = y0 / M

@@ -1,9 +1,13 @@
 """The artifacts run_experiment writes: file names, CSV headers and row caps,
-strict JSON reports, the pipeline looked up when called, and the fixed-step
-override reaching orbit closing."""
+strict JSON reports, the pipeline looked up when called, the fixed-step
+override reaching orbit closing, and studies that run without scipy."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import pytest
 import condux.experiments
 from condux.acceptance import criterion_kapitza
 from condux.config import EXPERIMENTS, config_from_dict
+from condux.design import averaged_gain
 from condux.errors import PeriodUnstable
 from condux.experiments import (
     _json_ready,
@@ -186,3 +191,34 @@ def test_observer_settle_run_ends_at_the_orbit_start(monkeypatch, k):
         settle, = runs
         assert settle.t0 == 0.0 and settle.t1 == k * P
         assert np.array_equal(x_guess, settle.states[-1])
+
+
+# Imports condux and runs two studies that need no quadrature, then prints
+# the scipy modules loaded so far; then one averaged gain, and whether that
+# loaded scipy.integrate.
+_SCIPY_FREE_CHILD = r"""
+import json, sys, tempfile
+import condux, condux.cli
+from condux.config import config_from_dict
+from condux.experiments import run_experiment
+
+with tempfile.TemporaryDirectory() as tmp:
+    for study in ("lorenz", "probe"):
+        run_experiment(config_from_dict({"experiment": study}), f"{tmp}/{study}")
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+gain = condux.averaged_gain(1.2)
+print(json.dumps({"before": before, "integrate": "scipy.integrate" in sys.modules,
+                  "gain": gain.hex()}))
+"""
+
+
+def test_studies_without_a_quadrature_do_not_load_scipy(tmp_path):
+    src = str(Path(condux.experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CHILD], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["before"] == []
+    assert seen["integrate"]
+    assert seen["gain"] == averaged_gain(1.2).hex()

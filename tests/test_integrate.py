@@ -136,8 +136,25 @@ def _chua_output(M=1.7, omega=2.0, extra=()):
     # one edge, and the last interior edge merges into t1
     (0.0, 4.0, 0.01, Sum((SquarePulseTrain(magnitude=1.0, duration=0.5, period=1.0),
                           _chua_output(extra=(1.5 + 1e-12, 2.0 + 2e-11, 4.0 - 1e-12))))),
+    # 4,000 intervals under 2,000 windows
+    (0.0, 2000.0, 0.2, SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.0)),
+    # each window overlaps its neighbours and nests in the other train's
+    (0.0, 3.0, 0.01, Sum((ImpulseTrain(t0=0.5, period=0.05, magnitude=1.0, width=0.01),
+                          ImpulseTrain(t0=0.52, period=0.07, magnitude=1.0, width=0.004)))),
+    (0.0, 12.0, 0.05, Sum((SquarePulseTrain(magnitude=1.0, duration=0.3, period=1.1),
+                           PiecewiseLinear(((0.0, 0.0), (0.25, 1.0), (1.7, -1.0), (3.0, 0.0)))))),
+    # window ends within 1e-12 of the span (4e-12) of an edge, each cap below
+    # h: the pulse windows [n, n + 0.5] next to breaks that they merge into,
+    # one break 5e-12 past 3.0 that does not merge, and an impulse window
+    # ending 1e-12 before t1, which merges into t1
+    (0.0, 4.0, 0.2, Sum((SquarePulseTrain(magnitude=1.0, duration=0.5, period=1.0),
+                         ImpulseTrain(t0=3.0 - 1e-12, period=10.0, magnitude=1.0, width=0.125),
+                         CallableSignal(fn=np.zeros_like, breaks=(
+                             1.0 - 2e-12, 1.5 + 2e-12, 2.0 + 3e-12, 2.5 - 3e-12,
+                             3.0 + 5e-12))))),
 ], ids=["Constant", "SquarePulseTrain", "ImpulseTrain", "PiecewiseLinear", "chua",
-        "merged-edges"])
+        "merged-edges", "long-SquarePulseTrain", "overlapping-ImpulseTrain",
+        "SquarePulseTrain+PiecewiseLinear", "window-ends-near-edges"])
 def test_build_grid_matches_the_scalar_node_formula_bitwise(t0, t1, h, signal):
     grid = build_grid(t0, t1, h, signal)
     ref = _scalar_grid(t0, t1, h, signal)

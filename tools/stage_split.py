@@ -19,7 +19,9 @@ Each checkout runs in fresh processes, with its src first on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1: 5 rounds of one process making 3 calls, the rounds
 alternating which checkout goes first. The script prints, per workload or
 config and stage, the min and median of time.process_time over the 15 calls
-of each checkout.
+of each checkout. The import row is the process's CPU time from its start
+until it has imported condux.experiments, one value per process, so its min
+and median are over the 5 processes of each checkout.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ ROUNDS = 5
 CALLS = 3
 
 # The child process: argv[1] is the config as JSON, argv[2] the number of
-# run_experiment calls. It prints one JSON list, per call the CPU seconds by
+# run_experiment calls. It prints one JSON object: the CPU seconds it took to
+# import condux.experiments, and a list with, per call, the CPU seconds by
 # stage name.
 _CHILD = r"""
 import inspect, json, sys, tempfile, time
 import condux.experiments as exp
+imported_s = time.process_time()
 from condux.config import config_from_dict
 
 cfg = config_from_dict(json.loads(sys.argv[1]))
@@ -74,12 +78,13 @@ with tempfile.TemporaryDirectory(prefix="stage_split-") as tmp:
         exp.run_experiment(cfg, f"{tmp}/{i}")
         acc["total"] = time.process_time() - t0
         calls.append(dict(acc))
-print(json.dumps(calls))
+print(json.dumps({"import": imported_s, "calls": calls}))
 """
 
 
-def _calls(checkout: Path, config: str) -> list[dict[str, float]]:
-    """One fresh process of CALLS run_experiment calls in a checkout."""
+def _process(checkout: Path, config: str) -> dict:
+    """One fresh process of CALLS run_experiment calls in a checkout: its
+    import CPU seconds and its calls' stage CPU seconds."""
     src = str(checkout / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -111,13 +116,19 @@ def main(argv: list[str] | None = None) -> int:
         runs = {f"{w}, seed {SEED}": json.dumps(make_config(w, SEED)) for w in WORKLOADS}
     for name, config in runs.items():
         calls: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+        imports: dict[str, list[float]] = {side: [] for side in sides}
         for r in range(ROUNDS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
-                calls[side] += _calls(sides[side], config)
+                seen = _process(sides[side], config)
+                imports[side].append(seen["import"])
+                calls[side] += seen["calls"]
         stages = list(dict.fromkeys(k for cs in calls.values() for c in cs for k in c
                                     if k != "total"))
-        print(f"{name} (CPU s, min / median of {ROUNDS * CALLS} calls)")
+        print(f"{name} (CPU s, min / median of {ROUNDS * CALLS} calls; "
+              f"import: of {ROUNDS} processes)")
         print(f"  {'stage':<34} {'parent':>15} {'change':>15}")
+        cells = [_cell(imports[side]) for side in sides]
+        print(f"  {'import':<34} {cells[0]:>15} {cells[1]:>15}")
         for stage in (*stages, "total"):
             cells = [_cell([c[stage] for c in calls[side] if stage in c]) for side in sides]
             print(f"  {stage:<34} {cells[0]:>15} {cells[1]:>15}")
