@@ -28,6 +28,7 @@ from .lure import (
 )
 from .models import (
     ConductanceParams,
+    FieldSource,
     PlainModel,
     finite_difference_jacobian,
     fitzhugh_nagumo,
@@ -228,10 +229,10 @@ def criterion_properties(p: dict, r: dict) -> list[CriterionRow]:
     rows.append(_row("properties", "volume_trace_identity", "0", rel, "1e-6",
                      rel <= 1e-6))
 
-    # integrator order on a rotation with a known solution
-    rot = PlainModel("rotation", 2,
-                     lambda t, s, u: (s[1], -s[0]),
-                     lambda t, s, u: ((0.0, 1.0), (-1.0, 0.0)))
+    # integrator order on a rotation with a known solution, declared from
+    # source so that the row measures the block with the field written out
+    rot = PlainModel("rotation", 2, None, lambda t, s, u: ((0.0, 1.0), (-1.0, 0.0)),
+                     source=FieldSource(("x", "v"), ("v", "-x")))
     exact = np.array([math.cos(1.0), -math.sin(1.0)])
     errs = []
     for h in (0.01, 0.005):

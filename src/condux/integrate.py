@@ -21,12 +21,18 @@ block for the state size n. That block is Python source rendered from one
 template the first time a run of size n needs it, compiled and cached: it
 keeps the state in n local floats, passes it to the field's float-form rhs
 (see VectorField) as a tuple and unpacks each stage into n locals, so an
-rhs that returns other than n components raises ValueError. It extends one
-flat list by the components of every new state; the list is copied into
-the preallocated state array in one assignment and checked for
-finiteness. Python + * / on floats round exactly like numpy's elementwise
-ops, so the rendered block gives the bits of the same stages over arrays,
-and converting per block keeps memory at one array of states.
+rhs that returns other than n components raises ValueError. A PlainModel
+that declares its components as source (FieldSource) is stepped by a block
+with those expressions written out in place of the rhs calls: each stage
+binds its stage state to n locals and computes each component in one
+statement, no call and no tuple per stage. Its constants are the block's
+argument, so the block is compiled once per source, whatever the
+parameter values, and the model's rhs is rendered from the same source.
+The block extends one flat list by the components of every new state; the
+list is copied into the preallocated state array in one assignment and
+checked for finiteness. Python + * / on floats round exactly like numpy's
+elementwise ops, so the rendered block gives the bits of the same stages
+over arrays, and converting per block keeps memory at one array of states.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowup
-from .models import VectorField
+from .models import FieldSource, VectorField
 from .signals import Constant, InputSignal
 
 __all__ = [
@@ -57,43 +63,73 @@ _FINITE_BLOCK = 1024
 # that steps the state through one slice of the grid. Each "{x}" below is
 # rendered as its expression written out for i = 0..n-1, comma-terminated:
 # the state is a0..a(n-1), the stages k1..k4 are b, c, d and e, and every
-# component takes the same operations in the same order.
+# component takes the same operations in the same order. A field without
+# source passes its rhs as the block's first argument and each stage is one
+# rhs call; a field with source passes its constants, which the block
+# unpacks into k0, k1, ..., and each stage binds its stage state to
+# x0..x(n-1) and writes the source's components over it.
 _BLOCK_TEMPLATE = """\
-def block(rhs, ts, hs, uas, ums, ubs, y, rows):
-    push = rows.extend
+def block({field}, ts, hs, uas, ums, ubs, y, rows):
+{consts}    push = rows.extend
     for t, h, ua, um, ub in zip(ts, hs, uas, ums, ubs):
         {a} = y
         hh = 0.5 * h
-        {b} = rhs(t, y, ua)
-        {c} = rhs(t + hh, ({k2_state}), um)
-        {d} = rhs(t + hh, ({k3_state}), um)
-        {e} = rhs(t + h, ({k4_state}), ub)
+        {k1}
+        {k2}
+        {k3}
+        {k4}
         h6 = h / 6.0
         y = ({step})
         push(y)
 """
 
+# Per stage: its locals, its time, its stage state (None: the state itself)
+# and its input.
+_STAGES = (
+    ("b", "t", None, "ua"),
+    ("c", "t + hh", "a{i} + hh * b{i}", "um"),
+    ("d", "t + hh", "a{i} + hh * c{i}", "um"),
+    ("e", "t + h", "a{i} + h * d{i}", "ub"),
+)
 
-@functools.cache
-def _rk4_block(n: int):
-    """block(rhs, ts, hs, uas, ums, ubs, y, rows) for states of n components,
-    rendered and compiled on the first run of that size: steps the tuple y
-    over the steps hs from the times ts, with inputs uas, ums and ubs at the
-    left end, midpoint and right end of each step, extending the flat list
-    rows by the components of every new state."""
+
+def _block_source(n: int, source: FieldSource | None) -> str:
+    """The source of the RK4 block for n components, with the field's
+    components written out when it has a source."""
 
     def each(expr: str) -> str:
         return " ".join(expr.format(i=i) + "," for i in range(n))
 
-    src = _BLOCK_TEMPLATE.format(
-        a=each("a{i}"), b=each("b{i}"), c=each("c{i}"), d=each("d{i}"), e=each("e{i}"),
-        k2_state=each("a{i} + hh * b{i}"),
-        k3_state=each("a{i} + hh * c{i}"),
-        k4_state=each("a{i} + h * d{i}"),
+    stages = []
+    for k, t, state, u in _STAGES:
+        if source is None:
+            arg = "y" if state is None else f"({each(state)})"
+            stages.append(f"{each(k + '{i}')} = rhs({t}, {arg}, {u})")
+            continue
+        xs = [f"a{i}" if state is None else f"x{i}" for i in range(n)]
+        lines = [] if state is None else [f"x{i} = {state.format(i=i)}" for i in range(n)]
+        lines += [f"{k}{i} = {e}" for i, e in enumerate(source.written(xs, t, u))]
+        stages.append("\n        ".join(lines))
+    consts = ""
+    if source is not None and source.consts:
+        consts = f"    {' '.join(f'k{j},' for j in range(len(source.consts)))} = consts\n"
+    return _BLOCK_TEMPLATE.format(
+        field="rhs" if source is None else "consts", consts=consts, a=each("a{i}"),
+        k1=stages[0], k2=stages[1], k3=stages[2], k4=stages[3],
         step=each("a{i} + h6 * (b{i} + 2.0 * c{i} + 2.0 * d{i} + e{i})"),
     )
-    scope: dict = {}
-    exec(compile(src, f"<rk4 block n={n}>", "exec"), scope)
+
+
+@functools.cache
+def _rk4_block(n: int, source: FieldSource | None):
+    """block(field, ts, hs, uas, ums, ubs, y, rows) for states of n
+    components, rendered and compiled on the first run of that size and
+    source: steps the tuple y over the steps hs from the times ts, with
+    inputs uas, ums and ubs at the left end, midpoint and right end of each
+    step, extending the flat list rows by the components of every new state.
+    field is the model's rhs, or its consts when it has a source."""
+    scope = dict(FieldSource.namespace) if source is not None else {}
+    exec(compile(_block_source(n, source), f"<rk4 block n={n}>", "exec"), scope)
     return scope["block"]
 
 
@@ -214,8 +250,9 @@ def _rk4_run(
     states[0] = x0
     flat = states.reshape(-1)
     y = tuple(x0.tolist())
-    rhs = model.rhs
-    block = _rk4_block(m)
+    source = getattr(model, "source", None)
+    field = model.rhs if source is None else model.consts
+    block = _rk4_block(m, source)
     # Each block's rows arrive as one flat list of floats and are stored in
     # one copy. Finiteness is checked once per block of steps; a failed
     # block is rescanned so that the error names the first non-finite node.
@@ -224,7 +261,7 @@ def _rk4_run(
         hi = min(lo + _FINITE_BLOCK, n - 1)
         rows = []
         try:
-            block(rhs, grid[lo:hi].tolist(), hs[lo:hi].tolist(), u_lo[lo:hi].tolist(),
+            block(field, grid[lo:hi].tolist(), hs[lo:hi].tolist(), u_lo[lo:hi].tolist(),
                   u_mid[lo:hi].tolist(), u_hi[lo:hi].tolist(), y, rows)
         finally:
             flat[(lo + 1) * m:(lo + 1) * m + len(rows)] = rows

@@ -10,6 +10,8 @@ grids at once.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from .piecewise import GateStack, sat_poly
 __all__ = [
     "VectorField",
     "NormalFormModel",
+    "FieldSource",
     "PlainModel",
     "InverseSystem",
     "ParameterizedPlant",
@@ -135,6 +138,79 @@ class NormalFormModel:
 
 
 @dataclass(frozen=True)
+class FieldSource:
+    """A field's components written once, as Python expression source.
+
+    states names the n state components and consts the field's constants,
+    in the order of PlainModel.consts; exprs holds one expression per
+    component over the states, t, u, the constants and the names of math
+    (sin, cos, exp, ...). The integrator writes the expressions into its
+    RK4 block, and PlainModel renders its float-form rhs from them, so the
+    stepped and the called field have one definition.
+    """
+
+    states: tuple[str, ...]
+    exprs: tuple[str, ...]
+    consts: tuple[str, ...] = ()
+    # The globals of rendered source: the names of math.
+    namespace: ClassVar[dict[str, object]] = {
+        k: v for k, v in vars(math).items() if not k.startswith("_")}
+
+    def __post_init__(self) -> None:
+        names = (*self.states, *self.consts, "t", "u")
+        if len(set(names)) != len(names):
+            raise ValueError(f"field source names must be distinct, got {names}")
+
+    def written(self, states: Sequence[str], t: str, u: str) -> list[str]:
+        """The components as source, each name replaced by the source given
+        for it: the i-th state by states[i], t by t, u by u and the j-th
+        constant by k{j}; the names of math stay. Any other name raises
+        ValueError."""
+        given = {**dict(zip(self.states, states)), "t": t, "u": u,
+                 **{c: f"k{j}" for j, c in enumerate(self.consts)}}
+        out = []
+        for expr in self.exprs:
+            tree = ast.parse(expr, mode="eval")
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Name):
+                    continue
+                if node.id in given:
+                    src = given[node.id]
+                    node.id = src if src.isidentifier() else f"({src})"
+                elif node.id not in self.namespace:
+                    raise ValueError(f"field source reads unknown name {node.id!r}")
+            out.append(ast.unparse(tree))
+        return out
+
+
+# The float-form rhs of a field source of n components with m constants:
+# field(k0, ..., k(m-1)) returns rhs(t, s, u), which unpacks s into
+# x0..x(n-1) and returns the components written over those names.
+_RHS_TEMPLATE = """\
+def field({consts}):
+    def rhs(t, s, u):
+        {states} = s
+        return ({exprs})
+    return rhs
+"""
+
+
+@functools.cache
+def _rendered_rhs(source: FieldSource):
+    """field(*consts) for a field source, rendered and compiled on the first
+    model of that source."""
+    states = [f"x{i}" for i in range(len(source.states))]
+    src = _RHS_TEMPLATE.format(
+        consts=", ".join(f"k{j}" for j in range(len(source.consts))),
+        states=" ".join(x + "," for x in states),
+        exprs=" ".join(e + "," for e in source.written(states, "t", "u")),
+    )
+    scope = dict(FieldSource.namespace)
+    exec(compile(src, "<field rhs>", "exec"), scope)
+    return scope["field"]
+
+
+@dataclass(frozen=True)
 class PlainModel:
     """A vector field given directly, for systems not kept in normal form.
 
@@ -143,14 +219,35 @@ class PlainModel:
     the state comes as a float sequence, the derivative goes back as a tuple
     and the Jacobian as a tuple of rows. jac may be None for a field that is
     only ever stepped.
+
+    A field may instead declare its components as source, with the values
+    of the source's constants in consts. rhs is then None at construction
+    and is rendered from the source; the integrator writes the same
+    expressions into its RK4 block in place of the rhs calls. A source of
+    other than n components, consts of other than its constants' count, or
+    an rhs given beside a source raise ValueError.
     """
 
     name: str
     n: int
-    rhs: Callable[[float, Sequence[float], float], Vector]
+    rhs: Callable[[float, Sequence[float], float], Vector] | None
     jac: Callable[[float, Sequence[float], float], Rows] | None
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
+    source: FieldSource | None = None
+    consts: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        src = self.source
+        if src is None:
+            return
+        if len(src.exprs) != self.n or len(src.states) != self.n:
+            raise ValueError(f"field source of {self.name} must have {self.n} components")
+        if len(self.consts) != len(src.consts):
+            raise ValueError(f"{self.name} needs values for the constants {src.consts}")
+        if self.rhs is not None:
+            raise ValueError(f"{self.name} has a field source, so its rhs is rendered")
+        object.__setattr__(self, "rhs", _rendered_rhs(src)(*self.consts))
 
 
 def InverseSystem(model: NormalFormModel) -> PlainModel:
@@ -182,14 +279,15 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
 # ---------------------------------------------------------------------------
 
 
+_KAPITZA = FieldSource(("q", "p"), ("p", "-beta * sin(q) - gamma * p + alpha * u"),
+                       ("alpha", "beta", "gamma"))
+
+
 def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> PlainModel:
     """Damped pendulum with torque input: ydd = -beta sin y - gamma yd + alpha u,
     stepped as the state (y, yd)."""
     if alpha == 0.0:
         raise ConfigError("alpha must be nonzero")
-
-    def rhs(t, s, u):
-        return (s[1], -beta * math.sin(s[0]) - gamma * s[1] + alpha * u)
 
     def jac(t, s, u):
         return ((0.0, 1.0), (-beta * math.cos(s[0]), -gamma))
@@ -197,9 +295,11 @@ def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> PlainM
     return PlainModel(
         name="kapitza",
         n=2,
-        rhs=rhs,
+        rhs=None,
         jac=jac,
         sample_box=((math.pi - 2.0, math.pi + 2.0), (-3.0, 3.0)),
+        source=_KAPITZA,
+        consts=(alpha, beta, gamma),
     )
 
 
@@ -280,6 +380,12 @@ class ConductanceParams:
         elementwise over arrays of y and z."""
         t_f = _tanh(self.kappa_f * (y - self.V_f))
         t_s = _tanh(self.kappa_s * (z - self.V_s))
+        return self.gated_conductance(t_f, t_s, y)
+
+    def gated_conductance(self, t_f, t_s, y):
+        """The total conductance from the gate values t_f = tanh(kappa_f
+        (y - V_f)) and t_s = tanh(kappa_s (z - V_s)), for a caller that has
+        already computed them."""
         return (
             self.g
             + self.gbar_f * (1.0 + t_f)
@@ -299,7 +405,7 @@ def hh_conductance(params: ConductanceParams) -> NormalFormModel:
     g_l, E, eps = p.g, p.E, p.eps
     gbar_f, E_f, kappa_f, V_f = p.gbar_f, p.E_f, p.kappa_f, p.V_f
     gbar_s, E_s, kappa_s, V_s = p.gbar_s, p.E_s, p.kappa_s, p.V_s
-    total_conductance = p.total_conductance
+    gated_conductance = p.gated_conductance
 
     def f(t, y, z, u):
         t_f = _tanh(kappa_f * (y - V_f))
@@ -312,9 +418,10 @@ def hh_conductance(params: ConductanceParams) -> NormalFormModel:
         ) / eps
 
     def f_jac(t, y, z, u):
+        t_f = _tanh(kappa_f * (y - V_f))
         t_s = _tanh(kappa_s * (z - V_s))
         return (
-            -total_conductance(y, z) / eps,
+            -gated_conductance(t_f, t_s, y) / eps,
             -(gbar_s * kappa_s * (1.0 - t_s * t_s) * (y - E_s)) / eps,
             1.0 / eps,
         )
@@ -336,12 +443,13 @@ def hh_conductance(params: ConductanceParams) -> NormalFormModel:
     )
 
 
+_LORENZ = FieldSource(("x1", "x2", "z"),
+                      ("sigma * (x2 - x1)", "x1 * (rho - z) - x2 + u", "x1 * x2 - beta * z"),
+                      ("sigma", "rho", "beta"))
+
+
 def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> PlainModel:
     """Lorenz field with the input added to the second state equation."""
-
-    def rhs(t, s, u):
-        x1, x2, z = s
-        return (sigma * (x2 - x1), x1 * (rho - z) - x2 + u, x1 * x2 - beta * z)
 
     def jac(t, s, u):
         x1, x2, z = s
@@ -350,10 +458,15 @@ def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> P
     return PlainModel(
         name="lorenz",
         n=3,
-        rhs=rhs,
+        rhs=None,
         jac=jac,
         sample_box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
+        source=_LORENZ,
+        consts=(sigma, rho, beta),
     )
+
+
+_LEAKY = FieldSource(("z",), ("(u - z) / tau",), ("tau",))
 
 
 def leaky_integrator(tau: float = 1.0) -> PlainModel:
@@ -361,18 +474,17 @@ def leaky_integrator(tau: float = 1.0) -> PlainModel:
     if tau <= 0:
         raise ValueError("tau must be positive")
 
-    def rhs(t, s, u):
-        return ((u - s[0]) / tau,)
-
     def jac(t, s, u):
         return ((-1.0 / tau,),)
 
     return PlainModel(
         name="leaky-integrator",
         n=1,
-        rhs=rhs,
+        rhs=None,
         jac=jac,
         sample_box=((-2.0, 2.0),),
+        source=_LEAKY,
+        consts=(tau,),
     )
 
 

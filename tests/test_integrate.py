@@ -12,15 +12,19 @@ from condux.experiments import _CSV_ROW_CAP, write_csv
 from condux.integrate import (
     _FINITE_BLOCK,
     Trajectory,
+    _block_source,
+    _rk4_block,
     build_grid,
     default_step,
     integrate,
 )
 from condux.models import (
     ConductanceParams,
+    FieldSource,
     PlainModel,
     fitzhugh_nagumo,
     hh_conductance,
+    kapitza,
     leaky_integrator,
     lorenz,
 )
@@ -416,6 +420,83 @@ def test_float_loop_matches_the_array_step_bitwise(case, joint, request):
     ref = _array_rk4(model, signal, build_grid(t0, t1, h, signal), x0)
     assert traj.states.shape == ref.shape
     assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
+
+
+# Today's block for n = 2, as a field without source must render it.
+_CALL_BLOCK_2 = """\
+def block(rhs, ts, hs, uas, ums, ubs, y, rows):
+    push = rows.extend
+    for t, h, ua, um, ub in zip(ts, hs, uas, ums, ubs):
+        a0, a1, = y
+        hh = 0.5 * h
+        b0, b1, = rhs(t, y, ua)
+        c0, c1, = rhs(t + hh, (a0 + hh * b0, a1 + hh * b1,), um)
+        d0, d1, = rhs(t + hh, (a0 + hh * c0, a1 + hh * c1,), um)
+        e0, e1, = rhs(t + h, (a0 + h * d0, a1 + h * d1,), ub)
+        h6 = h / 6.0
+        y = (a0 + h6 * (b0 + 2.0 * c0 + 2.0 * d0 + e0), a1 + h6 * (b1 + 2.0 * c1 + 2.0 * d1 + e1),)
+        push(y)
+"""
+
+
+def test_a_field_without_source_steps_through_rhs_calls():
+    assert _block_source(2, None) == _CALL_BLOCK_2
+
+
+def _called(model: PlainModel) -> PlainModel:
+    """The same field with the same rhs and no source: it takes the call path."""
+    return PlainModel(model.name, model.n, model.rhs, model.jac)
+
+
+@pytest.mark.parametrize("case", ["kapitza_case", "lorenz_case", "leaky_case"])
+def test_written_out_field_steps_the_bits_of_its_rhs_calls(case, request):
+    model, signal, x0, t0, t1, h = request.getfixturevalue(case)
+    assert model.source is not None
+    written = integrate(model, signal, t0, t1, x0, h)
+    called = integrate(_called(model), signal, t0, t1, x0, h)
+    assert np.array_equal(written.ts, called.ts)
+    assert np.array_equal(written.states.view(np.int64), called.states.view(np.int64))
+
+
+def test_written_out_field_reads_each_stage_time_and_its_own_constants():
+    # a source over t, with constants named like math's gamma and e: each
+    # stage reads its own time, and the constants shadow the math names
+    source = FieldSource(("q", "p"), ("p", "-gamma * q + e * sin(3.0 * t) * u"), ("gamma", "e"))
+    model = PlainModel("driven", 2, None, None, source=source, consts=(2.0, 0.7))
+
+    def rhs(t, s, u):
+        return (s[1], -2.0 * s[0] + 0.7 * math.sin(3.0 * t) * u)
+
+    drive = Sinusoid(amplitude=1.0, omega=2.0)
+    x0 = np.array([0.3, -0.1])
+    written = integrate(model, drive, 0.0, 3.0, x0, 1e-2)
+    called = integrate(PlainModel("driven", 2, rhs, None), drive, 0.0, 3.0, x0, 1e-2)
+    assert np.array_equal(written.states.view(np.int64), called.states.view(np.int64))
+
+
+def test_written_out_field_blows_up_at_the_node_of_the_call_path():
+    # gamma < 0 pumps the pendulum's velocity up by e^(50 t) until a state
+    # overflows past the end of the first block of steps; both paths name
+    # the same first non-finite node
+    model = kapitza(1.0, 1.0, -50.0)
+    seen = []
+    for field in (model, _called(model)):
+        with pytest.raises(NumericalBlowup) as err:
+            integrate(field, Constant(0.5), 0.0, 20.0, np.array([0.1, 1.0]), 1e-2)
+        seen.append(err.value.t)
+    assert seen[0] == seen[1] > _FINITE_BLOCK * 1e-2
+
+
+def test_fields_of_one_source_share_one_compiled_block():
+    # the constants are the block's argument, so a second parameter set of
+    # the same field compiles nothing
+    a, b = kapitza(1.0, 1.0, 1.0), kapitza(2.0, 0.5, 3.0)
+    integrate(a, Constant(0.1), 0.0, 0.1, np.array([0.2, 0.0]), 1e-2)
+    before = _rk4_block.cache_info()
+    integrate(b, Constant(0.1), 0.0, 0.1, np.array([0.2, 0.0]), 1e-2)
+    after = _rk4_block.cache_info()
+    assert after.currsize == before.currsize and after.hits == before.hits + 1
+    assert _rk4_block(2, a.source) is _rk4_block(2, b.source)
 
 
 @st.composite

@@ -17,8 +17,10 @@ from condux.lure import (
     chua_nonlinearity,
     chua_system,
 )
+import condux.models
 from condux.models import (
     ConductanceParams,
+    FieldSource,
     InverseSystem,
     NormalFormModel,
     PlainModel,
@@ -85,6 +87,103 @@ class TestKapitza:
     def test_alpha_zero_rejected(self):
         with pytest.raises(Exception):
             kapitza(alpha=0.0)
+
+
+# The hand-written closures that the converted fields' sources replaced,
+# kept as oracles: a field's rendered rhs must give their bits.
+def _kapitza_oracle(alpha, beta, gamma):
+    def rhs(t, s, u):
+        return (s[1], -beta * math.sin(s[0]) - gamma * s[1] + alpha * u)
+    return rhs
+
+
+def _lorenz_oracle(sigma, rho, beta):
+    def rhs(t, s, u):
+        x1, x2, z = s
+        return (sigma * (x2 - x1), x1 * (rho - z) - x2 + u, x1 * x2 - beta * z)
+    return rhs
+
+
+def _leaky_oracle(tau):
+    def rhs(t, s, u):
+        return ((u - s[0]) / tau,)
+    return rhs
+
+
+_SOURCED = [
+    pytest.param(kapitza, _kapitza_oracle, (1.0, 1.0, 1.0), id="kapitza"),
+    pytest.param(kapitza, _kapitza_oracle, (2.0, 0.5, 3.0), id="kapitza-2-0.5-3"),
+    pytest.param(kapitza, _kapitza_oracle, (-0.3, 7.0, 0.0), id="kapitza-negative"),
+    pytest.param(lorenz, _lorenz_oracle, (10.0, 28.0, 8.0 / 3.0), id="lorenz"),
+    pytest.param(lorenz, _lorenz_oracle, (1.5, -2.0, 0.1), id="lorenz-other"),
+    pytest.param(leaky_integrator, _leaky_oracle, (1.0,), id="leaky"),
+    pytest.param(leaky_integrator, _leaky_oracle, (0.3,), id="leaky-0.3"),
+]
+
+
+@pytest.mark.parametrize("make, oracle, consts", _SOURCED)
+def test_rendered_rhs_gives_the_closure_bits(make, oracle, consts):
+    # on tuples of floats and on numpy arrays, the rhs rendered from a
+    # field's source returns the components of the closure it replaced
+    field, ref = make(*consts), oracle(*consts)
+    assert field.source is not None and field.consts == consts
+    rng = np.random.default_rng(3)
+    lows, highs = np.array(field.sample_box).T
+    for scale in (1.0, 1e3):
+        for _ in range(200):
+            s = scale * rng.uniform(lows, highs)
+            t, u = float(rng.uniform(0.0, 5.0)), float(rng.uniform(-2.0, 2.0))
+            for state in (tuple(s.tolist()), s):
+                got, want = field.rhs(t, state, u), ref(t, state, u)
+                assert len(got) == field.n
+                assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n=3, rhs=None, source=FieldSource(("q", "p"), ("p", "-q"))), "components"),
+    (dict(n=2, rhs=None, source=FieldSource(("q", "p"), ("p",))), "components"),
+    (dict(n=1, rhs=None, source=FieldSource(("z",), ("-k * z",), ("k",))), "constants"),
+    (dict(n=1, rhs=None, source=FieldSource(("z",), ("-k * z",), ("k",)), consts=(1.0, 2.0)),
+     "constants"),
+    (dict(n=1, rhs=lambda t, s, u: (0.0,), source=FieldSource(("z",), ("-z",))), "rendered"),
+    (dict(n=1, rhs=None, source=FieldSource(("z",), ("-z * w",))), "unknown name 'w'"),
+])
+def test_a_field_source_that_does_not_fit_is_rejected(kwargs, match):
+    # a source of other than n components, constants without their values,
+    # an rhs beside a source or a name that is neither a state, t, u, a
+    # constant nor in math fails at construction, not in the first run
+    with pytest.raises(ValueError, match=match):
+        PlainModel(name="bad", jac=None, **kwargs)
+
+
+@pytest.mark.parametrize("states, consts", [(("t", "p"), ()), (("q", "q"), ()),
+                                            (("q", "p"), ("q",)), (("u", "p"), ())])
+def test_field_source_names_must_be_distinct(states, consts):
+    with pytest.raises(ValueError, match="distinct"):
+        FieldSource(states, ("0.0", "0.0"), consts)
+
+
+@given(y=st.floats(-1.6, 1.6), z=st.floats(-1.2, 1.2))
+@settings(max_examples=60, deadline=None)
+def test_hh_f_jac_reads_the_conductance_of_its_own_gates(y, z):
+    # f_jac builds df/dy from the two gate values it computes, with the bits
+    # of total_conductance, and takes np.tanh twice per call, not three times
+    p = ConductanceParams()
+    model = hh_conductance(p)
+    calls = []
+    tanh = condux.models._tanh
+
+    def counted(x):
+        calls.append(x)
+        return tanh(x)
+
+    condux.models._tanh = counted
+    try:
+        dfy, _, _ = model.f_jac(0.0, y, z, 0.0)
+    finally:
+        condux.models._tanh = tanh
+    assert len(calls) == 2
+    assert dfy.hex() == (-p.total_conductance(y, z) / p.eps).hex()
 
 
 def _still(t, z, y):

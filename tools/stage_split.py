@@ -13,7 +13,10 @@ observer_contraction_check, ...), or its own CSV writer write_csv. Its
 binding in condux.experiments is wrapped, so only the calls a pipeline
 makes are timed, and only the outermost of them; a stage called more than
 once in one run_experiment call counts the sum of those calls. The total
-stage is the whole run_experiment call, artifacts included.
+stage is the whole run_experiment call, artifacts included. The rk4 steps
+row counts the RK4 steps of each call, grid.size - 1 summed over every run
+of condux.integrate._rk4_run, which every integrate and flow call steps
+through, so a stage's CPU time can be quoted per step.
 
 Each checkout runs in fresh processes, with its src first on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1: 5 rounds of one process making 3 calls, the rounds
@@ -37,11 +40,12 @@ WORKLOADS = ("kapitza-vibration", "fhn-impulse", "hh-square-wave", "observer-est
 SEED = 1
 ROUNDS = 5
 CALLS = 3
+STEPS = "rk4 steps"
 
 # The child process: argv[1] is the config as JSON, argv[2] the number of
 # run_experiment calls. It prints one JSON object: the CPU seconds it took to
 # import condux.experiments, and a list with, per call, the CPU seconds by
-# stage name.
+# stage name and the call's RK4 steps.
 _CHILD = r"""
 import inspect, json, sys, tempfile, time
 import condux.experiments as exp
@@ -49,7 +53,7 @@ imported_s = time.process_time()
 from condux.config import config_from_dict
 
 cfg = config_from_dict(json.loads(sys.argv[1]))
-acc, active = {}, []
+acc, active, STEPS = {}, [], "rk4 steps"
 
 def timed(name, fn):
     def call(*args, **kwargs):
@@ -70,6 +74,14 @@ for name, val in list(vars(exp).items()):
     if inspect.isfunction(val) and (imported or val is exp.write_csv):
         setattr(exp, name, timed(name, val))
 
+integ = sys.modules["condux.integrate"]
+rk4_run = integ._rk4_run
+
+def counted(model, signal, grid, x0):
+    acc[STEPS] = acc.get(STEPS, 0) + grid.size - 1
+    return rk4_run(model, signal, grid, x0)
+
+integ._rk4_run = counted
 calls = []
 with tempfile.TemporaryDirectory(prefix="stage_split-") as tmp:
     for i in range(int(sys.argv[2])):
@@ -95,8 +107,8 @@ def _process(checkout: Path, config: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _cell(xs: list[float]) -> str:
-    return f"{min(xs):.3f} / {statistics.median(xs):.3f}" if xs else "-"
+def _cell(xs: list[float], fmt: str = ".3f") -> str:
+    return f"{min(xs):{fmt}} / {statistics.median(xs):{fmt}}" if xs else "-"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                 imports[side].append(seen["import"])
                 calls[side] += seen["calls"]
         stages = list(dict.fromkeys(k for cs in calls.values() for c in cs for k in c
-                                    if k != "total"))
+                                    if k not in ("total", STEPS)))
         print(f"{name} (CPU s, min / median of {ROUNDS * CALLS} calls; "
               f"import: of {ROUNDS} processes)")
         print(f"  {'stage':<34} {'parent':>15} {'change':>15}")
@@ -132,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         for stage in (*stages, "total"):
             cells = [_cell([c[stage] for c in calls[side] if stage in c]) for side in sides]
             print(f"  {stage:<34} {cells[0]:>15} {cells[1]:>15}")
+        cells = [_cell([c.get(STEPS, 0) for c in calls[side]], "d") for side in sides]
+        print(f"  {STEPS:<34} {cells[0]:>15} {cells[1]:>15}")
         print(flush=True)
     return 0
 
