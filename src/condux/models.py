@@ -6,6 +6,12 @@ input enters only through f, affinely and with a uniformly sign-definite
 gain, so a feedforward input realizing a desired output rate is recovered
 from f(t, y, z, u) = v in closed form (NormalFormModel.f_inv), over whole
 grids at once.
+
+Other fields are PlainModel, given as callables or declared once as
+expression source (FieldSource), from which the model's rhs and jac are
+rendered and which the integrator writes into its RK4 block. The observer's
+neuron plant is declared once as a PlantSource: its hooks, its fields for
+fixed parameters and the observer's fields are all written from it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import ast
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -28,6 +35,7 @@ __all__ = [
     "FieldSource",
     "PlainModel",
     "InverseSystem",
+    "PlantSource",
     "ParameterizedPlant",
     "ConductanceParams",
     "kapitza",
@@ -137,77 +145,145 @@ class NormalFormModel:
         return u[()]
 
 
+def _renamed(code: str, names: dict[str, str], strict: bool = False) -> str:
+    """code, an expression or an assignment, with each name that names maps
+    replaced by the source given for it: an identifier as it is, other
+    source in parentheses. strict, a name that names does not map and math
+    does not have raises ValueError."""
+    tree = ast.parse(code)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Name):
+            continue
+        if node.id in names:
+            src = names[node.id]
+            node.id = src if src.isidentifier() else f"({src})"
+        elif strict and node.id not in FieldSource.namespace:
+            raise ValueError(f"field source reads unknown name {node.id!r}")
+    return ast.unparse(tree)
+
+
+def _assigned(lets: Sequence[str]) -> list[str]:
+    """The names that the assignments lets bind, in order."""
+    return [node.id for let in lets for node in ast.walk(ast.parse(let))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+
+
+def _tuple(items: Sequence[str]) -> str:
+    return "(" + " ".join(f"{e}," for e in items) + ")"
+
+
 @dataclass(frozen=True)
 class FieldSource:
     """A field's components written once, as Python expression source.
 
     states names the n state components and consts the field's constants,
     in the order of PlainModel.consts; exprs holds one expression per
-    component over the states, t, u, the constants and the names of math
-    (sin, cos, exp, ...). The integrator writes the expressions into its
-    RK4 block, and PlainModel renders its float-form rhs from them, so the
-    stepped and the called field have one definition.
+    component over the states, t, u, the constants, the names of math (sin,
+    cos, exp, ...) and the names that lets binds. lets are assignments run
+    before the components, such as `m, tau = gates(y)`: each calls a helper,
+    a (name, function) pair of helpers, or binds an expression to a name.
+    jac, when given, is the n rows of n Jacobian entries over the same names,
+    with jac_lets run before them. The integrator writes the lets and the
+    expressions into its RK4 block, and PlainModel renders its float-form rhs
+    and jac from them, so the stepped and the called field have one
+    definition. Every name (states, constants, t, u, helpers and the names
+    the lets and jac_lets bind) must be distinct.
     """
 
     states: tuple[str, ...]
     exprs: tuple[str, ...]
     consts: tuple[str, ...] = ()
+    lets: tuple[str, ...] = ()
+    jac: tuple[tuple[str, ...], ...] | None = None
+    jac_lets: tuple[str, ...] = ()
+    helpers: tuple[tuple[str, Callable], ...] = ()
     # The globals of rendered source: the names of math.
     namespace: ClassVar[dict[str, object]] = {
         k: v for k, v in vars(math).items() if not k.startswith("_")}
 
     def __post_init__(self) -> None:
-        names = (*self.states, *self.consts, "t", "u")
+        names = (*self.states, *self.consts, "t", "u", *(h for h, _ in self.helpers),
+                 *_assigned((*self.lets, *self.jac_lets)))
         if len(set(names)) != len(names):
             raise ValueError(f"field source names must be distinct, got {names}")
 
-    def written(self, states: Sequence[str], t: str, u: str) -> list[str]:
-        """The components as source, each name replaced by the source given
-        for it: the i-th state by states[i], t by t, u by u and the j-th
-        constant by k{j}; the names of math stay. Any other name raises
-        ValueError."""
+    @property
+    def scope(self) -> dict[str, object]:
+        """The globals of the source rendered: the names of math and the
+        j-th helper as g{j}."""
+        return {**self.namespace, **{f"g{j}": fn for j, (_, fn) in enumerate(self.helpers)}}
+
+    def written(self, states: Sequence[str], t: str, u: str,
+                jac: bool = False) -> tuple[list[str], list[str]]:
+        """The lets and the components as source (with jac, the jac_lets and
+        the Jacobian entries row by row), each name replaced by the source
+        given for it: the i-th state by states[i], t by t, u by u, the j-th
+        constant by k{j}, the j-th helper by g{j} and the j-th name the lets
+        and jac_lets bind by v{j}; the names of math stay. Any other name
+        raises ValueError."""
         given = {**dict(zip(self.states, states)), "t": t, "u": u,
-                 **{c: f"k{j}" for j, c in enumerate(self.consts)}}
-        out = []
-        for expr in self.exprs:
-            tree = ast.parse(expr, mode="eval")
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Name):
-                    continue
-                if node.id in given:
-                    src = given[node.id]
-                    node.id = src if src.isidentifier() else f"({src})"
-                elif node.id not in self.namespace:
-                    raise ValueError(f"field source reads unknown name {node.id!r}")
-            out.append(ast.unparse(tree))
-        return out
+                 **{c: f"k{j}" for j, c in enumerate(self.consts)},
+                 **{h: f"g{j}" for j, (h, _) in enumerate(self.helpers)},
+                 **{b: f"v{j}" for j, b in enumerate(_assigned((*self.lets, *self.jac_lets)))}}
+        lets, exprs = ((self.jac_lets, [e for row in self.jac for e in row]) if jac
+                       else (self.lets, self.exprs))
+        return ([_renamed(s, given, True) for s in lets],
+                [_renamed(e, given, True) for e in exprs])
 
 
-# The float-form rhs of a field source of n components with m constants:
-# field(k0, ..., k(m-1)) returns rhs(t, s, u), which unpacks s into
-# x0..x(n-1) and returns the components written over those names.
-_RHS_TEMPLATE = """\
-def field({consts}):
-    def rhs(t, s, u):
-        {states} = s
-        return ({exprs})
-    return rhs
-"""
+def _compiled(nconsts: int, functions: Sequence[tuple[str, str, list[str], str]],
+              scope: dict[str, object], filename: str):
+    """bind(k0, ..., k(nconsts-1)), compiled in scope: it binds the constants
+    and returns the functions given as (name, arguments, lets, returned
+    tuple), each running its lets and returning its tuple (one function as
+    itself, several as a tuple)."""
+    lines = [f"def bind({', '.join(f'k{j}' for j in range(nconsts))}):"]
+    for name, args, lets, ret in functions:
+        lines += [f"    def {name}({args}):", *(f"        {s}" for s in lets),
+                  f"        return {ret}"]
+    lines.append(f"    return {', '.join(name for name, *_ in functions)}")
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), scope)
+    return scope["bind"]
+
+
+def _field_function(source: FieldSource, jac: bool):
+    xs = [f"x{i}" for i in range(len(source.states))]
+    lets, exprs = source.written(xs, "t", "u", jac)
+    n = len(xs)
+    ret = _tuple([_tuple(exprs[i * n:(i + 1) * n]) for i in range(n)] if jac else exprs)
+    name = "jac" if jac else "rhs"
+    return _compiled(len(source.consts), [(name, "t, s, u", [f"{_tuple(xs)} = s", *lets], ret)],
+                     source.scope, f"<field {name}>")
 
 
 @functools.cache
 def _rendered_rhs(source: FieldSource):
-    """field(*consts) for a field source, rendered and compiled on the first
-    model of that source."""
-    states = [f"x{i}" for i in range(len(source.states))]
-    src = _RHS_TEMPLATE.format(
-        consts=", ".join(f"k{j}" for j in range(len(source.consts))),
-        states=" ".join(x + "," for x in states),
-        exprs=" ".join(e + "," for e in source.written(states, "t", "u")),
-    )
-    scope = dict(FieldSource.namespace)
-    exec(compile(src, "<field rhs>", "exec"), scope)
-    return scope["field"]
+    """bind(*consts) returning the float-form rhs(t, s, u) of a field source,
+    rendered and compiled on the first model of that source: it unpacks s
+    into x0..x(n-1), runs the lets and returns the components."""
+    return _field_function(source, False)
+
+
+@functools.cache
+def _rendered_jac(source: FieldSource):
+    """bind(*consts) returning jac(t, s, u), the Jacobian rows of a field
+    source that declares jac, rendered like _rendered_rhs."""
+    return _field_function(source, True)
+
+
+# The rendered rhs and jac of each source bound to its constants, kept while
+# a model holds them: a model rebuilt from the same source and constants (as
+# dataclasses.replace rebuilds it) gets the same functions back. The
+# constants are keyed by repr, which tells -0.0 from 0.0.
+_BOUND: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _bound(source: FieldSource, jac: bool, consts: tuple[float, ...]):
+    key = (source, jac, tuple(map(repr, consts)))
+    fn = _BOUND.get(key)
+    if fn is None:
+        fn = _BOUND[key] = (_rendered_jac if jac else _rendered_rhs)(source)(*consts)
+    return fn
 
 
 @dataclass(frozen=True)
@@ -221,11 +297,14 @@ class PlainModel:
     only ever stepped.
 
     A field may instead declare its components as source, with the values
-    of the source's constants in consts. rhs is then None at construction
-    and is rendered from the source; the integrator writes the same
-    expressions into its RK4 block in place of the rhs calls. A source of
-    other than n components, consts of other than its constants' count, or
-    an rhs given beside a source raise ValueError.
+    of the source's constants in consts. rhs is then rendered from the
+    source, and so is jac when the source declares one; the integrator
+    writes the same expressions into its RK4 block in place of the rhs
+    calls, and flow writes the Jacobian's too. A source of other than n
+    components, a jac source of other than n rows of n, consts of other than
+    its constants' count, or an rhs (or a jac, when the source declares one)
+    given beside a source other than the one the source renders raise
+    ValueError.
     """
 
     name: str
@@ -243,11 +322,18 @@ class PlainModel:
             return
         if len(src.exprs) != self.n or len(src.states) != self.n:
             raise ValueError(f"field source of {self.name} must have {self.n} components")
+        if src.jac is not None and (len(src.jac) != self.n
+                                    or any(len(row) != self.n for row in src.jac)):
+            raise ValueError(f"jac source of {self.name} must be {self.n} rows of {self.n}")
         if len(self.consts) != len(src.consts):
             raise ValueError(f"{self.name} needs values for the constants {src.consts}")
-        if self.rhs is not None:
-            raise ValueError(f"{self.name} has a field source, so its rhs is rendered")
-        object.__setattr__(self, "rhs", _rendered_rhs(src)(*self.consts))
+        for attr, jac in (("rhs", False), ("jac", True)):
+            if jac and src.jac is None:
+                continue
+            own, given = _bound(src, jac, self.consts), getattr(self, attr)
+            if given is not None and given is not own:
+                raise ValueError(f"{self.name} has a field source, so its {attr} is rendered")
+            object.__setattr__(self, attr, own)
 
 
 def InverseSystem(model: NormalFormModel) -> PlainModel:
@@ -280,7 +366,8 @@ def InverseSystem(model: NormalFormModel) -> PlainModel:
 
 
 _KAPITZA = FieldSource(("q", "p"), ("p", "-beta * sin(q) - gamma * p + alpha * u"),
-                       ("alpha", "beta", "gamma"))
+                       ("alpha", "beta", "gamma"),
+                       jac=(("0.0", "1.0"), ("-beta * cos(q)", "-gamma")))
 
 
 def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> PlainModel:
@@ -288,15 +375,11 @@ def kapitza(alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> PlainM
     stepped as the state (y, yd)."""
     if alpha == 0.0:
         raise ConfigError("alpha must be nonzero")
-
-    def jac(t, s, u):
-        return ((0.0, 1.0), (-beta * math.cos(s[0]), -gamma))
-
     return PlainModel(
         name="kapitza",
         n=2,
         rhs=None,
-        jac=jac,
+        jac=None,
         sample_box=((math.pi - 2.0, math.pi + 2.0), (-3.0, 3.0)),
         source=_KAPITZA,
         consts=(alpha, beta, gamma),
@@ -445,43 +528,36 @@ def hh_conductance(params: ConductanceParams) -> NormalFormModel:
 
 _LORENZ = FieldSource(("x1", "x2", "z"),
                       ("sigma * (x2 - x1)", "x1 * (rho - z) - x2 + u", "x1 * x2 - beta * z"),
-                      ("sigma", "rho", "beta"))
+                      ("sigma", "rho", "beta"),
+                      jac=(("-sigma", "sigma", "0.0"), ("rho - z", "-1.0", "-x1"),
+                           ("x2", "x1", "-beta")))
 
 
 def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> PlainModel:
     """Lorenz field with the input added to the second state equation."""
-
-    def jac(t, s, u):
-        x1, x2, z = s
-        return ((-sigma, sigma, 0.0), (rho - z, -1.0, -x1), (x2, x1, -beta))
-
     return PlainModel(
         name="lorenz",
         n=3,
         rhs=None,
-        jac=jac,
+        jac=None,
         sample_box=((-20.0, 20.0), (-25.0, 25.0), (0.0, 45.0)),
         source=_LORENZ,
         consts=(sigma, rho, beta),
     )
 
 
-_LEAKY = FieldSource(("z",), ("(u - z) / tau",), ("tau",))
+_LEAKY = FieldSource(("z",), ("(u - z) / tau",), ("tau",), jac=(("-1.0 / tau",),))
 
 
 def leaky_integrator(tau: float = 1.0) -> PlainModel:
     """Scalar tau zd = -z + u, the textbook fading-memory system (rate -1/tau)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-
-    def jac(t, s, u):
-        return ((-1.0 / tau,),)
-
     return PlainModel(
         name="leaky-integrator",
         n=1,
         rhs=None,
-        jac=jac,
+        jac=None,
         sample_box=((-2.0, 2.0),),
         source=_LEAKY,
         consts=(tau,),
@@ -514,23 +590,85 @@ NEURON_GATE_SLOPES = GateStack(NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU,
                                NEURON_TAU_PRIME, NEURON_Z_INF, NEURON_Z_INF_PRIME)
 
 
+_Hook = tuple[tuple[str, ...], tuple[str, ...]]
+
+# Each hook of a plant source: its name, the names it reads as arguments and
+# the argument list of the rendered hook.
+_HOOKS = (("values", ("y", "z", "th0", "th1"), "t, y, z, u, th0, th1"),
+          ("update", ("y",), "y"),
+          ("derivatives", ("y", "z", "th0", "th1"), "t, y, z, u, th0, th1"))
+
+
+@dataclass(frozen=True)
+class PlantSource:
+    """The three hooks of a ParameterizedPlant, written once as source.
+
+    Each hook is a pair (lets, exprs), like the lets and exprs of a
+    FieldSource: assignments run first, then the expressions of the tuple
+    the hook returns. values and derivatives read y, z, t, u, th0 and th1,
+    update reads y; all read the constants consts, the helpers and the
+    names of math. The plant's hooks are rendered from it, and
+    ParameterizedPlant.model, coupled_system and error_system build their
+    field sources from it, so the hooks, the stepped fields and their
+    Jacobians have one definition.
+    """
+
+    values: _Hook
+    update: _Hook
+    derivatives: _Hook
+    consts: tuple[str, ...] = ()
+    helpers: tuple[tuple[str, Callable], ...] = ()
+
+    def hook(self, name: str, suffix: str = "", **names: str) -> _Hook:
+        """One hook with each name in names replaced by the source given for
+        it and each name its lets bind suffixed, so that two copies of a
+        hook, or the values and derivatives lets, fit in one field source."""
+        lets, exprs = getattr(self, name)
+        names = {**names, **{b: b + suffix for b in _assigned(lets)}}
+        return (tuple(_renamed(s, names) for s in lets),
+                tuple(_renamed(e, names) for e in exprs))
+
+    def field(self, states: tuple[str, ...], exprs: Sequence[str], lets: Sequence[str],
+              consts: tuple[str, ...] = (), jac: tuple[tuple[str, ...], ...] | None = None,
+              jac_lets: Sequence[str] = ()) -> FieldSource:
+        """A field source over this plant's constants, then consts, and its
+        helpers."""
+        return FieldSource(states, tuple(exprs), (*self.consts, *consts), tuple(lets), jac,
+                           tuple(jac_lets), self.helpers)
+
+
+@functools.cache
+def _rendered_hooks(source: PlantSource):
+    """bind(*consts) returning the (values, update, derivatives) of a plant
+    source, rendered and compiled on the first plant of that source."""
+    functions = []
+    for name, names, args in _HOOKS:
+        lets, exprs = getattr(source, name)
+        field_source = source.field(names, exprs, lets)
+        lets, exprs = field_source.written(names, "t", "u")
+        functions.append((name, args, lets, _tuple(exprs)))
+    return _compiled(len(source.consts), functions, field_source.scope, "<plant hooks>")
+
+
 @dataclass(frozen=True)
 class ParameterizedPlant:
     """Planar relative-degree-one plant whose output equation is linear in
     m = 2 unknown parameters.
 
-    yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y). Three hooks give
-    the plant at one point, all floats, each returning as a flat tuple only
-    what its reader uses. values(t, y, z, u, th0, th1) returns (yd, zd) at
-    theta = (th0, th1), with h(y) . theta written out left to right and
-    added to f0 last: what an rhs reads. update(y) returns the update
-    antiderivative (H0, H1), which only the observer's parameter rows read.
-    derivatives(t, y, z, u, th0, th1) returns (dyd/dy, dyd/dz, dzd/dy,
-    dzd/dz, h0, h1, hu0, hu1), what a jac reads: the plant Jacobian at
-    theta, the regressor h (the Jacobian's theta column) and the update
-    regressor hu = dH/dy. h, hu and H depend on y alone. model(theta) is the
-    plant for fixed parameters: its rhs returns the values tuple as it is,
-    and its jac makes one derivatives call.
+    yd = f0(t, y, z, u) + h(y) . theta, zd = g(t, z, y), declared once as a
+    PlantSource with the values of its constants in consts. Three hooks,
+    rendered from it, give the plant at one point, all floats, each
+    returning as a flat tuple only what its reader uses. values(t, y, z, u,
+    th0, th1) returns (yd, zd) at theta = (th0, th1), with h(y) . theta
+    written out left to right and added to f0 last: what an rhs reads.
+    update(y) returns the update antiderivative (H0, H1), which only the
+    observer's parameter rows read. derivatives(t, y, z, u, th0, th1)
+    returns (dyd/dy, dyd/dz, dzd/dy, dzd/dz, h0, h1, hu0, hu1), what a jac
+    reads: the plant Jacobian at theta, the regressor h (the Jacobian's
+    theta column) and the update regressor hu = dH/dy. h, hu and H depend
+    on y alone. model(theta) is the plant for fixed parameters, a PlainModel
+    whose source writes the values expressions as its components and the
+    first four derivatives expressions as its Jacobian.
 
     Construction raises AntiderivativeMismatch when the centered difference
     of H (step 1e-7) misses hu by more than 1e-6 at any of 401 points
@@ -540,14 +678,23 @@ class ParameterizedPlant:
     n: ClassVar[int] = 2
     m: ClassVar[int] = 2
     name: str
-    values: Callable[[float, float, float, float, float, float], tuple[float, float]]
-    update: Callable[[float], tuple[float, float]]
-    derivatives: Callable[[float, float, float, float, float, float], Vector]
+    source: PlantSource
     theta_box: tuple[tuple[float, float], ...]
+    consts: tuple[float, ...] = ()
     stiffness: float | None = None
     sample_box: tuple[tuple[float, float], ...] = ()
+    values: Callable[[float, float, float, float, float, float], tuple[float, float]] = field(
+        init=False, repr=False, compare=False)
+    update: Callable[[float], tuple[float, float]] = field(init=False, repr=False, compare=False)
+    derivatives: Callable[[float, float, float, float, float, float], Vector] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.consts) != len(self.source.consts):
+            raise ValueError(f"{self.name} needs values for the constants {self.source.consts}")
+        hooks = _rendered_hooks(self.source)(*self.consts)
+        for (name, _, _), hook in zip(_HOOKS, hooks):
+            object.__setattr__(self, name, hook)
         H = lambda y: np.asarray(self.update(y))
         lo, hi = self.sample_box[0]
         worst = 0.0
@@ -564,24 +711,43 @@ class ParameterizedPlant:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.m,):
             raise ConfigError(f"theta must have shape ({self.m},)")
-        th0, th1 = theta.tolist()
-        values, derivatives = self.values, self.derivatives
-
-        def rhs(t, s, u):
-            return values(t, s[0], s[1], u, th0, th1)
-
-        def jac(t, s, u):
-            dyy, dyz, dzy, dzz, _, _, _, _ = derivatives(t, s[0], s[1], u, th0, th1)
-            return ((dyy, dyz), (dzy, dzz))
-
+        src = self.source
+        lets, exprs = src.values
+        jac_lets, d = src.hook("derivatives", "_d")
         return PlainModel(
             name=f"{self.name}-theta",
             n=self.n,
-            rhs=rhs,
-            jac=jac,
+            rhs=None,
+            jac=None,
             stiffness=self.stiffness,
             sample_box=self.sample_box,
+            source=src.field(("y", "z"), exprs, lets, ("th0", "th1"),
+                             ((d[0], d[1]), (d[2], d[3])), jac_lets),
+            consts=(*self.consts, *theta.tolist()),
         )
+
+
+# The neuron plant: each hook reads its gates with one call of its own
+# compiled stack.
+_NEURON = PlantSource(
+    values=(("m, tau, z_inf = gates(y)",),
+            ("inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u)"
+             " + (-inv_eps * (y + 0.4) * th0 + -inv_eps * (m * (y - 1.0)) * th1)",
+             "(z_inf - z) / tau")),
+    update=(("m_int, = update_gates(y)",), ("-(0.5 * y**2 + 0.4 * y)", "-m_int")),
+    derivatives=(("m, dm, tau, dtau, z_inf, dz_inf = slopes(y)",),
+                 ("inv_eps * (-2.0 * z) + (-inv_eps * th0 + -inv_eps * (dm * (y - 1.0) + m) * th1)",
+                  "inv_eps * (-2.0 * (y + 0.7))",
+                  "(dz_inf * tau - (z_inf - z) * dtau) / tau**2",
+                  "-1.0 / tau",
+                  "-inv_eps * (y + 0.4)",
+                  "-inv_eps * (m * (y - 1.0))",
+                  "-(y + 0.4)",
+                  "-(m * (y - 1.0))")),
+    consts=("inv_eps",),
+    helpers=(("gates", NEURON_GATES), ("update_gates", NEURON_UPDATE_GATES),
+             ("slopes", NEURON_GATE_SLOPES)),
+)
 
 
 def neuron_family() -> ParameterizedPlant:
@@ -594,40 +760,11 @@ def neuron_family() -> ParameterizedPlant:
     NEURON_GATE_SLOPES; the first and last give m_inf the same bits, so h is
     the same whichever hook reads it.
     """
-    inv_eps = 1.0 / _NEURON_EPS
-
-    def values(t, y, z, u, th0, th1):
-        m, tau, z_inf = NEURON_GATES(y)
-        return (
-            inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u)
-            + (-inv_eps * (y + 0.4) * th0 + -inv_eps * (m * (y - 1.0)) * th1),
-            (z_inf - z) / tau,
-        )
-
-    def update(y):
-        m_int, = NEURON_UPDATE_GATES(y)
-        return -(0.5 * y**2 + 0.4 * y), -m_int
-
-    def derivatives(t, y, z, u, th0, th1):
-        m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
-        mq = m * (y - 1.0)
-        return (
-            inv_eps * (-2.0 * z) + (-inv_eps * th0 + -inv_eps * (dm * (y - 1.0) + m) * th1),
-            inv_eps * (-2.0 * (y + 0.7)),
-            (dz_inf * tau - (z_inf - z) * dtau) / tau**2,
-            -1.0 / tau,
-            -inv_eps * (y + 0.4),
-            -inv_eps * mq,
-            -(y + 0.4),
-            -mq,
-        )
-
     return ParameterizedPlant(
         name="neuron",
-        values=values,
-        update=update,
-        derivatives=derivatives,
+        source=_NEURON,
         theta_box=((0.3, 0.7), (1.1, 1.9)),
+        consts=(1.0 / _NEURON_EPS,),
         stiffness=_NEURON_EPS,
         sample_box=((-1.1, 1.1), (-0.1, 1.1)),
     )

@@ -7,7 +7,9 @@ regressor: thetahd = H(y) - H(yh). No other output injection is used, so
 parameter convergence rides entirely on the contraction induced in the
 plant by the design input. The estimator state (yh, zh, thetah) embeds the
 plant: freezing thetah at the true value and matching initial conditions
-reproduces the plant trajectory exactly.
+reproduces the plant trajectory exactly. The coupled and error fields are
+written from the plant's source (PlantSource), so the integrator steps them,
+and flow their transition matrices, with no hook call per stage.
 """
 
 from __future__ import annotations
@@ -35,33 +37,33 @@ __all__ = [
 def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainModel:
     """Plant and observer stacked as one vector field.
 
-    State layout: (y, z, yh, zh, thetah1, thetah2). Both blocks read the
-    plant's values hook, the plant block at theta_star and the observer block
-    at thetah, so matched initial data with thetah = theta_star gives a
+    State layout: (y, z, yh, zh, thetah1, thetah2). Its source writes the
+    plant's values and update hooks twice, the plant block at theta_star and
+    the observer block with its states renamed to (yh, zh) and its theta to
+    thetah, so matched initial data with thetah = theta_star gives a
     bitwise-identical observer block (the update difference is exactly zero
-    and stays zero). rhs makes one values and one update call per block. Its
-    jac is None: the coupled field is only ever stepped, and the
-    contraction check linearizes error_system instead.
+    and stays zero). Each block reads its gates with one values and one
+    update lookup. Its jac is None: the coupled field is only ever stepped,
+    and the contraction check linearizes error_system instead.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (plant.m,):
         raise ConfigError(f"theta_star must have shape ({plant.m},)")
-    th0, th1 = theta_star.tolist()
-    values, update = plant.values, plant.update
-
-    def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        yd, zd = values(t, s[0], s[1], u, th0, th1)
-        ydh, zdh = values(t, s[2], s[3], u, s[4], s[5])
-        H0, H1 = update(s[0])
-        Hh0, Hh1 = update(s[2])
-        return (yd, zd, ydh, zdh, H0 - Hh0, H1 - Hh1)
-
+    src = plant.source
+    lets, (yd, zd) = src.values
+    lets_h, (ydh, zdh) = src.hook("values", "_h", y="yh", z="zh", th0="thh0", th1="thh1")
+    update, (H0, H1) = src.update
+    update_h, (Hh0, Hh1) = src.hook("update", "_h", y="yh")
     return PlainModel(
         name=f"{plant.name}-observer",
         n=2 * plant.n + plant.m,
-        rhs=rhs,
+        rhs=None,
         jac=None,
         stiffness=plant.stiffness,
+        source=src.field(("y", "z", "yh", "zh", "thh0", "thh1"),
+                         (yd, zd, ydh, zdh, f"({H0}) - ({Hh0})", f"({H1}) - ({Hh1})"),
+                         (*lets, *lets_h, *update, *update_h), ("th0", "th1")),
+        consts=(*plant.consts, *theta_star.tolist()),
     )
 
 
@@ -69,33 +71,30 @@ def error_system(plant: ParameterizedPlant) -> PlainModel:
     """The observer block of coupled_system on its embedding, where the
     plant state equals (yh, zh), as a field of its own.
 
-    State layout: (yh, zh, thetah1, thetah2). rhs returns the update
-    H(y) - H(yh) as the exact 0.0 it is there, and jac is the coupled
-    Jacobian's lower-right block: the linearization of the observer error,
-    whose update rows -hu(yh) are not the derivative of this rhs. rhs makes
-    one values call and jac one derivatives call.
+    State layout: (yh, zh, thetah1, thetah2). Its source writes the plant's
+    values hook with theta read from the state, and the update H(y) - H(yh)
+    as the exact 0.0 it is there; its jac is the coupled Jacobian's
+    lower-right block, written from the derivatives hook: the linearization
+    of the observer error, whose update rows -hu(yh) are not the derivative
+    of this rhs. rhs reads its gates with one values lookup and jac with one
+    derivatives lookup.
     """
-    values, derivatives = plant.values, plant.derivatives
-
-    def rhs(t: float, s, u: float) -> tuple[float, ...]:
-        yd, zd = values(t, s[0], s[1], u, s[2], s[3])
-        return (yd, zd, 0.0, 0.0)
-
-    def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
-        dyy, dyz, dzy, dzz, h0, h1, hu0, hu1 = derivatives(t, s[0], s[1], u, s[2], s[3])
-        return (
-            (dyy, dyz, h0, h1),
-            (dzy, dzz, 0.0, 0.0),
-            (-hu0, 0.0, 0.0, 0.0),
-            (-hu1, 0.0, 0.0, 0.0),
-        )
-
+    src = plant.source
+    lets, (yd, zd) = src.values
+    jac_lets, (dyy, dyz, dzy, dzz, h0, h1, hu0, hu1) = src.hook("derivatives", "_d")
     return PlainModel(
         name=f"{plant.name}-observer-error",
         n=plant.n + plant.m,
-        rhs=rhs,
-        jac=jac,
+        rhs=None,
+        jac=None,
         stiffness=plant.stiffness,
+        source=src.field(("y", "z", "th0", "th1"), (yd, zd, "0.0", "0.0"), lets,
+                         jac=((dyy, dyz, h0, h1),
+                              (dzy, dzz, "0.0", "0.0"),
+                              (f"-({hu0})", "0.0", "0.0", "0.0"),
+                              (f"-({hu1})", "0.0", "0.0", "0.0")),
+                         jac_lets=jac_lets),
+        consts=plant.consts,
     )
 
 

@@ -8,7 +8,12 @@ resolved for the state (impulse windows, ramps, pulse edges) are resolved
 for Phi too. The joint field is straight-line Python rendered from one
 template per state size n, compiled and cached like the RK4 block: it
 unpacks J into n * n locals and writes each entry of J Phi as its row times
-its column, added left to right, so no entry depends on a BLAS build.
+its column, added left to right, so no entry depends on a BLAS build. A
+field whose source declares its Jacobian (FieldSource.jac) gets a joint
+source instead, with the Jacobian entries bound as lets and the same sums
+as its components, which the integrator writes into its RK4 block: no rhs
+or jac call per stage, and the bits of the joint field over the rendered
+rhs and jac.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .integrate import Trajectory, default_step, integrate
-from .models import PlainModel, VectorField
+from .models import FieldSource, PlainModel, VectorField
 from .signals import Constant, InputSignal
 
 __all__ = [
@@ -87,11 +92,34 @@ def _joint(n: int):
     return scope["joint"]
 
 
+@functools.cache
+def _joint_source(src: FieldSource) -> FieldSource:
+    """The joint (x, vec Phi) field of a source that declares jac: its
+    components, then its lets, its jac_lets and each Jacobian entry bound as
+    J{i}_{k}, and entry (i, j) of J Phi written as
+    J{i}_0 * Phi0_{j} + J{i}_1 * Phi1_{j} + ..., the sum of _joint over all n
+    terms, zero entries included."""
+    n = len(src.states)
+    phi = [f"Phi{k}_{j}" for k in range(n) for j in range(n)]
+    entries = [f"J{i}_{k} = {e}" for i, row in enumerate(src.jac) for k, e in enumerate(row)]
+    jphi = [" + ".join(f"J{i}_{k} * Phi{k}_{j}" for k in range(n))
+            for i in range(n) for j in range(n)]
+    return FieldSource((*src.states, *phi), (*src.exprs, *jphi), src.consts,
+                       (*src.lets, *src.jac_lets, *entries), helpers=src.helpers)
+
+
 def _with_variations(model: VectorField) -> PlainModel:
     """The field (x, vec Phi) -> (f(t, x, u), vec(J(t, x, u) Phi)), in floats
-    like the state. Its jac is None: the joint field is only ever stepped,
-    never linearized."""
+    like the state: for a source that declares jac, a joint source that the
+    integrator writes into its RK4 block, else _joint over the model's rhs
+    and jac. Its jac is None: the joint field is only ever stepped, never
+    linearized."""
     n = model.n
+    src = getattr(model, "source", None)
+    if src is not None and src.jac is not None:
+        return PlainModel(name=model.name, n=n * (n + 1), rhs=None, jac=None,
+                          stiffness=model.stiffness, source=_joint_source(src),
+                          consts=model.consts)
     return PlainModel(name=model.name, n=n * (n + 1), rhs=_joint(n)(model.rhs, model.jac),
                       jac=None, stiffness=model.stiffness)
 

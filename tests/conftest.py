@@ -19,6 +19,9 @@ from condux.design import (
 )
 from condux.lure import chua_system
 from condux.models import (
+    NEURON_GATE_SLOPES,
+    NEURON_GATES,
+    NEURON_UPDATE_GATES,
     ConductanceParams,
     PlainModel,
     hh_conductance,
@@ -27,8 +30,9 @@ from condux.models import (
     lorenz,
     neuron_family,
 )
-from condux.observer import coupled_system
+from condux.observer import coupled_system, error_system
 from condux.signals import InputSignal, SquarePulseTrain
+from condux.variational import _joint
 
 
 # Test-only fields and signals: a harmonic drive and a planar field with a
@@ -84,16 +88,123 @@ def planar_limit_cycle() -> PlainModel:
     )
 
 
-def coupled_with_jac(plant, theta_star) -> PlainModel:
-    """condux.observer.coupled_system with its Jacobian, which the package
-    never reads: the contraction check linearizes error_system, the coupled
-    Jacobian's lower-right block on the embedding. jac makes one derivatives
-    call per block."""
-    field = coupled_system(plant, theta_star)
-    th0, th1 = np.asarray(theta_star, dtype=float).tolist()
-    derivatives = plant.derivatives
+# The hand-written closures that the field sources replaced, kept as
+# oracles: each rendered rhs, jac and hook must give their bits.
 
-    def jac(t: float, s, u: float) -> tuple[tuple[float, ...], ...]:
+def kapitza_oracle(alpha, beta, gamma):
+    def rhs(t, s, u):
+        return (s[1], -beta * math.sin(s[0]) - gamma * s[1] + alpha * u)
+
+    def jac(t, s, u):
+        return ((0.0, 1.0), (-beta * math.cos(s[0]), -gamma))
+
+    return rhs, jac
+
+
+def lorenz_oracle(sigma, rho, beta):
+    def rhs(t, s, u):
+        x1, x2, z = s
+        return (sigma * (x2 - x1), x1 * (rho - z) - x2 + u, x1 * x2 - beta * z)
+
+    def jac(t, s, u):
+        x1, x2, z = s
+        return ((-sigma, sigma, 0.0), (rho - z, -1.0, -x1), (x2, x1, -beta))
+
+    return rhs, jac
+
+
+def leaky_oracle(tau):
+    def rhs(t, s, u):
+        return ((u - s[0]) / tau,)
+
+    def jac(t, s, u):
+        return ((-1.0 / tau,),)
+
+    return rhs, jac
+
+
+def neuron_hook_oracles():
+    """The neuron plant's values, update and derivatives hooks as they were
+    written by hand, each reading its gates with one call of its own stack."""
+    inv_eps = 1.0 / 0.02
+
+    def values(t, y, z, u, th0, th1):
+        m, tau, z_inf = NEURON_GATES(y)
+        return (
+            inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u)
+            + (-inv_eps * (y + 0.4) * th0 + -inv_eps * (m * (y - 1.0)) * th1),
+            (z_inf - z) / tau,
+        )
+
+    def update(y):
+        m_int, = NEURON_UPDATE_GATES(y)
+        return -(0.5 * y**2 + 0.4 * y), -m_int
+
+    def derivatives(t, y, z, u, th0, th1):
+        m, dm, tau, dtau, z_inf, dz_inf = NEURON_GATE_SLOPES(y)
+        mq = m * (y - 1.0)
+        return (
+            inv_eps * (-2.0 * z) + (-inv_eps * th0 + -inv_eps * (dm * (y - 1.0) + m) * th1),
+            inv_eps * (-2.0 * (y + 0.7)),
+            (dz_inf * tau - (z_inf - z) * dtau) / tau**2,
+            -1.0 / tau,
+            -inv_eps * (y + 0.4),
+            -inv_eps * mq,
+            -(y + 0.4),
+            -mq,
+        )
+
+    return values, update, derivatives
+
+
+def neuron_field_oracles(th0, th1):
+    """The hand-written (rhs, jac) of the neuron fields over the hand-written
+    hooks, by name: the plant at theta = (th0, th1) as model(theta) stepped
+    it, the coupled plant/observer field with its Jacobian (which the package
+    never had) and the error field, and the joint (x, vec Phi) field of
+    flow over each pair."""
+    values, update, derivatives = neuron_hook_oracles()
+
+    def plant_rhs(t, s, u):
+        return values(t, s[0], s[1], u, th0, th1)
+
+    def plant_jac(t, s, u):
+        dyy, dyz, dzy, dzz, _, _, _, _ = derivatives(t, s[0], s[1], u, th0, th1)
+        return ((dyy, dyz), (dzy, dzz))
+
+    def coupled_rhs(t, s, u):
+        yd, zd = values(t, s[0], s[1], u, th0, th1)
+        ydh, zdh = values(t, s[2], s[3], u, s[4], s[5])
+        H0, H1 = update(s[0])
+        Hh0, Hh1 = update(s[2])
+        return (yd, zd, ydh, zdh, H0 - Hh0, H1 - Hh1)
+
+    def error_rhs(t, s, u):
+        yd, zd = values(t, s[0], s[1], u, s[2], s[3])
+        return (yd, zd, 0.0, 0.0)
+
+    def error_jac(t, s, u):
+        dyy, dyz, dzy, dzz, h0, h1, hu0, hu1 = derivatives(t, s[0], s[1], u, s[2], s[3])
+        return (
+            (dyy, dyz, h0, h1),
+            (dzy, dzz, 0.0, 0.0),
+            (-hu0, 0.0, 0.0, 0.0),
+            (-hu1, 0.0, 0.0, 0.0),
+        )
+
+    fields = {"plant": (2, plant_rhs, plant_jac), "coupled": (6, coupled_rhs, _coupled_jac(derivatives, th0, th1)),
+              "error": (4, error_rhs, error_jac)}
+    out = {name: (rhs, jac) for name, (_, rhs, jac) in fields.items()}
+    out.update({f"joint-{name}": (_joint(n)(rhs, jac), None)
+                for name, (n, rhs, jac) in fields.items()})
+    return out
+
+
+def _coupled_jac(derivatives, th0, th1):
+    """The coupled plant/observer Jacobian over a derivatives hook, one call
+    per block."""
+
+    def jac(t, s, u):
         dyy, dyz, dzy, dzz, _, _, hu0, hu1 = derivatives(t, s[0], s[1], u, th0, th1)
         dyyh, dyzh, dzyh, dzzh, hh0, hh1, huh0, huh1 = derivatives(t, s[2], s[3], u, s[4], s[5])
         return (
@@ -105,7 +216,17 @@ def coupled_with_jac(plant, theta_star) -> PlainModel:
             (hu1, 0.0, -huh1, 0.0, 0.0, 0.0),
         )
 
-    return replace(field, jac=jac)
+    return jac
+
+
+def coupled_with_jac(plant, theta_star) -> PlainModel:
+    """condux.observer.coupled_system with its Jacobian, which the package
+    never reads: the contraction check linearizes error_system, the coupled
+    Jacobian's lower-right block on the embedding. jac makes one derivatives
+    call of the plant per block."""
+    th0, th1 = np.asarray(theta_star, dtype=float).tolist()
+    return replace(coupled_system(plant, theta_star),
+                   jac=_coupled_jac(plant.derivatives, th0, th1))
 
 
 def pytest_collection_modifyitems(items):
@@ -220,6 +341,13 @@ def observer_case():
     model = coupled_with_jac(neuron_family(), np.array([0.5, 1.5]))
     x0 = np.array([-0.7, 0.0, -0.7, 0.0, 0.3, 1.8])
     return model, _PULSE, x0, 0.0, 0.2, 1e-3
+
+
+@pytest.fixture(scope="session")
+def error_case():
+    """The observer error field, with a parameter error, under the pulses."""
+    return (error_system(neuron_family()), _PULSE, np.array([-0.7, 0.0, 0.3, 1.8]),
+            0.0, 0.2, 1e-3)
 
 
 @pytest.fixture(scope="session")

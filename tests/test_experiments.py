@@ -224,14 +224,17 @@ def test_studies_without_a_quadrature_do_not_load_scipy(tmp_path):
     assert seen["gain"] == averaged_gain(1.2).hex()
 
 
-# Imports every condux module and prints how many RK4 blocks and field rhs
-# functions have been compiled, then the same after one kapitza model.
+# Imports every condux module and prints how many RK4 blocks, field rhs and
+# jac functions and plant hooks have been compiled, then the same after one
+# kapitza model.
 _NOTHING_COMPILED_CHILD = r"""
 import json, sys
 import condux, condux.acceptance, condux.cli
 integrate, models = sys.modules["condux.integrate"], sys.modules["condux.models"]
 sizes = lambda: [integrate._rk4_block.cache_info().currsize,
-                 models._rendered_rhs.cache_info().currsize]
+                 models._rendered_rhs.cache_info().currsize,
+                 models._rendered_jac.cache_info().currsize,
+                 models._rendered_hooks.cache_info().currsize]
 at_import = sizes()
 models.kapitza()
 print(json.dumps({"import": at_import, "model": sizes()}))
@@ -239,12 +242,12 @@ print(json.dumps({"import": at_import, "model": sizes()}))
 
 
 def test_nothing_is_compiled_at_import(tmp_path):
-    # blocks and field rhs functions are rendered on first use, so importing
-    # condux costs no compile
+    # blocks, field rhs and jac functions and plant hooks are rendered on
+    # first use, so importing condux costs no compile
     src = str(Path(condux.experiments.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _NOTHING_COMPILED_CHILD], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {"import": [0, 0], "model": [0, 1]}
+    assert seen == {"import": [0, 0, 0, 0], "model": [0, 1, 1, 0]}

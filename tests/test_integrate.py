@@ -407,6 +407,8 @@ def _array_rk4(model, signal, grid, x0):
     pytest.param("kapitza_case", True, id="kapitza_case-joint"),       # n = 6
     pytest.param("lorenz_case", True, id="lorenz_case-joint"),         # n = 12
     pytest.param("observer_case", True, id="observer_case-joint"),     # n = 42
+    pytest.param("neuron_case", True, id="neuron_case-joint"),         # n = 6
+    pytest.param("error_case", True, id="error_case-joint"),           # n = 20
 ])
 def test_float_loop_matches_the_array_step_bitwise(case, joint, request):
     # pins the stage order at every state size the studies step, the joint
@@ -448,13 +450,29 @@ def _called(model: PlainModel) -> PlainModel:
     return PlainModel(model.name, model.n, model.rhs, model.jac)
 
 
-@pytest.mark.parametrize("case", ["kapitza_case", "lorenz_case", "leaky_case"])
+@pytest.mark.parametrize("case", ["kapitza_case", "lorenz_case", "leaky_case", "neuron_case",
+                                  "observer_case", "error_case"])
 def test_written_out_field_steps_the_bits_of_its_rhs_calls(case, request):
     model, signal, x0, t0, t1, h = request.getfixturevalue(case)
     assert model.source is not None
     written = integrate(model, signal, t0, t1, x0, h)
     called = integrate(_called(model), signal, t0, t1, x0, h)
     assert np.array_equal(written.ts, called.ts)
+    assert np.array_equal(written.states.view(np.int64), called.states.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["kapitza_case", "lorenz_case", "leaky_case", "neuron_case",
+                                  "error_case"])
+def test_written_out_joint_field_steps_the_bits_of_the_call_path(case, request):
+    # flow's joint source, the Jacobian's entries and J Phi written into the
+    # block, steps the bits of the joint closure over the rendered rhs and jac
+    model, signal, x0, t0, t1, h = request.getfixturevalue(case)
+    assert model.source.jac is not None
+    joint = _with_variations(model)
+    assert joint.source is not None
+    x0 = np.concatenate((x0, np.eye(model.n).ravel()))
+    written = integrate(joint, signal, t0, t1, x0, h)
+    called = integrate(_with_variations(_called(model)), signal, t0, t1, x0, h)
     assert np.array_equal(written.states.view(np.int64), called.states.view(np.int64))
 
 

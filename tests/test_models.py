@@ -42,10 +42,18 @@ from condux.models import (
     lorenz,
     neuron_family,
 )
-from condux.observer import error_system
+from condux.observer import coupled_system, error_system
 from condux.piecewise import GateStack, PiecewisePoly, sat_poly
 from condux.variational import _with_variations
-from conftest import coupled_with_jac, planar_limit_cycle
+from conftest import (
+    coupled_with_jac,
+    kapitza_oracle,
+    leaky_oracle,
+    lorenz_oracle,
+    neuron_field_oracles,
+    neuron_hook_oracles,
+    planar_limit_cycle,
+)
 
 BUILTINS = [
     kapitza(),
@@ -89,54 +97,84 @@ class TestKapitza:
             kapitza(alpha=0.0)
 
 
-# The hand-written closures that the converted fields' sources replaced,
-# kept as oracles: a field's rendered rhs must give their bits.
-def _kapitza_oracle(alpha, beta, gamma):
-    def rhs(t, s, u):
-        return (s[1], -beta * math.sin(s[0]) - gamma * s[1] + alpha * u)
-    return rhs
-
-
-def _lorenz_oracle(sigma, rho, beta):
-    def rhs(t, s, u):
-        x1, x2, z = s
-        return (sigma * (x2 - x1), x1 * (rho - z) - x2 + u, x1 * x2 - beta * z)
-    return rhs
-
-
-def _leaky_oracle(tau):
-    def rhs(t, s, u):
-        return ((u - s[0]) / tau,)
-    return rhs
-
-
 _SOURCED = [
-    pytest.param(kapitza, _kapitza_oracle, (1.0, 1.0, 1.0), id="kapitza"),
-    pytest.param(kapitza, _kapitza_oracle, (2.0, 0.5, 3.0), id="kapitza-2-0.5-3"),
-    pytest.param(kapitza, _kapitza_oracle, (-0.3, 7.0, 0.0), id="kapitza-negative"),
-    pytest.param(lorenz, _lorenz_oracle, (10.0, 28.0, 8.0 / 3.0), id="lorenz"),
-    pytest.param(lorenz, _lorenz_oracle, (1.5, -2.0, 0.1), id="lorenz-other"),
-    pytest.param(leaky_integrator, _leaky_oracle, (1.0,), id="leaky"),
-    pytest.param(leaky_integrator, _leaky_oracle, (0.3,), id="leaky-0.3"),
+    pytest.param(kapitza, kapitza_oracle, (1.0, 1.0, 1.0), id="kapitza"),
+    pytest.param(kapitza, kapitza_oracle, (2.0, 0.5, 3.0), id="kapitza-2-0.5-3"),
+    pytest.param(kapitza, kapitza_oracle, (-0.3, 7.0, 0.0), id="kapitza-negative"),
+    pytest.param(lorenz, lorenz_oracle, (10.0, 28.0, 8.0 / 3.0), id="lorenz"),
+    pytest.param(lorenz, lorenz_oracle, (1.5, -2.0, 0.1), id="lorenz-other"),
+    pytest.param(leaky_integrator, leaky_oracle, (1.0,), id="leaky"),
+    pytest.param(leaky_integrator, leaky_oracle, (0.3,), id="leaky-0.3"),
 ]
+
+
+def _sampled_states(field):
+    """200 states of the field's sample box and 200 of the box scaled by
+    1e3, with a time and an input each."""
+    rng = np.random.default_rng(3)
+    lows, highs = np.array(field.sample_box).T
+    for scale in (1.0, 1e3):
+        for _ in range(200):
+            s = scale * rng.uniform(lows, highs)
+            yield s, float(rng.uniform(0.0, 5.0)), float(rng.uniform(-2.0, 2.0))
 
 
 @pytest.mark.parametrize("make, oracle, consts", _SOURCED)
 def test_rendered_rhs_gives_the_closure_bits(make, oracle, consts):
     # on tuples of floats and on numpy arrays, the rhs rendered from a
     # field's source returns the components of the closure it replaced
-    field, ref = make(*consts), oracle(*consts)
+    field, ref = make(*consts), oracle(*consts)[0]
     assert field.source is not None and field.consts == consts
-    rng = np.random.default_rng(3)
-    lows, highs = np.array(field.sample_box).T
-    for scale in (1.0, 1e3):
-        for _ in range(200):
-            s = scale * rng.uniform(lows, highs)
-            t, u = float(rng.uniform(0.0, 5.0)), float(rng.uniform(-2.0, 2.0))
-            for state in (tuple(s.tolist()), s):
-                got, want = field.rhs(t, state, u), ref(t, state, u)
-                assert len(got) == field.n
-                assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+    for s, t, u in _sampled_states(field):
+        for state in (tuple(s.tolist()), s):
+            got, want = field.rhs(t, state, u), ref(t, state, u)
+            assert len(got) == field.n
+            assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+
+
+@pytest.mark.parametrize("make, oracle, consts", _SOURCED)
+def test_rendered_jac_gives_the_closure_bits(make, oracle, consts):
+    # the jac rendered from the source's Jacobian entries returns the rows
+    # of the closure it replaced, signed zeros included
+    field, ref = make(*consts), oracle(*consts)[1]
+    assert field.source.jac is not None
+    for s, t, u in _sampled_states(field):
+        for state in (tuple(s.tolist()), s):
+            got, want = field.jac(t, state, u), ref(t, state, u)
+            assert [len(row) for row in got] == [field.n] * field.n
+            assert ([float(g).hex() for row in got for g in row]
+                    == [float(w).hex() for row in want for w in row])
+
+
+def test_a_sourced_field_survives_replace():
+    # dataclasses.replace hands the new model the rhs and jac its source
+    # rendered, which it accepts; any other rhs or jac beside a source is
+    # still rejected, one rendered for other constants included
+    field = kapitza()
+    renamed = dataclasses.replace(field, name="k2")
+    assert renamed.name == "k2"
+    assert renamed.rhs is field.rhs and renamed.jac is field.jac
+    other = kapitza(2.0, 1.0, 1.0)
+    for attr in ("rhs", "jac"):
+        for fn in (getattr(other, attr), lambda t, s, u: (0.0, 0.0)):
+            with pytest.raises(ValueError, match=f"its {attr} is rendered"):
+                dataclasses.replace(field, **{attr: fn})
+    # a closure jac beside a source without one stays the model's own
+    coupled = coupled_with_jac(neuron_family(), np.array([0.5, 1.5]))
+    assert coupled.source is not None and coupled.source.jac is None
+    assert coupled.jac is not None
+
+
+def test_constants_that_differ_only_in_the_sign_of_zero_get_their_own_rhs():
+    # the rendered functions are shared per source and constants, told
+    # apart by repr: gamma = -0.0 keeps its sign
+    plus, minus = kapitza(1.0, 1.0, 0.0), kapitza(1.0, 1.0, -0.0)
+    assert plus.rhs is not minus.rhs
+    assert plus.rhs is kapitza(1.0, 1.0, 0.0).rhs
+    s = (0.0, 1.0)
+    assert plus.rhs(0.0, s, 0.0)[1].hex() == kapitza_oracle(1.0, 1.0, 0.0)[0](0.0, s, 0.0)[1].hex()
+    assert minus.rhs(0.0, s, 0.0)[1].hex() == kapitza_oracle(1.0, 1.0, -0.0)[0](0.0, s, 0.0)[1].hex()
+    assert plus.jac(0.0, s, 0.0)[1][1].hex() != minus.jac(0.0, s, 0.0)[1][1].hex()
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -147,11 +185,20 @@ def test_rendered_rhs_gives_the_closure_bits(make, oracle, consts):
      "constants"),
     (dict(n=1, rhs=lambda t, s, u: (0.0,), source=FieldSource(("z",), ("-z",))), "rendered"),
     (dict(n=1, rhs=None, source=FieldSource(("z",), ("-z * w",))), "unknown name 'w'"),
+    (dict(n=2, rhs=None, source=FieldSource(("q", "p"), ("p", "-q"), jac=(("0.0", "1.0"),))),
+     "rows"),
+    (dict(n=2, rhs=None, source=FieldSource(("q", "p"), ("p", "-q"),
+                                            jac=(("0.0", "1.0"), ("-1.0",)))), "rows"),
+    (dict(n=1, rhs=None, source=FieldSource(("z",), ("-z",), jac=(("-w",),))),
+     "unknown name 'w'"),
+    (dict(n=1, rhs=None, source=FieldSource(("z",), ("-z",), lets=("w = f(z)",))),
+     "unknown name 'f'"),
 ])
 def test_a_field_source_that_does_not_fit_is_rejected(kwargs, match):
-    # a source of other than n components, constants without their values,
-    # an rhs beside a source or a name that is neither a state, t, u, a
-    # constant nor in math fails at construction, not in the first run
+    # a source of other than n components, a jac of other than n rows of
+    # n, constants without their values, an rhs beside a source or a name
+    # that is neither a state, t, u, a constant, a helper, a let nor in math
+    # fails at construction, not in the first run
     with pytest.raises(ValueError, match=match):
         PlainModel(name="bad", jac=None, **kwargs)
 
@@ -161,6 +208,16 @@ def test_a_field_source_that_does_not_fit_is_rejected(kwargs, match):
 def test_field_source_names_must_be_distinct(states, consts):
     with pytest.raises(ValueError, match="distinct"):
         FieldSource(states, ("0.0", "0.0"), consts)
+
+
+@pytest.mark.parametrize("lets, jac_lets", [
+    (("p = q",), ()), (("a, b = f(q)",), ("b = q",)), (("f = q",), ()), (("t = q",), ())])
+def test_names_the_lets_bind_must_be_distinct(lets, jac_lets):
+    # from the states, constants, t, u, helpers and each other, jac_lets
+    # included
+    with pytest.raises(ValueError, match="distinct"):
+        FieldSource(("q", "p"), ("0.0", "0.0"), ("k",), lets, jac_lets=jac_lets,
+                    helpers=(("f", math.sin),))
 
 
 @given(y=st.floats(-1.6, 1.6), z=st.floats(-1.2, 1.2))
@@ -678,3 +735,54 @@ def test_written_out_fields_match_the_dot_loop_bitwise(chua_linearized, name, ca
     state = s[:field.n]
     for got, want in zip((field.rhs, field.jac), _loop_fields(th)[name]):
         assert _hexes(got(t, state, u)) == _hexes(want(t, state, u))
+
+
+# y-levels where a neuron gate switches piece, one ulp either side of each,
+# and the signed zeros
+_NEURON_SPECIAL = [0.0, -0.0, *NEURON_GATES.breaks,
+                   *(math.nextafter(b, -math.inf) for b in NEURON_GATES.breaks),
+                   *(math.nextafter(b, math.inf) for b in NEURON_GATES.breaks)]
+
+
+@st.composite
+def _neuron_case(draw):
+    """A coupled state of six entries, a parameter pair, an input and the 36
+    Phi entries of the largest joint field: random uniforms on [-3, 3], among
+    which hypothesis puts the special levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(-3.0, 3.0, 9 + 36).tolist()
+    for k, special in draw(st.lists(st.tuples(st.integers(0, 8),
+                                              st.sampled_from(_NEURON_SPECIAL)), max_size=4)):
+        v[k] = special
+    return tuple(v[:6]), tuple(v[6:8]), v[8], tuple(v[9:])
+
+
+@given(case=_neuron_case(), t=st.floats(0.0, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_neuron_fields_give_the_closure_bits(case, t):
+    # the rendered hooks, the rhs and jac rendered from the plant source and
+    # the joint fields of flow give the bits of the hand-written closures
+    # they replaced, at the drawn state and with its y and yh set to every
+    # special level in turn
+    s, th, u, phi = case
+    plant = neuron_family()
+    oracles = neuron_field_oracles(*th)
+    fields = {"plant": plant.model(np.array(th)),
+              "coupled": coupled_with_jac(plant, np.array(th)),
+              "error": error_system(plant)}
+    hooks = (plant.values, plant.update, plant.derivatives)
+    for state in (s, *((y, s[1], y, *s[3:]) for y in _NEURON_SPECIAL)):
+        y = state[0]
+        for got, want in zip(hooks, neuron_hook_oracles()):
+            args = (y,) if got is plant.update else (t, y, state[1], u, *th)
+            assert _hexes(got(*args)) == _hexes(want(*args))
+        for name, field in fields.items():
+            x = state[:field.n]
+            rhs, jac = oracles[name]
+            assert _hexes(field.rhs(t, x, u)) == _hexes(rhs(t, x, u))
+            assert _hexes(field.jac(t, x, u)) == _hexes(jac(t, x, u))
+            joint = _with_variations(field)
+            xp = (*x, *phi[:field.n**2])
+            assert _hexes(joint.rhs(t, xp, u)) == _hexes(oracles[f"joint-{name}"][0](t, xp, u))
+    assert fields["plant"].source.jac is not None and fields["error"].source.jac is not None
+    assert coupled_system(plant, np.array(th)).rhs is fields["coupled"].rhs

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-import condux.models
 from condux.errors import AntiderivativeMismatch, ConfigError, PeriodMismatch
-from condux.integrate import Trajectory
-from condux.models import neuron_family
+from condux.integrate import Trajectory, integrate
+from condux.models import PlainModel, neuron_family
 from condux.observer import (
     coupled_system,
     error_system,
@@ -15,8 +14,8 @@ from condux.observer import (
     run_observer,
 )
 from condux.signals import Constant, SquarePulseTrain
-from condux.variational import floquet
-from conftest import coupled_with_jac
+from condux.variational import floquet, flow
+from conftest import coupled_with_jac, neuron_field_oracles
 
 THETA_STAR = np.array([0.5, 1.5])
 PULSE = SquarePulseTrain(magnitude=-3.0, duration=0.002, period=2.8)
@@ -31,7 +30,8 @@ class TestBuildObserver:
     def test_antiderivative_mismatch_rejected(self, plant):
         with pytest.raises(AntiderivativeMismatch):
             # not an antiderivative of hu
-            dataclasses.replace(plant, update=lambda y: (y, y))
+            dataclasses.replace(plant, source=dataclasses.replace(
+                plant.source, update=((), ("y", "y"))))
 
     def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
@@ -39,43 +39,55 @@ class TestBuildObserver:
             _, _, _, _, h0, h1, hu0, hu1 = plant.derivatives(0.0, y, 0.5, 0.0, 0.5, 1.5)
             assert np.allclose([hu0, hu1], np.array([h0, h1]) * 0.02)
 
-    def test_gate_lookups_per_call(self, plant, monkeypatch):
-        # every hook call reads its gates with exactly one call of its own
-        # compiled stack, and the fields make no lookup outside a hook: the
-        # plant and error fields make one hook call per rhs or jac, the
-        # coupled rhs one values and one update call per block and the
-        # coupled jac of coupled_with_jac one derivatives call per block
-        own = {"values": "NEURON_GATES", "update": "NEURON_UPDATE_GATES",
-               "derivatives": "NEURON_GATE_SLOPES"}
+    def test_gate_lookups_per_call(self, plant):
+        # every rendered hook, rhs and jac, and every stage of the RK4 block
+        # of each field, reads each gate stack it needs with exactly one
+        # call: a hook its own stack, the plant and error fields one values
+        # lookup per rhs and one derivatives lookup per jac, the coupled rhs
+        # one values and one update lookup per block, the coupled jac of
+        # coupled_with_jac one derivatives call per block, and flow's joint
+        # block the rhs and the jac lookups at each stage
         lookups = []
-        for name in own.values():
-            stack = getattr(condux.models, name)
-            monkeypatch.setattr(condux.models, name,
-                                lambda y, name=name, stack=stack:
-                                lookups.append(name) or stack(y))
-        calls = []
 
-        def counted(hook):
-            def call(*args):
-                before = len(lookups)
-                out = getattr(plant, hook)(*args)
-                calls.append((hook, lookups[before:]))
-                return out
-            return call
+        def counted(name, stack):
+            def lookup(y):
+                lookups.append(name)
+                return stack(y)
+            return lookup
 
-        counted_plant = dataclasses.replace(plant, **{hook: counted(hook) for hook in own})
+        source = dataclasses.replace(plant.source, helpers=tuple(
+            (name, counted(name, stack)) for name, stack in plant.source.helpers))
+        counted_plant = dataclasses.replace(plant, source=source)
         s = (-0.3, 0.2, 0.1, 0.4, 0.45, 1.6)
+        for hook, args, want in (("values", (0.0, *s[:2], 0.5, *s[4:]), ["gates"]),
+                                 ("update", (s[0],), ["update_gates"]),
+                                 ("derivatives", (0.0, *s[:2], 0.5, *s[4:]), ["slopes"])):
+            lookups.clear()
+            getattr(counted_plant, hook)(*args)
+            assert lookups == want
+        lookups.clear()
+        coupled_with_jac(counted_plant, THETA_STAR).jac(0.0, s, 0.5)
+        assert lookups == ["slopes"] * 2
         for field, state, rhs_hooks, jac_hooks in (
-                (coupled_with_jac(counted_plant, THETA_STAR), s,
-                 ["values", "values", "update", "update"], ["derivatives"] * 2),
-                (counted_plant.model(THETA_STAR), s[:2], ["values"], ["derivatives"]),
-                (error_system(counted_plant), s[2:], ["values"], ["derivatives"])):
-            for fn, hooks in ((field.rhs, rhs_hooks), (field.jac, jac_hooks)):
-                lookups.clear()
-                calls.clear()
-                fn(0.0, state, 0.5)
-                assert calls == [(hook, [own[hook]]) for hook in hooks]
-                assert len(lookups) == len(hooks)
+                (coupled_system(counted_plant, THETA_STAR), s,
+                 ["gates", "gates", "update_gates", "update_gates"], None),
+                (counted_plant.model(THETA_STAR), s[:2], ["gates"], ["slopes"]),
+                (error_system(counted_plant), s[2:], ["gates"], ["slopes"])):
+            x0 = np.array(state)
+            lookups.clear()
+            field.rhs(0.0, state, 0.5)
+            assert lookups == rhs_hooks
+            lookups.clear()
+            integrate(field, Constant(0.5), 0.0, 1e-3, x0, 1e-3)  # one step
+            assert lookups == rhs_hooks * 4
+            if jac_hooks is None:
+                continue
+            lookups.clear()
+            field.jac(0.0, state, 0.5)
+            assert lookups == jac_hooks
+            lookups.clear()
+            flow(field, Constant(0.5), 0.0, 1e-3, x0, 1e-3)
+            assert lookups == (rhs_hooks + jac_hooks) * 4
 
 
 class TestEmbedding:
@@ -101,11 +113,12 @@ class TestEmbedding:
         # constant to H cancels. With matched initial data the difference is
         # exactly zero at every integrator stage and the cancellation is
         # bitwise. With a parameter error it is only analytic: the shifted
-        # hook rounds H(y) + 7.5 before the difference is taken, which
+        # declaration rounds H(y) + 7.5 before the difference is taken, which
         # perturbs the update at the last-bit level, so we bound the drift
         # instead (measured 3.7e-14 over three input periods).
-        shifted = dataclasses.replace(
-            plant, update=lambda y: tuple(a + 7.5 for a in plant.update(y)))
+        lets, exprs = plant.source.update
+        shifted = dataclasses.replace(plant, source=dataclasses.replace(
+            plant.source, update=(lets, tuple(f"({e}) + 7.5" for e in exprs))))
         kw = dict(horizon=PULSE.period, tolerance=0.0316,
                   plant_ic=np.array([-0.7, 0.0]), step=1e-3)
         m1 = run_observer(plant, THETA_STAR, PULSE,
@@ -161,12 +174,10 @@ class TestContractionCheck:
     def test_zero_update_leaves_parameter_block_identity(self, plant,
                                                          observer_run):
         # the whole update is zero: H in the update hook, and hu in the
-        # derivatives hook that jac reads
-        def frozen_derivatives(t, y, z, u, th0, th1):
-            return (*plant.derivatives(t, y, z, u, th0, th1)[:6], 0.0, 0.0)
-
-        frozen = dataclasses.replace(plant, update=lambda y: (0.0, 0.0),
-                                     derivatives=frozen_derivatives)
+        # derivatives hook that jac is written from
+        lets, exprs = plant.source.derivatives
+        frozen = dataclasses.replace(plant, source=dataclasses.replace(
+            plant.source, update=((), ("0.0", "0.0")), derivatives=(lets, (*exprs[:6], "0.0", "0.0"))))
         ref = observer_run[0]["reference"]
         check = observer_contraction_check(frozen, THETA_STAR, ref, PULSE)
         phi = check.monodromy.phi
@@ -209,3 +220,24 @@ class TestContractionCheck:
 
     def test_embedding_deviation_zero(self, observer_run):
         assert observer_run[1]["embedding_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("name, x0", [
+    ("plant", [-0.7, 0.0]),
+    ("error", [-0.7, 0.0, 0.3, 1.8]),
+    ("coupled", [-0.7, 0.0, -0.7, 0.0, 0.3, 1.8]),
+])
+def test_flow_of_a_source_field_gives_the_closure_bits(plant, name, x0):
+    # over one observer period, the trajectory and transition matrix of
+    # each field written from the plant source are those of the
+    # hand-written closures it replaced
+    field = {"plant": plant.model(THETA_STAR), "error": error_system(plant),
+             "coupled": coupled_with_jac(plant, THETA_STAR)}[name]
+    rhs, jac = neuron_field_oracles(*THETA_STAR.tolist())[name]
+    oracle = PlainModel(name, field.n, rhs, jac)
+    x0 = np.array(x0)
+    traj, phi = flow(field, PULSE, 0.0, PULSE.period, x0, 1e-3)
+    ref, ref_phi = flow(oracle, PULSE, 0.0, PULSE.period, x0, 1e-3)
+    assert traj.ts.size == ref.ts.size > PULSE.period / 1e-3
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert phi.tobytes() == ref_phi.tobytes()

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from condux.errors import PeriodMismatch
 from condux.integrate import integrate
-from condux.models import PlainModel, fitzhugh_nagumo, leaky_integrator
+from condux.models import PlainModel, fitzhugh_nagumo, kapitza, leaky_integrator, lorenz
 from condux.signals import Constant
 from condux.variational import (
     contraction_probe,
@@ -222,3 +222,19 @@ class TestHurwitz:
         flipped = np.polymul(poly, [1.0, -roots[0] / 2.0])
         assert not hurwitz(flipped.tolist()).stable
 
+
+
+@pytest.mark.parametrize("model", [kapitza(2.0, 0.5, 3.0), lorenz(), leaky_integrator(0.3)],
+                         ids=lambda m: m.name)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_joint_source_matches_the_dot_loop_bitwise(model, seed, zeros):
+    # a field whose source declares jac gets a joint source, rendered with
+    # the same left-to-right sums as the joint closure
+    joint = _with_variations(model)
+    assert joint.source is not None
+    s = np.random.default_rng(seed).normal(0.0, 10.0, joint.n).tolist()
+    zeros = zeros[:joint.n]
+    s[:len(zeros)] = zeros
+    got = joint.rhs(0.3, tuple(s), 0.7)
+    assert [v.hex() for v in got] == [v.hex() for v in _dot_joint(model)(0.3, tuple(s), 0.7)]

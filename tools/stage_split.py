@@ -13,18 +13,20 @@ observer_contraction_check, ...), or its own CSV writer write_csv. Its
 binding in condux.experiments is wrapped, so only the calls a pipeline
 makes are timed, and only the outermost of them; a stage called more than
 once in one run_experiment call counts the sum of those calls. The total
-stage is the whole run_experiment call, artifacts included. The rk4 steps
-row counts the RK4 steps of each call, grid.size - 1 summed over every run
-of condux.integrate._rk4_run, which every integrate and flow call steps
-through, so a stage's CPU time can be quoted per step.
+stage is the whole run_experiment call, artifacts included. The steps
+columns count the RK4 steps of each stage, grid.size - 1 summed over every
+run of condux.integrate._rk4_run (which every integrate and flow call steps
+through) made inside the stage, the total row's those of the whole call,
+so a stage's CPU time can be quoted per step.
 
 Each checkout runs in fresh processes, with its src first on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1: 5 rounds of one process making 3 calls, the rounds
 alternating which checkout goes first. The script prints, per workload or
 config and stage, the min and median of time.process_time over the 15 calls
-of each checkout. The import row is the process's CPU time from its start
-until it has imported condux.experiments, one value per process, so its min
-and median are over the 5 processes of each checkout.
+of each checkout, then the median of the stage's RK4 steps per call in each
+checkout. The import row is the process's CPU time from its start until it
+has imported condux.experiments, one value per process, so its min and
+median are over the 5 processes of each checkout.
 """
 
 from __future__ import annotations
@@ -40,12 +42,11 @@ WORKLOADS = ("kapitza-vibration", "fhn-impulse", "hh-square-wave", "observer-est
 SEED = 1
 ROUNDS = 5
 CALLS = 3
-STEPS = "rk4 steps"
 
 # The child process: argv[1] is the config as JSON, argv[2] the number of
 # run_experiment calls. It prints one JSON object: the CPU seconds it took to
 # import condux.experiments, and a list with, per call, the CPU seconds by
-# stage name and the call's RK4 steps.
+# stage name and the RK4 steps by stage name (total: the whole call).
 _CHILD = r"""
 import inspect, json, sys, tempfile, time
 import condux.experiments as exp
@@ -53,7 +54,7 @@ imported_s = time.process_time()
 from condux.config import config_from_dict
 
 cfg = config_from_dict(json.loads(sys.argv[1]))
-acc, active, STEPS = {}, [], "rk4 steps"
+acc, steps, active = {}, {}, []
 
 def timed(name, fn):
     def call(*args, **kwargs):
@@ -78,7 +79,8 @@ integ = sys.modules["condux.integrate"]
 rk4_run = integ._rk4_run
 
 def counted(model, signal, grid, x0):
-    acc[STEPS] = acc.get(STEPS, 0) + grid.size - 1
+    for name in {"total", *active[:1]}:
+        steps[name] = steps.get(name, 0) + grid.size - 1
     return rk4_run(model, signal, grid, x0)
 
 integ._rk4_run = counted
@@ -86,10 +88,11 @@ calls = []
 with tempfile.TemporaryDirectory(prefix="stage_split-") as tmp:
     for i in range(int(sys.argv[2])):
         acc.clear()
+        steps.clear()
         t0 = time.process_time()
         exp.run_experiment(cfg, f"{tmp}/{i}")
         acc["total"] = time.process_time() - t0
-        calls.append(dict(acc))
+        calls.append({"cpu": dict(acc), "steps": dict(steps)})
 print(json.dumps({"import": imported_s, "calls": calls}))
 """
 
@@ -107,8 +110,12 @@ def _process(checkout: Path, config: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _cell(xs: list[float], fmt: str = ".3f") -> str:
-    return f"{min(xs):{fmt}} / {statistics.median(xs):{fmt}}" if xs else "-"
+def _cell(xs: list[float]) -> str:
+    return f"{min(xs):.3f} / {statistics.median(xs):.3f}" if xs else "-"
+
+
+def _steps(xs: list[int]) -> str:
+    return f"{statistics.median(xs):.0f}" if any(xs) else "-"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,25 +134,25 @@ def main(argv: list[str] | None = None) -> int:
 
         runs = {f"{w}, seed {SEED}": json.dumps(make_config(w, SEED)) for w in WORKLOADS}
     for name, config in runs.items():
-        calls: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+        calls: dict[str, list[dict[str, dict[str, float]]]] = {side: [] for side in sides}
         imports: dict[str, list[float]] = {side: [] for side in sides}
         for r in range(ROUNDS):
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 seen = _process(sides[side], config)
                 imports[side].append(seen["import"])
                 calls[side] += seen["calls"]
-        stages = list(dict.fromkeys(k for cs in calls.values() for c in cs for k in c
-                                    if k not in ("total", STEPS)))
+        stages = list(dict.fromkeys(k for cs in calls.values() for c in cs for k in c["cpu"]
+                                    if k != "total"))
         print(f"{name} (CPU s, min / median of {ROUNDS * CALLS} calls; "
-              f"import: of {ROUNDS} processes)")
-        print(f"  {'stage':<34} {'parent':>15} {'change':>15}")
+              f"import: of {ROUNDS} processes; then RK4 steps per call)")
+        print(f"  {'stage':<34} {'parent':>15} {'change':>15} {'parent':>9} {'change':>9}")
         cells = [_cell(imports[side]) for side in sides]
         print(f"  {'import':<34} {cells[0]:>15} {cells[1]:>15}")
         for stage in (*stages, "total"):
-            cells = [_cell([c[stage] for c in calls[side] if stage in c]) for side in sides]
-            print(f"  {stage:<34} {cells[0]:>15} {cells[1]:>15}")
-        cells = [_cell([c.get(STEPS, 0) for c in calls[side]], "d") for side in sides]
-        print(f"  {STEPS:<34} {cells[0]:>15} {cells[1]:>15}")
+            cells = [_cell([c["cpu"][stage] for c in calls[side] if stage in c["cpu"]])
+                     for side in sides]
+            cells += [_steps([c["steps"].get(stage, 0) for c in calls[side]]) for side in sides]
+            print(f"  {stage:<34} {cells[0]:>15} {cells[1]:>15} {cells[2]:>9} {cells[3]:>9}")
         print(flush=True)
     return 0
 
