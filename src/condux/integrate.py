@@ -24,13 +24,14 @@ keeps the state in n local floats, passes it to the field's float-form rhs
 rhs that returns other than n components raises ValueError. A PlainModel
 that declares its components as source (FieldSource) is stepped by a block
 with those expressions written out in place of the rhs calls: each stage
-binds its stage state to n locals, runs the source's lets (such as the
-neuron plant's one gate lookup, a helper call whose results are bound to
-locals) and computes each component in one statement, no field call and no
-tuple per stage. flow's joint (x, Phi) field of a source that declares its
-Jacobian is such a source too. The constants are the block's argument, so
-the block is compiled once per source, whatever the parameter values, and
-the model's rhs and jac are rendered from the same source.
+binds its stage state to n locals, runs the source's lets (a gate lookup,
+such as the neuron plant's, written as its stack's if-chain over the stage
+state, each line of it indented into the stage) and computes each component
+in one statement, no call and no tuple per stage. flow's joint (x, Phi)
+field of a source that declares its Jacobian is such a source too. The
+constants are the block's argument, so the block is compiled once per
+source, whatever the parameter values, and the model's rhs and jac are
+rendered from the same source.
 The block extends one flat list by the components of every new state; the
 list is copied into the preallocated state array in one assignment and
 checked for finiteness. Python + * / on floats round exactly like numpy's
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowup
-from .models import FieldSource, VectorField
+from .models import FieldSource, VectorField, exec_rendered
 from .signals import Constant, InputSignal
 
 __all__ = [
@@ -70,7 +71,8 @@ _FINITE_BLOCK = 1024
 # source passes its rhs as the block's first argument and each stage is one
 # rhs call; a field with source passes its constants, which the block
 # unpacks into k0, k1, ..., and each stage binds its stage state to
-# x0..x(n-1), runs the source's lets and writes its components over them.
+# x0..x(n-1), runs the source's lets, each line of them (a gate chain is
+# several) indented into the loop, and writes its components over them.
 _BLOCK_TEMPLATE = """\
 def block({field}, ts, hs, uas, ums, ubs, y, rows):
 {consts}    push = rows.extend
@@ -132,9 +134,7 @@ def _rk4_block(n: int, source: FieldSource | None):
     inputs uas, ums and ubs at the left end, midpoint and right end of each
     step, extending the flat list rows by the components of every new state.
     field is the model's rhs, or its consts when it has a source."""
-    scope = source.scope if source is not None else {}
-    exec(compile(_block_source(n, source), f"<rk4 block n={n}>", "exec"), scope)
-    return scope["block"]
+    return exec_rendered(_block_source(n, source), f"rk4 block n={n}")["block"]
 
 
 def default_step(model: VectorField, signal: InputSignal, t0: float, t1: float) -> float:

@@ -11,13 +11,18 @@ Other fields are PlainModel, given as callables or declared once as
 expression source (FieldSource), from which the model's rhs and jac are
 rendered and which the integrator writes into its RK4 block. The observer's
 neuron plant is declared once as a PlantSource: its hooks, its fields for
-fixed parameters and the observer's fields are all written from it.
+fixed parameters and the observer's fields are all written from it. A gate
+lookup of a source is written into each rendered function as its GateStack's
+if-chain, so no rendered hook, rhs, jac or block calls a stack; the rendered
+text is kept in linecache, so inspect.getsource shows it.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import itertools
+import linecache
 import math
 import warnings
 import weakref
@@ -27,7 +32,7 @@ from typing import Callable, ClassVar, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .errors import AntiderivativeMismatch, ConfigError, GainFloorViolated
-from .piecewise import GateStack, sat_poly
+from .piecewise import GateStack, gate_chain, sat_poly
 
 __all__ = [
     "VectorField",
@@ -180,14 +185,17 @@ class FieldSource:
     in the order of PlainModel.consts; exprs holds one expression per
     component over the states, t, u, the constants, the names of math (sin,
     cos, exp, ...) and the names that lets binds. lets are assignments run
-    before the components, such as `m, tau = gates(y)`: each calls a helper,
-    a (name, function) pair of helpers, or binds an expression to a name.
-    jac, when given, is the n rows of n Jacobian entries over the same names,
-    with jac_lets run before them. The integrator writes the lets and the
-    expressions into its RK4 block, and PlainModel renders its float-form rhs
-    and jac from them, so the stepped and the called field have one
-    definition. Every name (states, constants, t, u, helpers and the names
-    the lets and jac_lets bind) must be distinct.
+    before the components: each binds an expression to a name, or is a gate
+    lookup such as `m, tau = gates(y)`, which reads a stack of helpers, the
+    (name, GateStack) pairs that are a source's only helpers, at one name
+    and binds one name per gate. jac, when given, is the n rows of n
+    Jacobian entries over the same names, with jac_lets run before them.
+    The integrator writes the lets and the expressions into its RK4 block,
+    each lookup as its stack's if-chain (gate_chain), and PlainModel renders
+    its float-form rhs and jac from them, so the stepped and the called
+    field have one definition and no rendered function calls a stack. Every
+    name (states, constants, t, u, helpers and the names the lets and
+    jac_lets bind) must be distinct.
     """
 
     states: tuple[str, ...]
@@ -207,43 +215,64 @@ class FieldSource:
         if len(set(names)) != len(names):
             raise ValueError(f"field source names must be distinct, got {names}")
 
-    @property
-    def scope(self) -> dict[str, object]:
-        """The globals of the source rendered: the names of math and the
-        j-th helper as g{j}."""
-        return {**self.namespace, **{f"g{j}": fn for j, (_, fn) in enumerate(self.helpers)}}
-
     def written(self, states: Sequence[str], t: str, u: str,
                 jac: bool = False) -> tuple[list[str], list[str]]:
-        """The lets and the components as source (with jac, the jac_lets and
-        the Jacobian entries row by row), each name replaced by the source
-        given for it: the i-th state by states[i], t by t, u by u, the j-th
-        constant by k{j}, the j-th helper by g{j} and the j-th name the lets
-        and jac_lets bind by v{j}; the names of math stay. Any other name
-        raises ValueError."""
+        """The lets as lines of source and the components (with jac, the
+        jac_lets and the Jacobian entries row by row), each name replaced by
+        the source given for it: the i-th state by states[i], t by t, u by
+        u, the j-th constant by k{j} and the j-th name the lets and jac_lets
+        bind by v{j}; the names of math stay. A gate lookup is written as
+        its stack's if-chain at the name its argument is given, which must
+        be a name, over as many names as the stack has gates. Any other
+        name, a helper among them, raises ValueError."""
         given = {**dict(zip(self.states, states)), "t": t, "u": u,
                  **{c: f"k{j}" for j, c in enumerate(self.consts)},
-                 **{h: f"g{j}" for j, (h, _) in enumerate(self.helpers)},
                  **{b: f"v{j}" for j, b in enumerate(_assigned((*self.lets, *self.jac_lets)))}}
         lets, exprs = ((self.jac_lets, [e for row in self.jac for e in row]) if jac
                        else (self.lets, self.exprs))
-        return ([_renamed(s, given, True) for s in lets],
-                [_renamed(e, given, True) for e in exprs])
+        stacks = dict(self.helpers)
+        lines = []
+        for let in lets:
+            node = ast.parse(let).body[0]
+            call = getattr(node, "value", None)
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in stacks):
+                lines.append(_renamed(let, given, True))
+                continue
+            y = _renamed(ast.unparse(call.args[0]), given, True) if len(call.args) == 1 else ""
+            if not (y.isidentifier() and isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Tuple)):
+                raise ValueError(f"a gate lookup binds a tuple of names at one name, got {let!r}")
+            lines += gate_chain(stacks[call.func.id].gates, y,
+                                [given[e.id] for e in node.targets[0].elts])
+        return lines, [_renamed(e, given, True) for e in exprs]
 
 
-def _compiled(nconsts: int, functions: Sequence[tuple[str, str, list[str], str]],
-              scope: dict[str, object], filename: str):
-    """bind(k0, ..., k(nconsts-1)), compiled in scope: it binds the constants
-    and returns the functions given as (name, arguments, lets, returned
-    tuple), each running its lets and returning its tuple (one function as
-    itself, several as a tuple)."""
+_RENDERED = itertools.count()
+
+
+def exec_rendered(text: str, name: str) -> dict[str, object]:
+    """The scope that running the rendered source text leaves, started from
+    the names of math. The text is kept in linecache under a file name of
+    its own, `<name #k>`, so that inspect.getsource and tracebacks show the
+    rendered lines."""
+    filename = f"<{name} #{next(_RENDERED)}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    scope = dict(FieldSource.namespace)
+    exec(compile(text, filename, "exec"), scope)
+    return scope
+
+
+def _compiled(nconsts: int, functions: Sequence[tuple[str, str, list[str], str]], name: str):
+    """bind(k0, ..., k(nconsts-1)), rendered by exec_rendered: it binds the
+    constants and returns the functions given as (name, arguments, lines of
+    lets, returned tuple), each running its lets and returning its tuple
+    (one function as itself, several as a tuple)."""
     lines = [f"def bind({', '.join(f'k{j}' for j in range(nconsts))}):"]
-    for name, args, lets, ret in functions:
-        lines += [f"    def {name}({args}):", *(f"        {s}" for s in lets),
+    for fn, args, lets, ret in functions:
+        lines += [f"    def {fn}({args}):", *(f"        {s}" for s in lets),
                   f"        return {ret}"]
-    lines.append(f"    return {', '.join(name for name, *_ in functions)}")
-    exec(compile("\n".join(lines) + "\n", filename, "exec"), scope)
-    return scope["bind"]
+    lines.append(f"    return {', '.join(fn for fn, *_ in functions)}")
+    return exec_rendered("\n".join(lines) + "\n", name)["bind"]
 
 
 def _field_function(source: FieldSource, jac: bool):
@@ -253,7 +282,7 @@ def _field_function(source: FieldSource, jac: bool):
     ret = _tuple([_tuple(exprs[i * n:(i + 1) * n]) for i in range(n)] if jac else exprs)
     name = "jac" if jac else "rhs"
     return _compiled(len(source.consts), [(name, "t, s, u", [f"{_tuple(xs)} = s", *lets], ret)],
-                     source.scope, f"<field {name}>")
+                     f"field {name}")
 
 
 @functools.cache
@@ -580,10 +609,11 @@ NEURON_Z_INF_PRIME = NEURON_Z_INF.derivative()
 # Antiderivative of m_inf(y) * (y - 1), the piece of the update antiderivative
 # that cannot be written with a single polynomial.
 NEURON_M_INT = NEURON_M_INF.multiply_poly((1.0, -1.0)).antiderivative()
-# The gates each hook of the neuron plant reads, one lookup per call: values
-# reads NEURON_GATES, update NEURON_UPDATE_GATES and derivatives
-# NEURON_GATE_SLOPES. The first and last merge the same breaks: the y-levels
-# where the plant's Jacobian jumps.
+# The gates each hook of the neuron plant reads, one lookup per call, written
+# into every rendered function as the stack's if-chain: values reads
+# NEURON_GATES, update NEURON_UPDATE_GATES and derivatives NEURON_GATE_SLOPES.
+# The first and last merge the same breaks: the y-levels where the plant's
+# Jacobian jumps.
 NEURON_GATES = GateStack(NEURON_M_INF, NEURON_TAU, NEURON_Z_INF)
 NEURON_UPDATE_GATES = GateStack(NEURON_M_INT)
 NEURON_GATE_SLOPES = GateStack(NEURON_M_INF, NEURON_M_INF_PRIME, NEURON_TAU,
@@ -647,7 +677,24 @@ def _rendered_hooks(source: PlantSource):
         field_source = source.field(names, exprs, lets)
         lets, exprs = field_source.written(names, "t", "u")
         functions.append((name, args, lets, _tuple(exprs)))
-    return _compiled(len(source.consts), functions, field_source.scope, "<plant hooks>")
+    return _compiled(len(source.consts), functions, "plant hooks")
+
+
+@functools.cache
+def _antiderivative_gap(source: PlantSource, consts: tuple[str, ...], lo: float,
+                        hi: float) -> float:
+    """The largest miss of hu by the centered difference of H (step 1e-7) at
+    401 points spanning [lo, hi], for the hooks of a plant source bound to
+    the constants given by float.hex (which tells -0.0 from 0.0): computed
+    once per plant source, constants and interval, however often a plant is
+    built from them."""
+    _, update, derivatives = _rendered_hooks(source)(*map(float.fromhex, consts))
+    worst = 0.0
+    for y in np.linspace(lo, hi, 401):
+        fd = (np.asarray(update(y + 1e-7)) - np.asarray(update(y - 1e-7))) / 2e-7
+        hu = derivatives(0.0, y, 0.0, 0.0, 0.0, 0.0)[6:]
+        worst = max(worst, float(np.max(np.abs(fd - hu))))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -695,13 +742,9 @@ class ParameterizedPlant:
         hooks = _rendered_hooks(self.source)(*self.consts)
         for (name, _, _), hook in zip(_HOOKS, hooks):
             object.__setattr__(self, name, hook)
-        H = lambda y: np.asarray(self.update(y))
         lo, hi = self.sample_box[0]
-        worst = 0.0
-        for y in np.linspace(lo, hi, 401):
-            fd = (H(y + 1e-7) - H(y - 1e-7)) / 2e-7
-            hu = self.derivatives(0.0, y, 0.0, 0.0, 0.0, 0.0)[6:]
-            worst = max(worst, float(np.max(np.abs(fd - hu))))
+        worst = _antiderivative_gap(self.source, tuple(float(c).hex() for c in self.consts),
+                                     lo, hi)
         if worst > 1e-6:
             raise AntiderivativeMismatch(
                 f"centered difference of H deviates from h by {worst:.3e} on [{lo}, {hi}]"
@@ -727,8 +770,8 @@ class ParameterizedPlant:
         )
 
 
-# The neuron plant: each hook reads its gates with one call of its own
-# compiled stack.
+# The neuron plant: each hook reads its gates with one lookup of its own
+# stack, written in as the stack's if-chain.
 _NEURON = PlantSource(
     values=(("m, tau, z_inf = gates(y)",),
             ("inv_eps * (-2.0 * z * (y + 0.7) + 0.15 + u)"
@@ -755,10 +798,10 @@ def neuron_family() -> ParameterizedPlant:
 
     0.02 yd = -2 z (y + 0.7) + 0.15 + u - (y + 0.4, m_inf(y)(y - 1)) . theta
     tau(y) zd = -z + z_inf(y), with saturated-polynomial gates. Each hook
-    reads its gates with one call of its own compiled stack: values
-    NEURON_GATES, update NEURON_UPDATE_GATES and derivatives
-    NEURON_GATE_SLOPES; the first and last give m_inf the same bits, so h is
-    the same whichever hook reads it.
+    reads its gates with one lookup of its own stack, written into it as the
+    stack's if-chain: values NEURON_GATES, update NEURON_UPDATE_GATES and
+    derivatives NEURON_GATE_SLOPES; the first and last give m_inf the same
+    bits, so h is the same whichever hook reads it.
     """
     return ParameterizedPlant(
         name="neuron",

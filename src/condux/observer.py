@@ -43,8 +43,9 @@ def coupled_system(plant: ParameterizedPlant, theta_star: np.ndarray) -> PlainMo
     thetah, so matched initial data with thetah = theta_star gives a
     bitwise-identical observer block (the update difference is exactly zero
     and stays zero). Each block reads its gates with one values and one
-    update lookup. Its jac is None: the coupled field is only ever stepped,
-    and the contraction check linearizes error_system instead.
+    update lookup, written in as their if-chains. Its jac is None: the
+    coupled field is only ever stepped, and the contraction check
+    linearizes error_system instead.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (plant.m,):

@@ -5,6 +5,13 @@ piecewise polynomial once, at construction, by solving p(y) = lo and
 p(y) = hi. That makes derivatives and antiderivatives exact segmentwise
 algebra instead of runtime clamping, which matters when an antiderivative
 of a product like sat(...)*(y-1) is needed in closed form.
+
+Several gates read at one y are one lookup: gate_chain writes it as
+statements, an if-chain over the gates' merged breaks whose branches assign
+each gate's Horner chain with its coefficients as literals, and GateStack
+compiles that chain into a function. A field source writes the same chain in
+place of the call, so the stepped field and the called lookup give the same
+bits.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +43,8 @@ class PiecewisePoly:
             raise ValueError("need exactly len(breaks)+1 coefficient tuples")
         if any(b <= a for a, b in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, (*self.breaks, *(c for p in self.coeffs for c in p)))):
+            raise ValueError("breakpoints and coefficients must be finite")
 
     def derivative(self) -> "PiecewisePoly":
         return PiecewisePoly(
@@ -70,43 +79,71 @@ class PiecewisePoly:
         return PiecewisePoly(self.breaks, tuple(out))
 
 
+def _horner(coeffs: tuple[float, ...], y: str) -> str:
+    """The Horner chain of one piece at the variable y, its coefficients
+    written as literals: ((0.0 * y + c0) * y + c1) * y + ..., the loop
+    acc = acc * y + c from acc = 0.0, with the leading 0.0 * y + dropped on
+    a piece of degree >= 1 whose leading coefficient is not -0.0. For finite
+    y that is exact, since +-0.0 + c0 is c0, and a NaN y still gives NaN; a
+    constant piece keeps it, so it reads +0.0 for -0.0 at finite y and NaN
+    at a non-finite y, as the loop does."""
+    head, *rest = (float(c) for c in coeffs)
+    signed_zero = head == 0.0 and math.copysign(1.0, head) < 0.0
+    chain = repr(head) if rest and not signed_zero else f"0.0 * {y} + {head!r}"
+    for c in rest:
+        factor = f"({chain})" if " " in chain else chain  # a bare literal needs none
+        chain = f"{factor} * {y} + {c!r}"
+    return chain
+
+
+def merged_breaks(gates: Sequence[PiecewisePoly]) -> tuple[float, ...]:
+    """The ascending breaks of every gate, each once."""
+    return tuple(sorted({float(b) for g in gates for b in g.breaks}))
+
+
+def gate_chain(gates: Sequence[PiecewisePoly], y: str, outs: Sequence[str]) -> list[str]:
+    """The lookup of gates at the variable y as statements assigning the
+    value of gate k to outs[k]: an if-chain `if y <= b0: ... elif y <= b1:
+    ... else: ...` over the ascending merged breaks of every gate, each
+    branch assigning every gate's Horner chain on its piece (_horner), one
+    line each, indented by four spaces under its test. y <= b_j picks the
+    piece bisect_left on the merged breaks picks, the left one at a break
+    and the last one at +inf, and every gate break is a merged break, so
+    each gate reads its own piece. A NaN y fails every test and falls
+    through to the last piece."""
+    if len(outs) != len(gates):
+        raise ValueError(f"{len(gates)} gates need {len(gates)} output names, got {len(outs)}")
+    breaks = merged_breaks(gates)
+    indent = "    " if breaks else ""
+    lines = []
+    for j, b in enumerate((*breaks, math.inf)):
+        if breaks:
+            lines.append("else:" if j == len(breaks) else f"{'elif' if j else 'if'} {y} <= {b!r}:")
+        for out, g in zip(outs, gates):
+            lines.append(f"{indent}{out} = {_horner(g.coeffs[bisect_left(g.breaks, b)], y)}")
+    return lines
+
+
 def GateStack(*gates: PiecewisePoly) -> Callable[[float], tuple[float, ...]]:
     """Several PiecewisePoly read at one y with one lookup, compiled into one
     function.
 
-    Returns lookup(y), the tuple of the gates' values at y, with
-    lookup.breaks the ascending merged breaks of every gate. lookup is an
-    if-chain over the merged breaks, `if y <= b0: return (...)` and so on,
-    the last piece unconditional: y <= b_j picks the piece bisect_left on
-    the merged breaks picks, the left one at a break and the last one at
-    +inf, and every gate break is a merged break, so each gate reads its own
-    piece. A NaN y falls through to the last piece and gives NaN in every
-    slot. Each slot is its gate's Horner chain written out,
-    ((0.0 * y + c0) * y + c1) * y + ..., with the coefficients bound as names
-    in the compiled scope: the loop acc = acc * y + c from acc = 0.0, so slot
-    k gives the bits of gate k at every y, signed zeros included.
+    Returns lookup(y), the tuple of the gates' values at y: gate_chain at y,
+    wrapped in `def lookup(y)` and a return, so a source that writes the
+    chain in place of a lookup call gets the same bits. lookup.gates are the
+    gates and lookup.breaks their merged breaks (merged_breaks). A NaN y
+    gives NaN in every slot, and each slot gives the bits of the Horner loop
+    acc = acc * y + c from acc = 0.0 on its gate's piece at every finite y,
+    signed zeros included.
     """
-    breaks = tuple(sorted({float(b) for g in gates for b in g.breaks}))
+    outs = [f"v{k}" for k in range(len(gates))]
+    lines = ["def lookup(y):", *(f"    {s}" for s in gate_chain(gates, "y", outs)),
+             f"    return ({' '.join(f'{v},' for v in outs)})"]
     scope: dict = {}
-    lines = ["def lookup(y):"]
-    for j, b in enumerate((*breaks, math.inf)):
-        chains = []
-        for k, g in enumerate(gates):
-            chain = "0.0"
-            for i, c in enumerate(g.coeffs[bisect_left(g.breaks, b)]):
-                name = f"c{j}_{k}_{i}"
-                scope[name] = c
-                chain = f"({chain}) * y + {name}"
-            chains.append(chain + ",")
-        ret = f"return ({' '.join(chains)})"
-        if j < len(breaks):
-            scope[f"b{j}"] = b
-            lines.append(f"    if y <= b{j}:\n        {ret}")
-        else:
-            lines.append(f"    {ret}")
     exec(compile("\n".join(lines) + "\n", "<gate stack>", "exec"), scope)
     lookup = scope["lookup"]
-    lookup.breaks = breaks
+    lookup.gates = gates
+    lookup.breaks = merged_breaks(gates)
     return lookup
 
 

@@ -492,6 +492,66 @@ def test_gate_stack_matches_the_horner_loop_bitwise(name, ys):
                        for g in gates]
 
 
+# A stack whose degree-1 pieces lead with -0.0: on (0, 1] the loop reads
+# (0.0 * y + -0.0) * y + -0.0 = +0.0, where -0.0 * y + -0.0 is -0.0, so the
+# chain keeps the leading 0.0 * y there.
+SIGNED_LEAD = PiecewisePoly((0.0, 1.0), ((-0.0, 2.0), (-0.0, -0.0), (0.5, -0.0)))
+
+
+def _written_stack(gates):
+    """The rhs of a field whose components are the gates, read by one gate
+    lookup at its first state: the chain as a field source writes it."""
+    names = [f"q{k}" for k in range(len(gates))]
+    outs = [f"o{k}" for k in range(len(gates))]
+    source = FieldSource(tuple(names), tuple(outs),
+                         lets=(f"{', '.join(outs)}, = stack(q0)",),
+                         helpers=(("stack", GateStack(*gates)),))
+    return PlainModel("stack", len(gates), None, None, source=source).rhs
+
+
+@pytest.mark.parametrize("name", [*sorted(STACKS), "SIGNED_LEAD"])
+@given(ys=st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0]), max_size=40))
+@settings(max_examples=50, deadline=None)
+def test_written_chain_matches_the_stack_and_the_loop_bitwise(name, ys):
+    # the chain written into a rendered field gives the bits of the compiled
+    # lookup and of the Horner loop at every break, one ulp to either side
+    # of it, the signed zeros and random y, also where a degree-1 piece
+    # leads with -0.0
+    import condux.models as m
+
+    gates = ([SIGNED_LEAD] if name == "SIGNED_LEAD"
+             else [getattr(m, g) for g in STACKS[name]])
+    stack, rhs = GateStack(*gates), _written_stack(gates)
+    probe = [*stack.breaks, *(math.nextafter(b, -math.inf) for b in stack.breaks),
+             *(math.nextafter(b, math.inf) for b in stack.breaks), 0.0, -0.0, *ys]
+    for y in probe:
+        state = (y, *[0.0] * (len(gates) - 1))
+        want = [v.hex() for v in _loop_horner(gates, y)]
+        assert [v.hex() for v in rhs(0.0, state, 0.0)] == want
+        assert [v.hex() for v in stack(y)] == want
+    if name == "SIGNED_LEAD":
+        assert stack(0.5)[0].hex() == "0x0.0p+0" and (-0.0 * 0.5 + -0.0).hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("let", ["m = gates(q)", "m, tau = gates(q)", "m, tau, z = gates(q + 1.0)",
+                                 "m, tau, z = gates(q, p)"])
+def test_a_gate_lookup_that_does_not_fit_is_rejected(let):
+    # a lookup binds one name per gate of its stack, at one name
+    source = FieldSource(("q", "p"), ("p", "-q"), lets=(let,),
+                         helpers=(("gates", NEURON_GATES),))
+    with pytest.raises(ValueError, match="gate"):
+        PlainModel("bad", 2, None, None, source=source)
+
+
+@pytest.mark.parametrize("breaks, coeffs", [((math.inf,), ((0.0,), (1.0,))),
+                                            ((), ((math.nan,),)),
+                                            ((0.0,), ((1.0, -math.inf), (0.0,)))])
+def test_piecewise_poly_rejects_non_finite_numbers(breaks, coeffs):
+    # a gate chain writes every break and coefficient as a float literal
+    with pytest.raises(ValueError, match="finite"):
+        PiecewisePoly(breaks, coeffs)
+
+
 def test_gate_stack_keeps_the_loop_signed_zero():
     # the Horner chain starts from 0.0 * y like the loop, so a -0.0
     # coefficient reads +0.0 at finite y and a non-finite y gives nan; a NaN

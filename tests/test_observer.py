@@ -1,11 +1,14 @@
+import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from condux.errors import AntiderivativeMismatch, ConfigError, PeriodMismatch
-from condux.integrate import Trajectory, integrate
+from condux.errors import AntiderivativeMismatch, ConfigError, NumericalBlowup, PeriodMismatch
+from condux.integrate import Trajectory, _rk4_block, integrate
 from condux.models import PlainModel, neuron_family
 from condux.observer import (
     coupled_system,
@@ -14,7 +17,7 @@ from condux.observer import (
     run_observer,
 )
 from condux.signals import Constant, SquarePulseTrain
-from condux.variational import floquet, flow
+from condux.variational import _with_variations, floquet, flow
 from conftest import coupled_with_jac, neuron_field_oracles
 
 THETA_STAR = np.array([0.5, 1.5])
@@ -33,6 +36,17 @@ class TestBuildObserver:
             dataclasses.replace(plant, source=dataclasses.replace(
                 plant.source, update=((), ("y", "y"))))
 
+    def test_antiderivative_check_runs_once_per_source(self, plant):
+        # building the plant again, or replacing a field other than its
+        # source and constants, reads the gap the first construction found
+        from condux.models import _antiderivative_gap
+
+        before = _antiderivative_gap.cache_info()
+        neuron_family()
+        dataclasses.replace(plant, name="again")
+        after = _antiderivative_gap.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
     def test_update_direction_matches_regressor_sign(self, plant):
         # the update regressor is the plant regressor without the 1/eps scale
         for y in (-0.8, -0.4, 0.5):
@@ -40,54 +54,64 @@ class TestBuildObserver:
             assert np.allclose([hu0, hu1], np.array([h0, h1]) * 0.02)
 
     def test_gate_lookups_per_call(self, plant):
-        # every rendered hook, rhs and jac, and every stage of the RK4 block
-        # of each field, reads each gate stack it needs with exactly one
-        # call: a hook its own stack, the plant and error fields one values
-        # lookup per rhs and one derivatives lookup per jac, the coupled rhs
-        # one values and one update lookup per block, the coupled jac of
-        # coupled_with_jac one derivatives call per block, and flow's joint
-        # block the rhs and the jac lookups at each stage
-        lookups = []
-
-        def counted(name, stack):
-            def lookup(y):
-                lookups.append(name)
-                return stack(y)
-            return lookup
-
-        source = dataclasses.replace(plant.source, helpers=tuple(
-            (name, counted(name, stack)) for name, stack in plant.source.helpers))
-        counted_plant = dataclasses.replace(plant, source=source)
+        # no rendered hook, rhs, jac, RK4 block or joint block calls a gate
+        # stack, and each writes one chain per lookup its hooks declare: a
+        # hook its own stack, the plant and error fields one values chain
+        # per rhs and one derivatives chain per jac, each stage of the
+        # coupled block one values and one update chain per block (the
+        # coupled jac of coupled_with_jac makes one derivatives hook call
+        # per block), and each stage of flow's joint block the rhs and the
+        # jac chains
+        for hook, want in (("values", [("gates", "y")]), ("update", [("update_gates", "y")]),
+                           ("derivatives", [("slopes", "y")])):
+            assert _chains(plant, getattr(plant, hook)) == want
+        calls = []
+        counted = dataclasses.replace(plant)
+        object.__setattr__(counted, "derivatives",
+                           lambda *args: calls.append(args) or plant.derivatives(*args))
         s = (-0.3, 0.2, 0.1, 0.4, 0.45, 1.6)
-        for hook, args, want in (("values", (0.0, *s[:2], 0.5, *s[4:]), ["gates"]),
-                                 ("update", (s[0],), ["update_gates"]),
-                                 ("derivatives", (0.0, *s[:2], 0.5, *s[4:]), ["slopes"])):
-            lookups.clear()
-            getattr(counted_plant, hook)(*args)
-            assert lookups == want
-        lookups.clear()
-        coupled_with_jac(counted_plant, THETA_STAR).jac(0.0, s, 0.5)
-        assert lookups == ["slopes"] * 2
-        for field, state, rhs_hooks, jac_hooks in (
-                (coupled_system(counted_plant, THETA_STAR), s,
-                 ["gates", "gates", "update_gates", "update_gates"], None),
-                (counted_plant.model(THETA_STAR), s[:2], ["gates"], ["slopes"]),
-                (error_system(counted_plant), s[2:], ["gates"], ["slopes"])):
-            x0 = np.array(state)
-            lookups.clear()
-            field.rhs(0.0, state, 0.5)
-            assert lookups == rhs_hooks
-            lookups.clear()
-            integrate(field, Constant(0.5), 0.0, 1e-3, x0, 1e-3)  # one step
-            assert lookups == rhs_hooks * 4
+        coupled_with_jac(counted, THETA_STAR).jac(0.0, s, 0.5)
+        assert [args[1] for args in calls] == [s[0], s[2]]
+        for field, rhs_hooks, jac_hooks in (
+                (coupled_system(plant, THETA_STAR), ["gates", "gates", "update_gates",
+                                                     "update_gates"], None),
+                (plant.model(THETA_STAR), ["gates"], ["slopes"]),
+                (error_system(plant), ["gates"], ["slopes"])):
+            # each lookup of the coupled field reads its own block's output
+            ys = ["0", "2", "0", "2"][:len(rhs_hooks)]
+            assert _chains(plant, field.rhs) == [(h, f"x{i}") for h, i in zip(rhs_hooks, ys)]
+            block = _rk4_block(field.n, field.source)
+            assert _chains(plant, block) == [(h, f"{x}{i}") for x in "axxx"
+                                             for h, i in zip(rhs_hooks, ys)]
             if jac_hooks is None:
                 continue
-            lookups.clear()
-            field.jac(0.0, state, 0.5)
-            assert lookups == jac_hooks
-            lookups.clear()
-            flow(field, Constant(0.5), 0.0, 1e-3, x0, 1e-3)
-            assert lookups == (rhs_hooks + jac_hooks) * 4
+            assert _chains(plant, field.jac) == [(h, "x0") for h in jac_hooks]
+            joint = _with_variations(field)
+            assert _chains(plant, _rk4_block(joint.n, joint.source)) == [
+                (h, f"{x}0") for x in "axxx" for h in rhs_hooks + jac_hooks]
+
+
+def _chains(plant, fn):
+    """(helper name, variable) of each gate chain written into the rendered
+    source of fn, in order: an if-chain is told by its breaks and by how
+    many names each branch assigns. Asserts that fn calls nothing but zip
+    and the block's push, and that its globals hold no gate stack."""
+    stacks = {(len(stack.gates), stack.breaks): name for name, stack in plant.source.helpers}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called <= {"zip", "push"}
+    assert not any(v is stack for v in fn.__globals__.values() for _, stack in plant.source.helpers)
+    ifs = [node for node in ast.walk(tree) if isinstance(node, ast.If)]
+    elifs = {id(node.orelse[0]) for node in ifs
+             if len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If)}
+    chains = []
+    for head in sorted((node for node in ifs if id(node) not in elifs), key=lambda n: n.lineno):
+        breaks, node = [], head
+        while isinstance(node, ast.If):
+            breaks.append(ast.literal_eval(node.test.comparators[0]))
+            node = node.orelse[0] if id(node.orelse[0]) in elifs else None
+        chains.append((stacks[len(head.body), tuple(breaks)], head.test.left.id))
+    return chains
 
 
 class TestEmbedding:
@@ -228,16 +252,39 @@ class TestContractionCheck:
     ("coupled", [-0.7, 0.0, -0.7, 0.0, 0.3, 1.8]),
 ])
 def test_flow_of_a_source_field_gives_the_closure_bits(plant, name, x0):
-    # over one observer period, the trajectory and transition matrix of
-    # each field written from the plant source are those of the
-    # hand-written closures it replaced
+    # over one observer period, the integrate trajectory, and the flow
+    # trajectory and transition matrix, of each field written from the
+    # plant source are those of the hand-written closures it replaced,
+    # whose gates are read by stack calls; the coupled field is flowed
+    # with the tests' Jacobian
     field = {"plant": plant.model(THETA_STAR), "error": error_system(plant),
-             "coupled": coupled_with_jac(plant, THETA_STAR)}[name]
+             "coupled": coupled_system(plant, THETA_STAR)}[name]
     rhs, jac = neuron_field_oracles(*THETA_STAR.tolist())[name]
     oracle = PlainModel(name, field.n, rhs, jac)
     x0 = np.array(x0)
+    run, ref_run = (integrate(f, PULSE, 0.0, PULSE.period, x0, 1e-3) for f in (field, oracle))
+    assert run.states.tobytes() == ref_run.states.tobytes()
+    if field.jac is None:
+        field = coupled_with_jac(plant, THETA_STAR)
     traj, phi = flow(field, PULSE, 0.0, PULSE.period, x0, 1e-3)
     ref, ref_phi = flow(oracle, PULSE, 0.0, PULSE.period, x0, 1e-3)
     assert traj.ts.size == ref.ts.size > PULSE.period / 1e-3
     assert traj.states.tobytes() == ref.states.tobytes()
     assert phi.tobytes() == ref_phi.tobytes()
+
+
+@pytest.mark.parametrize("name", ["plant", "error"])
+@pytest.mark.parametrize("run", [integrate, flow])
+def test_a_source_field_blows_up_where_the_closures_do(plant, name, run):
+    # th0 = -100 makes the output unstable: the state (and under flow its
+    # Phi) leaves R^n inside a block of steps, at the same first
+    # non-finite node for the written-in field as for the closures
+    field, x0 = {"plant": (plant.model(np.array([-100.0, 1.5])), [-0.7, 0.0]),
+                 "error": (error_system(plant), [-0.7, 0.0, -100.0, 1.5])}[name]
+    rhs, jac = neuron_field_oracles(-100.0, 1.5)[name]
+    seen = []
+    for f in (field, PlainModel(name, field.n, rhs, jac)):
+        with pytest.raises(NumericalBlowup) as err:
+            run(f, PULSE, 0.0, PULSE.period, np.array(x0), 1e-4)
+        seen.append(err.value.t)
+    assert seen[0] == seen[1] and 0.0 < seen[0] < PULSE.period

@@ -17,16 +17,18 @@ stage is the whole run_experiment call, artifacts included. The steps
 columns count the RK4 steps of each stage, grid.size - 1 summed over every
 run of condux.integrate._rk4_run (which every integrate and flow call steps
 through) made inside the stage, the total row's those of the whole call,
-so a stage's CPU time can be quoted per step.
+and the per-step columns give each checkout's median CPU time of the stage
+divided by its median steps, in microseconds per RK4 step.
 
 Each checkout runs in fresh processes, with its src first on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1: 5 rounds of one process making 3 calls, the rounds
 alternating which checkout goes first. The script prints, per workload or
 config and stage, the min and median of time.process_time over the 15 calls
 of each checkout, then the median of the stage's RK4 steps per call in each
-checkout. The import row is the process's CPU time from its start until it
-has imported condux.experiments, one value per process, so its min and
-median are over the 5 processes of each checkout.
+checkout, then the microseconds per step of each checkout. The import row is
+the process's CPU time from its start until it has imported
+condux.experiments, one value per process, so its min and median are over
+the 5 processes of each checkout.
 """
 
 from __future__ import annotations
@@ -118,6 +120,13 @@ def _steps(xs: list[int]) -> str:
     return f"{statistics.median(xs):.0f}" if any(xs) else "-"
 
 
+def _per_step(cpu: list[float], steps: list[int]) -> str:
+    """Median CPU seconds over median steps, in microseconds per step."""
+    if not (cpu and any(steps)):
+        return "-"
+    return f"{1e6 * statistics.median(cpu) / statistics.median(steps):.3f}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) < 2:
@@ -144,15 +153,20 @@ def main(argv: list[str] | None = None) -> int:
         stages = list(dict.fromkeys(k for cs in calls.values() for c in cs for k in c["cpu"]
                                     if k != "total"))
         print(f"{name} (CPU s, min / median of {ROUNDS * CALLS} calls; "
-              f"import: of {ROUNDS} processes; then RK4 steps per call)")
-        print(f"  {'stage':<34} {'parent':>15} {'change':>15} {'parent':>9} {'change':>9}")
+              f"import: of {ROUNDS} processes; then RK4 steps per call and us per step)")
+        print(f"  {'stage':<34} {'parent':>15} {'change':>15} {'parent':>9} {'change':>9}"
+              f" {'parent':>8} {'change':>8}")
         cells = [_cell(imports[side]) for side in sides]
         print(f"  {'import':<34} {cells[0]:>15} {cells[1]:>15}")
         for stage in (*stages, "total"):
-            cells = [_cell([c["cpu"][stage] for c in calls[side] if stage in c["cpu"]])
-                     for side in sides]
-            cells += [_steps([c["steps"].get(stage, 0) for c in calls[side]]) for side in sides]
-            print(f"  {stage:<34} {cells[0]:>15} {cells[1]:>15} {cells[2]:>9} {cells[3]:>9}")
+            cpu = {side: [c["cpu"][stage] for c in calls[side] if stage in c["cpu"]]
+                   for side in sides}
+            steps = {side: [c["steps"].get(stage, 0) for c in calls[side]] for side in sides}
+            cells = [_cell(cpu[side]) for side in sides]
+            cells += [_steps(steps[side]) for side in sides]
+            cells += [_per_step(cpu[side], steps[side]) for side in sides]
+            print(f"  {stage:<34} {cells[0]:>15} {cells[1]:>15} {cells[2]:>9} {cells[3]:>9}"
+                  f" {cells[4]:>8} {cells[5]:>8}")
         print(flush=True)
     return 0
 
